@@ -367,7 +367,7 @@ class _StreamingBackendBase(_AlgoSnapshotMixin, _BackendBase):
         self.algo.insert(point)
 
     def extend(self, points) -> None:
-        # vectorized batch path: one pairwise matrix per recompression epoch
+        # vectorized batch path: chunked, cell-indexed once r > 0
         if is_chunked(points):
             return self._extend_chunks(points)
         self.algo.extend(points)

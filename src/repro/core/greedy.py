@@ -82,7 +82,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..engine.executor import ThreadExecutor, shard_ranges
-from ..geometry.grid import PointGrid, PointGridHierarchy
+from ..geometry.grid import PointGrid, PointGridHierarchy, cutoff_side
 from ..kernels import (
     Workspace,
     auto_chunk,
@@ -387,9 +387,7 @@ def _grid_for_guess(pts: np.ndarray, cutoff: float) -> "PointGrid | None":
     side is always sound — it only admits more candidates, and every
     candidate is re-checked with an exact distance.
     """
-    maxabs = float(np.max(np.abs(pts))) if pts.size else 0.0
-    side = max(cutoff * (1.0 + 1e-6), maxabs * 2.0**-29)
-    return PointGrid.build(pts, side, max_ring=3)
+    return PointGrid.build(pts, cutoff_side(cutoff, pts), max_ring=3)
 
 
 def _accumulate_cells(

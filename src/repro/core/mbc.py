@@ -26,8 +26,13 @@ greedy decision procedure uses) and evaluates distances only against the
 ``delta`` under L2/L1/Linf is within ``delta`` per coordinate, so no
 candidate is missed and results are bit-identical to the scalar loop
 (:func:`repro.core._greedy_reference.greedy_absorb_reference`; proven by
-the parity tests).  When the embedded radius search ran its grid-pruned
-path, the absorption reuses the search's persistent
+the parity tests).  While the exact candidate-pair count fits the kernel
+layer's block budget, every within-``delta`` pair is found in one
+vectorized pass (:meth:`~repro.geometry.PointGrid.candidate_pairs` +
+:func:`~repro.kernels.pair_distances`) and the sequential greedy walks
+precomputed neighbor lists; denser inputs (duplicate floods) query the
+grid per representative instead.  When the embedded radius search ran
+its grid-pruned path, the absorption reuses the search's persistent
 :class:`~repro.geometry.PointGridHierarchy` (via
 :attr:`~repro.core.greedy.GreedyResult.geometry`) and snaps its
 absorption radius to an existing ladder level instead of re-bucketing
@@ -43,7 +48,8 @@ from math import ceil
 
 import numpy as np
 
-from ..geometry.grid import PointGrid
+from ..geometry.grid import PointGrid, cutoff_side
+from ..kernels import DEFAULT_BLOCK_BYTES, pair_distances
 from .greedy import charikar_greedy
 from .metrics import Metric, _KernelMetric, get_metric
 from .points import WeightedPointSet
@@ -99,6 +105,11 @@ class MiniBallCovering:
 _GRID_MAX_DIM = 4
 #: below this the grid's setup cost exceeds the whole scalar loop
 _GRID_MIN_POINTS = 192
+#: candidate pairs the vectorized neighbor-list pass may expand: each
+#: pair holds two int64 indices and a float64 distance, kept inside the
+#: kernel layer's block budget; denser inputs (duplicate floods) keep the
+#: per-representative grid queries
+_ABSORB_MAX_PAIRS = DEFAULT_BLOCK_BYTES // 24
 
 
 def _greedy_absorb(
@@ -123,8 +134,9 @@ def _greedy_absorb(
 
     Bit-identical to the pre-refactor scalar loop; only the candidate set
     each representative's distances are evaluated against shrinks — to the
-    nearby grid cells when the metric/dimension admit the grid, or to the
-    still-unabsorbed points otherwise.
+    nearby grid cells when the metric/dimension admit the grid (all
+    evaluated up front while they fit :data:`_ABSORB_MAX_PAIRS`), or to
+    the still-unabsorbed points otherwise.
     """
     n = len(wps)
     if n == 0:
@@ -164,17 +176,35 @@ def _greedy_absorb(
             # sound at any snapped side)
             grid = hierarchy.grid_for(cutoff)
         if grid is None:
-            # side slightly above the cutoff: the 1e-6 slack strictly
-            # dominates the float rounding of pts/side under the
-            # |cell index| < 2^30 guard, so two points within `cutoff`
-            # always land in adjacent cells (ring 1); the
-            # max(|coord|)-based floor keeps the guard satisfiable for
-            # tiny cutoffs (larger cells are always sound)
-            maxabs = float(np.max(np.abs(pts))) if pts.size else 0.0
-            side = max(cutoff * (1.0 + 1e-6), maxabs * 2.0**-29)
-            grid = PointGrid.build(pts, side, max_ring=1)
+            grid = PointGrid.build(pts, cutoff_side(cutoff, pts), max_ring=1)
 
+    pairs = None
     if grid is not None:
+        pairs = grid.candidate_pairs(cutoff, _ABSORB_MAX_PAIRS)
+    if pairs is not None:
+        # every within-cutoff (point, neighbor) pair in one vectorized
+        # pass, kept as CSR rows in the grid's point order; the greedy
+        # below is the same sequential loop over precomputed neighbor
+        # lists (a point's list includes itself)
+        pos, i, j = pairs
+        keep = pair_distances(metric.name, pts, i, j) <= cutoff
+        nbrs = j[keep]
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(pos[keep],
+                                                         minlength=n))))
+        row_of = np.empty(n, dtype=np.int64)
+        row_of[grid.order] = np.arange(n)
+        weights = wps.weights
+        for idx in order:
+            if not remaining[idx]:
+                continue
+            row = row_of[idx]
+            cand = nbrs[ptr[row]:ptr[row + 1]]
+            sel = cand[remaining[cand]]
+            assignment[sel] = len(rep_rows)
+            rep_rows.append(int(idx))
+            rep_weights.append(int(weights[sel].sum()))
+            remaining[sel] = False
+    elif grid is not None:
         for idx in order:
             if not remaining[idx]:
                 continue

@@ -1,7 +1,13 @@
 """Geometric substrates: hierarchical grids over ``[Delta]^d`` (§5.1) and
 packing/counting arguments in doubling metrics (Lemma 6, Lemma 25)."""
 
-from .grid import GridHierarchy, GridLevel, PointGrid, PointGridHierarchy
+from .grid import (
+    CellIndex,
+    GridHierarchy,
+    GridLevel,
+    PointGrid,
+    PointGridHierarchy,
+)
 from .packing import (
     doubling_cover_count,
     grid_cell_bound,
@@ -10,6 +16,7 @@ from .packing import (
 )
 
 __all__ = [
+    "CellIndex",
     "GridHierarchy",
     "GridLevel",
     "PointGrid",

@@ -17,6 +17,11 @@ within distance ``D`` of here" with a superset drawn from the
 ``(2R+1)^d`` surrounding cells, entirely through sorted int64 cell codes
 (no Python dicts in the per-cell loops).
 
+:class:`CellIndex` is its growable counterpart for a point set that gains
+members over time (Algorithm 3's representatives between radius
+doublings): the same quantization, with absolute cell codes, so points
+outside the index can be queried and new members appended.
+
 :class:`PointGridHierarchy` is the persistent form the radius search
 uses: a lazily materialized geometric ladder of :class:`PointGrid`
 levels (side ``base_side * 2^i``) over one point set, so the
@@ -33,7 +38,51 @@ from math import ceil, log2
 
 import numpy as np
 
-__all__ = ["GridLevel", "GridHierarchy", "PointGrid", "PointGridHierarchy"]
+__all__ = [
+    "GridLevel",
+    "GridHierarchy",
+    "PointGrid",
+    "PointGridHierarchy",
+    "CellIndex",
+]
+
+#: per-axis cell-index magnitude bound; keeps the ``p / side`` rounding
+#: error below the 5e-7 ring slack of :func:`cell_ring` and every code
+#: product in int64
+_MAX_CELL_INDEX = 2.0**30
+
+
+def quantize(pts: np.ndarray, side: float) -> "np.ndarray | None":
+    """Per-axis cell indices ``floor(pts / side)`` as int64, or ``None``
+    when they cannot be trusted: a non-positive or non-finite side,
+    non-finite coordinates, or an index at or beyond ``2^30`` in
+    magnitude (see :class:`PointGrid` for the error argument)."""
+    if side <= 0 or not np.isfinite(side):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.floor(np.asarray(pts, dtype=np.float64) / side)
+    if not np.isfinite(q).all() or (np.abs(q) >= _MAX_CELL_INDEX).any():
+        return None
+    return q.astype(np.int64)
+
+
+def cutoff_side(cutoff: float, pts: np.ndarray) -> float:
+    """A cell side for ring-1 queries at ``cutoff`` over ``pts``: just
+    above the cutoff (the ``1e-6`` slack keeps :func:`cell_ring` at 1),
+    floored so the cell indices of ``pts`` stay under the ``2^30`` guard
+    even for tiny cutoffs.  A larger side is always sound — it only
+    admits more candidates."""
+    pts = np.asarray(pts)
+    maxabs = float(np.max(np.abs(pts))) if pts.size else 0.0
+    return max(cutoff * (1.0 + 1e-6), maxabs * 2.0**-29)
+
+
+def cell_ring(dist: float, side: float) -> int:
+    """Chebyshev cell-ring radius guaranteed to contain every point
+    within ``dist`` of a point, for cells of ``side`` quantized by
+    :func:`quantize` (the ``+ 5e-7`` slack covers the rounding of
+    ``p / side``)."""
+    return int(np.floor(dist / side + 5e-7)) + 1
 
 
 @dataclass(frozen=True)
@@ -194,10 +243,6 @@ class PointGrid:
     fall back to their dense scans in that case.
     """
 
-    #: per-axis cell-index magnitude bound; keeps the ``p / side`` rounding
-    #: error below the 5e-7 ring slack and the padded code product in int64
-    _MAX_CELL_INDEX = 2.0**30
-
     def __init__(self, codes, order, cell_codes, cell_starts, cell_counts,
                  point_cell, radix, side, max_ring, cell_axes=None):
         self.n = len(codes)
@@ -236,16 +281,12 @@ class PointGrid:
         ``None`` when the quantized cell indices cannot be trusted.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if side <= 0 or not np.isfinite(side):
-            return None
         n, d = pts.shape
         if n == 0:
             return None
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = np.floor(pts / side)
-        if not np.isfinite(q).all() or (np.abs(q) >= cls._MAX_CELL_INDEX).any():
+        qi = quantize(pts, side)
+        if qi is None:
             return None
-        qi = q.astype(np.int64)
         qmin = qi.min(axis=0)
         extents = qi.max(axis=0) - qmin + 1
         padded = extents + 2 * int(max_ring)
@@ -273,7 +314,7 @@ class PointGrid:
     def ring(self, dist: float) -> int:
         """Chebyshev cell-ring radius guaranteed to contain every point
         within ``dist`` (see the class docstring for the slack argument)."""
-        r = int(np.floor(dist / self.side + 5e-7)) + 1
+        r = cell_ring(dist, self.side)
         if r > self.max_ring:
             raise ValueError(
                 f"ring {r} for dist {dist!r} exceeds max_ring={self.max_ring} "
@@ -333,6 +374,114 @@ class PointGrid:
         of the given cells (each candidate exactly once)."""
         _, nbr = self.neighbors_of_cells(np.unique(cells), self.ring(dist))
         return self.points_in_cells(np.unique(nbr))
+
+    def candidate_pairs(
+        self, dist: float, max_pairs: int
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
+        """Every (point, candidate) pair whose cells lie within
+        :meth:`ring` ``(dist)`` of each other, grouped by point.
+
+        Returns ``(pos, i, j)``: pair ``t`` pairs point ``i[t]`` with
+        candidate ``j[t]``, and ``pos[t]`` is the position of ``i[t]`` in
+        :attr:`order` (non-decreasing, so pairs come grouped by point in
+        cell order).  A superset of all pairs within ``dist``, each point
+        paired with itself too.  Returns ``None`` without expanding when
+        the exact pair count, ``sum(counts[c] * counts[c'])`` over
+        neighboring cells ``c, c'``, or the neighbor-cell lookup would
+        exceed ``max_pairs``.
+        """
+        R = self.ring(dist)
+        if self.num_cells * len(self.neighbor_deltas(R)) > max_pairs:
+            return None
+        src, nbr = self.neighbors_of_cells(np.arange(self.num_cells), R)
+        # members of each cell's neighborhood, concatenated cell by cell
+        reach = np.bincount(src, weights=self.cell_counts[nbr],
+                            minlength=self.num_cells).astype(np.int64)
+        if int(reach @ self.cell_counts) > max_pairs:
+            return None
+        members = self.points_in_cells(nbr)
+        first = np.concatenate(([0], np.cumsum(reach)))[:-1]
+        # one candidate run per point, points in cell order
+        cell_of = np.repeat(np.arange(self.num_cells), self.cell_counts)
+        run = reach[cell_of]
+        total = int(run.sum())
+        pos = np.repeat(np.arange(self.n), run)
+        offsets = np.concatenate(([0], np.cumsum(run)))[:-1]
+        flat = np.arange(total) - np.repeat(offsets - first[cell_of], run)
+        return pos, self.order[pos], members[flat]
+
+
+class CellIndex:
+    """A growable cell index: radius-bounded candidate queries for points
+    that are not in the index, over a point set that grows.
+
+    :class:`PointGrid` is built once over a fixed point set and codes its
+    cells relative to their occupied extent.  This index quantizes the
+    same way (:func:`quantize`, the same guard, the same :func:`cell_ring`
+    slack), but codes a cell from its absolute indices, ``sum_a q_a *
+    M^(d-1-a)`` with ``M = 2^floor(62/d)`` in wrapping int64 arithmetic,
+    so points added later never move existing codes and any point can be
+    encoded and queried.  The code is linear, so a neighbor offset is a
+    scalar delta even under wrap-around; it is one-to-one for ``d <= 2``
+    (indices below ``2^30``).  For ``d >= 3`` distant cells can share a
+    code, which only adds candidates: the candidate set stays a superset
+    of the true neighbors, and callers re-check distances exactly.
+
+    Members are kept sorted by code (ties in insertion order) in two
+    parallel int64 arrays; :meth:`add` merges a batch with one
+    ``searchsorted`` + ``insert``.
+    """
+
+    def __init__(self, side: float, dim: int, reach: float):
+        self.side = float(side)
+        self.dim = int(dim)
+        #: the query distance every candidate set covers
+        self.reach = float(reach)
+        ring = cell_ring(reach, side)
+        radix = np.int64(1) << np.int64(62 // self.dim)
+        self._radix = radix ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
+        axes = np.meshgrid(*([np.arange(-ring, ring + 1)] * self.dim),
+                           indexing="ij")
+        offsets = np.stack(axes, axis=-1).reshape(-1, self.dim)
+        self._deltas = offsets @ self._radix
+        self._codes = np.zeros(0, dtype=np.int64)
+        self._ids = np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def encode(self, pts: np.ndarray) -> "np.ndarray | None":
+        """Cell codes of ``pts`` (shape ``(n, dim)``), or ``None`` when
+        :func:`quantize` refuses them."""
+        q = quantize(pts, self.side)
+        if q is None:
+            return None
+        with np.errstate(over="ignore"):
+            return q @ self._radix
+
+    def add(self, codes: np.ndarray, ids: np.ndarray) -> None:
+        """Insert members ``ids`` with cell ``codes`` (from :meth:`encode`)."""
+        codes = np.asarray(codes, dtype=np.int64)
+        o = np.argsort(codes, kind="stable")
+        pos = np.searchsorted(self._codes, codes[o], side="right")
+        self._codes = np.insert(self._codes, pos, codes[o])
+        self._ids = np.insert(self._ids, pos,
+                              np.asarray(ids, dtype=np.int64)[o])
+
+    def pairs(self, codes: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Candidates for query points with cell ``codes``: ``(q, ids)``
+        pairs, grouped by query index ``q`` ascending.  Every member
+        within :attr:`reach` of query ``q`` appears paired with it."""
+        with np.errstate(over="ignore"):
+            targets = (np.asarray(codes, dtype=np.int64)[:, None]
+                       + self._deltas[None, :]).ravel()
+        lo = np.searchsorted(self._codes, targets, side="left")
+        cnt = np.searchsorted(self._codes, targets, side="right") - lo
+        total = int(cnt.sum())
+        src = np.repeat(np.arange(len(targets)) // len(self._deltas), cnt)
+        starts = np.cumsum(cnt) - cnt
+        flat = np.repeat(lo - starts, cnt) + np.arange(total)
+        return src, self._ids[flat]
 
 
 #: below this many estimated candidate pairs a pruned scan costs less

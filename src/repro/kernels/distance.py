@@ -292,8 +292,10 @@ def pair_distances(
     rows: np.ndarray,
     cols: np.ndarray,
     backend=None,
+    other: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Element-wise float64 distances ``dist(pts[rows[t]], pts[cols[t]])``.
+    """Element-wise float64 distances ``dist(pts[rows[t]], other[cols[t]])``
+    (``other`` defaults to ``pts``).
 
     The sparse companion of :func:`pairwise_kernel`, used by the
     grid-pruned candidate scans that only need the (point, candidate)
@@ -310,23 +312,30 @@ def pair_distances(
     pts = _as_points(pts, np.float64)
     rows = np.asarray(rows)
     cols = np.asarray(cols)
+    if other is None:
+        other = pts
+    else:
+        other = _as_points(other, np.float64)
     if bk == "numba":
         from . import numba_backend
 
+        if other is not pts:  # the compiled kernel takes one array
+            cols = cols + len(pts)
+            pts = np.concatenate([pts, other])
         return numba_backend.pair_distances(kind, pts, rows, cols)
     d = pts.shape[1]
     if kind == "euclidean":
-        diff = pts[rows, 0] - pts[cols, 0]
+        diff = pts[rows, 0] - other[cols, 0]
         out = diff * diff
         for c in range(1, d):
-            diff = pts[rows, c] - pts[cols, c]
+            diff = pts[rows, c] - other[cols, c]
             out += diff * diff
         np.sqrt(out, out=out)
         return out
     reduce_max = kind == "chebyshev"
-    out = np.abs(pts[rows, 0] - pts[cols, 0])
+    out = np.abs(pts[rows, 0] - other[cols, 0])
     for c in range(1, d):
-        diff = np.abs(pts[rows, c] - pts[cols, c])
+        diff = np.abs(pts[rows, c] - other[cols, c])
         if reduce_max:
             np.maximum(out, diff, out=out)
         else:

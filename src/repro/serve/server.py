@@ -135,6 +135,9 @@ _ROUTES = (
 #: handler thread per connection under ThreadingHTTPServer).
 _SPOOL_IDS = itertools.count()
 
+#: A valid ``Content-Length`` value (ASCII digits, optional whitespace).
+_DECIMAL = re.compile(r"\s*[0-9]+\s*")
+
 #: Route templates for the request counter's ``route`` label.
 _TEMPLATES = {
     "healthz": "/healthz", "readyz": "/readyz", "metrics": "/metrics",
@@ -149,12 +152,39 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes one HTTP request into the session manager."""
 
     protocol_version = "HTTP/1.1"
+    #: header and body go out in two sends; with Nagle on, the second
+    #: waits for the client's delayed ACK of the first (~40 ms) on a
+    #: reused keep-alive connection
+    disable_nagle_algorithm = True
     server: _HTTPServer
+    #: the validated ``Content-Length`` of the current request
+    _length = 0
 
     # -- plumbing ----------------------------------------------------------
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         """Suppress per-request stderr logging (metrics cover it)."""
+
+    def _parse_framing(self) -> int:
+        """The request body length, validated: at most one
+        ``Content-Length`` header holding a non-negative decimal integer,
+        and no ``Transfer-Encoding`` (no chunked bodies).  Anything else
+        is a 400, and the connection closes: where the body ends is
+        unknown, so the stream cannot be resynchronized."""
+        values = self.headers.get_all("Content-Length") or []
+        problem = None
+        if self.headers.get("Transfer-Encoding") is not None:
+            problem = "Transfer-Encoding is not supported; send Content-Length"
+        elif len(values) > 1:
+            problem = "duplicate Content-Length headers"
+        elif values and not _DECIMAL.fullmatch(values[0]):
+            problem = ("Content-Length must be a non-negative integer, "
+                       f"got {values[0]!r}")
+        if problem is not None:
+            self._body_read = True  # never read an unframed body
+            self.close_connection = True
+            raise WireError(400, "bad-framing", problem)
+        return int(values[0]) if values else 0
 
     def _send(self, status: int, body: bytes,
               content_type: str = "application/json") -> None:
@@ -170,7 +200,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         self._body_read = True
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._length
         if length > MAX_BODY_BYTES:
             self.close_connection = True  # too big to drain; drop the conn
             raise WireError(413, "body-too-large",
@@ -188,7 +218,7 @@ class _Handler(BaseHTTPRequestHandler):
         if getattr(self, "_body_read", False):
             return
         self._body_read = True
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._length
         if 0 < length <= MAX_BODY_BYTES:
             self.rfile.read(length)
         elif length > MAX_BODY_BYTES:
@@ -197,6 +227,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         app = self.server.app
         self._body_read = False  # per-request state (keep-alive reuse)
+        self._length = 0
         split = urlsplit(self.path)
         op, match = None, None
         for m, pattern, name in _ROUTES:
@@ -209,6 +240,7 @@ class _Handler(BaseHTTPRequestHandler):
         status = 500
         t0 = time.perf_counter()
         try:
+            self._length = self._parse_framing()
             if op is None:
                 if match is not None:
                     raise WireError(405, "method-not-allowed",
@@ -315,10 +347,9 @@ class _Handler(BaseHTTPRequestHandler):
         app = self.server.app
         name = validate_session_name(name)
         ctype = (self.headers.get("Content-Type") or "")
-        length = int(self.headers.get("Content-Length") or 0)
         if (ctype.split(";")[0].strip() == "application/octet-stream"
-                and length >= SPOOL_BODY_BYTES):
-            return self._extend_spooled(name, length)
+                and self._length >= SPOOL_BODY_BYTES):
+            return self._extend_spooled(name, self._length)
         pts = decode_points(
             self._read_body(), ctype, self.headers.get("X-Repro-Shape"),
         )

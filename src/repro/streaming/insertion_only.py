@@ -19,12 +19,30 @@ times and stores at most ``k (16/eps)^d + z`` points, matching the
 Omega(k/eps^d + z) lower bound of §4.1-4.2.
 
 Implementation notes: representatives live in a pre-allocated, doubling
-NumPy buffer so each arrival costs one vectorized distance evaluation
-against ``P*`` (the guides' "no per-point Python objects" rule); the paper
-threshold is astronomical for small ``eps`` and moderate ``d``, so
-``size_cap`` lets applications bound the structure (at the documented cost
-of the worst-case guarantee — the cap is exercised by the failure-injection
-tests).
+NumPy buffer (the guides' "no per-point Python objects" rule), and
+:meth:`InsertionOnlyCoreset.extend` ingests in chunks.  Each chunk finds
+every row's nearest representative at once, then walks the rows in order:
+absorptions become one weight update per chunk, and a row that opens a
+representative updates only the later rows it can reach.
+
+Once ``r > 0`` the nearest-representative query goes through a
+:class:`~repro.geometry.CellIndex` over ``P*`` whose cells are just wider
+than the absorb cutoff ``(eps/2) r``.  Any representative within the
+cutoff lies in the ``3^d`` cells around an arrival, so only those are
+evaluated, and the earliest-index tie-break of a dense ``argmin`` is
+kept: every representative that can win lies in that neighborhood, and a
+row with no candidate simply opens a representative.  The index is
+rebuilt when ``r`` changes (initialization, doubling) and grows with the
+representatives in between.  The dense ``chunk x P*`` block stays for
+``r == 0``, metrics without coordinates, ``d > 4``, coordinates the grid
+cannot quantize, and small blocks where it is cheaper.  Both paths are
+bit-identical to the per-point :meth:`~InsertionOnlyCoreset.insert`
+loop (parity-tested).
+
+The paper threshold is astronomical for small ``eps`` and moderate
+``d``, so ``size_cap`` lets applications bound the structure (at the
+documented cost of the worst-case guarantee — the cap is exercised by
+the failure-injection tests).
 """
 
 from __future__ import annotations
@@ -33,10 +51,12 @@ from math import ceil
 
 import numpy as np
 
-from ..core.mbc import update_coreset
-from ..core.metrics import get_metric
+from ..core.mbc import _GRID_MAX_DIM, update_coreset
+from ..core.metrics import _KernelMetric, get_metric
 from ..core.points import WeightedPointSet
 from ..core.radius import min_pairwise_distance
+from ..geometry.grid import CellIndex, cutoff_side
+from ..kernels import pair_distances
 
 __all__ = ["paper_size_threshold", "InsertionOnlyCoreset"]
 
@@ -46,6 +66,38 @@ def paper_size_threshold(k: int, z: int, eps: float, d: int) -> int:
     if eps <= 0:
         raise ValueError("eps must be positive")
     return int(k * ceil(16.0 / eps) ** d + z)
+
+
+#: rows per chunk of :meth:`InsertionOnlyCoreset.extend`; a chunk that
+#: takes the dense block stops after _DENSE_CHUNK_ROWS rows, which bounds
+#: the block at _DENSE_CHUNK_ROWS x |P*|.  Either bounds the work thrown
+#: away when a change of r invalidates a chunk's distances
+_CHUNK_ROWS = 2048
+_DENSE_CHUNK_ROWS = 256
+#: chunk rows x |P*| below which one dense distance block is cheaper
+#: than the cell index.  Measured per extend on 2-D clustered streams
+#: (one core of a 2-core Xeon VM): dense 30 us vs index 108 us at 32 x 204
+#: representatives, even at about 10^5 (128 x 714, 64 x 1838), index
+#: 2x ahead at 128 x 2185 and 16 x 15430
+_INDEX_MIN_PAIRS = 1 << 17
+
+
+def _nearest(q: np.ndarray, ids: np.ndarray, d: np.ndarray,
+             m: int) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-row ``(min distance, argmin id)`` of candidate pairs grouped
+    by row ``q``; ties go to the smallest id, like ``np.argmin`` over the
+    full row.  Rows without candidates get ``(inf, -1)``."""
+    cur_min = np.full(m, np.inf)
+    cur_arg = np.full(m, -1, dtype=np.int64)
+    if len(q):
+        starts = np.flatnonzero(np.concatenate(([True], q[1:] != q[:-1])))
+        mins = np.minimum.reduceat(d, starts)
+        lens = np.diff(np.append(starts, len(q)))
+        tied = np.where(d == np.repeat(mins, lens), ids,
+                        np.iinfo(np.int64).max)
+        cur_min[q[starts]] = mins
+        cur_arg[q[starts]] = np.minimum.reduceat(tied, starts)
+    return cur_min, cur_arg
 
 
 class InsertionOnlyCoreset:
@@ -96,20 +148,19 @@ class InsertionOnlyCoreset:
             raise ValueError("size_cap must be at least k + z + 2")
         self.r = 0.0
         self.doublings = 0
-        #: rows per vectorized chunk in :meth:`extend`; bounds the distance
-        #: matrix at chunk_rows x |P*| and, more importantly, the work
-        #: thrown away when a mid-chunk recompression invalidates it
-        #: (256 empirically beats larger chunks across absorb- and
-        #: rep-heavy regimes)
-        self._batch_chunk = 256
-        #: adaptive flag: True while chunks mostly create representatives,
-        #: in which case the scalar loop outpaces the vectorized path
-        self._batch_dense = False
         self._n = 0
         self._dim: "int | None" = None
         self._buf = np.zeros((0, 0))
         self._w = np.zeros(0, dtype=np.int64)
         self._size = 0
+        #: kernel name of a coordinate norm (the cell index applies), else None
+        self._kind = (self.metric.name
+                      if isinstance(self.metric, _KernelMetric) else None)
+        #: cell index over P*[:_indexed], built for radius _index_r
+        #: (None there: not built yet, or the grid refused P*)
+        self._index: "CellIndex | None" = None
+        self._indexed = 0
+        self._index_r: "float | None" = None
 
     # -- buffer plumbing ---------------------------------------------------
 
@@ -158,12 +209,12 @@ class InsertionOnlyCoreset:
 
         Buffer capacity (a power-of-two growth artifact) is not state:
         only ``P*[:size]`` ever affects outputs, so restore may repack it.
+        The cell index is derived state and is rebuilt on demand.
         """
         return {
             "n": int(self._n),
             "r": float(self.r),
             "doublings": int(self.doublings),
-            "batch_dense": bool(self._batch_dense),
             "threshold": int(self.threshold),
             "dim": int(self._dim) if self._dim is not None else None,
             "points": self._buf[: self._size].copy(),
@@ -172,7 +223,11 @@ class InsertionOnlyCoreset:
 
     def restore(self, state: dict) -> None:
         """Apply a :meth:`snapshot`; continuing the stream afterwards is
-        bit-identical to never having snapshotted (parity-tested)."""
+        bit-identical to never having snapshotted (parity-tested).
+
+        Snapshots of earlier versions carry a ``batch_dense`` flag (the
+        retired scalar-insert fallback); it never affected results and
+        is ignored."""
         from ..persist import SnapshotError
 
         if int(state["threshold"]) != self.threshold:
@@ -188,7 +243,7 @@ class InsertionOnlyCoreset:
         self.r = float(state["r"])
         self.doublings = int(state["doublings"])
         self._n = int(state["n"])
-        self._batch_dense = bool(state["batch_dense"])
+        self._index, self._indexed, self._index_r = None, 0, None
         if dim is None:
             self._dim = None
             self._buf = np.zeros((0, 0))
@@ -198,145 +253,178 @@ class InsertionOnlyCoreset:
         self._dim = int(dim)
         self._set_reps(WeightedPointSet(pts.reshape(len(pts), self._dim), w))
 
-    def insert(self, point) -> None:
-        """HandleArrival(p_t) of Algorithm 3."""
-        p = np.asarray(point, dtype=float).reshape(-1)
-        self._ensure_capacity(len(p))
-        self._n += 1
-        absorb = self.eps / 2.0 * self.r
-        if self._size:
-            dists = self.metric.to_set(p, self._buf[: self._size])
-            j = int(np.argmin(dists))
-            if dists[j] <= absorb + 1e-12 * max(1.0, absorb):
-                self._w[j] += 1
-                return
-        # new representative
-        self._buf[self._size] = p
-        self._w[self._size] = 1
-        self._size += 1
-        self._ensure_capacity(len(p))
+    # -- Algorithm 3 -----------------------------------------------------------
 
+    def _cutoff(self) -> float:
+        """The absorb distance ``(eps/2) r`` plus the float tolerance."""
+        absorb = self.eps / 2.0 * self.r
+        return absorb + 1e-12 * max(1.0, absorb)
+
+    def _init_radius(self) -> None:
+        """Lines 5-6: once ``|P*| = k + z + 1``, ``r`` = half the minimum
+        pairwise distance (two representatives share an optimal ball)."""
         if self.r == 0.0 and self._size >= self.k + self.z + 1:
             delta_min = min_pairwise_distance(self._buf[: self._size], self.metric)
             if delta_min > 0:
                 self.r = delta_min / 2.0
+
+    def _double_while_full(self) -> None:
+        """Lines 8-10: double ``r`` and recompress (Algorithm 4) while
+        ``|P*|`` is at the threshold."""
         while self.r > 0.0 and self._size >= self.threshold:
             self.r *= 2.0
             self.doublings += 1
             mbc = update_coreset(self.coreset(), self.eps / 2.0 * self.r, self.metric)
             self._set_reps(mbc.coreset)
 
+    def _open(self, p: np.ndarray) -> None:
+        """Append ``p`` to ``P*`` with weight 1."""
+        self._buf[self._size] = p
+        self._w[self._size] = 1
+        self._size += 1
+        self._ensure_capacity(len(p))
+
+    def insert(self, point) -> None:
+        """HandleArrival(p_t) of Algorithm 3 — the scalar reference
+        :meth:`extend` is bit-identical to."""
+        p = np.asarray(point, dtype=float).reshape(-1)
+        self._ensure_capacity(len(p))
+        self._n += 1
+        if self._size:
+            dists = self.metric.to_set(p, self._buf[: self._size])
+            j = int(np.argmin(dists))
+            if dists[j] <= self._cutoff():
+                self._w[j] += 1
+                return
+        self._open(p)
+        self._init_radius()
+        self._double_while_full()
+
     def extend(self, points) -> None:
         """Insert a batch of points in order — the vectorized hot path.
 
         Semantically identical to calling :meth:`insert` per row (same
         representatives, weights and radius estimate, bit for bit), but
-        processed in chunks whose distances to ``P*`` are evaluated as
-        ONE metric matrix, with runs of absorptions applied as a single
-        ``bincount`` weight update.  A radius doubling (which rebuilds
-        ``P*``) invalidates the chunk matrix, so the loop restarts from
-        the next unprocessed row.
-
-        The vectorized path only pays off while the structure absorbs;
-        when a chunk turns mostly into new representatives (the coreset
-        is still growing towards its threshold), the per-chunk adaptive
-        switch falls back to the scalar loop and re-evaluates on every
-        subsequent chunk.
+        processed in chunks (see the module docstring).  A change of
+        ``r`` (initialization, or a doubling, which rebuilds ``P*``)
+        invalidates the chunk's distances, so the loop restarts from the
+        next unprocessed row.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] == 0:
-            return
-        n_batch = len(pts)
         i = 0
-        while i < n_batch:
-            hi = min(n_batch, i + self._batch_chunk)
-            size0, doublings0 = self._size, self.doublings
-            if self._batch_dense:
-                for j in range(i, hi):
-                    self.insert(pts[j])
-                consumed = hi - i
-            else:
-                consumed = self._extend_chunk(pts[i:hi])
-            i += consumed
-            # adapt: a chunk that mostly created representatives means the
-            # structure is not absorbing yet — scalar inserts are cheaper
-            # there.  Skip the update when a recompression shrank P* mid-
-            # chunk (the size delta is meaningless then).
-            if consumed and self.doublings == doublings0:
-                self._batch_dense = (self._size - size0) / consumed > 0.6
+        while i < len(pts):
+            i += self._extend_chunk(pts[i: i + _CHUNK_ROWS])
+
+    def _cell_index(self, chunk: np.ndarray):
+        """``(index, chunk cell codes)`` when the chunk should query the
+        cell index over ``P*``, else ``None`` (the dense block applies).
+
+        The index is rebuilt when ``r`` has changed since it was built
+        and catches up with representatives appended since its last use;
+        when the grid refuses a representative, the dense block serves
+        until ``r`` changes again.
+        """
+        if (self.r <= 0.0 or self._kind is None or self._dim > _GRID_MAX_DIM
+                or len(chunk) * self._size < _INDEX_MIN_PAIRS):
+            return None
+        if self._index_r != self.r:
+            self._index_r = self.r
+            cutoff = self._cutoff()
+            side = cutoff_side(cutoff, self._buf[: self._size])
+            self._index, self._indexed = CellIndex(side, self._dim, cutoff), 0
+        index = self._index
+        if index is None:
+            return None
+        if self._indexed < self._size:
+            codes = index.encode(self._buf[self._indexed: self._size])
+            if codes is None:
+                self._index = None
+                return None
+            index.add(codes, np.arange(self._indexed, self._size))
+            self._indexed = self._size
+        codes = index.encode(chunk)
+        return None if codes is None else (index, codes)
 
     def _extend_chunk(self, chunk: np.ndarray) -> int:
         """Vectorized insertion of ``chunk`` rows in order.
 
         Returns the number of rows consumed — fewer than ``len(chunk)``
-        when a recompression invalidated the distance matrix (the caller
-        restarts from the next row).
+        when ``r`` changed mid-chunk (the caller restarts from the next
+        row).
         """
         self._ensure_capacity(chunk.shape[1])
-        m = len(chunk)
-        base = self._size
-        # ONE matrix for the chunk against the current P*; the per-point
-        # running (min distance, argmin rep) is then maintained with one
-        # vectorized column per representative created mid-chunk.
-        if base:
-            D = self.metric.pairwise(chunk, self._buf[:base])
-            cur_arg = np.argmin(D, axis=1)
-            cur_min = D[np.arange(m), cur_arg]
+        cutoff = self._cutoff()
+        found = self._cell_index(chunk)
+        if found is not None:
+            m = len(chunk)
+            index, codes = found
+            q, ids = index.pairs(codes)
+            cur_min, cur_arg = _nearest(
+                q, ids, pair_distances(self._kind, chunk, q, ids,
+                                       other=self._buf), m)
         else:
-            cur_arg = np.full(m, -1, dtype=np.int64)
-            cur_min = np.full(m, np.inf)
-        j = 0
-        while j < m:
-            # the absorb radius only changes at representative events
-            # (r init / recompression), so every point up to the next
-            # non-absorbable one is a plain weight increment: find the
-            # run and apply it with one bincount.
-            absorb = self.eps / 2.0 * self.r
-            tol = 1e-12 * max(1.0, absorb)
-            absorbable = (cur_arg[j:] >= 0) & (cur_min[j:] <= absorb + tol)
-            run = int(np.argmin(absorbable)) if not absorbable.all() else m - j
-            if run:
-                self._w[: self._size] += np.bincount(
-                    cur_arg[j: j + run], minlength=self._size
-                )
-                self._n += run
-                j += run
-                if j >= m:
-                    break
-            # chunk[j] opens a new representative
-            p = chunk[j]
-            self._n += 1
+            chunk = chunk[:_DENSE_CHUNK_ROWS]
+            m = len(chunk)
+            if self._size:
+                # ONE block against P*; np.argmin keeps the earliest index
+                D = self.metric.pairwise(chunk, self._buf[: self._size])
+                cur_arg = np.argmin(D, axis=1)
+                cur_min = D[np.arange(m), cur_arg]
+            else:
+                cur_min = np.full(m, np.inf)
+                cur_arg = np.full(m, -1, dtype=np.int64)
+        absorbed = cur_min <= cutoff
+        if absorbed.all():
+            self._credit(cur_arg)
+            return m
+        opening = np.flatnonzero(~absorbed)
+        if found is not None:
+            # later rows each possibly-opening row can reach: the same
+            # cells, indexing the chunk itself, as CSR rows by source
+            local = CellIndex(index.side, self._dim, index.reach)
+            local.add(codes, np.arange(m))
+            q, later = local.pairs(codes[opening])
+            src = opening[q]
+            keep = later > src
+            src, later = src[keep], later[keep]
+            later_d = pair_distances(self._kind, chunk, src, later)
+            ptr = np.searchsorted(src, np.arange(m + 1)).tolist()
+        for j in opening.tolist():
+            if absorbed[j]:
+                continue  # an earlier row of this chunk opened its ball
             ridx = self._size
-            self._buf[ridx] = p
-            self._w[ridx] = 1
-            self._size += 1
-            self._ensure_capacity(len(p))
-            if j + 1 < m:
-                # strict < keeps np.argmin's earliest-index tie-break
-                # (the new representative has the highest index)
-                col = self.metric.pairwise(chunk[j + 1:], p[None, :])[:, 0]
-                upd = col < cur_min[j + 1:]
-                cur_min[j + 1:][upd] = col[upd]
-                cur_arg[j + 1:][upd] = ridx
-            j += 1
-            if self.r == 0.0 and self._size >= self.k + self.z + 1:
-                delta_min = min_pairwise_distance(
-                    self._buf[: self._size], self.metric
-                )
-                if delta_min > 0:
-                    self.r = delta_min / 2.0
-                # P* is unchanged, so the maintained distances stay
-                # valid; only the absorb radius (recomputed per run)
-                # has grown
-            if self.r > 0.0 and self._size >= self.threshold:
-                while self.r > 0.0 and self._size >= self.threshold:
-                    self.r *= 2.0
-                    self.doublings += 1
-                    mbc = update_coreset(
-                        self.coreset(), self.eps / 2.0 * self.r, self.metric
-                    )
-                    self._set_reps(mbc.coreset)
-                # P* was rebuilt: the maintained distances are stale;
-                # hand the remaining rows back to the caller
-                return j
+            self._open(chunk[j])
+            if found is not None:
+                t, dt = later[ptr[j]: ptr[j + 1]], later_d[ptr[j]: ptr[j + 1]]
+            elif j + 1 < m:
+                t = np.arange(j + 1, m)
+                dt = self.metric.pairwise(chunk[j + 1:], chunk[j][None, :])[:, 0]
+            else:
+                t = ()
+            if len(t):
+                # strict < keeps the earliest-index tie-break (the new
+                # representative has the highest index)
+                upd = dt < cur_min[t]
+                t, dt = t[upd], dt[upd]
+                cur_min[t] = dt
+                cur_arg[t] = ridx
+                absorbed[t] = dt <= cutoff
+            r0 = self.r
+            self._init_radius()
+            if self.r != r0 or (self.r > 0.0 and self._size >= self.threshold):
+                # the distances above are stale once r moves: credit the
+                # rows so far, recompress if due, hand the rest back
+                self._credit(cur_arg[: j + 1], absorbed[: j + 1])
+                self._double_while_full()
+                return j + 1
+        self._credit(cur_arg, absorbed)
         return m
+
+    def _credit(self, arg: np.ndarray,
+                absorbed: "np.ndarray | None" = None) -> None:
+        """Count a chunk prefix as seen and add its absorbed rows (all
+        rows when ``absorbed`` is None) to their representatives'
+        weights (one ``bincount``)."""
+        self._n += len(arg)
+        self._w[: self._size] += np.bincount(
+            arg if absorbed is None else arg[absorbed], minlength=self._size)

@@ -2,12 +2,14 @@
 
 import http.client
 import json
+import socket
 
 import numpy as np
 import pytest
 
 from repro.api import KCenterSession, ProblemSpec
 from repro.serve import ReproServer, ServeConfig
+from repro.serve.server import _Handler
 from test_serve_metrics import parse_prometheus
 
 SPEC = dict(k=3, z=4, eps=0.5, dim=2, seed=0)
@@ -307,3 +309,74 @@ class TestServerLifecycle:
                 assert status == 200
             finally:
                 conn.close()
+
+
+def _raw(port, head: bytes):
+    """Send raw request bytes; return ``(status, doc, closed)`` where
+    ``closed`` says the server closed the connection after answering."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head)
+        resp = http.client.HTTPResponse(sock)
+        resp.begin()
+        doc = json.loads(resp.read())
+        try:
+            closed = sock.recv(1) == b""
+        except socket.timeout:
+            closed = False
+        return resp.status, doc, closed
+
+
+class TestFraming:
+    """Malformed request framing is a 400 that closes the connection,
+    never a 500 or a worker blocked reading an unframed body."""
+
+    @pytest.mark.parametrize("value", [b"-1", b"abc", b"-5", b"+5", b"1e3", b""])
+    def test_malformed_content_length(self, server, value):
+        status, doc, closed = _raw(
+            server.port,
+            b"POST /sessions/a/extend HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: " + value + b"\r\n\r\n")
+        assert status == 400 and doc["error"]["code"] == "bad-framing"
+        assert closed
+
+    def test_duplicate_content_length(self, server):
+        status, doc, closed = _raw(
+            server.port,
+            b"PUT /sessions/a HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n"
+            b"Content-Length: 2\r\n\r\n")
+        assert status == 400 and "duplicate" in doc["error"]["message"]
+        assert closed
+
+    def test_transfer_encoding_rejected(self, server):
+        status, doc, closed = _raw(
+            server.port,
+            b"POST /sessions/a/extend HTTP/1.1\r\nHost: t\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n")
+        assert status == 400 and doc["error"]["code"] == "bad-framing"
+        assert closed
+
+    def test_server_keeps_serving_after_bad_framing(self, server, client):
+        _raw(server.port, b"POST /sessions/a/extend HTTP/1.1\r\nHost: t\r\n"
+                          b"Content-Length: -1\r\n\r\n")
+        status, doc, _ = _create(client, "a")
+        assert status == 201
+        status, doc, _ = _req(client, "POST", "/sessions/a/extend",
+                              {"points": _points(1).tolist()})
+        assert status == 200 and doc["applied"] == 64
+
+    def test_accepted_socket_disables_nagle(self, server, monkeypatch):
+        seen = []
+        setup = _Handler.setup
+
+        def recording_setup(self):
+            setup(self)
+            seen.append(self.connection.getsockopt(socket.IPPROTO_TCP,
+                                                   socket.TCP_NODELAY))
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            assert _req(conn, "GET", "/healthz")[0] == 200
+        finally:
+            conn.close()
+        assert seen and seen[0] != 0
