@@ -53,6 +53,25 @@ precomputed metrics and fractional weights fall back to the dense path
 automatically (:attr:`GreedyResult.path` records which path served the
 call).
 
+A grid decision maintains its gains one of two ways, chosen per guess
+from the grid alone (:func:`_grid_decision`):
+
+* **Neighbour lists** when the grid averages at most
+  :data:`_LIST_PAIRS_PER_CELL` candidate pairs per cell and they fit
+  :data:`_LIST_MAX_PAIRS` — small guesses, where most points sit alone
+  in their cell.  Every within-cutoff pair is enumerated once per
+  decision (:func:`neighbour_lists`, shared with the MBC absorb loop);
+  one ``bincount`` seeds the gains and each pick subtracts one
+  ``bincount`` over the newly covered points' lists.  Serial.
+* **Blocked cell scans** otherwise — dense cells, where one distance
+  block per source cell amortizes its dispatch over many pairs.  The
+  seed and each pick's update scan cell by cell
+  (:func:`_grid_accumulate_gains`); these scans are what
+  ``decision_jobs`` shards.
+
+Both compare the same pairs in float64, so the choice never moves a
+bit.  :attr:`GreedyResult.stats` counts the ``list_decisions``.
+
 Persistent geometry (the hierarchy refactor): the radius search builds
 **one** :class:`~repro.geometry.PointGridHierarchy` per call — a lazy
 geometric ladder of grids anchored at the smallest guess — and every
@@ -84,6 +103,7 @@ import numpy as np
 from ..engine.executor import ThreadExecutor, shard_ranges
 from ..geometry.grid import PointGrid, PointGridHierarchy, cutoff_side
 from ..kernels import (
+    DEFAULT_BLOCK_BYTES,
     Workspace,
     auto_chunk,
     pair_distances,
@@ -116,6 +136,22 @@ _GRID_PAIR_CHUNK = 4_000_000
 #: ``cells x 3^d`` searchsorted target matrix); scans at wider rings
 #: scale this down so the target matrix stays the same size
 _GRID_MATCH_CHUNK = 65536
+
+#: candidate pairs one neighbour-list expansion (:func:`neighbour_lists`)
+#: may hold: each pair holds two int64 indices and a float64 distance,
+#: kept inside the kernel layer's block budget.  The one budget of the
+#: list decisions and :func:`repro.core.mbc._greedy_absorb`
+_LIST_MAX_PAIRS = DEFAULT_BLOCK_BYTES // 24
+
+#: a decision walks neighbour lists instead of per-cell blocked scans
+#: while its grid averages at most this many candidate pairs per cell.
+#: A blocked scan pays a distance-kernel dispatch per source cell, for
+#: the seed and again per pick (~90-160 µs per cell per decision); a
+#: listed pair costs ~65 ns to expand, compare and scatter.  Measured
+#: crossover on a 2-core Xeon VM (uniform points, d = 1..3, n = 2,100 to
+#: 4,000, k = 8 and 64): 1,500-3,700 pairs per cell; at 600 pairs per
+#: cell the lists already win 2-3x
+_LIST_PAIRS_PER_CELL = 2048
 
 #: below this many *source points*, a sharded scan's per-shard gain
 #: arrays (allocate + reduce, ``O(n * jobs)``) cost more than the scan
@@ -154,7 +190,8 @@ class GreedyResult:
         bucketings),
         ``grid_derived`` (levels derived from a finer one at cell cost),
         ``grid_reuses`` (guesses served by an already-built level),
-        ``decisions`` (grid decisions run), ``decision_jobs`` (requested
+        ``decisions`` (grid decisions run), ``list_decisions`` (those of
+        them served by neighbour lists), ``decision_jobs`` (requested
         job count), ``decision_shards`` (max shards any scan used) and
         ``sharded_scans`` (scans that actually fanned out).  JSON-safe
         ints only; never affects results.
@@ -593,6 +630,38 @@ def _group_by_cell(
     return cells, starts, counts, members
 
 
+def neighbour_lists(
+    grid: PointGrid,
+    pts: np.ndarray,
+    kind: str,
+    cutoff: float,
+    max_pairs: int,
+    backend=None,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
+    """Every within-``cutoff`` pair of the gridded points, found in one
+    vectorized pass, as CSR neighbour lists ``(ptr, nbrs, row_of)``.
+
+    Point ``i``'s neighbours (``i`` itself included) are
+    ``nbrs[ptr[r]:ptr[r + 1]]`` for ``r = row_of[i]``; rows follow the
+    grid's point order.  Candidates come from
+    :meth:`PointGrid.candidate_pairs` and are re-checked with exact
+    float64 :func:`pair_distances` (bit-identical to the dense cdist
+    entries).  Returns ``None``, without expanding, when the exact
+    candidate-pair count exceeds ``max_pairs``.
+    """
+    pairs = grid.candidate_pairs(cutoff, max_pairs)
+    if pairs is None:
+        return None
+    pos, i, j = pairs
+    keep = pair_distances(kind, pts, i, j, backend=backend) <= cutoff
+    ptr = np.concatenate(
+        ([0], np.cumsum(np.bincount(pos[keep], minlength=grid.n)))
+    )
+    row_of = np.empty(grid.n, dtype=np.int64)
+    row_of[grid.order] = np.arange(grid.n)
+    return ptr, j[keep], row_of
+
+
 def _grid_decision(
     wps: WeightedPointSet,
     metric: Metric,
@@ -610,6 +679,15 @@ def _grid_decision(
     weights, at ``O(pairs-in-nearby-cells)`` distance evaluations per
     guess instead of ``O(n^2)``.
 
+    Two ways to maintain the gains, same pairs compared either way.
+    When the grid averages at most :data:`_LIST_PAIRS_PER_CELL`
+    candidate pairs per cell (and they fit :data:`_LIST_MAX_PAIRS`),
+    every within-cutoff pair is enumerated once
+    (:func:`neighbour_lists`): one ``bincount`` seeds the gains and each
+    pick subtracts one ``bincount`` over the newly covered points' lists
+    (serial).  Denser grids scan cell by cell with blocked distance
+    kernels (:func:`_grid_accumulate_gains`, sharded over ``executor``).
+
     Exactness: candidate supersets from the grid are sound at whatever
     cell side it has (:meth:`PointGrid.ring` picks the ring the cutoff
     needs — hierarchy-snapped grids sit at the coarsest side that still
@@ -618,7 +696,9 @@ def _grid_decision(
     entries, and
     integer weights make every accumulated gain an exact float64 integer
     in any summation order — so each argmax pick matches the dense pick,
-    including tie-breaks, serial or sharded.
+    including tie-breaks, serial or sharded.  The list path reads pick
+    ``v``'s contribution to candidate ``i`` off ``v``'s own list: the
+    built-in norms are bit-symmetric, so ``d(v, i) == d(i, v)``.
     """
     pts = wps.points
     n = len(pts)
@@ -627,14 +707,30 @@ def _grid_decision(
     cutoff = guess + tol
     limit3 = 3.0 * guess + tol
     ring = grid.ring(cutoff)
-    gain = np.zeros(n, dtype=np.float64)
-    shards = _grid_accumulate_gains(
-        grid, pts, metric, w64, cutoff, gain, 1.0,
-        np.arange(grid.num_cells), grid.cell_starts, grid.cell_counts,
-        grid.order, backend, workspace, ring=ring, executor=executor,
+    lists = neighbour_lists(
+        grid, pts, metric.name, cutoff,
+        min(_LIST_PAIRS_PER_CELL * grid.num_cells, _LIST_MAX_PAIRS),
+        backend=backend,
     )
+    if lists is not None:
+        ptr, nbrs, row_of = lists
+        # each point's weight lands on every point of its list
+        gain = np.bincount(
+            nbrs, weights=np.repeat(w64[grid.order], np.diff(ptr)),
+            minlength=n,
+        )
+        shards = 1
+    else:
+        gain = np.zeros(n, dtype=np.float64)
+        shards = _grid_accumulate_gains(
+            grid, pts, metric, w64, cutoff, gain, 1.0,
+            np.arange(grid.num_cells), grid.cell_starts, grid.cell_counts,
+            grid.order, backend, workspace, ring=ring, executor=executor,
+        )
     if stats is not None:
         stats["decisions"] += 1
+        if lists is not None:
+            stats["list_decisions"] += 1
         stats["decision_shards"] = max(stats["decision_shards"], shards)
         if shards > 1:
             stats["sharded_scans"] += 1
@@ -650,17 +746,29 @@ def _grid_decision(
         idx = np.sort(cand[uncovered[cand] & (dv <= limit3)])
         if idx.size:
             uncovered[idx] = False
-            cells, starts, counts, members = _group_by_cell(grid, idx)
-            shards = _grid_accumulate_gains(
-                grid, pts, metric, w64, cutoff, gain, -1.0,
-                cells, starts, counts, members, backend, workspace,
-                ring=ring, executor=executor,
-            )
-            if stats is not None and shards > 1:
-                stats["decision_shards"] = max(
-                    stats["decision_shards"], shards
+            if lists is not None:
+                # the newly covered points' lists, concatenated
+                rows = row_of[idx]
+                lo = ptr[rows]
+                cnt = ptr[rows + 1] - lo
+                flat = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) \
+                    + np.arange(int(cnt.sum()))
+                gain -= np.bincount(
+                    nbrs[flat], weights=np.repeat(w64[idx], cnt),
+                    minlength=n,
                 )
-                stats["sharded_scans"] += 1
+            else:
+                cells, starts, counts, members = _group_by_cell(grid, idx)
+                shards = _grid_accumulate_gains(
+                    grid, pts, metric, w64, cutoff, gain, -1.0,
+                    cells, starts, counts, members, backend, workspace,
+                    ring=ring, executor=executor,
+                )
+                if stats is not None and shards > 1:
+                    stats["decision_shards"] = max(
+                        stats["decision_shards"], shards
+                    )
+                    stats["sharded_scans"] += 1
     return _weight_feasible(wps.weights, uncovered, z), centers, uncovered
 
 
@@ -764,6 +872,7 @@ def charikar_greedy(
     hierarchy: "PointGridHierarchy | None" = None
     stats = {
         "decisions": 0,
+        "list_decisions": 0,
         "grid_builds": 0,
         "grid_derived": 0,
         "grid_reuses": 0,

@@ -28,8 +28,8 @@ candidate is missed and results are bit-identical to the scalar loop
 (:func:`repro.core._greedy_reference.greedy_absorb_reference`; proven by
 the parity tests).  While the exact candidate-pair count fits the kernel
 layer's block budget, every within-``delta`` pair is found in one
-vectorized pass (:meth:`~repro.geometry.PointGrid.candidate_pairs` +
-:func:`~repro.kernels.pair_distances`) and the sequential greedy walks
+vectorized pass (:func:`repro.core.greedy.neighbour_lists`, shared with
+the sparse-cell Charikar decisions) and the sequential greedy walks
 precomputed neighbor lists; denser inputs (duplicate floods) query the
 grid per representative instead.  When the embedded radius search ran
 its grid-pruned path, the absorption reuses the search's persistent
@@ -49,8 +49,7 @@ from math import ceil
 import numpy as np
 
 from ..geometry.grid import PointGrid, cutoff_side
-from ..kernels import DEFAULT_BLOCK_BYTES, pair_distances
-from .greedy import charikar_greedy
+from .greedy import _LIST_MAX_PAIRS, charikar_greedy, neighbour_lists
 from .metrics import Metric, _KernelMetric, get_metric
 from .points import WeightedPointSet
 
@@ -105,11 +104,10 @@ class MiniBallCovering:
 _GRID_MAX_DIM = 4
 #: below this the grid's setup cost exceeds the whole scalar loop
 _GRID_MIN_POINTS = 192
-#: candidate pairs the vectorized neighbor-list pass may expand: each
-#: pair holds two int64 indices and a float64 distance, kept inside the
-#: kernel layer's block budget; denser inputs (duplicate floods) keep the
-#: per-representative grid queries
-_ABSORB_MAX_PAIRS = DEFAULT_BLOCK_BYTES // 24
+#: candidate pairs the vectorized neighbor-list pass may expand (the
+#: list decisions' budget, shared); denser inputs (duplicate floods) keep
+#: the per-representative grid queries
+_ABSORB_MAX_PAIRS = _LIST_MAX_PAIRS
 
 
 def _greedy_absorb(
@@ -178,21 +176,14 @@ def _greedy_absorb(
         if grid is None:
             grid = PointGrid.build(pts, cutoff_side(cutoff, pts), max_ring=1)
 
-    pairs = None
+    lists = None
     if grid is not None:
-        pairs = grid.candidate_pairs(cutoff, _ABSORB_MAX_PAIRS)
-    if pairs is not None:
-        # every within-cutoff (point, neighbor) pair in one vectorized
-        # pass, kept as CSR rows in the grid's point order; the greedy
-        # below is the same sequential loop over precomputed neighbor
-        # lists (a point's list includes itself)
-        pos, i, j = pairs
-        keep = pair_distances(metric.name, pts, i, j) <= cutoff
-        nbrs = j[keep]
-        ptr = np.concatenate(([0], np.cumsum(np.bincount(pos[keep],
-                                                         minlength=n))))
-        row_of = np.empty(n, dtype=np.int64)
-        row_of[grid.order] = np.arange(n)
+        lists = neighbour_lists(grid, pts, metric.name, cutoff,
+                                _ABSORB_MAX_PAIRS)
+    if lists is not None:
+        # the greedy below is the same sequential loop over precomputed
+        # neighbor lists (a point's list includes itself)
+        ptr, nbrs, row_of = lists
         weights = wps.weights
         for idx in order:
             if not remaining[idx]:

@@ -156,6 +156,11 @@ class _Handler(BaseHTTPRequestHandler):
     #: waits for the client's delayed ACK of the first (~40 ms) on a
     #: reused keep-alive connection
     disable_nagle_algorithm = True
+    #: seconds any one socket read may wait, the same for every
+    #: connection: a client that stalls mid-headers, mid-body or idle on
+    #: a keep-alive connection releases its worker thread after this
+    #: long (a stalled body is answered with a 408 first)
+    timeout = 30
     server: _HTTPServer
     #: the validated ``Content-Length`` of the current request
     _length = 0
@@ -220,7 +225,10 @@ class _Handler(BaseHTTPRequestHandler):
         self._body_read = True
         length = self._length
         if 0 < length <= MAX_BODY_BYTES:
-            self.rfile.read(length)
+            try:
+                self.rfile.read(length)
+            except TimeoutError:
+                self.close_connection = True  # stalled; the stream is lost
         elif length > MAX_BODY_BYTES:
             self.close_connection = True
 
@@ -254,6 +262,15 @@ class _Handler(BaseHTTPRequestHandler):
         except WireError as exc:
             status = exc.status
             self._send(exc.status, error_body(exc.code, exc.message))
+        except TimeoutError:
+            # the body stalled past ``timeout``: how much of it arrived
+            # is unknown, so answer and close the connection
+            status = 408
+            self._body_read = True
+            self.close_connection = True
+            self._send(408, error_body(
+                "request-timeout",
+                f"request body not received within {self.timeout} s"))
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             return  # client went away mid-response; nothing to send
         except Exception as exc:  # pragma: no cover - defensive 500

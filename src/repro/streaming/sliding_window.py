@@ -360,7 +360,10 @@ class SlidingWindowCoreset:
             g.extend(pts, t0, keys=keys)
 
     def coreset(self) -> WeightedPointSet:
-        """Coreset of the current window from the smallest serving guess."""
+        """Coreset of the current window from the smallest serving guess
+        (empty before the first arrival)."""
+        if self._t < 0:
+            return WeightedPointSet.empty(self.d)
         for g in self.guesses:
             cs = g.query(self._t)
             if cs is not None:

@@ -1,0 +1,296 @@
+"""Neighbour-list Charikar decisions: bit parity with the blocked scans
+and the dense float64 decision.
+
+A grid-pruned decision whose grid averages few candidate pairs per cell
+enumerates every within-cutoff pair once (:func:`neighbour_lists`) and
+walks those lists for the gain seed and every pick; denser grids keep
+the per-cell blocked scans.  Both compare the same pairs in float64 and
+integer weights make every gain an exact integer, so the list path, the
+blocked path and the dense :func:`_geometric_decision` must agree bit for
+bit: centres, uncovered mask and feasibility.  The crossover constant is
+patched to force either side.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import repro.core.greedy as greedy_mod
+import repro.core.mbc as mbc_mod
+from repro.core import WeightedPointSet, charikar_greedy
+from repro.core._greedy_reference import greedy_absorb_reference
+from repro.core.greedy import (
+    _geometric_decision,
+    _grid_decision,
+    _grid_for_guess,
+    neighbour_lists,
+)
+from repro.core.metrics import get_metric
+from repro.kernels import Workspace
+from test_greedy_pruned import _assert_same_result
+
+METRICS = ("euclidean", "chebyshev", "manhattan")
+#: per-cell crossovers that force the blocked path (0), the list path
+#: (huge), or let a small threshold split the guesses between them
+FORCE_BLOCKED, FORCE_LISTS = 0, 10**12
+
+
+def _new_stats() -> dict:
+    return {"decisions": 0, "list_decisions": 0, "decision_shards": 1,
+            "sharded_scans": 0}
+
+
+def _decide(P, metric, k, z, g, per_cell):
+    """One grid decision at crossover ``per_cell``: ``(result, listed)``."""
+    grid = _grid_for_guess(P.points, g + 1e-9 * max(1.0, g))
+    assert grid is not None
+    stats = _new_stats()
+    with mock.patch.object(greedy_mod, "_LIST_PAIRS_PER_CELL", per_cell):
+        out = _grid_decision(P, metric, k, z, g, grid, Workspace(),
+                             stats=stats)
+    assert stats["decisions"] == 1
+    return out, stats["list_decisions"] == 1
+
+
+def _assert_same_decision(a, b):
+    assert a[0] == b[0]
+    assert list(a[1]) == list(b[1])
+    np.testing.assert_array_equal(a[2], b[2])
+
+
+def _stratified(n_side, seed):
+    """One uniform point per cell of an ``a x b`` grid over [0, 100]^2,
+    shuffled: the shape of one MPC machine's stratified sample."""
+    a, b = n_side
+    rng = np.random.default_rng(seed)
+    ix, iy = np.meshgrid(np.arange(a), np.arange(b), indexing="ij")
+    cells = np.stack([ix.ravel() / a, iy.ravel() / b], axis=1)
+    pts = 100.0 * (cells + rng.random(cells.shape) / np.array([a, b]))
+    return pts[rng.permutation(len(pts))]
+
+
+# ---------------------------------------------------------------------------
+# Decision-level parity: lists == blocked == dense float64
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 260),
+    d=st.integers(1, 4),
+    k=st.integers(1, 7),
+    z=st.integers(0, 12),
+    scale=st.sampled_from([1e-3, 1.0, 1e4]),
+    guess_frac=st.sampled_from([0.0, 1e-9, 1e-3, 0.05, 0.2, 0.7]),
+    dup=st.booleans(),
+    max_w=st.sampled_from([1, 2, 9]),
+    metric=st.sampled_from(METRICS),
+)
+def test_list_blocked_dense_decision_parity(seed, n, d, k, z, scale,
+                                            guess_frac, dup, max_w, metric):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, d)) * scale
+    if dup and n >= 4:  # fold in exact duplicates
+        pts[: n // 2] = pts[n - n // 2:]
+    P = WeightedPointSet(pts, rng.integers(1, max_w + 1, n))
+    met = get_metric(metric)
+    g = guess_frac * scale
+    # an untrusted quantization (tiny side, wide extent) has no grid
+    assume(_grid_for_guess(pts, g + 1e-9 * max(1.0, g)) is not None)
+    listed, took_lists = _decide(P, met, k, z, g, FORCE_LISTS)
+    blocked, took_blocked = _decide(P, met, k, z, g, FORCE_BLOCKED)
+    assert took_lists and not took_blocked
+    dense = _geometric_decision(P, met, k, z, g)
+    _assert_same_decision(listed, blocked)
+    _assert_same_decision(listed, dense)
+
+
+class TestDecisionCases:
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_guess_zero_with_duplicates(self, rng, metric):
+        base = rng.uniform(0, 5, size=(12, 2))
+        P = WeightedPointSet(np.repeat(base, 25, axis=0),
+                             rng.integers(1, 4, 300))
+        met = get_metric(metric)
+        for k, z in ((12, 0), (5, 40), (3, 400)):
+            listed, took = _decide(P, met, k, z, 0.0, FORCE_LISTS)
+            assert took
+            _assert_same_decision(
+                listed, _decide(P, met, k, z, 0.0, FORCE_BLOCKED)[0])
+            _assert_same_decision(listed,
+                                  _geometric_decision(P, met, k, z, 0.0))
+        # k covers every location: radius 0 is feasible on the list path
+        assert _decide(P, met, 12, 0, 0.0, FORCE_LISTS)[0][0]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_tiny_guess_every_point_its_own_cell(self, rng, d, metric):
+        P = WeightedPointSet(rng.uniform(0, 50, size=(400, d)),
+                             rng.integers(1, 6, 400))
+        met = get_metric(metric)
+        # as small as the grid's 2^62 code guard allows in dimension d
+        g = 1e-6 if d <= 2 else 1e-2
+        grid = _grid_for_guess(P.points, g)
+        assert grid.num_cells == len(P)
+        listed, took = _decide(P, met, 5, 20, g, FORCE_LISTS)
+        assert took
+        _assert_same_decision(listed,
+                              _decide(P, met, 5, 20, g, FORCE_BLOCKED)[0])
+        _assert_same_decision(listed, _geometric_decision(P, met, 5, 20, g))
+
+    def test_default_gate_splits_by_cell_density(self, rng):
+        # the same points: a tiny guess is sparse (lists), a guess near
+        # the diameter puts hundreds of points in each cell (blocked)
+        P = WeightedPointSet(rng.uniform(0, 10, size=(900, 2)),
+                             rng.integers(1, 4, 900))
+        met = get_metric(None)
+        grid = _grid_for_guess(P.points, 0.05)
+        stats = _new_stats()
+        _grid_decision(P, met, 4, 10, 0.05, grid, Workspace(), stats=stats)
+        assert stats["list_decisions"] == 1
+        grid = _grid_for_guess(P.points, 4.0)
+        stats = _new_stats()
+        _grid_decision(P, met, 4, 10, 4.0, grid, Workspace(), stats=stats)
+        assert stats["list_decisions"] == 0
+
+    def test_pair_budget_keeps_the_blocked_path(self, rng):
+        P = WeightedPointSet(rng.uniform(0, 10, size=(300, 2)),
+                             rng.integers(1, 4, 300))
+        met = get_metric(None)
+        with mock.patch.object(greedy_mod, "_LIST_MAX_PAIRS", 10):
+            out, took = _decide(P, met, 3, 5, 0.3, FORCE_LISTS)
+        assert not took
+        _assert_same_decision(out, _geometric_decision(P, met, 3, 5, 0.3))
+
+
+# ---------------------------------------------------------------------------
+# Whole radius searches
+# ---------------------------------------------------------------------------
+
+
+class TestSearches:
+    def test_mpc_shaped_search_uses_lists(self):
+        # one machine of a two-machine stratified split: the tiny guesses
+        # put every point in its own cell, so they run on neighbour lists
+        pts = _stratified((70, 30), 3)
+        P = WeightedPointSet(pts, np.ones(len(pts), dtype=np.int64))
+        assert len(P) == 2100
+        for z in (0, 15):
+            res = charikar_greedy(P, 8, z)
+            assert res.path == "grid"
+            assert res.stats["list_decisions"] > 0
+            assert res.stats["list_decisions"] < res.stats["decisions"]
+            _assert_same_result(res, charikar_greedy(P, 8, z, prune="off"))
+
+    def test_clustered_dense_cells_stay_blocked(self, rng):
+        # five tight clusters of 600: at guesses above the cluster spread
+        # each cluster is one cell of ~360k candidate pairs
+        centres = rng.uniform(0, 1000, size=(5, 2))
+        pts = np.repeat(centres, 600, axis=0) \
+            + rng.normal(0, 0.5, size=(3000, 2))
+        P = WeightedPointSet(pts, rng.integers(1, 3, 3000))
+        met = get_metric(None)
+        for g in (5.0, 20.0):
+            grid = _grid_for_guess(P.points, g)
+            assert grid.num_cells <= 20
+            stats = _new_stats()
+            out = _grid_decision(P, met, 5, 10, g, grid, Workspace(),
+                                 stats=stats)
+            assert stats["list_decisions"] == 0
+            _assert_same_decision(out, _geometric_decision(P, met, 5, 10, g))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("per_cell", [FORCE_BLOCKED, 32, FORCE_LISTS])
+    def test_search_parity_on_both_sides(self, rng, metric, per_cell):
+        pts = rng.uniform(0, 20, size=(500, 3))
+        pts[:60] = pts[60:120]
+        P = WeightedPointSet(pts, rng.integers(1, 5, 500))
+        with mock.patch.object(greedy_mod, "_LIST_PAIRS_PER_CELL", per_cell):
+            res = charikar_greedy(P, 4, 12, metric, pairwise_limit=8)
+        if per_cell == FORCE_BLOCKED:
+            assert res.stats["list_decisions"] == 0
+        else:
+            assert res.stats["list_decisions"] > 0
+        _assert_same_result(
+            res, charikar_greedy(P, 4, 12, metric, pairwise_limit=8,
+                                 prune="off"))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_identical_for_any_job_count(self, rng, jobs,
+                                                 monkeypatch):
+        # the list path is serial; sharding still splits the blocked scans
+        monkeypatch.setattr(greedy_mod, "_GRID_SHARD_MIN_POINTS", 1)
+        P = WeightedPointSet(rng.uniform(0, 10, size=(700, 2)),
+                             rng.integers(1, 5, 700))
+        res = charikar_greedy(P, 4, 10, pairwise_limit=8,
+                              decision_jobs=jobs)
+        assert res.stats["list_decisions"] > 0
+        assert (res.stats["sharded_scans"] > 0) == (jobs > 1)
+        _assert_same_result(
+            res, charikar_greedy(P, 4, 10, pairwise_limit=8, prune="off"))
+
+
+# ---------------------------------------------------------------------------
+# The shared builder
+# ---------------------------------------------------------------------------
+
+
+class TestNeighbourLists:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 200),
+           d=st.integers(1, 4), cutoff=st.sampled_from([0.0, 0.1, 0.6, 2.0]),
+           metric=st.sampled_from(METRICS))
+    def test_lists_are_exactly_the_within_cutoff_pairs(self, seed, n, d,
+                                                      cutoff, metric):
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-6, 6, (n, d)) * 0.25 \
+            + (rng.random((n, d)) < 0.5) * rng.normal(0, 0.3, (n, d))
+        met = get_metric(metric)
+        grid = _grid_for_guess(pts, cutoff)
+        assume(grid is not None)
+        ptr, nbrs, row_of = neighbour_lists(grid, pts, metric, cutoff,
+                                            10**9)
+        for i in range(n):
+            r = row_of[i]
+            got = np.sort(nbrs[ptr[r]:ptr[r + 1]])
+            want = np.flatnonzero(met.to_set(pts[i], pts) <= cutoff)
+            np.testing.assert_array_equal(got, want)
+
+    def test_over_budget_returns_none(self, rng):
+        pts = rng.uniform(0, 1, (100, 2))
+        grid = _grid_for_guess(pts, 5.0)
+        assert neighbour_lists(grid, pts, "euclidean", 5.0, 9_999) is None
+        assert neighbour_lists(grid, pts, "euclidean", 5.0, 10_000) \
+            is not None
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(192, 700), d=st.integers(1, 4),
+           delta=st.sampled_from([0.1, 0.5, 1.5]),
+           seed=st.integers(0, 2**16))
+    def test_absorb_through_the_builder_matches_reference(self, metric, n,
+                                                          d, delta, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(0, 2.0, (n, d))
+        pts[: n // 5] = pts[n // 5: 2 * (n // 5)]
+        P = WeightedPointSet(pts, rng.integers(1, 6, n))
+        met = get_metric(metric)
+        order = rng.permutation(n)
+        built = []
+
+        def spy(*args, **kwargs):
+            out = neighbour_lists(*args, **kwargs)
+            built.append(out is not None)
+            return out
+
+        with mock.patch.object(mbc_mod, "neighbour_lists", spy):
+            c_a, as_a = mbc_mod._greedy_absorb(P, delta, met, order)
+        assert built == [True]
+        c_b, as_b = greedy_absorb_reference(P, delta, met, order)
+        np.testing.assert_array_equal(c_a.points, c_b.points)
+        np.testing.assert_array_equal(c_a.weights, c_b.weights)
+        np.testing.assert_array_equal(as_a, as_b)

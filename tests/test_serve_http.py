@@ -3,6 +3,7 @@
 import http.client
 import json
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -170,6 +171,17 @@ class TestSessionRoutes:
         # kernel provenance rides along with every solve
         assert doc["kernel_backend"] == "numpy"
         assert doc["greedy_path"] in ("pairwise", "grid", "dense", "mixed")
+
+    def test_solve_on_empty_sliding_window_is_200(self, server, client):
+        # an empty window answers like an empty insertion-only session
+        status, _, _ = _create(client, "w", backend="sliding-window",
+                               options={"window": 16, "r_min": 0.01,
+                                        "r_max": 100.0})
+        assert status == 201
+        status, doc, _ = _req(client, "GET", "/sessions/w/solve")
+        assert status == 200
+        assert doc["radius"] == 0.0 and doc["centers"] == []
+        assert doc["coreset_size"] == 0
 
     def test_delete_points_routes(self, server, client):
         pts = np.random.default_rng(5).integers(
@@ -363,6 +375,37 @@ class TestFraming:
         status, doc, _ = _req(client, "POST", "/sessions/a/extend",
                               {"points": _points(1).tolist()})
         assert status == 200 and doc["applied"] == 64
+
+    @pytest.mark.parametrize("path,want", [
+        ("/sessions/a/extend", (408, "request-timeout")),
+        # an error answered before the body is read: the drain stalls
+        ("/nowhere", (404, "unknown-route")),
+    ])
+    def test_stalled_body_times_out(self, server, monkeypatch, path, want):
+        # headers, then half a body, then silence: once the read timeout
+        # passes the server answers, closes, and the worker ends
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        workers = []
+        setup = _Handler.setup
+
+        def recording_setup(self):
+            workers.append(threading.current_thread())
+            setup(self)
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        status, doc, closed = _raw(
+            server.port,
+            b"POST " + path.encode() + b" HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Type: application/json\r\nContent-Length: 100\r\n"
+            b"\r\n{\"points\": [[0.0, ")
+        assert (status, doc["error"]["code"]) == want
+        assert closed
+        assert len(workers) == 1
+        workers[0].join(timeout=10)
+        assert not workers[0].is_alive()
+
+    def test_read_timeout_is_set(self):
+        assert _Handler.timeout == 30
 
     def test_accepted_socket_disables_nagle(self, server, monkeypatch):
         seen = []

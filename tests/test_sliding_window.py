@@ -101,6 +101,26 @@ class TestSlidingWindowCoreset:
         with pytest.raises(RuntimeError):
             sw.coreset()
 
+    def test_empty_window_is_an_empty_coreset(self):
+        # before the first arrival the window is empty, not unservable:
+        # like the other models, an empty coreset with radius 0
+        sw = SlidingWindowCoreset(2, 3, 0.5, 2, window=10, r_min=0.01,
+                                  r_max=100.0)
+        cs = sw.coreset()
+        assert len(cs) == 0 and cs.points.shape == (0, 2)
+        assert sw.radius() == 0.0
+
+    def test_empty_session_solves_like_insertion_only(self):
+        from repro.api import KCenterSession, ProblemSpec
+
+        spec = ProblemSpec(k=2, z=1, eps=0.5, dim=2)
+        sol = KCenterSession(spec, backend="sliding-window", window=10,
+                             r_min=0.01, r_max=100.0).solve()
+        ref = KCenterSession(spec, backend="insertion-only").solve()
+        assert sol.radius == ref.radius == 0.0
+        assert sol.centers.shape == ref.centers.shape == (0, 2)
+        assert sol.coreset_size == 0
+
     def test_expired_content_ignored(self):
         """After W new arrivals, old clusters no longer affect the answer."""
         sw = SlidingWindowCoreset(1, 0, 0.5, 1, window=20, r_min=0.01, r_max=10000)
