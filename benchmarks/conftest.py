@@ -1,7 +1,7 @@
 """Shared benchmark configuration.
 
 Each bench regenerates one Table-1 row group or figure mechanism (see the
-experiment index in DESIGN.md) and prints the measured rows; the timing
+experiment index, ``python -m repro.experiments --list``) and prints the measured rows; the timing
 numbers from pytest-benchmark cover the core operation once (the drivers
 are deterministic, so single-round pedantic timing is representative).
 """

@@ -21,13 +21,10 @@ candidate scans (n=10^5 and n=10^6, serial and ``decision_jobs=4``);
 ``--quick`` keeps every entry id (so CI can diff the schema) at reduced
 sizes, and ``--assert-pruned`` fails the run unless the 10^5-scale
 greedy actually took the pruned path and beat the dense decision
-procedure by >= 2x.  ``grid_hierarchy_reuse`` isolates the persistent
-geometry ladder (one hierarchy snap-reused across every guess) against
-fresh per-guess grid builds at identical params in quick and full mode;
-``--assert-hierarchy`` fails the run unless the reuse wins by >= 2x.
-``mbc_scale_10m`` ingests the out-of-core ``ooc-clustered-10m`` store
-(n=10^7 at full size) through the insertion-only session chunk by
-chunk and records throughput plus the process peak RSS;
+procedure by >= 2x.  ``mbc_scale_10m`` ingests the out-of-core
+``ooc-clustered-10m`` store (n=10^7 at full size) through the
+insertion-only session chunk by chunk and records throughput plus the
+process peak RSS;
 ``--store-dir`` points the store cache at a persistent directory so
 the generated stream is reused across runs.
 """
@@ -290,66 +287,6 @@ def bench_mbc_scale_1m(quick: bool) -> dict:
     }
 
 
-def bench_grid_hierarchy_reuse(quick: bool) -> dict:
-    """Geometry cost: one persistent hierarchy vs a fresh grid per guess.
-
-    Times ONLY the geometry construction both strategies pay for the
-    same realistic guess ladder (the ~12 cutoffs a geometric radius
-    search probes): ``old_s`` builds a fresh per-guess ``PointGrid`` for
-    every cutoff (what ``charikar_greedy`` did before the hierarchy);
-    ``new_s`` builds one :class:`~repro.geometry.PointGridHierarchy` and
-    snaps every cutoff onto it (what it does now).  Same params in quick
-    and full mode — CI asserts the reuse win on every run
-    (``--assert-hierarchy``).
-    """
-    from repro.core.greedy import _grid_for_guess
-    from repro.geometry import PointGridHierarchy
-
-    n, d, seed = 200_000, 2, 0
-    P = _instance(n, d=d, seed=seed, wmax=2)
-    pts = P.points
-    # replay the search's probe sequence: bisection over the exponent
-    # ladder lo*(1+tol)^i with lo = hi/(4n), converging on the k-center
-    # radius of this instance (~1.6 for k=16 on uniform [0,10]^2) — the
-    # probes spread early and cluster near the answer, exactly the
-    # workload the ladder amortizes
-    hi = 14.0
-    lo = hi / (4.0 * n)
-    tol = 0.05
-    m = int(np.ceil(np.log(hi / lo) / np.log1p(tol)))
-    target = int(round(np.log(1.6 / lo) / np.log1p(tol)))
-    lo_e, hi_e, guesses = 0, m, []
-    while lo_e < hi_e:
-        mid = (lo_e + hi_e) // 2
-        guesses.append(lo * (1.0 + tol) ** mid)
-        if mid < target:
-            lo_e = mid + 1
-        else:
-            hi_e = mid
-
-    def rebuild():
-        grids = [_grid_for_guess(pts, g * (1.0 + 1e-9)) for g in guesses]
-        assert all(gr is not None for gr in grids)
-
-    def reuse():
-        h = PointGridHierarchy(pts, lo * (1.0 + 1e-6))
-        grids = [h.grid_for(g) for g in guesses]
-        assert all(gr is not None for gr in grids)
-        return h
-
-    old_s, _ = _timed(rebuild)
-    new_s, h = _timed(reuse)
-    return {
-        "id": "grid_hierarchy_reuse",
-        "params": {"n": n, "d": d, "seed": seed, "guesses": len(guesses)},
-        "new_s": new_s,
-        "old_s": old_s,
-        "speedup": old_s / new_s,
-        "direct_builds": h.direct_builds,
-        "derived_builds": h.derived_builds,
-    }
-
-
 def bench_charikar_scale_1m_mc(quick: bool) -> dict:
     """The headline search with sharded decisions (``decision_jobs=4``).
 
@@ -435,7 +372,7 @@ def bench_mbc_scale_10m(quick: bool) -> dict:
 BENCHES = (bench_charikar, bench_mbc, bench_mpc_two_round,
            bench_serve_replay, bench_charikar_scale_100k,
            bench_charikar_scale_1m, bench_charikar_scale_1m_mc,
-           bench_grid_hierarchy_reuse, bench_mbc_scale_100k,
+           bench_mbc_scale_100k,
            bench_mbc_scale_1m, bench_mbc_scale_10m)
 
 
@@ -453,10 +390,6 @@ def main(argv: "list[str]") -> int:
                         help="fail unless the scaling bench took the "
                              "grid-pruned path and its measured "
                              "per-decision dense/pruned ratio is >= 2x")
-    parser.add_argument("--assert-hierarchy", action="store_true",
-                        help="fail unless the persistent hierarchy's "
-                             "geometry cost beats fresh per-guess grid "
-                             "builds by >= 2x at n=2*10^5")
     parser.add_argument("--store-dir", metavar="DIR", default=None,
                         help="directory for cached on-disk point stores "
                              "(sets REPRO_DATA_DIR for the out-of-core "
@@ -496,17 +429,6 @@ def main(argv: "list[str]") -> int:
             return 1
         print(f"assert-pruned OK: path=grid, "
               f"decision speedup {scale['speedup']:.1f}x")
-
-    if args.assert_hierarchy:
-        reuse = next(e for e in entries if e["id"] == "grid_hierarchy_reuse")
-        if reuse["speedup"] < 2.0:
-            print(f"ASSERT-HIERARCHY: reuse/rebuild geometry ratio "
-                  f"{reuse['speedup']:.2f}x < 2x", file=sys.stderr)
-            return 1
-        print(f"assert-hierarchy OK: geometry reuse "
-              f"{reuse['speedup']:.1f}x over per-guess rebuilds "
-              f"({reuse['direct_builds']} direct + "
-              f"{reuse['derived_builds']} derived levels)")
 
     doc = {
         "suite": "core-kernels",

@@ -283,7 +283,7 @@ class KCenterSession:
             if greedy_path is not None:
                 stats["greedy_path"] = greedy_path
             if greedy_stats:
-                # grid_builds / grid_reuses / decision_shards breakdown of
+                # grid_builds / decision_shards breakdown of
                 # the grid-pruned radius search (JSON-safe ints)
                 stats["greedy_stats"] = dict(greedy_stats)
             return Solution(

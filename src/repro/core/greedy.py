@@ -72,21 +72,17 @@ from the grid alone (:func:`_grid_decision`):
 Both compare the same pairs in float64, so the choice never moves a
 bit.  :attr:`GreedyResult.stats` counts the ``list_decisions``.
 
-Persistent geometry (the hierarchy refactor): the radius search builds
-**one** :class:`~repro.geometry.PointGridHierarchy` per call — a lazy
-geometric ladder of grids anchored at the smallest guess — and every
-guess snaps to the nearest conservative level instead of re-bucketing
-all points per guess; coarse levels derive their index from finer ones
-at cell (not point) cost, and :func:`repro.core.mbc._greedy_absorb`
-reuses the same ladder through :attr:`GreedyResult.geometry`.  The
-per-decision cell scans can additionally be sharded across a
-:class:`repro.engine.ThreadExecutor` (``decision_jobs``): shards are
+Each guess buckets the points into its own grid
+(:func:`_grid_for_guess`, cell side just above the cutoff), and
+:func:`repro.core.mbc._greedy_absorb` builds its own at the absorption
+radius.  The per-decision cell scans can additionally be sharded across
+a :class:`repro.engine.ThreadExecutor` (``decision_jobs``): shards are
 deterministic contiguous cell ranges, each accumulates into its own
 gain array, and the partials are reduced in shard order — with integer
 weights every partial is an exact float64 integer, so the reduction
 (and every argmax pick, tie-breaks included) is bit-identical to the
 serial scan for any job count.  :attr:`GreedyResult.stats` reports the
-``grid_builds`` / ``grid_reuses`` / ``decision_shards`` breakdown.
+``grid_builds`` / ``decision_shards`` breakdown.
 
 ``kernel_backend="numba"`` additionally dispatches the distance kernels
 and the hot gain-update loops to the compiled implementations of
@@ -101,7 +97,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..engine.executor import ThreadExecutor, shard_ranges
-from ..geometry.grid import PointGrid, PointGridHierarchy, cutoff_side
+from ..geometry.grid import PointGrid, cutoff_side
 from ..kernels import (
     DEFAULT_BLOCK_BYTES,
     Workspace,
@@ -137,11 +133,18 @@ _GRID_PAIR_CHUNK = 4_000_000
 #: scale this down so the target matrix stays the same size
 _GRID_MATCH_CHUNK = 65536
 
-#: candidate pairs one neighbour-list expansion (:func:`neighbour_lists`)
-#: may hold: each pair holds two int64 indices and a float64 distance,
-#: kept inside the kernel layer's block budget.  The one budget of the
-#: list decisions and :func:`repro.core.mbc._greedy_absorb`
+#: candidate pairs one neighbour-list build (:func:`neighbour_lists`) may
+#: enumerate, ~1.4M: the one gate of the list decisions and
+#: :func:`repro.core.mbc._greedy_absorb`.  Expanding a candidate pair
+#: takes ~56 B of temporaries, so the build expands
+#: :data:`_LIST_BLOCK_PAIRS` at a time (~15 MB) and keeps only the
+#: within-cutoff neighbours (8 B each): at most ~11 MB of lists plus one
+#: block, whatever the candidate count
 _LIST_MAX_PAIRS = DEFAULT_BLOCK_BYTES // 24
+
+#: candidate pairs one :func:`neighbour_lists` block expands at once
+#: (whole cells per block; a single larger cell is a block of its own)
+_LIST_BLOCK_PAIRS = 1 << 18
 
 #: a decision walks neighbour lists instead of per-cell blocked scans
 #: while its grid averages at most this many candidate pairs per cell.
@@ -186,20 +189,12 @@ class GreedyResult:
         Provenance only — never affects results.
     stats:
         Provenance counters for the grid-pruned geometric search (zeroed
-        when it did not run): ``grid_builds`` (direct point-level
-        bucketings),
-        ``grid_derived`` (levels derived from a finer one at cell cost),
-        ``grid_reuses`` (guesses served by an already-built level),
+        when it did not run): ``grid_builds`` (per-guess grids built),
         ``decisions`` (grid decisions run), ``list_decisions`` (those of
         them served by neighbour lists), ``decision_jobs`` (requested
         job count), ``decision_shards`` (max shards any scan used) and
         ``sharded_scans`` (scans that actually fanned out).  JSON-safe
         ints only; never affects results.
-    geometry:
-        The :class:`~repro.geometry.PointGridHierarchy` the search built
-        (``None`` off the grid path), so downstream consumers — the MBC
-        absorption loop — can reuse the ladder instead of re-bucketing
-        the same points.  Excluded from comparison and repr.
     """
 
     centers_idx: np.ndarray
@@ -208,9 +203,6 @@ class GreedyResult:
     uncovered: np.ndarray
     path: str = field(default="dense", compare=False)
     stats: dict = field(default_factory=dict, compare=False)
-    geometry: "PointGridHierarchy | None" = field(
-        default=None, compare=False, repr=False
-    )
 
     def centers(self, wps: WeightedPointSet) -> np.ndarray:
         """Coordinates of the chosen centers."""
@@ -637,29 +629,38 @@ def neighbour_lists(
     cutoff: float,
     max_pairs: int,
     backend=None,
+    block_pairs: int = _LIST_BLOCK_PAIRS,
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
-    """Every within-``cutoff`` pair of the gridded points, found in one
-    vectorized pass, as CSR neighbour lists ``(ptr, nbrs, row_of)``.
+    """Every within-``cutoff`` pair of the gridded points, as CSR
+    neighbour lists ``(ptr, nbrs, row_of)``.
 
     Point ``i``'s neighbours (``i`` itself included) are
     ``nbrs[ptr[r]:ptr[r + 1]]`` for ``r = row_of[i]``; rows follow the
     grid's point order.  Candidates come from
-    :meth:`PointGrid.candidate_pairs` and are re-checked with exact
-    float64 :func:`pair_distances` (bit-identical to the dense cdist
-    entries).  Returns ``None``, without expanding, when the exact
-    candidate-pair count exceeds ``max_pairs``.
+    :meth:`PointGrid.candidate_pairs` in blocks of whole cells of at most
+    ``block_pairs`` pairs, each re-checked with exact float64
+    :func:`pair_distances` (bit-identical to the dense cdist entries)
+    before the next is expanded, so only one block's candidates are held
+    at a time; the lists do not depend on the block size.  Returns
+    ``None``, without expanding, when the exact candidate-pair count
+    exceeds ``max_pairs``.
     """
-    pairs = grid.candidate_pairs(cutoff, max_pairs)
-    if pairs is None:
+    blocks = grid.candidate_pairs(cutoff, max_pairs, block_pairs)
+    if blocks is None:
         return None
-    pos, i, j = pairs
-    keep = pair_distances(kind, pts, i, j, backend=backend) <= cutoff
-    ptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(pos[keep], minlength=grid.n)))
-    )
+    kept, sizes = [], []
+    for pos, i, j in blocks:
+        keep = pair_distances(kind, pts, i, j, backend=backend) <= cutoff
+        # a block's points are the contiguous positions pos[0]..pos[-1]
+        sizes.append(np.bincount(pos[keep] - pos[0],
+                                 minlength=int(pos[-1] - pos[0]) + 1))
+        kept.append(j[keep])
+        # free this block before the generator expands the next one
+        del pos, i, j, keep
+    ptr = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
     row_of = np.empty(grid.n, dtype=np.int64)
     row_of[grid.order] = np.arange(grid.n)
-    return ptr, j[keep], row_of
+    return ptr, kept[0] if len(kept) == 1 else np.concatenate(kept), row_of
 
 
 def _grid_decision(
@@ -690,10 +691,8 @@ def _grid_decision(
 
     Exactness: candidate supersets from the grid are sound at whatever
     cell side it has (:meth:`PointGrid.ring` picks the ring the cutoff
-    needs — hierarchy-snapped grids sit at the coarsest side that still
-    covers the cutoff in one ring), every surviving pair is re-evaluated
-    with float64 distances bit-identical to the dense path's cdist
-    entries, and
+    needs), every surviving pair is re-evaluated with float64 distances
+    bit-identical to the dense path's cdist entries, and
     integer weights make every accumulated gain an exact float64 integer
     in any summation order — so each argmax pick matches the dense pick,
     including tie-breaks, serial or sharded.  The list path reads pick
@@ -869,13 +868,10 @@ def charikar_greedy(
         raise ValueError("k must be positive")
     ws = Workspace()
     path = "dense"
-    hierarchy: "PointGridHierarchy | None" = None
     stats = {
         "decisions": 0,
         "list_decisions": 0,
         "grid_builds": 0,
-        "grid_derived": 0,
-        "grid_reuses": 0,
         "decision_jobs": jobs,
         "decision_shards": 1,
         "sharded_scans": 0,
@@ -942,16 +938,9 @@ def charikar_greedy(
 
         def decide(g):
             if use_grid:
-                cutoff = g + 1e-9 * max(1.0, g)
-                grid = hierarchy.grid_for(cutoff) if hierarchy is not None \
-                    else None
-                if grid is None:
-                    # no ladder yet (the guess-0 probe) or no buildable
-                    # level near this cutoff: one fresh per-guess grid
-                    grid = _grid_for_guess(wps.points, cutoff)
-                    if grid is not None:
-                        stats["grid_builds"] += 1
+                grid = _grid_for_guess(wps.points, g + 1e-9 * max(1.0, g))
                 if grid is not None:
+                    stats["grid_builds"] += 1
                     paths_used.add("grid")
                     return _grid_decision(
                         wps, metric, k, z, g, grid, ws, backend=bk,
@@ -981,21 +970,6 @@ def charikar_greedy(
             gz = gonzalez(wps, k, metric)
             hi_r = max(gz.radius, 1e-300)
             lo_r = hi_r / max(4.0 * n, 4.0)
-            if use_grid:
-                # ONE geometric ladder for the whole search, anchored just
-                # above the smallest guess (clamped like _grid_for_guess so
-                # quantized indices stay trusted); every guess snaps to a
-                # level that is built at most once and derived from a finer
-                # one when possible
-                maxabs = (
-                    float(np.max(np.abs(wps.points))) if wps.points.size
-                    else 0.0
-                )
-                base = max(lo_r * (1.0 + 1e-6), maxabs * 2.0**-29)
-                hierarchy = PointGridHierarchy(
-                    wps.points, base, max_ring=4,
-                    cell_budget=_GRID_BLOCK_CELLS,
-                )
             ok, centers, uncovered = decide(lo_r)
             if ok:
                 guess = lo_r
@@ -1024,10 +998,6 @@ def charikar_greedy(
         finally:
             if executor is not None:
                 executor.close()
-        if hierarchy is not None:
-            stats["grid_builds"] += hierarchy.direct_builds
-            stats["grid_derived"] += hierarchy.derived_builds
-            stats["grid_reuses"] += hierarchy.snap_hits
 
     centers_idx = np.asarray(centers, dtype=int)
     # Report the coverage radius actually achieved by the chosen centers:
@@ -1038,6 +1008,4 @@ def charikar_greedy(
     radius = float(min(3.0 * guess, achieved))
     d = nearest_center_distances(wps, wps.points[centers_idx], metric)
     uncovered = d > radius + 1e-9 * max(1.0, radius)
-    return GreedyResult(
-        centers_idx, radius, float(guess), uncovered, path, stats, hierarchy
-    )
+    return GreedyResult(centers_idx, radius, float(guess), uncovered, path, stats)

@@ -27,18 +27,13 @@ greedy decision procedure uses) and evaluates distances only against the
 candidate is missed and results are bit-identical to the scalar loop
 (:func:`repro.core._greedy_reference.greedy_absorb_reference`; proven by
 the parity tests).  While the exact candidate-pair count fits the kernel
-layer's block budget, every within-``delta`` pair is found in one
-vectorized pass (:func:`repro.core.greedy.neighbour_lists`, shared with
-the sparse-cell Charikar decisions) and the sequential greedy walks
-precomputed neighbor lists; denser inputs (duplicate floods) query the
-grid per representative instead.  When the embedded radius search ran
-its grid-pruned path, the absorption reuses the search's persistent
-:class:`~repro.geometry.PointGridHierarchy` (via
-:attr:`~repro.core.greedy.GreedyResult.geometry`) and snaps its
-absorption radius to an existing ladder level instead of re-bucketing
-the same points.  Arbitrary metrics, high dimensions and degenerate
-cell sides fall back to scanning only the still-unabsorbed points, which
-shrinks as the balls absorb.
+layer's block budget, every within-``delta`` pair is found up front in
+vectorized blocks of cells (:func:`repro.core.greedy.neighbour_lists`,
+shared with the sparse-cell Charikar decisions) and the sequential
+greedy walks precomputed neighbor lists; denser inputs (duplicate
+floods) query the grid per representative instead.  Arbitrary metrics,
+high dimensions and degenerate cell sides fall back to scanning only the
+still-unabsorbed points, which shrinks as the balls absorb.
 """
 
 from __future__ import annotations
@@ -115,7 +110,6 @@ def _greedy_absorb(
     delta: float,
     metric: Metric,
     order: "np.ndarray | None" = None,
-    hierarchy=None,
 ) -> "tuple[WeightedPointSet, np.ndarray]":
     """Greedy absorption: repeatedly take the first remaining point and
     absorb every remaining point within ``delta`` of it.
@@ -123,12 +117,6 @@ def _greedy_absorb(
     ``order`` optionally permutes the 'arbitrary point' choice (Algorithm 1
     line 4 allows any order; tests use this to check order-independence of
     the guarantees).  Returns the representative set and the assignment.
-
-    ``hierarchy`` optionally passes the
-    :class:`~repro.geometry.PointGridHierarchy` an embedded radius search
-    already built over *the same points* (identity-checked): the
-    absorption then snaps ``delta`` to one of its levels — deriving a new
-    level at cell cost if needed — instead of re-bucketing every point.
 
     Bit-identical to the pre-refactor scalar loop; only the candidate set
     each representative's distances are evaluated against shrinks — to the
@@ -162,19 +150,7 @@ def _greedy_absorb(
         and pts.shape[1] <= _GRID_MAX_DIM
         and isinstance(metric, _KernelMetric)
     ):
-        if (
-            hierarchy is not None
-            and hierarchy.pts is pts
-            and cutoff > 0
-            and np.isfinite(cutoff)
-        ):
-            # the radius search already indexed these exact points: snap
-            # delta to its ladder (query_point re-derives the ring the
-            # cutoff needs at that level's side, so the superset stays
-            # sound at any snapped side)
-            grid = hierarchy.grid_for(cutoff)
-        if grid is None:
-            grid = PointGrid.build(pts, cutoff_side(cutoff, pts), max_ring=1)
+        grid = PointGrid.build(pts, cutoff_side(cutoff, pts), max_ring=1)
 
     lists = None
     if grid is not None:
@@ -253,9 +229,7 @@ def mbc_construction(
     dtype, kernel_chunk, kernel_backend, prune, decision_jobs:
         Distance-kernel and pruning knobs for the embedded radius search
         (see :func:`repro.core.greedy.charikar_greedy`); the absorption
-        itself always evaluates exact float64 distances.  When the radius
-        search ran its grid-pruned path, the absorption reuses its
-        persistent grid ladder instead of re-bucketing the points.
+        itself always evaluates exact float64 distances.
 
     Returns an ``(eps', k, z)``-mini-ball covering with
     ``eps' = eps * (r / (3 opt)) <= eps`` — i.e. at least as good as
@@ -264,7 +238,6 @@ def mbc_construction(
     if eps < 0:
         raise ValueError("eps must be non-negative")
     metric = get_metric(metric)
-    hierarchy = None
     if radius is None:
         res = charikar_greedy(
             wps, k, z, metric, dtype=dtype, kernel_chunk=kernel_chunk,
@@ -273,11 +246,8 @@ def mbc_construction(
             decision_jobs=decision_jobs,
         )
         radius = res.radius
-        hierarchy = res.geometry
     delta = eps * radius / 3.0
-    coreset, assignment = _greedy_absorb(
-        wps, delta, metric, order, hierarchy=hierarchy
-    )
+    coreset, assignment = _greedy_absorb(wps, delta, metric, order)
     return MiniBallCovering(
         coreset=coreset,
         assignment=assignment,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import DEFAULT_BLOCK_BYTES
 from .metrics import Metric, get_metric
 from .points import WeightedPointSet
 
@@ -27,6 +28,8 @@ def nearest_center_distances(
     """Distance from each point of ``wps`` to its nearest center.
 
     ``centers`` is an array of shape ``(k, d)``.  Returns shape ``(n,)``.
+    Rows are taken in blocks whose distance matrix fits the kernel
+    layer's block budget, so ``n x k`` distances are never held at once.
     """
     metric = get_metric(metric)
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -34,7 +37,12 @@ def nearest_center_distances(
         return np.zeros(0)
     if len(centers) == 0:
         return np.full(len(wps), np.inf)
-    return metric.pairwise(wps.points, centers).min(axis=1)
+    rows = max(1, DEFAULT_BLOCK_BYTES // (8 * len(centers)))
+    out = np.empty(len(wps))
+    for i0 in range(0, len(wps), rows):
+        out[i0:i0 + rows] = metric.pairwise(
+            wps.points[i0:i0 + rows], centers).min(axis=1)
+    return out
 
 
 def coverage_radius(

@@ -18,7 +18,8 @@ class Row:
     Attributes
     ----------
     experiment:
-        Experiment id from DESIGN.md (e.g. ``"E2"``).
+        Experiment id (e.g. ``"E2"``; ``python -m repro.experiments
+        --list`` names them all).
     algorithm:
         Which algorithm/baseline produced the row.
     params:

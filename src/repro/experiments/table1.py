@@ -1,5 +1,5 @@
 """Experiment drivers regenerating Table 1 (and the figures) — see the
-per-experiment index in DESIGN.md.
+per-experiment index ``python -m repro.experiments --list``.
 
 Each driver returns :class:`~repro.experiments.report.Row` lists; the
 benchmarks print them and time the core operation.  Absolute numbers are

@@ -6,7 +6,6 @@ from .grid import (
     GridHierarchy,
     GridLevel,
     PointGrid,
-    PointGridHierarchy,
 )
 from .packing import (
     doubling_cover_count,
@@ -20,7 +19,6 @@ __all__ = [
     "GridHierarchy",
     "GridLevel",
     "PointGrid",
-    "PointGridHierarchy",
     "doubling_cover_count",
     "grid_cell_bound",
     "packing_bound",

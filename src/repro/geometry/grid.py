@@ -22,19 +22,16 @@ members over time (Algorithm 3's representatives between radius
 doublings): the same quantization, with absolute cell codes, so points
 outside the index can be queried and new members appended.
 
-:class:`PointGridHierarchy` is the persistent form the radius search
-uses: a lazily materialized geometric ladder of :class:`PointGrid`
-levels (side ``base_side * 2^i``) over one point set, so the
-~``log(r_max/r_min)`` guesses of a search snap to shared levels instead
-of re-bucketing the points per guess, and coarser levels derive their
-sorted cell-code index from an already-built finer level (an argsort
-over *cells*, not points).
+Each radius guess of a search, and each absorption pass, builds its own
+:class:`PointGrid` at the side its cutoff needs (:func:`cutoff_side`);
+nothing is shared between guesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log2
+from typing import Iterator
 
 import numpy as np
 
@@ -42,7 +39,6 @@ __all__ = [
     "GridLevel",
     "GridHierarchy",
     "PointGrid",
-    "PointGridHierarchy",
     "CellIndex",
 ]
 
@@ -244,7 +240,7 @@ class PointGrid:
     """
 
     def __init__(self, codes, order, cell_codes, cell_starts, cell_counts,
-                 point_cell, radix, side, max_ring, cell_axes=None):
+                 point_cell, radix, side, max_ring):
         self.n = len(codes)
         self.dim = len(radix)
         self.side = float(side)
@@ -259,10 +255,6 @@ class PointGrid:
         #: index into ``cell_codes`` of each point's cell
         self.point_cell = point_cell
         self._radix = radix
-        #: absolute per-axis quantized indices of each non-empty cell
-        #: (``(num_cells, d)`` int64) — what a coarser hierarchy level
-        #: derives its own cells from via a right-shift
-        self.cell_axes = cell_axes
         self._deltas: "dict[int, np.ndarray]" = {}
 
     @property
@@ -305,11 +297,8 @@ class PointGrid:
         cell_codes = sorted_codes[starts]
         counts = np.diff(np.append(starts, n))
         point_cell = np.searchsorted(cell_codes, codes)
-        # absolute axis indices of each cell, read off its first member
-        cell_axes = qi[order[starts]]
         return cls(codes, order, cell_codes, starts.astype(np.int64),
-                   counts.astype(np.int64), point_cell, radix, side, max_ring,
-                   cell_axes)
+                   counts.astype(np.int64), point_cell, radix, side, max_ring)
 
     def ring(self, dist: float) -> int:
         """Chebyshev cell-ring radius guaranteed to contain every point
@@ -376,36 +365,65 @@ class PointGrid:
         return self.points_in_cells(np.unique(nbr))
 
     def candidate_pairs(
-        self, dist: float, max_pairs: int
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
+        self, dist: float, max_pairs: int, block_pairs: "int | None" = None
+    ) -> "Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]] | None":
         """Every (point, candidate) pair whose cells lie within
-        :meth:`ring` ``(dist)`` of each other, grouped by point.
+        :meth:`ring` ``(dist)`` of each other, grouped by point, expanded
+        lazily in blocks of contiguous cells.
 
-        Returns ``(pos, i, j)``: pair ``t`` pairs point ``i[t]`` with
-        candidate ``j[t]``, and ``pos[t]`` is the position of ``i[t]`` in
-        :attr:`order` (non-decreasing, so pairs come grouped by point in
-        cell order).  A superset of all pairs within ``dist``, each point
-        paired with itself too.  Returns ``None`` without expanding when
-        the exact pair count, ``sum(counts[c] * counts[c'])`` over
-        neighboring cells ``c, c'``, or the neighbor-cell lookup would
-        exceed ``max_pairs``.
+        Yields ``(pos, i, j)`` per block: pair ``t`` pairs point ``i[t]``
+        with candidate ``j[t]``, and ``pos[t]`` is the position of
+        ``i[t]`` in :attr:`order` (non-decreasing across all blocks, so
+        pairs come grouped by point in cell order).  A superset of all
+        pairs within ``dist``, each point paired with itself too.  A
+        block holds at most ``block_pairs`` pairs unless one cell alone
+        has more (``None``: one block).  Returns ``None`` without
+        expanding when the exact pair count, ``sum(counts[c] *
+        counts[c'])`` over neighboring cells ``c, c'``, or the
+        neighbor-cell lookup would exceed ``max_pairs``.
         """
         R = self.ring(dist)
         if self.num_cells * len(self.neighbor_deltas(R)) > max_pairs:
             return None
         src, nbr = self.neighbors_of_cells(np.arange(self.num_cells), R)
-        # members of each cell's neighborhood, concatenated cell by cell
+        # members of each cell's neighborhood, per cell
         reach = np.bincount(src, weights=self.cell_counts[nbr],
                             minlength=self.num_cells).astype(np.int64)
-        if int(reach @ self.cell_counts) > max_pairs:
+        pairs = reach * self.cell_counts
+        total = int(pairs.sum())
+        if total > max_pairs:
             return None
+        cuts = [0]
+        if block_pairs is not None and total > block_pairs:
+            cum = np.cumsum(pairs)
+            while cuts[-1] < self.num_cells:
+                base = int(cum[cuts[-1] - 1]) if cuts[-1] else 0
+                nxt = int(np.searchsorted(cum, base + block_pairs,
+                                          side="right"))
+                cuts.append(max(nxt, cuts[-1] + 1))
+        else:
+            cuts.append(self.num_cells)
+        # src is ascending, so each block's neighbor cells are one slice
+        at = np.searchsorted(src, cuts)
+        return (self._expand(nbr[at[b]:at[b + 1]], reach, cuts[b],
+                             cuts[b + 1])
+                for b in range(len(cuts) - 1))
+
+    def _expand(self, nbr: np.ndarray, reach: np.ndarray, c0: int,
+                c1: int) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The candidate pairs of cells ``c0:c1`` (see
+        :meth:`candidate_pairs`), given their neighbor cells ``nbr``."""
+        counts = self.cell_counts[c0:c1]
+        reach = reach[c0:c1]
+        # members of each cell's neighborhood, concatenated cell by cell
         members = self.points_in_cells(nbr)
         first = np.concatenate(([0], np.cumsum(reach)))[:-1]
         # one candidate run per point, points in cell order
-        cell_of = np.repeat(np.arange(self.num_cells), self.cell_counts)
+        cell_of = np.repeat(np.arange(c1 - c0), counts)
         run = reach[cell_of]
         total = int(run.sum())
-        pos = np.repeat(np.arange(self.n), run)
+        p0 = int(self.cell_starts[c0])
+        pos = np.repeat(np.arange(p0, p0 + len(cell_of)), run)
         offsets = np.concatenate(([0], np.cumsum(run)))[:-1]
         flat = np.arange(total) - np.repeat(offsets - first[cell_of], run)
         return pos, self.order[pos], members[flat]
@@ -482,237 +500,3 @@ class CellIndex:
         starts = np.cumsum(cnt) - cnt
         flat = np.repeat(lo - starts, cnt) + np.arange(total)
         return src, self._ids[flat]
-
-
-#: below this many estimated candidate pairs a pruned scan costs less
-#: than quantizing the points into a fresh exact-side grid, so
-#: :meth:`PointGridHierarchy.grid_for` keeps the snapped level
-_REFINE_MIN_PAIRS = 2e7
-
-
-class PointGridHierarchy:
-    """A lazily materialized geometric ladder of :class:`PointGrid` levels.
-
-    Level ``i`` (any integer, negative included) buckets the point set
-    into cells of side ``base_side * 2**i``.  Levels are built on demand
-    and memoized, so one radius search touches each distinct level once
-    however many guesses snap to it; a level whose build cannot be
-    trusted (see :meth:`PointGrid.build`) is memoized as ``None`` and the
-    caller falls back to its dense path.
-
-    **Derived builds.**  A coarse level never re-quantizes the points
-    when a finer level already exists: the fine level's per-cell absolute
-    axis indices are right-shifted (``floor(floor(x)/2^s) == floor(x/2^s)``
-    exactly, for any real ``x`` and integer shift ``s >= 0`` — the nested
-    floors collapse), fine cells are sorted into coarse groups (an argsort
-    over *cells*, typically far fewer than points), and the fine member
-    lists are gathered in coarse order.  Because the shift is applied to
-    the same already-floored value the fine build computed, the derived
-    coarse index of every point equals ``floor(fl(p/base_side) / 2^i)``
-    — exactly the error model of a direct build at that level, so the
-    :meth:`PointGrid.ring` slack argument holds verbatim and snapped
-    candidate supersets stay sound at every level.
-
-    **Snapping.**  :meth:`grid_for` maps a ball cutoff to the coarsest
-    conservative level: the smallest ``side >= cutoff``, i.e. ``side in
-    [cutoff, 2 * cutoff)``.  Snapping *up* keeps every ring tiny — the
-    cutoff ball needs ring 1 and the Charikar decision's ``3g`` ball
-    ring <= 3, exactly the rings a fresh side-equals-cutoff grid uses.
-    The choice is purely a performance heuristic — soundness comes from
-    :meth:`PointGrid.ring` at whatever side is returned — so results are
-    bit-identical to a fresh per-guess grid (every candidate is
-    re-checked exactly).
-
-    **Exact-side fast path (``cell_budget``).**  The Charikar decision
-    scans cells in two regimes: up to ``cell_budget`` source cells it
-    runs one blocked distance matvec per cell, beyond that a chunked
-    COO pair expansion.  Measured at n=10^5..10^6, scan cost tracks the
-    candidate-pair count — so the *tightest* side (``side == cutoff``)
-    wins — except when coarsening moves the scan from the COO regime
-    into the blocked one, where the snapped level wins despite its up
-    to ``2^d``-fold pair inflation.  With ``cell_budget`` set (the
-    greedy decision passes its blocked-scan threshold),
-    :meth:`grid_for` therefore serves the snapped ladder level only
-    when (a) its side is within 5% of the cutoff anyway, (b) it is the
-    only one of the two inside the blocked regime, or (c) the estimated
-    pair count is so small the scan is trivial either way (a fresh
-    build would cost more than it saves); for every other cutoff it
-    serves a memoized exact-side grid.  ``cell_budget=None`` (the
-    default) always serves ladder levels.
-
-    ``max_ring`` must accommodate the expanded ``3g``-ball queries of the
-    Charikar decision: with the snap-up rule keeping ``side >= cutoff``,
-    a ``3 * guess`` query needs ring <= 3 (the default 4 leaves one ring
-    of slack).
-    """
-
-    def __init__(self, pts: np.ndarray, base_side: float, max_ring: int = 4,
-                 cell_budget: "int | None" = None):
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if base_side <= 0 or not np.isfinite(base_side):
-            raise ValueError(f"base_side must be positive, got {base_side!r}")
-        self.pts = pts
-        self.base_side = float(base_side)
-        self.max_ring = int(max_ring)
-        self.cell_budget = None if cell_budget is None else int(cell_budget)
-        self._extent = (pts.max(axis=0) - pts.min(axis=0)) if pts.size \
-            else np.zeros(pts.shape[1])
-        self._levels: "dict[int, PointGrid | None]" = {}
-        self._exact: "dict[float, PointGrid | None]" = {}
-        #: direct builds (full quantize + point argsort), ladder or exact
-        self.direct_builds = 0
-        #: derived builds (cell-shift + cell argsort off a finer level)
-        self.derived_builds = 0
-        #: grid_for calls served from an already-materialized grid
-        self.snap_hits = 0
-
-    def side(self, level: int) -> float:
-        """Cell side of ``level`` (``base_side * 2**level``)."""
-        return self.base_side * 2.0 ** level
-
-    def level_for(self, cutoff: float) -> int:
-        """The ladder level :meth:`grid_for` snaps ``cutoff`` to.
-
-        Picks the smallest ``side >= target`` for ``target = cutoff *
-        (1 + 1e-6)`` (the same slack a fresh per-guess grid applies), so
-        ``side in [target, 2 * target)``: the cutoff ball is covered by
-        ring 1 and the ``3 * cutoff`` ball by ring 3 at every level.
-        """
-        if cutoff <= 0 or not np.isfinite(cutoff):
-            raise ValueError(f"cutoff must be positive, got {cutoff!r}")
-        target = cutoff * (1.0 + 1e-6)
-        lvl = int(np.ceil(np.log2(target / self.base_side)))
-        # float log2 can be off by one step at boundaries; pin the invariant
-        while self.side(lvl) < target:
-            lvl += 1
-        while self.side(lvl - 1) >= target:
-            lvl -= 1
-        return lvl
-
-    def grid_at(self, level: int) -> "PointGrid | None":
-        """The memoized grid of ``level``, building (or deriving) it on
-        first use; ``None`` when that level's quantization is untrusted."""
-        if level in self._levels:
-            return self._levels[level]
-        finer = [j for j, g in self._levels.items() if g is not None and j < level]
-        if finer:
-            grid = self._derive(self._levels[max(finer)], level)
-            self.derived_builds += 1
-        else:
-            grid = PointGrid.build(self.pts, self.side(level),
-                                   max_ring=self.max_ring)
-            self.direct_builds += 1
-        self._levels[level] = grid
-        return grid
-
-    def grid_for(self, cutoff: float) -> "PointGrid | None":
-        """Snap a ball cutoff to its ladder level and return that grid
-        (or the exact-side fast path when ``cell_budget`` applies —
-        see the class docstring).
-
-        Tries up to two coarser levels when the snapped one is untrusted
-        (coarser cells have smaller indices, so they can pass the build
-        guard where a fine level overflows); a coarser side only widens
-        the candidate superset, never unsounds it.  Returns ``None`` when
-        no nearby level can be built.
-        """
-        lvl = self.level_for(cutoff)
-        snapped, snapped_hit = None, False
-        for attempt in (lvl, lvl + 1, lvl + 2):
-            if attempt in self._levels:
-                grid = self._levels[attempt]
-                if grid is not None:
-                    snapped, snapped_hit = grid, True
-                    break
-                continue
-            grid = self.grid_at(attempt)
-            if grid is not None:
-                snapped = grid
-                break
-        if snapped is None:
-            return None
-        refined, refined_hit = self._refine(snapped, cutoff)
-        if (refined is snapped and snapped_hit) or \
-                (refined is not snapped and refined_hit):
-            self.snap_hits += 1
-        return refined
-
-    def _refine(self, snapped: PointGrid,
-                cutoff: float) -> "tuple[PointGrid, bool]":
-        """The exact-side fast path: ``(grid, served_from_memo)``.
-
-        Scan cost tracks candidate pairs, so a side-equals-cutoff grid
-        beats the snapped level except in the three cases the class
-        docstring lists — side already ~exact, snapped alone in the
-        blocked-matvec regime, or a trivially cheap scan.  Exact grids
-        are memoized per cutoff (repeat decisions and absorption reuse
-        them) and fall back to the snapped level when their quantization
-        is untrusted.
-        """
-        if self.cell_budget is None:
-            return snapped, False
-        target = cutoff * (1.0 + 1e-6)
-        if snapped.side <= 1.05 * target:
-            return snapped, False
-        est_cells = snapped.num_cells * \
-            (snapped.side / target) ** snapped.dim
-        if snapped.num_cells <= self.cell_budget < est_cells:
-            return snapped, False
-        n = len(self.pts)
-        occupancy = 1.0
-        for ext in self._extent:
-            if ext > 0:
-                occupancy *= min(1.0, 3.0 * snapped.side / float(ext))
-        if float(n) * float(n) * occupancy <= _REFINE_MIN_PAIRS:
-            return snapped, False
-        if target in self._exact:
-            grid = self._exact[target]
-            if grid is not None:
-                return grid, True
-            return snapped, False
-        grid = PointGrid.build(self.pts, target, max_ring=self.max_ring)
-        self._exact[target] = grid
-        if grid is None:
-            return snapped, False
-        self.direct_builds += 1
-        return grid, False
-
-    def _derive(self, fine: PointGrid, level: int) -> "PointGrid | None":
-        """Build ``level`` from a finer materialized grid (see class doc)."""
-        shift = int(round(np.log2(self.side(level) / fine.side)))
-        if shift <= 0:  # pragma: no cover - callers only derive coarser
-            return PointGrid.build(self.pts, self.side(level),
-                                   max_ring=self.max_ring)
-        # arithmetic right shift == floor division by 2^shift (negatives too)
-        coarse_axes = fine.cell_axes >> shift
-        qmin = coarse_axes.min(axis=0)
-        extents = coarse_axes.max(axis=0) - qmin + 1
-        padded = extents + 2 * self.max_ring
-        if float(np.prod(padded.astype(np.float64))) >= 2.0**62:
-            return None  # pragma: no cover - coarser never exceeds finer
-        d = fine.dim
-        radix = np.ones(d, dtype=np.int64)
-        for a in range(d - 2, -1, -1):
-            radix[a] = radix[a + 1] * padded[a + 1]
-        # coarse code of every *fine cell*, then group fine cells by it
-        fc_codes = ((coarse_axes - qmin) * radix).sum(axis=1)
-        csort = np.argsort(fc_codes, kind="stable")
-        sorted_fc = fc_codes[csort]
-        m = len(sorted_fc)
-        is_start = np.empty(m, dtype=bool)
-        is_start[0] = True
-        np.not_equal(sorted_fc[1:], sorted_fc[:-1], out=is_start[1:])
-        gstarts = np.flatnonzero(is_start)
-        cell_codes = sorted_fc[gstarts]
-        counts = np.add.reduceat(fine.cell_counts[csort], gstarts)
-        starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        # member points: fine cells' members concatenated in coarse order
-        order = fine.points_in_cells(csort)
-        codes = fc_codes[fine.point_cell]
-        point_cell = np.searchsorted(cell_codes, codes)
-        cell_axes = coarse_axes[csort[gstarts]]
-        return PointGrid(
-            codes, order, cell_codes, starts.astype(np.int64),
-            counts.astype(np.int64), point_cell, radix,
-            self.side(level), self.max_ring, cell_axes,
-        )

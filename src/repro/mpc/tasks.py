@@ -20,21 +20,16 @@ __all__ = ["mbc_task", "radius_vector_task", "cpp_local_task"]
 
 
 def mbc_task(args) -> MiniBallCovering:
-    """``(part, k, z_local, eps, metric, radius[, dtype, kernel_chunk,
-    kernel_backend, prune, decision_jobs])`` →
+    """``(part, k, z_local, eps, metric, radius, dtype, kernel_chunk,
+    kernel_backend, prune, decision_jobs)`` →
     ``MBCConstruction(part, k, z_local, eps)`` (Lemma 7).
 
-    The trailing distance-kernel / grid-pruning knobs (see
-    :mod:`repro.kernels`, :func:`repro.core.greedy.charikar_greedy`) are
-    optional so pre-kernels 6-tuples (and pre-pruning 9-tuples) keep
-    working; they ride inside the task tuple because a
-    ``ProcessExecutor`` worker only sees the tuple.
+    The distance-kernel / grid-pruning knobs (see :mod:`repro.kernels`,
+    :func:`repro.core.greedy.charikar_greedy`) ride inside the task
+    tuple because a ``ProcessExecutor`` worker only sees the tuple.
     """
-    part, k, z_local, eps, metric, radius = args[:6]
-    dtype, kernel_chunk = args[6:8] if len(args) > 6 else (None, None)
-    kernel_backend = args[8] if len(args) > 8 else None
-    prune = args[9] if len(args) > 9 else None
-    decision_jobs = args[10] if len(args) > 10 else None
+    (part, k, z_local, eps, metric, radius, dtype, kernel_chunk,
+     kernel_backend, prune, decision_jobs) = args
     return mbc_construction(
         part, k, z_local, eps, metric, radius=radius,
         dtype=dtype, kernel_chunk=kernel_chunk, kernel_backend=kernel_backend,
@@ -43,14 +38,11 @@ def mbc_task(args) -> MiniBallCovering:
 
 
 def radius_vector_task(args) -> np.ndarray:
-    """``(part, k, veclen, metric[, dtype, kernel_chunk, kernel_backend,
-    prune, decision_jobs])`` → the round-1 vector ``V_i`` of Algorithm 2:
+    """``(part, k, veclen, metric, dtype, kernel_chunk, kernel_backend,
+    prune, decision_jobs)`` → the round-1 vector ``V_i`` of Algorithm 2:
     ``V_i[j] = Greedy(part, k, 2^j - 1)`` radius."""
-    part, k, veclen, metric = args[:4]
-    dtype, kernel_chunk = args[4:6] if len(args) > 4 else (None, None)
-    kernel_backend = args[6] if len(args) > 6 else None
-    prune = args[7] if len(args) > 7 else None
-    decision_jobs = args[8] if len(args) > 8 else None
+    (part, k, veclen, metric, dtype, kernel_chunk, kernel_backend, prune,
+     decision_jobs) = args
     v = np.zeros(veclen)
     for j in range(veclen):
         zj = (1 << j) - 1

@@ -492,9 +492,8 @@ class ReproServer:
             ("backend", "kernel"), buckets=DEFAULT_BUCKETS)
         self.counter_grid_levels = reg.counter(
             "repro_serve_greedy_grid_levels_total",
-            "Grid ladder levels touched by pruned radius searches, by how "
-            "they were obtained (direct build / derived from a finer level "
-            "/ reused across guesses).",
+            "Per-guess grids built by pruned radius searches (kind is "
+            "always direct).",
             ("backend", "kind"))
         self.counter_sharded_scans = reg.counter(
             "repro_serve_greedy_sharded_scans_total",
@@ -527,13 +526,10 @@ class ReproServer:
 
     def observe_greedy(self, backend: str, greedy_stats: dict) -> None:
         """Record a pruned radius search's geometry/sharding breakdown."""
-        for kind, key in (("direct", "grid_builds"),
-                          ("derived", "grid_derived"),
-                          ("reused", "grid_reuses")):
-            v = int(greedy_stats.get(key, 0) or 0)
-            if v:
-                self.counter_grid_levels.labels(
-                    backend=backend, kind=kind).inc(v)
+        v = int(greedy_stats.get("grid_builds", 0) or 0)
+        if v:
+            self.counter_grid_levels.labels(
+                backend=backend, kind="direct").inc(v)
         v = int(greedy_stats.get("sharded_scans", 0) or 0)
         if v:
             self.counter_sharded_scans.labels(backend=backend).inc(v)

@@ -17,8 +17,8 @@ insertions and deletions:
 Accuracy: with ``c = O(1/eps^2)`` the estimate is ``(1 +- eps) F0`` with
 constant probability per query, amplified by ``log(1/delta)`` independent
 repetitions (median).  This matches Lemma 19's contract; the space is
-``O((1/eps^2) log U log(1/delta))`` words (see DESIGN.md §2 for the
-polylog-factor comparison with KNW).
+``O((1/eps^2) log U log(1/delta))`` words, a polylog factor above the
+optimal Kane-Nelson-Woodruff sketch.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ an invertible-Bloom-lookup-table style peel that succeeds with probability
 ``1 - delta`` when ``||F||_0 <= s`` and otherwise *detects* failure
 (non-zero residue after peeling stalls).
 
-This is a space-for-simplicity substitution for Barkay-Porat-Shalem
-(documented in DESIGN.md §2): the interface and guarantee used by the
+This is a space-for-simplicity substitution for Barkay-Porat-Shalem:
+the interface and guarantee used by the
 paper — "recover everything exactly when sparsity <= s, else fail
 detectably" — are identical.
 """

@@ -14,7 +14,7 @@ factor of the optimum; the original paper sharpens the constant to
 ``4 + eps`` by running ``O(1/eps)`` staggered instances, which we expose
 via ``instances`` (storage then scales as ``kz/eps``, the Table 1 shape).
 
-Fidelity note (DESIGN.md §2): this reproduction preserves MK08's *storage
+Fidelity note: this reproduction preserves MK08's *storage
 shape* and constant-factor quality, not their exact constant.
 """
 

@@ -11,6 +11,7 @@ bit: centres, uncovered mask and feasibility.  The crossover constant is
 patched to force either side.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,8 @@ import repro.core.mbc as mbc_mod
 from repro.core import WeightedPointSet, charikar_greedy
 from repro.core._greedy_reference import greedy_absorb_reference
 from repro.core.greedy import (
+    _LIST_BLOCK_PAIRS,
+    _LIST_MAX_PAIRS,
     _geometric_decision,
     _grid_decision,
     _grid_for_guess,
@@ -243,22 +246,53 @@ class TestNeighbourLists:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 200),
            d=st.integers(1, 4), cutoff=st.sampled_from([0.0, 0.1, 0.6, 2.0]),
-           metric=st.sampled_from(METRICS))
+           metric=st.sampled_from(METRICS),
+           block_pairs=st.sampled_from([1, 50, _LIST_BLOCK_PAIRS]))
     def test_lists_are_exactly_the_within_cutoff_pairs(self, seed, n, d,
-                                                      cutoff, metric):
+                                                      cutoff, metric,
+                                                      block_pairs):
         rng = np.random.default_rng(seed)
         pts = rng.integers(-6, 6, (n, d)) * 0.25 \
             + (rng.random((n, d)) < 0.5) * rng.normal(0, 0.3, (n, d))
         met = get_metric(metric)
         grid = _grid_for_guess(pts, cutoff)
         assume(grid is not None)
-        ptr, nbrs, row_of = neighbour_lists(grid, pts, metric, cutoff,
-                                            10**9)
+        lists = neighbour_lists(grid, pts, metric, cutoff, 10**9,
+                                block_pairs=block_pairs)
+        ptr, nbrs, row_of = lists
         for i in range(n):
             r = row_of[i]
             got = np.sort(nbrs[ptr[r]:ptr[r + 1]])
             want = np.flatnonzero(met.to_set(pts[i], pts) <= cutoff)
             np.testing.assert_array_equal(got, want)
+        # the block size never moves a pair: same lists, same order
+        whole = neighbour_lists(grid, pts, metric, cutoff, 10**9,
+                                block_pairs=10**9)
+        for got, want in zip(lists, whole):
+            np.testing.assert_array_equal(got, want)
+
+    def test_expansion_memory_is_bounded_by_one_block(self):
+        # offline-search's absorb: 2*10^4 stratified points at its
+        # absorption cutoff (eps 0.5, greedy radius ~9.18) leave ~824k
+        # candidate pairs, ~290k within the cutoff
+        pts = _stratified((160, 125), 0)
+        cutoff = 1.5306
+        grid = _grid_for_guess(pts, cutoff)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            ptr, nbrs, _ = neighbour_lists(grid, pts, "euclidean", cutoff,
+                                           _LIST_MAX_PAIRS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the lists, plus one block's ~56 B per candidate pair of
+        # temporaries, never every candidate at once
+        assert peak < len(nbrs) * 24 + _LIST_BLOCK_PAIRS * 64
+        cands = sum(len(pos) for pos, _, _ in
+                    grid.candidate_pairs(cutoff, _LIST_MAX_PAIRS))
+        assert cands > 3 * _LIST_BLOCK_PAIRS
+        assert len(nbrs) == ptr[-1] < cands // 2
 
     def test_over_budget_returns_none(self, rng):
         pts = rng.uniform(0, 1, (100, 2))
