@@ -73,7 +73,7 @@ def generate_backends() -> str:
         "- `sliding-window` — `window`, `r_min`, `r_max` (window length and",
         "  the radius-ladder bounds).",
         "- MPC backends — optional `num_machines`, `partition`, `executor`,",
-        "  `jobs`, `dtype`, `kernel_chunk`, `kernel_backend`.",
+        "  `jobs`.",
         "",
         "Custom algorithms plug in via `repro.api.register_backend`; see",
         "`examples/composable_pipeline.py`.",

@@ -331,9 +331,7 @@ class OfflineMBCBackend(_BufferedBackendBase):
             return P
         self.last_mbc = mbc_construction(
             P, self.spec.k, self.spec.z, self.spec.eps, self.spec.resolved_metric,
-            dtype=self.spec.dtype, kernel_chunk=self.spec.kernel_chunk,
-            kernel_backend=self.spec.kernel_backend, prune=self.spec.prune,
-            decision_jobs=self.spec.decision_jobs,
+            dtype=self.spec.dtype, decision_jobs=self.spec.decision_jobs,
         )
         return self.last_mbc.coreset
 
@@ -632,8 +630,7 @@ class SlidingWindowBackend(_AlgoSnapshotMixin, _BackendBase):
             spec.k, spec.z, spec.eps, spec.require_dim(), int(window),
             r_min=float(r_min), r_max=float(r_max),
             metric=spec.resolved_metric, ladder_ratio=ladder_ratio,
-            capacity=capacity, dtype=spec.dtype, kernel_chunk=spec.kernel_chunk,
-            kernel_backend=spec.kernel_backend,
+            capacity=capacity, dtype=spec.dtype,
         )
 
     def insert(self, point) -> None:
@@ -695,11 +692,9 @@ class MPCBackend(_BufferedBackendBase):
         executor name or instance plus worker count.  Defaults to the
         spec's ``executor``/``jobs`` fields; ``jobs`` alone implies a
         thread pool.  Results are bit-identical under every executor.
-    dtype, kernel_chunk, kernel_backend, prune, decision_jobs:
-        Distance-kernel and grid-pruning knobs (:mod:`repro.kernels`,
-        :func:`repro.core.greedy.charikar_greedy`) for the machine-local
-        radius searches and MBC constructions; default to the spec's
-        fields, session options override.
+
+    The machine-local radius searches and MBC constructions take the
+    spec's ``dtype`` and ``decision_jobs``.
     """
 
     #: default partition scheme; deterministic algorithms tolerate any
@@ -712,27 +707,11 @@ class MPCBackend(_BufferedBackendBase):
         partition=None,
         executor=None,
         jobs: "int | None" = None,
-        dtype=None,
-        kernel_chunk: "int | None" = None,
-        kernel_backend: "str | None" = None,
-        prune: "str | None" = None,
-        decision_jobs: "int | None" = None,
     ):
         super().__init__(spec)
         self.num_machines = num_machines
         self.partition = partition if partition is not None else self.default_partition
         self.executor = self._resolve_executor(executor, jobs)
-        self.dtype = dtype if dtype is not None else spec.dtype
-        self.kernel_chunk = (
-            kernel_chunk if kernel_chunk is not None else spec.kernel_chunk
-        )
-        self.kernel_backend = (
-            kernel_backend if kernel_backend is not None else spec.kernel_backend
-        )
-        self.prune = prune if prune is not None else spec.prune
-        self.decision_jobs = (
-            decision_jobs if decision_jobs is not None else spec.decision_jobs
-        )
         self.last_result: "MPCCoresetResult | None" = None
 
     def _resolve_executor(self, executor, jobs):
@@ -806,14 +785,8 @@ class TwoRoundMPCBackend(MPCBackend):
     def __init__(self, spec, num_machines=None, partition=None,
                  parallel: bool = False, final_compress: bool = True,
                  outlier_guessing: bool = True, executor=None,
-                 jobs: "int | None" = None, dtype=None,
-                 kernel_chunk: "int | None" = None,
-                 kernel_backend: "str | None" = None,
-                 prune: "str | None" = None,
-                 decision_jobs: "int | None" = None):
-        super().__init__(spec, num_machines, partition, executor, jobs,
-                         dtype, kernel_chunk, kernel_backend, prune,
-                         decision_jobs)
+                 jobs: "int | None" = None):
+        super().__init__(spec, num_machines, partition, executor, jobs)
         self.parallel = bool(parallel)
         self.final_compress = bool(final_compress)
         self.outlier_guessing = bool(outlier_guessing)
@@ -826,11 +799,8 @@ class TwoRoundMPCBackend(MPCBackend):
             outlier_guessing=self.outlier_guessing,
             parallel=self.parallel,
             executor=self.executor,
-            dtype=self.dtype,
-            kernel_chunk=self.kernel_chunk,
-            kernel_backend=self.kernel_backend,
-            prune=self.prune,
-            decision_jobs=self.decision_jobs,
+            dtype=self.spec.dtype,
+            decision_jobs=self.spec.decision_jobs,
         )
 
     def guarantee(self) -> Guarantee:
@@ -858,14 +828,8 @@ class OneRoundMPCBackend(MPCBackend):
 
     def __init__(self, spec, num_machines=None, partition=None,
                  parallel: bool = False, final_compress: bool = True,
-                 executor=None, jobs: "int | None" = None, dtype=None,
-                 kernel_chunk: "int | None" = None,
-                 kernel_backend: "str | None" = None,
-                 prune: "str | None" = None,
-                 decision_jobs: "int | None" = None):
-        super().__init__(spec, num_machines, partition, executor, jobs,
-                         dtype, kernel_chunk, kernel_backend, prune,
-                         decision_jobs)
+                 executor=None, jobs: "int | None" = None):
+        super().__init__(spec, num_machines, partition, executor, jobs)
         self.parallel = bool(parallel)
         self.final_compress = bool(final_compress)
 
@@ -876,11 +840,8 @@ class OneRoundMPCBackend(MPCBackend):
             final_compress=self.final_compress,
             parallel=self.parallel,
             executor=self.executor,
-            dtype=self.dtype,
-            kernel_chunk=self.kernel_chunk,
-            kernel_backend=self.kernel_backend,
-            prune=self.prune,
-            decision_jobs=self.decision_jobs,
+            dtype=self.spec.dtype,
+            decision_jobs=self.spec.decision_jobs,
         )
 
     def guarantee(self) -> Guarantee:
@@ -904,14 +865,8 @@ class MultiRoundMPCBackend(MPCBackend):
     """Deterministic R-round reduction tree (rounds/storage trade-off)."""
 
     def __init__(self, spec, num_machines=None, partition=None,
-                 rounds: int = 2, executor=None, jobs: "int | None" = None,
-                 dtype=None, kernel_chunk: "int | None" = None,
-                 kernel_backend: "str | None" = None,
-                 prune: "str | None" = None,
-                 decision_jobs: "int | None" = None):
-        super().__init__(spec, num_machines, partition, executor, jobs,
-                         dtype, kernel_chunk, kernel_backend, prune,
-                         decision_jobs)
+                 rounds: int = 2, executor=None, jobs: "int | None" = None):
+        super().__init__(spec, num_machines, partition, executor, jobs)
         if int(rounds) < 1:
             raise ValueError("rounds must be >= 1")
         self.rounds = int(rounds)
@@ -921,11 +876,8 @@ class MultiRoundMPCBackend(MPCBackend):
             parts, self.spec.k, self.spec.z, self.spec.eps,
             rounds=self.rounds, metric=self.spec.resolved_metric,
             executor=self.executor,
-            dtype=self.dtype,
-            kernel_chunk=self.kernel_chunk,
-            kernel_backend=self.kernel_backend,
-            prune=self.prune,
-            decision_jobs=self.decision_jobs,
+            dtype=self.spec.dtype,
+            decision_jobs=self.spec.decision_jobs,
         )
 
     def guarantee(self) -> Guarantee:

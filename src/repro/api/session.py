@@ -62,6 +62,9 @@ __all__ = ["Solution", "KCenterSession"]
 #: ``kind`` tag in session snapshot manifests.
 _SNAPSHOT_KIND = "kcenter-session"
 
+#: spec fields that older snapshots may still carry; dropped on load
+_RETIRED_SPEC_KEYS = frozenset({"kernel_chunk", "kernel_backend", "prune"})
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -262,10 +265,7 @@ class KCenterSession:
             elif method == "greedy3":
                 res = charikar_greedy(
                     cs, spec.k, spec.z, spec.resolved_metric,
-                    dtype=spec.dtype, kernel_chunk=spec.kernel_chunk,
-                    kernel_backend=spec.kernel_backend,
-                    prune=spec.prune if spec.prune is not None else "auto",
-                    decision_jobs=spec.decision_jobs,
+                    dtype=spec.dtype, decision_jobs=spec.decision_jobs,
                 )
                 centers, radius = cs.points[res.centers_idx], res.radius
                 greedy_path = res.path
@@ -277,9 +277,7 @@ class KCenterSession:
                 centers, radius = sol.centers, sol.radius
             self._wall_time += time.perf_counter() - t0
             stats = dict(self.backend.stats())
-            # kernel provenance: which backend the distance kernels ran on
-            # and which decision path the greedy radius search took
-            stats["kernel_backend"] = spec.kernel_backend or "numpy"
+            # which decision path the greedy radius search took
             if greedy_path is not None:
                 stats["greedy_path"] = greedy_path
             if greedy_stats:
@@ -401,7 +399,7 @@ class KCenterSession:
         **options:
             Overrides layered over the saved construction options.
             Only *recompute-time* knobs may change on resume
-            (``executor``, ``jobs``, ``num_machines``, kernel knobs);
+            (``executor``, ``jobs``, ``num_machines``);
             geometry-defining options (``window``, ``r_min``/``r_max``,
             ``delta_universe``, sketch sizing) are part of the state's
             meaning and the backend's ``restore`` rejects a mismatch
@@ -452,6 +450,9 @@ class KCenterSession:
         spec_dict = manifest.get("spec")
         if not isinstance(spec_dict, dict):
             raise SnapshotError("snapshot manifest is missing the spec dict")
+        # knobs older snapshots carry; none of them ever changed a result
+        spec_dict = {key: value for key, value in spec_dict.items()
+                     if key not in _RETIRED_SPEC_KEYS}
         try:
             loaded_spec = ProblemSpec(**spec_dict)
         except (TypeError, ValueError) as exc:

@@ -23,6 +23,32 @@ from ..core.metrics import Metric, get_metric
 
 __all__ = ["ProblemSpec"]
 
+#: integer fields and their lower bounds, validated in declaration order
+_INT_FIELDS = (("k", 1), ("z", 0), ("seed", 0), ("dim", 1), ("jobs", 1),
+               ("decision_jobs", 1))
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as an exact ``int``, or :class:`ValueError`.
+
+    Integer strings (``"3"``) and integral floats (``2.0``) coerce; bools,
+    fractional values (``2.9``) and non-finite values (``inf``, NaN) are
+    rejected instead of being truncated or overflowing.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    try:
+        if isinstance(value, str):
+            return int(value)
+        f = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not (np.isfinite(f) and f.is_integer()):
+        raise ValueError(f"{name} must be a finite integer, got {value!r}")
+    return int(f)
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -64,30 +90,16 @@ class ProblemSpec:
         halves kernel memory traffic at a documented ~1e-6 relative
         distance error.  Honored by every backend whose hot path runs
         the Greedy radius search (offline, MPC, session ``solve``).
-    kernel_chunk:
-        Rows per chunked distance block in the radius-search stack;
-        ``None`` autotunes against a fixed working-set budget.
-    kernel_backend:
-        Distance-kernel implementation (:mod:`repro.kernels`): ``None`` /
-        ``"numpy"`` is the default vectorized path; ``"numba"`` dispatches
-        the hot kernels to compiled implementations when the optional
-        ``repro[accel]`` extra is installed (bit-identical results).
-        Validated by name only, so a spec naming ``"numba"`` can be
-        stored/loaded on machines without the extra — availability is
-        checked at solve time.
-    prune:
-        Grid pruning of the Greedy radius search
-        (:func:`repro.core.greedy.charikar_greedy`): ``None`` / ``"auto"``
-        prunes whenever the exactness gate applies, ``"off"`` (alias
-        ``"dense"``) forces the dense chunked path, ``"grid"`` *requires*
-        pruning and fails at solve time when the gate is inapplicable.
-        Pruned results are bit-identical to the dense float64 reference.
     decision_jobs:
         Threads each pruned radius-search decision shards its cell scans
         across (``>= 1``; ``None`` means serial).  The deterministic
         shard reduction keeps results bit-identical to serial at any job
         count.  Independent of ``jobs``, which fans out per-machine MPC
         work.
+
+    The integer fields (``k``, ``z``, ``seed``, ``dim``, ``jobs``,
+    ``decision_jobs``) accept ints, integral floats and integer strings;
+    bools, fractions and non-finite values raise :class:`ValueError`.
     """
 
     k: int
@@ -99,66 +111,29 @@ class ProblemSpec:
     executor: "str | None" = None
     jobs: "int | None" = None
     dtype: "str | None" = None
-    kernel_chunk: "int | None" = None
-    kernel_backend: "str | None" = None
-    prune: "str | None" = None
     decision_jobs: "int | None" = None
     _metric_obj: Metric = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if int(self.k) < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if int(self.z) < 0:
-            raise ValueError(f"z must be >= 0, got {self.z}")
+        for name, low in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name not in ("k", "z"):
+                continue
+            value = _as_int(name, value)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+            object.__setattr__(self, name, value)
         if not 0 < float(self.eps) <= 1:
             raise ValueError(f"eps must be in (0, 1], got {self.eps}")
-        if self.dim is not None and int(self.dim) < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.seed is not None and int(self.seed) < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "eps", float(self.eps))
         if self.executor is not None and not isinstance(self.executor, str):
             raise ValueError(
                 f"executor must be an executor name or None, got {self.executor!r}"
             )
-        if self.jobs is not None and int(self.jobs) < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.dtype is not None:
             from ..kernels import resolve_dtype
 
             object.__setattr__(self, "dtype", resolve_dtype(self.dtype).name)
-        if self.kernel_chunk is not None:
-            if int(self.kernel_chunk) < 1:
-                raise ValueError(
-                    f"kernel_chunk must be >= 1, got {self.kernel_chunk}"
-                )
-            object.__setattr__(self, "kernel_chunk", int(self.kernel_chunk))
-        if self.kernel_backend is not None:
-            from ..kernels import resolve_backend
-
-            object.__setattr__(
-                self, "kernel_backend", resolve_backend(self.kernel_backend)
-            )
-        if self.jobs is not None:
-            object.__setattr__(self, "jobs", int(self.jobs))
-        if self.prune is not None:
-            if self.prune not in ("auto", "off", "grid", "dense"):
-                raise ValueError(
-                    "prune must be 'auto', 'off', 'grid', 'dense' or None, "
-                    f"got {self.prune!r}"
-                )
-        if self.decision_jobs is not None:
-            if int(self.decision_jobs) < 1:
-                raise ValueError(
-                    f"decision_jobs must be >= 1, got {self.decision_jobs}"
-                )
-            object.__setattr__(self, "decision_jobs", int(self.decision_jobs))
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "z", int(self.z))
-        object.__setattr__(self, "eps", float(self.eps))
-        if self.dim is not None:
-            object.__setattr__(self, "dim", int(self.dim))
-        if self.seed is not None:
-            object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "_metric_obj", get_metric(self.metric))
 
     # -- resolved views ----------------------------------------------------
@@ -213,9 +188,7 @@ class ProblemSpec:
             "k": self.k, "z": self.z, "eps": self.eps,
             "metric": self.metric, "seed": self.seed, "dim": self.dim,
             "executor": self.executor, "jobs": self.jobs,
-            "dtype": self.dtype, "kernel_chunk": self.kernel_chunk,
-            "kernel_backend": self.kernel_backend,
-            "prune": self.prune, "decision_jobs": self.decision_jobs,
+            "dtype": self.dtype, "decision_jobs": self.decision_jobs,
         }
         base.update(changes)
         return ProblemSpec(**base)
@@ -232,9 +205,6 @@ class ProblemSpec:
             "executor": self.executor,
             "jobs": self.jobs,
             "dtype": self.dtype,
-            "kernel_chunk": self.kernel_chunk,
-            "kernel_backend": self.kernel_backend,
-            "prune": self.prune,
             "decision_jobs": self.decision_jobs,
         }
 

@@ -31,7 +31,7 @@ results are identical to the pre-refactor code
 ``tests/test_greedy_parity.py``) at a fraction of the work: ``O(n^2)``
 per guess instead of ``O(k n^2)``.  Distance blocks come from
 :mod:`repro.kernels` via :meth:`Metric.pairwise_block`, honoring the
-``dtype`` / ``kernel_chunk`` knobs of :class:`repro.api.ProblemSpec`.
+``dtype`` knob of :class:`repro.api.ProblemSpec`.
 
 Grid pruning (the sub-quadratic refactor): for the built-in norms in low
 dimension with integer weights, each geometric radius-guess decision
@@ -83,11 +83,6 @@ weights every partial is an exact float64 integer, so the reduction
 (and every argmax pick, tie-breaks included) is bit-identical to the
 serial scan for any job count.  :attr:`GreedyResult.stats` reports the
 ``grid_builds`` / ``decision_shards`` breakdown.
-
-``kernel_backend="numba"`` additionally dispatches the distance kernels
-and the hot gain-update loops to the compiled implementations of
-:mod:`repro.kernels.numba_backend` (optional extra; numpy is the
-default and the reference).
 """
 
 from __future__ import annotations
@@ -103,7 +98,6 @@ from ..kernels import (
     Workspace,
     auto_chunk,
     pair_distances,
-    resolve_backend,
     resolve_dtype,
 )
 from .metrics import Metric, _KernelMetric, get_metric
@@ -274,7 +268,6 @@ def _greedy_disks(
     z: int,
     guess: float,
     workspace: "Workspace | None" = None,
-    backend: str = "numpy",
 ) -> "tuple[bool, list[int], np.ndarray]":
     """Charikar decision procedure for radius ``guess`` on a precomputed
     distance matrix ``D``, with incrementally maintained gains.
@@ -294,28 +287,6 @@ def _greedy_disks(
     uncovered = np.ones(n, dtype=bool)
     centers: list[int] = []
     limit3 = 3.0 * guess + tol
-    # the compiled gain loops sum weights in index order, not BLAS order,
-    # so they are reserved for integer weights where any order is exact
-    use_numba = (
-        backend == "numba"
-        and D.dtype == np.float64
-        and np.issubdtype(weights.dtype, np.integer)
-    )
-    if use_numba:
-        from ..kernels import numba_backend
-
-        w = weights.astype(np.float64)
-        gain = numba_backend.gain_seed(D, w, guess + tol)
-        for _ in range(min(k, n)):
-            if not uncovered.any():
-                break
-            v = int(np.argmax(gain))
-            centers.append(v)
-            idx = np.flatnonzero(uncovered & (D[v] <= limit3))
-            if idx.size:
-                uncovered[idx] = False
-                numba_backend.gain_subtract(D, gain, idx, w, guess + tol)
-        return _weight_feasible(weights, uncovered, z), centers, uncovered
     # comparisons against D stay in D's own dtype; only the gain
     # accumulators may drop to float32 (see _gain_dtype)
     dt = _gain_dtype(weights, D.dtype)
@@ -353,9 +324,7 @@ def _geometric_decision(
     z: int,
     guess: float,
     dtype=None,
-    kernel_chunk: "int | None" = None,
     workspace: "Workspace | None" = None,
-    backend: str = "numpy",
 ) -> "tuple[bool, list[int], np.ndarray]":
     """Charikar decision without a full distance matrix (chunked).
 
@@ -372,14 +341,14 @@ def _geometric_decision(
     gdt = _gain_dtype(wps.weights, dt)
     w = wps.weights.astype(gdt)
     tol = 1e-9 * max(1.0, guess)
-    chunk = kernel_chunk if kernel_chunk is not None else auto_chunk(n, dtype=dt)
+    chunk = auto_chunk(n, dtype=dt)
     ws = workspace if workspace is not None else Workspace()
     uncovered = np.ones(n, dtype=bool)
     centers: list[int] = []
     gain = np.empty(n, dtype=gdt)
     for i0 in range(0, n, chunk):
         block = metric.pairwise_block(
-            pts[i0 : i0 + chunk], pts, dtype=dt, workspace=ws, backend=backend
+            pts[i0 : i0 + chunk], pts, dtype=dt, workspace=ws
         )
         gain[i0 : i0 + len(block)] = (block <= guess + tol).astype(gdt) @ w
     limit3 = 3.0 * guess + tol
@@ -399,8 +368,7 @@ def _geometric_decision(
             wi = w[idx]
             for i0 in range(0, n, chunk):
                 block = metric.pairwise_block(
-                    pts[i0 : i0 + chunk], sub, dtype=dt, workspace=ws,
-                    backend=backend,
+                    pts[i0 : i0 + chunk], sub, dtype=dt, workspace=ws
                 )
                 gain[i0 : i0 + len(block)] -= (block <= guess + tol).astype(gdt) @ wi
     return _weight_feasible(wps.weights, uncovered, z), centers, uncovered
@@ -431,7 +399,6 @@ def _accumulate_cells(
     src_starts: np.ndarray,
     src_counts: np.ndarray,
     src_members: np.ndarray,
-    backend: str,
     workspace: Workspace,
     ring: int,
 ) -> None:
@@ -460,9 +427,8 @@ def _accumulate_cells(
         rows_per = max(1, _GRID_PAIR_CHUNK // max(1, len(mem)))
         for r0 in range(0, len(cand), rows_per):
             rows = cand[r0 : r0 + rows_per]
-            block = metric.pairwise_block(
-                pts[rows], pts[mem], workspace=workspace, backend=backend
-            )
+            block = metric.pairwise_block(pts[rows], pts[mem],
+                                          workspace=workspace)
             contrib = (block <= cutoff) @ w64[mem]
             if sign > 0:
                 gain[rows] += contrib
@@ -478,14 +444,6 @@ def _accumulate_cells(
             blocked(cand, mem)
         return
     kind = metric.name
-    # the fused compiled kernel skips the dist/sel/bincount temporaries;
-    # same exact-integer result as the numpy expansion below
-    fused = None
-    if backend == "numba":
-        from ..kernels import numba_backend
-
-        if numba_backend.HAVE_NUMBA:
-            fused = numba_backend.gain_pairs
     # keep the cells x (2R+1)^d searchsorted target matrix the same size
     # whatever the ring (chunking never affects results)
     match_chunk = max(
@@ -525,21 +483,16 @@ def _accumulate_cells(
                 lb = t - la * cb_p
                 rows = grid.order[grid.cell_starts[nbr[p0:p1]][pid] + la]
                 cols = src_members[src_starts[src_pos[p0:p1]][pid] + lb]
-                if fused is not None:
-                    fused(kind, pts, rows, cols, w64, cutoff, sign, gain)
-                else:
-                    dist = pair_distances(kind, pts, rows, cols,
-                                          backend=backend)
-                    sel = dist <= cutoff
-                    if sel.any():
-                        contrib = np.bincount(
-                            rows[sel], weights=w64[cols[sel]],
-                            minlength=len(gain),
-                        )
-                        if sign > 0:
-                            gain += contrib
-                        else:
-                            gain -= contrib
+                sel = pair_distances(kind, pts, rows, cols) <= cutoff
+                if sel.any():
+                    contrib = np.bincount(
+                        rows[sel], weights=w64[cols[sel]],
+                        minlength=len(gain),
+                    )
+                    if sign > 0:
+                        gain += contrib
+                    else:
+                        gain -= contrib
             p0 = p1
 
 
@@ -555,7 +508,6 @@ def _grid_accumulate_gains(
     src_starts: np.ndarray,
     src_counts: np.ndarray,
     src_members: np.ndarray,
-    backend: str,
     workspace: Workspace,
     ring: int = 1,
     executor: "ThreadExecutor | None" = None,
@@ -590,7 +542,7 @@ def _grid_accumulate_gains(
                 _accumulate_cells(
                     grid, pts, metric, w64, cutoff, part, sign,
                     src_cells[lo:hi], src_starts[lo:hi], src_counts[lo:hi],
-                    src_members, backend, Workspace(), ring,
+                    src_members, Workspace(), ring,
                 )
                 return part
 
@@ -599,7 +551,7 @@ def _grid_accumulate_gains(
             return len(ranges)
     _accumulate_cells(
         grid, pts, metric, w64, cutoff, gain, sign, src_cells, src_starts,
-        src_counts, src_members, backend, workspace, ring,
+        src_counts, src_members, workspace, ring,
     )
     return 1
 
@@ -628,7 +580,6 @@ def neighbour_lists(
     kind: str,
     cutoff: float,
     max_pairs: int,
-    backend=None,
     block_pairs: int = _LIST_BLOCK_PAIRS,
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
     """Every within-``cutoff`` pair of the gridded points, as CSR
@@ -650,7 +601,7 @@ def neighbour_lists(
         return None
     kept, sizes = [], []
     for pos, i, j in blocks:
-        keep = pair_distances(kind, pts, i, j, backend=backend) <= cutoff
+        keep = pair_distances(kind, pts, i, j) <= cutoff
         # a block's points are the contiguous positions pos[0]..pos[-1]
         sizes.append(np.bincount(pos[keep] - pos[0],
                                  minlength=int(pos[-1] - pos[0]) + 1))
@@ -671,7 +622,6 @@ def _grid_decision(
     guess: float,
     grid: PointGrid,
     workspace: Workspace,
-    backend: str = "numpy",
     executor: "ThreadExecutor | None" = None,
     stats: "dict | None" = None,
 ) -> "tuple[bool, list[int], np.ndarray]":
@@ -709,7 +659,6 @@ def _grid_decision(
     lists = neighbour_lists(
         grid, pts, metric.name, cutoff,
         min(_LIST_PAIRS_PER_CELL * grid.num_cells, _LIST_MAX_PAIRS),
-        backend=backend,
     )
     if lists is not None:
         ptr, nbrs, row_of = lists
@@ -724,7 +673,7 @@ def _grid_decision(
         shards = _grid_accumulate_gains(
             grid, pts, metric, w64, cutoff, gain, 1.0,
             np.arange(grid.num_cells), grid.cell_starts, grid.cell_counts,
-            grid.order, backend, workspace, ring=ring, executor=executor,
+            grid.order, workspace, ring=ring, executor=executor,
         )
     if stats is not None:
         stats["decisions"] += 1
@@ -760,7 +709,7 @@ def _grid_decision(
                 cells, starts, counts, members = _group_by_cell(grid, idx)
                 shards = _grid_accumulate_gains(
                     grid, pts, metric, w64, cutoff, gain, -1.0,
-                    cells, starts, counts, members, backend, workspace,
+                    cells, starts, counts, members, workspace,
                     ring=ring, executor=executor,
                 )
                 if stats is not None and shards > 1:
@@ -779,9 +728,6 @@ def charikar_greedy(
     tol: float = 0.05,
     pairwise_limit: int = PAIRWISE_LIMIT,
     dtype=None,
-    kernel_chunk: "int | None" = None,
-    kernel_backend=None,
-    prune: str = "auto",
     decision_jobs: "int | None" = None,
 ) -> GreedyResult:
     """Weighted 3-approximation for k-center with ``z`` outliers.
@@ -800,28 +746,23 @@ def charikar_greedy(
     every guess ``>= opt``.  Both directions are exercised by the test
     suite against brute-force optima.
 
-    ``dtype`` / ``kernel_chunk`` / ``kernel_backend`` select the distance
-    kernel (:mod:`repro.kernels`): the default float64 path is
-    bit-identical to the pre-kernels implementation; ``dtype="float32"``
-    halves memory traffic at a documented ~1e-6 relative distance error,
-    which can move radius candidates by the same order (the certificate
-    still holds with ``tol'`` inflated accordingly);
-    ``kernel_backend="numba"`` dispatches to the compiled (bit-exact)
-    kernels when the optional extra is installed.  The distance structure
-    is computed once per call and shared across every binary-search /
-    geometric-grid guess via a :class:`repro.kernels.Workspace`.
+    ``dtype`` selects the distance kernel (:mod:`repro.kernels`): the
+    default float64 path is bit-identical to the pre-kernels
+    implementation; ``dtype="float32"`` halves memory traffic at a
+    documented ~1e-6 relative distance error, which can move radius
+    candidates by the same order (the certificate still holds with
+    ``tol'`` inflated accordingly).  The distance structure is computed
+    once per call and shared across every binary-search / geometric-grid
+    guess via a :class:`repro.kernels.Workspace`.
 
-    ``prune`` controls the grid-pruned candidate scans of the geometric
-    search: ``"auto"`` (default) uses them whenever they are exact — a
-    built-in norm in dimension <= 4 with integer weights totalling under
-    ``2**53`` — ``"off"`` (alias ``"dense"``) forces the dense chunked
-    path, and ``"grid"`` *requires* pruning, raising :class:`ValueError`
-    when the gate is inapplicable instead of silently falling back.
-    Pruned decisions always evaluate their sparse distances in exact
-    float64, so pruned results are bit-identical to the dense *float64*
-    reference — including under ``dtype="float32"``, where the dense
-    fallback would instead pay the documented ~1e-6 distance error.
-    :attr:`GreedyResult.path` records what ran.
+    The geometric search prunes its candidate scans with a grid whenever
+    that is exact — a built-in norm in dimension <= 4 with integer
+    weights totalling under ``2**53`` — and runs the dense chunked path
+    otherwise.  Pruned decisions always evaluate their sparse distances
+    in exact float64, so pruned results are bit-identical to the dense
+    *float64* reference — including under ``dtype="float32"``, where the
+    dense fallback would instead pay the documented ~1e-6 distance
+    error.  :attr:`GreedyResult.path` records what ran.
 
     ``decision_jobs`` shards each pruned decision's cell scans across
     that many threads (:class:`repro.engine.ThreadExecutor`, created
@@ -833,11 +774,6 @@ def charikar_greedy(
     be an outlier) or ``k >= n``, the radius is ``0``.
     """
     metric = get_metric(metric)
-    bk = resolve_backend(kernel_backend)
-    if prune not in ("auto", "off", "grid", "dense"):
-        raise ValueError(
-            f"prune must be 'auto', 'off', 'grid' or 'dense', got {prune!r}"
-        )
     jobs = 1 if decision_jobs is None else int(decision_jobs)
     if jobs < 1:
         raise ValueError(f"decision_jobs must be >= 1, got {decision_jobs!r}")
@@ -853,13 +789,6 @@ def charikar_greedy(
         and np.issubdtype(wps.weights.dtype, np.integer)
         and float(wps.weights.sum()) < 2.0**53
     )
-    if prune == "grid" and not grid_ok:
-        raise ValueError(
-            "prune='grid' requires a built-in norm on 2-D coordinate arrays "
-            f"of dimension <= {_GRID_MAX_DIM} with integer weights totalling "
-            "under 2**53 (the exactness gate); use prune='auto' to fall back "
-            "to the dense path automatically"
-        )
     n = len(wps)
     if n == 0 or wps.total_weight <= z or k >= n:
         idx = np.arange(min(k, n), dtype=int)
@@ -882,14 +811,12 @@ def charikar_greedy(
         # ONE distance matrix for the whole call; every guess below reuses
         # it (plus the workspace's mask/membership buffers).
         D = metric.pairwise_block(
-            wps.points, wps.points, dtype=dtype, workspace=ws, backend=bk
+            wps.points, wps.points, dtype=dtype, workspace=ws
         )
         # radius 0 can be optimal (duplicates, or light far points absorbed
         # by the outlier budget); test it outright before the positive
         # candidates
-        ok0, centers0, uncovered0 = _greedy_disks(
-            D, wps.weights, k, z, 0.0, ws, backend=bk
-        )
+        ok0, centers0, uncovered0 = _greedy_disks(D, wps.weights, k, z, 0.0, ws)
         if ok0:
             return GreedyResult(
                 np.asarray(centers0, dtype=int), 0.0, 0.0, uncovered0, path
@@ -910,9 +837,7 @@ def charikar_greedy(
         # Feasibility is monotone for guesses >= opt (Charikar et al.);
         # binary search for the smallest feasible candidate.
         lo, hi = 0, len(cand) - 1
-        feasible_hi = _greedy_disks(
-            D, wps.weights, k, z, float(cand[hi]), ws, backend=bk
-        )
+        feasible_hi = _greedy_disks(D, wps.weights, k, z, float(cand[hi]), ws)
         if not feasible_hi[0]:
             # cannot happen for guess >= diameter; guard anyway
             raise RuntimeError("greedy decision failed at maximum candidate radius")
@@ -920,9 +845,7 @@ def charikar_greedy(
         while lo <= hi:
             mid = (lo + hi) // 2
             g = float(cand[mid])
-            ok, centers, uncovered = _greedy_disks(
-                D, wps.weights, k, z, g, ws, backend=bk
-            )
+            ok, centers, uncovered = _greedy_disks(D, wps.weights, k, z, g, ws)
             if ok:
                 best = (g, centers, uncovered)
                 hi = mid - 1
@@ -932,25 +855,22 @@ def charikar_greedy(
     else:
         # geometric search between a positive lower bound and the Gonzalez
         # (k-center, no outliers) radius, which upper-bounds opt_{k,z}.
-        use_grid = prune in ("auto", "grid") and grid_ok
         paths_used = set()
-        executor = ThreadExecutor(jobs=jobs) if use_grid and jobs > 1 else None
+        executor = ThreadExecutor(jobs=jobs) if grid_ok and jobs > 1 else None
 
         def decide(g):
-            if use_grid:
+            if grid_ok:
                 grid = _grid_for_guess(wps.points, g + 1e-9 * max(1.0, g))
                 if grid is not None:
                     stats["grid_builds"] += 1
                     paths_used.add("grid")
                     return _grid_decision(
-                        wps, metric, k, z, g, grid, ws, backend=bk,
+                        wps, metric, k, z, g, grid, ws,
                         executor=executor, stats=stats,
                     )
             paths_used.add("dense")
             return _geometric_decision(
-                wps, metric, k, z, g,
-                dtype=dtype, kernel_chunk=kernel_chunk, workspace=ws,
-                backend=bk,
+                wps, metric, k, z, g, dtype=dtype, workspace=ws
             )
 
         def geometric_path():

@@ -210,9 +210,6 @@ def mbc_construction(
     radius: "float | None" = None,
     order: "np.ndarray | None" = None,
     dtype=None,
-    kernel_chunk: "int | None" = None,
-    kernel_backend: "str | None" = None,
-    prune: "str | None" = None,
     decision_jobs: "int | None" = None,
 ) -> MiniBallCovering:
     """Algorithm 1: ``MBCConstruction(P, k, z, eps)``.
@@ -226,10 +223,10 @@ def mbc_construction(
     order:
         Optional permutation controlling which 'arbitrary point' is picked
         first (the guarantee holds for any order).
-    dtype, kernel_chunk, kernel_backend, prune, decision_jobs:
-        Distance-kernel and pruning knobs for the embedded radius search
-        (see :func:`repro.core.greedy.charikar_greedy`); the absorption
-        itself always evaluates exact float64 distances.
+    dtype, decision_jobs:
+        Distance-kernel precision and decision sharding of the embedded
+        radius search (see :func:`repro.core.greedy.charikar_greedy`);
+        the absorption itself always evaluates exact float64 distances.
 
     Returns an ``(eps', k, z)``-mini-ball covering with
     ``eps' = eps * (r / (3 opt)) <= eps`` — i.e. at least as good as
@@ -240,10 +237,7 @@ def mbc_construction(
     metric = get_metric(metric)
     if radius is None:
         res = charikar_greedy(
-            wps, k, z, metric, dtype=dtype, kernel_chunk=kernel_chunk,
-            kernel_backend=kernel_backend,
-            prune=prune if prune is not None else "auto",
-            decision_jobs=decision_jobs,
+            wps, k, z, metric, dtype=dtype, decision_jobs=decision_jobs
         )
         radius = res.radius
     delta = eps * radius / 3.0

@@ -59,7 +59,6 @@ class Metric:
 
     def pairwise_block(
         self, a: np.ndarray, b: np.ndarray, dtype=None, workspace=None,
-        backend=None,
     ) -> np.ndarray:
         """Distance block in the requested kernel ``dtype``.
 
@@ -67,11 +66,8 @@ class Metric:
         (identical to :meth:`pairwise`); ``"float32"`` may use a faster,
         lower-precision kernel where one exists.  ``workspace`` is an
         optional :class:`repro.kernels.Workspace` for norm/buffer reuse
-        across blocks of one outer computation; ``backend`` selects the
-        kernel backend (``"numpy"`` default, ``"numba"`` optional extra)
-        where the metric has a dedicated kernel.  The base implementation
-        computes exactly and casts, so arbitrary metrics stay correct
-        (and ignore ``backend``).
+        across blocks of one outer computation.  The base implementation
+        computes exactly and casts, so arbitrary metrics stay correct.
         """
         from ..kernels import resolve_dtype
 
@@ -119,10 +115,9 @@ class _KernelMetric(Metric):
 
     def pairwise_block(
         self, a: np.ndarray, b: np.ndarray, dtype=None, workspace=None,
-        backend=None,
     ) -> np.ndarray:
         return pairwise_kernel(self.name, a, b, dtype=dtype,
-                               workspace=workspace, backend=backend)
+                               workspace=workspace)
 
 
 class EuclideanMetric(_KernelMetric):

@@ -1,38 +1,30 @@
 """Shared distance kernels (see :mod:`repro.kernels.distance`).
 
 One block-kernel implementation under every metric, radius search and
-absorption loop in the library, with three knobs — ``dtype`` (float64 =
-bit-exact reference, float32 = GEMM/broadcast fast path),
-``kernel_chunk`` (rows per block; ``None`` autotunes) and
-``kernel_backend`` (``"numpy"`` default, ``"numba"`` optional compiled
-extra; see :mod:`repro.kernels.numba_backend`) — threaded through
-:class:`repro.api.ProblemSpec` and the MPC task tuples.
+absorption loop in the library, with one knob — ``dtype`` (float64 =
+bit-exact reference, float32 = GEMM/broadcast fast path) — threaded
+through :class:`repro.api.ProblemSpec` and the MPC task tuples.  Block
+sizes are worked out from the input (:func:`auto_chunk`).
 """
 
 from .distance import (
     DEFAULT_BLOCK_BYTES,
-    KERNEL_BACKENDS,
     KERNEL_DTYPES,
     Workspace,
     auto_chunk,
-    numba_available,
     pair_distances,
     pairwise_kernel,
-    resolve_backend,
     resolve_dtype,
     sqnorms,
 )
 
 __all__ = [
     "DEFAULT_BLOCK_BYTES",
-    "KERNEL_BACKENDS",
     "KERNEL_DTYPES",
     "Workspace",
     "auto_chunk",
-    "numba_available",
     "pair_distances",
     "pairwise_kernel",
-    "resolve_backend",
     "resolve_dtype",
     "sqnorms",
 ]

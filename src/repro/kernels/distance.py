@@ -5,7 +5,7 @@ a distance matrix between two point arrays under one of the built-in
 norms.  This module is the single implementation of that operation, so
 the radius-search stack (:mod:`repro.core.greedy`), the absorption loops
 (:mod:`repro.core.mbc`) and the :class:`~repro.core.metrics.Metric`
-subclasses all share one kernel with one set of knobs:
+subclasses all share one kernel with one knob:
 
 * ``dtype`` — ``"float64"`` (default) computes through SciPy's ``cdist``
   and is the bit-exact reference path every parity test pins; with
@@ -15,9 +15,9 @@ subclasses all share one kernel with one set of knobs:
   cross-term runs as a float32 BLAS GEMM), and the L1/Linf kernels to
   float32 broadcast reductions.  Roughly half the memory traffic and a
   documented ~1e-6 relative error (see ``tests/test_kernels.py``).
-* ``kernel_chunk`` — rows per block for the chunked consumers; ``None``
-  autotunes so a block stays inside a fixed working-set budget
-  (:func:`auto_chunk`).
+
+Chunked consumers size their blocks with :func:`auto_chunk`, so a block
+stays inside a fixed working-set budget.
 
 A :class:`Workspace` is an ephemeral per-call scratch holder: reusable
 output buffers keyed by tag (so a binary search over radius guesses
@@ -34,10 +34,7 @@ from scipy.spatial.distance import cdist
 __all__ = [
     "DEFAULT_BLOCK_BYTES",
     "KERNEL_DTYPES",
-    "KERNEL_BACKENDS",
     "resolve_dtype",
-    "resolve_backend",
-    "numba_available",
     "auto_chunk",
     "sqnorms",
     "Workspace",
@@ -52,12 +49,6 @@ DEFAULT_BLOCK_BYTES = 32 * 2**20
 
 #: dtypes the kernel layer accepts (``None`` resolves to float64).
 KERNEL_DTYPES = ("float32", "float64")
-
-#: kernel backends the layer accepts (``None`` resolves to numpy).
-#: ``"numba"`` dispatches the float64 kernels and the greedy gain-update
-#: loops to :mod:`repro.kernels.numba_backend` (an optional extra;
-#: requesting it without numba installed raises at first kernel use).
-KERNEL_BACKENDS = ("numpy", "numba")
 
 #: metric name -> scipy cdist metric for the float64 exact path
 _CDIST_NAMES = {
@@ -78,29 +69,6 @@ def resolve_dtype(dtype) -> np.dtype:
             f"kernel dtype must be one of {KERNEL_DTYPES}, got {dtype!r}"
         )
     return dt
-
-
-def resolve_backend(backend) -> str:
-    """Normalize a ``kernel_backend`` knob (``None`` / name) to one of
-    :data:`KERNEL_BACKENDS`, rejecting anything else.  Availability of the
-    numba extra is checked at first kernel use, not here, so specs naming
-    it can be built/validated/persisted anywhere."""
-    if backend is None:
-        return "numpy"
-    bk = str(backend).lower()
-    if bk not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"kernel backend must be one of {KERNEL_BACKENDS}, got {backend!r}"
-        )
-    return bk
-
-
-def numba_available() -> bool:
-    """Whether the optional numba extra is importable (the ``"numba"``
-    backend works)."""
-    from . import numba_backend
-
-    return numba_backend.HAVE_NUMBA
 
 
 def auto_chunk(
@@ -250,7 +218,6 @@ def pairwise_kernel(
     b: np.ndarray,
     dtype=None,
     workspace: "Workspace | None" = None,
-    backend=None,
 ) -> np.ndarray:
     """Distance matrix of shape ``(len(a), len(b))`` under metric ``kind``.
 
@@ -259,27 +226,17 @@ def pairwise_kernel(
     pre-kernels implementation, which the parity suite relies on.  The
     float32 path trades ~1e-6 relative accuracy for roughly half the
     memory traffic (and a BLAS GEMM formulation for Euclidean).
-
-    ``backend="numba"`` dispatches the float64 path to the compiled
-    (parallel, cdist-bit-exact) kernels of
-    :mod:`repro.kernels.numba_backend`; the float32 fast kernels are
-    BLAS-bound already and stay on the numpy implementations.
     """
     if kind not in _CDIST_NAMES:
         raise ValueError(
             f"unknown kernel {kind!r}; known: {sorted(_CDIST_NAMES)}"
         )
     dt = resolve_dtype(dtype)
-    bk = resolve_backend(backend)
     a = _as_points(a, np.float64)
     b = _as_points(b, np.float64)
     if a.size == 0 or b.size == 0:
         return np.zeros((len(a), len(b)), dtype=dt)
     if dt == np.float64:
-        if bk == "numba":
-            from . import numba_backend
-
-            return numba_backend.pairwise(kind, a, b)
         return cdist(a, b, metric=_CDIST_NAMES[kind])
     if kind == "euclidean":
         return _euclidean_f32(a, b, workspace)
@@ -291,7 +248,6 @@ def pair_distances(
     pts: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
-    backend=None,
     other: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Element-wise float64 distances ``dist(pts[rows[t]], other[cols[t]])``
@@ -308,7 +264,6 @@ def pair_distances(
         raise ValueError(
             f"unknown kernel {kind!r}; known: {sorted(_CDIST_NAMES)}"
         )
-    bk = resolve_backend(backend)
     pts = _as_points(pts, np.float64)
     rows = np.asarray(rows)
     cols = np.asarray(cols)
@@ -316,13 +271,6 @@ def pair_distances(
         other = pts
     else:
         other = _as_points(other, np.float64)
-    if bk == "numba":
-        from . import numba_backend
-
-        if other is not pts:  # the compiled kernel takes one array
-            cols = cols + len(pts)
-            pts = np.concatenate([pts, other])
-        return numba_backend.pair_distances(kind, pts, rows, cols)
     d = pts.shape[1]
     if kind == "euclidean":
         diff = pts[rows, 0] - other[cols, 0]

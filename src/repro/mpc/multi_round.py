@@ -33,9 +33,6 @@ def multi_round_coreset(
     parallel: bool = False,
     executor=None,
     dtype=None,
-    kernel_chunk: "int | None" = None,
-    kernel_backend: "str | None" = None,
-    prune: "str | None" = None,
     decision_jobs: "int | None" = None,
 ) -> MPCCoresetResult:
     """Run Algorithm 7 with ``R = rounds`` communication rounds.
@@ -45,9 +42,8 @@ def multi_round_coreset(
     The per-round machine-local MBC constructions fan out through
     ``executor`` (bit-identical results under every executor);
     ``parallel=True`` is the legacy spelling of ``executor="thread"``.
-    ``dtype`` / ``kernel_chunk`` / ``kernel_backend`` / ``prune`` /
-    ``decision_jobs`` select the distance kernel and grid pruning
-    (:mod:`repro.kernels`, :func:`repro.core.greedy.charikar_greedy`) for
+    ``dtype`` / ``decision_jobs`` select the distance-kernel precision and
+    decision sharding (:func:`repro.core.greedy.charikar_greedy`) for
     every per-round MBC construction.
     """
     metric = get_metric(metric)
@@ -77,8 +73,7 @@ def multi_round_coreset(
         mbcs = map_machines(
             exec_,
             mbc_task,
-            [(Q[i], k, z, eps, metric, None, dtype, kernel_chunk,
-              kernel_backend, prune, decision_jobs)
+            [(Q[i], k, z, eps, metric, None, dtype, decision_jobs)
              for i in range(active)],
             machines=machines[:active],
             charge=lambda mach, task, mbc: mach.charge(mbc.size),

@@ -47,9 +47,6 @@ def one_round_coreset(
     parallel: bool = False,
     executor=None,
     dtype=None,
-    kernel_chunk: "int | None" = None,
-    kernel_backend: "str | None" = None,
-    prune: "str | None" = None,
     decision_jobs: "int | None" = None,
 ) -> MPCCoresetResult:
     """Run Algorithm 6 on randomly partitioned input.
@@ -63,10 +60,9 @@ def one_round_coreset(
     (name, :class:`~repro.engine.Executor`, or ``None`` for serial);
     results are bit-identical under every executor.  ``parallel=True``
     is the legacy spelling of ``executor="thread"``.  ``dtype`` /
-    ``kernel_chunk`` / ``kernel_backend`` / ``prune`` / ``decision_jobs``
-    select the distance kernel and grid pruning (:mod:`repro.kernels`,
-    :func:`repro.core.greedy.charikar_greedy`) for the machine-local and
-    coordinator MBC constructions.
+    ``decision_jobs`` select the distance-kernel precision and decision
+    sharding (:func:`repro.core.greedy.charikar_greedy`) for the
+    machine-local and coordinator MBC constructions.
     """
     metric = get_metric(metric)
     m = len(parts)
@@ -82,8 +78,7 @@ def one_round_coreset(
     mbcs = map_machines(
         resolve_executor(executor, parallel),
         mbc_task,
-        [(part, k, zprime, eps, metric, None, dtype, kernel_chunk,
-          kernel_backend, prune, decision_jobs)
+        [(part, k, zprime, eps, metric, None, dtype, decision_jobs)
          for part in parts],
         machines=machines,
         charge=lambda mach, task, mbc: (mach.charge(len(task[0])), mach.charge(mbc.size)),
@@ -100,9 +95,7 @@ def one_round_coreset(
     )
     if final_compress and len(union):
         final_mbc = mbc_construction(
-            union, k, z, eps, metric, dtype=dtype, kernel_chunk=kernel_chunk,
-            kernel_backend=kernel_backend, prune=prune,
-            decision_jobs=decision_jobs,
+            union, k, z, eps, metric, dtype=dtype, decision_jobs=decision_jobs
         )
         coreset = final_mbc.coreset
         machines[0].charge(final_mbc.size)

@@ -20,37 +20,30 @@ __all__ = ["mbc_task", "radius_vector_task", "cpp_local_task"]
 
 
 def mbc_task(args) -> MiniBallCovering:
-    """``(part, k, z_local, eps, metric, radius, dtype, kernel_chunk,
-    kernel_backend, prune, decision_jobs)`` →
+    """``(part, k, z_local, eps, metric, radius, dtype, decision_jobs)`` →
     ``MBCConstruction(part, k, z_local, eps)`` (Lemma 7).
 
-    The distance-kernel / grid-pruning knobs (see :mod:`repro.kernels`,
+    The kernel precision and decision sharding (see
     :func:`repro.core.greedy.charikar_greedy`) ride inside the task
     tuple because a ``ProcessExecutor`` worker only sees the tuple.
     """
-    (part, k, z_local, eps, metric, radius, dtype, kernel_chunk,
-     kernel_backend, prune, decision_jobs) = args
+    part, k, z_local, eps, metric, radius, dtype, decision_jobs = args
     return mbc_construction(
         part, k, z_local, eps, metric, radius=radius,
-        dtype=dtype, kernel_chunk=kernel_chunk, kernel_backend=kernel_backend,
-        prune=prune, decision_jobs=decision_jobs,
+        dtype=dtype, decision_jobs=decision_jobs,
     )
 
 
 def radius_vector_task(args) -> np.ndarray:
-    """``(part, k, veclen, metric, dtype, kernel_chunk, kernel_backend,
-    prune, decision_jobs)`` → the round-1 vector ``V_i`` of Algorithm 2:
-    ``V_i[j] = Greedy(part, k, 2^j - 1)`` radius."""
-    (part, k, veclen, metric, dtype, kernel_chunk, kernel_backend, prune,
-     decision_jobs) = args
+    """``(part, k, veclen, metric, dtype, decision_jobs)`` → the round-1
+    vector ``V_i`` of Algorithm 2: ``V_i[j] = Greedy(part, k, 2^j - 1)``
+    radius."""
+    part, k, veclen, metric, dtype, decision_jobs = args
     v = np.zeros(veclen)
     for j in range(veclen):
         zj = (1 << j) - 1
         v[j] = charikar_greedy(
-            part, k, zj, metric, dtype=dtype, kernel_chunk=kernel_chunk,
-            kernel_backend=kernel_backend,
-            prune=prune if prune is not None else "auto",
-            decision_jobs=decision_jobs,
+            part, k, zj, metric, dtype=dtype, decision_jobs=decision_jobs,
         ).radius
     return v
 

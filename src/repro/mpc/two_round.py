@@ -106,9 +106,6 @@ def two_round_coreset(
     parallel: bool = False,
     executor=None,
     dtype=None,
-    kernel_chunk: "int | None" = None,
-    kernel_backend: "str | None" = None,
-    prune: "str | None" = None,
     decision_jobs: "int | None" = None,
 ) -> MPCCoresetResult:
     """Run Algorithm 2 on pre-partitioned input.
@@ -132,9 +129,9 @@ def two_round_coreset(
         (``"serial"``, ``"thread"``, ``"process"``), a
         :class:`~repro.engine.Executor` instance, or ``None`` (serial).
         Results are bit-identical under every executor.
-    dtype, kernel_chunk, kernel_backend, prune, decision_jobs:
-        Distance-kernel and grid-pruning knobs (:mod:`repro.kernels`,
-        :func:`repro.core.greedy.charikar_greedy`), shipped inside the
+    dtype, decision_jobs:
+        Distance-kernel precision and decision sharding
+        (:func:`repro.core.greedy.charikar_greedy`), shipped inside the
         task tuples so process workers honor them too.
 
     Returns the coordinator's coreset with ``eps_guarantee = 3*eps`` when
@@ -161,9 +158,7 @@ def two_round_coreset(
         vectors = map_machines(
             exec_,
             radius_vector_task,
-            [(part, k, veclen, metric, dtype, kernel_chunk, kernel_backend,
-              prune, decision_jobs)
-             for part in parts],
+            [(part, k, veclen, metric, dtype, decision_jobs) for part in parts],
             machines=machines,
             charge=lambda mach, task, vec: mach.charge(veclen),  # own vector
         )
@@ -181,7 +176,7 @@ def two_round_coreset(
             mbc_task,
             [
                 (part, k, (1 << jhat) - 1, eps, metric, float(vec[jhat]),
-                 dtype, kernel_chunk, kernel_backend, prune, decision_jobs)
+                 dtype, decision_jobs)
                 for part, jhat, vec in zip(parts, jhats, vectors)
             ],
             machines=machines,
@@ -196,8 +191,7 @@ def two_round_coreset(
         mbcs = map_machines(
             exec_,
             mbc_task,
-            [(part, k, z, eps, metric, None, dtype, kernel_chunk,
-              kernel_backend, prune, decision_jobs)
+            [(part, k, z, eps, metric, None, dtype, decision_jobs)
              for part in parts],
             machines=machines,
             charge=lambda mach, task, mbc: mach.charge(mbc.size),
@@ -214,9 +208,7 @@ def two_round_coreset(
     ) else WeightedPointSet.empty(parts[0].dim)
     if final_compress and len(union):
         final_mbc = mbc_construction(
-            union, k, z, eps, metric, dtype=dtype, kernel_chunk=kernel_chunk,
-            kernel_backend=kernel_backend, prune=prune,
-            decision_jobs=decision_jobs,
+            union, k, z, eps, metric, dtype=dtype, decision_jobs=decision_jobs
         )
         coreset = final_mbc.coreset
         machines[0].charge(final_mbc.size)

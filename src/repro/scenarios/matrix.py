@@ -15,7 +15,7 @@ Cells are independent, so the harness shards them across a
 :class:`repro.engine` executor (``--jobs``) and caches each cell in a
 :class:`~repro.engine.ResultsCache` keyed by the *fully resolved* cell
 identity — scenario, backend, quick, seed, the complete spec dict
-(including ``dtype``/``kernel_chunk``/``decision_jobs``) and the derived
+(including ``dtype``/``decision_jobs``) and the derived
 session options — so a knob change can never serve a stale cell.  With
 ``--checkpoint-dir`` each in-flight cell additionally saves a durable
 session snapshot (:mod:`repro.persist`) after every batch: a killed
@@ -176,14 +176,12 @@ def _storage_probe(stats: dict) -> "int | None":
     return None
 
 
-def _resolved_spec(spec, dtype: "str | None", kernel_chunk: "int | None",
+def _resolved_spec(spec, dtype: "str | None",
                    decision_jobs: "int | None" = None):
     """The scenario's spec with sweep-level kernel knobs layered on."""
     changes = {}
     if dtype is not None:
         changes["dtype"] = dtype
-    if kernel_chunk is not None:
-        changes["kernel_chunk"] = int(kernel_chunk)
     if decision_jobs is not None:
         changes["decision_jobs"] = int(decision_jobs)
     return spec.replace(**changes) if changes else spec
@@ -194,7 +192,7 @@ def cell_cache_params(scenario: str, backend: str, quick: bool, seed: int,
     """The fully resolved cache identity of one matrix cell.
 
     Includes the complete spec dict (every knob, ``dtype`` and
-    ``kernel_chunk`` included) and the derived backend session options,
+    ``decision_jobs`` included) and the derived backend session options,
     so changing any of them misses the cache instead of serving a stale
     cell computed under different parameters.
     """
@@ -254,7 +252,6 @@ def run_cell(
     seed: int = 0,
     reference: "float | None" = None,
     dtype: "str | None" = None,
-    kernel_chunk: "int | None" = None,
     decision_jobs: "int | None" = None,
     checkpoint_dir: "str | None" = None,
     instance=None,
@@ -280,8 +277,8 @@ def run_cell(
         seed)`` triple, so sweeps solve the full-stream reference once
         per scenario instead of once per cell; ``None`` computes it
         here.
-    dtype, kernel_chunk:
-        Distance-kernel knobs layered onto the scenario's spec
+    dtype:
+        Distance-kernel precision layered onto the scenario's spec
         (:mod:`repro.kernels`); part of the cell's cache identity.
     decision_jobs:
         Thread count for sharded grid-pruned greedy decisions
@@ -321,7 +318,7 @@ def run_cell(
             **ids,
         )
     try:
-        spec = _resolved_spec(inst.spec, dtype, kernel_chunk, decision_jobs)
+        spec = _resolved_spec(inst.spec, dtype, decision_jobs)
         options = inst.session_options(info)
         ckpt = None
         if checkpoint_dir:
@@ -453,7 +450,7 @@ def _cell_task(task: tuple) -> dict:
     """One unit of matrix fan-out (module-level so process pools pickle
     it); opens its own cache handle and returns the cell as a dict."""
     (scenario, backend, quick, seed, replicate, cache_root, force,
-     dtype, kernel_chunk, decision_jobs, checkpoint_dir) = task
+     dtype, decision_jobs, checkpoint_dir) = task
     cache = ResultsCache(cache_root) if cache_root else None
     cell_fields = {f.name for f in fields(CellResult)}
     info = get_backend(backend)
@@ -469,8 +466,7 @@ def _cell_task(task: tuple) -> dict:
     alias_params = {"scenario": scenario, "backend": backend,
                     "quick": bool(quick), "seed": int(seed),
                     "replicate": int(replicate),
-                    "dtype": dtype, "kernel_chunk": kernel_chunk,
-                    "decision_jobs": decision_jobs}
+                    "dtype": dtype, "decision_jobs": decision_jobs}
     sc = get_scenario(scenario)
     try:
         # memoized per process: the resolved spec/options the instance
@@ -486,7 +482,7 @@ def _cell_task(task: tuple) -> dict:
         return asdict(CellResult(scenario, backend, "unavailable",
                                  note=str(exc), seed=int(seed),
                                  replicate=int(replicate)))
-    spec = _resolved_spec(inst.spec, dtype, kernel_chunk, decision_jobs)
+    spec = _resolved_spec(inst.spec, dtype, decision_jobs)
     params = cell_cache_params(
         scenario, backend, quick, seed, spec, inst.session_options(info)
     )
@@ -497,7 +493,6 @@ def _cell_task(task: tuple) -> dict:
     ref = _scenario_reference(scenario, quick, seed, cache, force)
     cell = asdict(run_cell(scenario, backend, quick=quick, seed=seed,
                            reference=ref, dtype=dtype,
-                           kernel_chunk=kernel_chunk,
                            decision_jobs=decision_jobs,
                            checkpoint_dir=checkpoint_dir, instance=inst,
                            replicate=replicate))
@@ -769,7 +764,6 @@ def run_matrix(
     cache_root: "str | None" = None,
     force: bool = False,
     dtype: "str | None" = None,
-    kernel_chunk: "int | None" = None,
     decision_jobs: "int | None" = None,
     checkpoint_dir: "str | None" = None,
 ) -> MatrixResult:
@@ -802,9 +796,9 @@ def run_matrix(
         Cell cache directory; ``None`` disables caching.
     force:
         Recompute cells even when cached.
-    dtype, kernel_chunk:
-        Distance-kernel knobs layered onto every cell's spec; part of
-        each cell's cache identity.
+    dtype:
+        Distance-kernel precision layered onto every cell's spec; part
+        of each cell's cache identity.
     decision_jobs:
         Sharded-decision thread count layered onto every cell's spec;
         results are bit-identical for any value (deterministic
@@ -837,7 +831,7 @@ def run_matrix(
     # share a (scenario, seed) materialization, so the single-entry
     # per-process instance memo keeps paying under replication
     tasks = [
-        (s, b, quick, rep_seed, rep, cache_root, force, dtype, kernel_chunk,
+        (s, b, quick, rep_seed, rep, cache_root, force, dtype,
          decision_jobs, checkpoint_dir)
         for s in scenario_names
         for rep, rep_seed in enumerate(seeds)

@@ -356,8 +356,7 @@ class _Handler(BaseHTTPRequestHandler):
         out = fn()
         backend = out.get("backend") or app.manager.info(name)["backend"]
         app.observe_op(op, backend, seconds=time.perf_counter() - t0,
-                       points=out.get("applied", 0),
-                       kernel=out.get("kernel_backend"))
+                       points=out.get("applied", 0))
         return out
 
     def _op_extend(self, query, name: str) -> int:
@@ -488,8 +487,8 @@ class ReproServer:
             ("op", "backend"), buckets=DEFAULT_BUCKETS)
         self.hist_solve = reg.histogram(
             "repro_serve_solve_seconds",
-            "Solve latency by coreset backend and distance-kernel backend.",
-            ("backend", "kernel"), buckets=DEFAULT_BUCKETS)
+            "Solve latency by coreset backend.",
+            ("backend",), buckets=DEFAULT_BUCKETS)
         self.counter_grid_levels = reg.counter(
             "repro_serve_greedy_grid_levels_total",
             "Per-guess grids built by pruned radius searches (kind is "
@@ -513,14 +512,13 @@ class ReproServer:
             method=method, route=route, code=str(status)).inc()
 
     def observe_op(self, op: str, backend: str, seconds: "float | None" = None,
-                   points: int = 0, kernel: "str | None" = None) -> None:
+                   points: int = 0) -> None:
         """Record one session operation (latency + point throughput;
-        solves additionally land in the per-kernel-backend histogram)."""
+        solves additionally land in the solve-latency histogram)."""
         if seconds is not None:
             self.hist_latency.labels(op=op, backend=backend).observe(seconds)
-            if kernel is not None:
-                self.hist_solve.labels(backend=backend,
-                                       kernel=kernel).observe(seconds)
+            if op == "solve":
+                self.hist_solve.labels(backend=backend).observe(seconds)
         if points:
             self.counter_points.labels(op=op, backend=backend).inc(points)
 

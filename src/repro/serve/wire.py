@@ -333,10 +333,7 @@ def solution_to_wire(sol) -> dict:
         "updates": int(sol.updates),
         "wall_time": float(sol.wall_time),
     }
-    # kernel provenance (which distance-kernel backend ran the solve, and
-    # the greedy decision path taken) when the session recorded it
-    if "kernel_backend" in sol.stats:
-        out["kernel_backend"] = sol.stats["kernel_backend"]
+    # the greedy decision path taken, when the session recorded it
     if "greedy_path" in sol.stats:
         out["greedy_path"] = sol.stats["greedy_path"]
     if "greedy_stats" in sol.stats:

@@ -22,7 +22,10 @@ from hypothesis import strategies as st
 import repro.core.greedy as greedy_mod
 import repro.core.mbc as mbc_mod
 from repro.core import WeightedPointSet, charikar_greedy
-from repro.core._greedy_reference import greedy_absorb_reference
+from repro.core._greedy_reference import (
+    charikar_greedy_reference,
+    greedy_absorb_reference,
+)
 from repro.core.greedy import (
     _LIST_BLOCK_PAIRS,
     _LIST_MAX_PAIRS,
@@ -187,7 +190,7 @@ class TestSearches:
             assert res.path == "grid"
             assert res.stats["list_decisions"] > 0
             assert res.stats["list_decisions"] < res.stats["decisions"]
-            _assert_same_result(res, charikar_greedy(P, 8, z, prune="off"))
+            _assert_same_result(res, charikar_greedy_reference(P, 8, z))
 
     def test_clustered_dense_cells_stay_blocked(self, rng):
         # five tight clusters of 600: at guesses above the cluster spread
@@ -219,8 +222,7 @@ class TestSearches:
         else:
             assert res.stats["list_decisions"] > 0
         _assert_same_result(
-            res, charikar_greedy(P, 4, 12, metric, pairwise_limit=8,
-                                 prune="off"))
+            res, charikar_greedy_reference(P, 4, 12, metric, pairwise_limit=8))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_results_identical_for_any_job_count(self, rng, jobs,
@@ -234,7 +236,7 @@ class TestSearches:
         assert res.stats["list_decisions"] > 0
         assert (res.stats["sharded_scans"] > 0) == (jobs > 1)
         _assert_same_result(
-            res, charikar_greedy(P, 4, 10, pairwise_limit=8, prune="off"))
+            res, charikar_greedy_reference(P, 4, 10, pairwise_limit=8))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The grid-pruned candidate scans: PointGrid correctness, the sparse
 pair-distance kernel, workspace norm-subset reuse, and bit-for-bit
-parity of the pruned geometric search against the dense path on
-adversarial layouts.
+parity of the pruned geometric search against the frozen dense
+reference (:mod:`repro.core._greedy_reference`) on adversarial layouts.
 
 Parity here is *identity*, not closeness: integer weights are exact in
 float64 (sums are order-independent), and :func:`pair_distances`
@@ -246,23 +246,21 @@ def _assert_same_result(a, b):
     np.testing.assert_array_equal(a.uncovered, b.uncovered)
 
 
+def _reference(P, k, z, metric=None, pairwise_limit=8):
+    """The frozen dense reference search (no grid anywhere)."""
+    return charikar_greedy_reference(P, k, z, get_metric(metric),
+                                     pairwise_limit=pairwise_limit)
+
+
 def _check_parity(P, k, z, metric=None, pairwise_limit=8):
-    """prune='auto' vs prune='off' vs the frozen reference, bit for bit.
+    """The production search vs the frozen reference, bit for bit.
 
     A tiny ``pairwise_limit`` forces the geometric search where the grid
     pruning lives.
     """
     met = get_metric(metric)
     pruned = charikar_greedy(P, k, z, met, pairwise_limit=pairwise_limit)
-    dense = charikar_greedy(
-        P, k, z, met, pairwise_limit=pairwise_limit, prune="off"
-    )
-    assert dense.path == "dense"
-    _assert_same_result(pruned, dense)
-    _assert_same_result(
-        pruned,
-        charikar_greedy_reference(P, k, z, met, pairwise_limit=pairwise_limit),
-    )
+    _assert_same_result(pruned, _reference(P, k, z, met, pairwise_limit))
     return pruned
 
 
@@ -331,19 +329,16 @@ class TestAdversarialParity:
 
 
 class TestPruneKnob:
-    def test_invalid_prune_rejected(self, rng):
-        P = WeightedPointSet.from_points(rng.uniform(0, 1, size=(10, 2)))
-        with pytest.raises(ValueError, match="prune"):
-            charikar_greedy(P, 2, 1, prune="maybe")
-
     def test_path_provenance(self, rng):
         pts = rng.uniform(0, 10, size=(300, 2))
         P = WeightedPointSet(pts, np.ones(300, dtype=np.int64))
         assert charikar_greedy(P, 3, 5).path == "pairwise"
         geo = charikar_greedy(P, 3, 5, pairwise_limit=8)
         assert geo.path in ("grid", "mixed")
-        assert charikar_greedy(P, 3, 5, pairwise_limit=8,
-                               prune="off").path == "dense"
+        # dimension 6 is above the grid gate: the dense path answers
+        high = WeightedPointSet(rng.uniform(0, 10, size=(64, 6)),
+                                np.ones(64, dtype=np.int64))
+        assert charikar_greedy(high, 3, 2, pairwise_limit=8).path == "dense"
 
     def test_high_dimension_stays_dense(self, rng):
         pts = rng.uniform(0, 10, size=(64, 6))
@@ -359,27 +354,8 @@ class TestPruneKnob:
         P = WeightedPointSet(pts, np.ones(300, dtype=np.int64))
         res = charikar_greedy(P, 3, 2, pairwise_limit=8, dtype="float32")
         assert res.path in ("grid", "mixed")
-        dense64 = charikar_greedy(P, 3, 2, pairwise_limit=8, prune="off")
-        _assert_same_result(res, dense64)
-
-    def test_force_grid_and_dense(self, rng):
-        pts = rng.uniform(0, 10, size=(200, 2))
-        P = WeightedPointSet(pts, np.ones(200, dtype=np.int64))
-        forced = charikar_greedy(P, 3, 5, pairwise_limit=8, prune="grid")
-        assert forced.path in ("grid", "mixed")
-        assert forced.stats["grid_builds"] > 0
-        _assert_same_result(
-            forced,
-            charikar_greedy(P, 3, 5, pairwise_limit=8, prune="dense"),
-        )
-
-    def test_force_grid_rejected_when_gate_fails(self, rng):
-        # dimension 6 is above the grid gate: prune="grid" must refuse
-        # loudly instead of silently answering dense
-        pts = rng.uniform(0, 10, size=(64, 6))
-        P = WeightedPointSet(pts, np.ones(64, dtype=np.int64))
-        with pytest.raises(ValueError, match="grid"):
-            charikar_greedy(P, 3, 2, pairwise_limit=8, prune="grid")
+        assert res.stats["grid_builds"] > 0
+        _assert_same_result(res, _reference(P, 3, 2))
 
     def test_invalid_decision_jobs_rejected(self, rng):
         P = WeightedPointSet.from_points(rng.uniform(0, 1, size=(10, 2)))
@@ -389,7 +365,7 @@ class TestPruneKnob:
     @pytest.mark.parametrize("jobs", [2, 8])
     def test_sharded_decisions_bit_match_serial(self, rng, jobs, monkeypatch):
         # drop the sharding floor so a small instance actually shards,
-        # then demand bit-parity with jobs=1 and with the dense path
+        # then demand bit-parity with jobs=1 and with the reference
         monkeypatch.setattr(greedy_mod, "_GRID_SHARD_MIN_POINTS", 1)
         pts = rng.uniform(0, 10, size=(600, 2))
         P = WeightedPointSet(pts, rng.integers(1, 5, 600))
@@ -399,10 +375,7 @@ class TestPruneKnob:
         assert sharded.stats["decision_shards"] >= 2
         serial = charikar_greedy(P, 4, 10, pairwise_limit=8)
         _assert_same_result(sharded, serial)
-        _assert_same_result(
-            sharded,
-            charikar_greedy(P, 4, 10, pairwise_limit=8, prune="off"),
-        )
+        _assert_same_result(sharded, _reference(P, 4, 10))
 
 
 class TestGridDecisionDirect:
@@ -422,7 +395,7 @@ class TestGridDecisionDirect:
 
 
 # ---------------------------------------------------------------------------
-# Property: pruned-vs-dense bit parity on random low-dim instances
+# Property: pruned-vs-reference bit parity on random low-dim instances
 # ---------------------------------------------------------------------------
 
 
@@ -444,5 +417,4 @@ def test_pruned_dense_bit_parity_property(seed, n, d, k, z, scale, metric):
     P = WeightedPointSet(pts, rng.integers(1, 7, n))
     met = get_metric(metric)
     pruned = charikar_greedy(P, k, z, met, pairwise_limit=8)
-    dense = charikar_greedy(P, k, z, met, pairwise_limit=8, prune="off")
-    _assert_same_result(pruned, dense)
+    _assert_same_result(pruned, _reference(P, k, z, met))

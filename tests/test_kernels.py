@@ -2,8 +2,8 @@
 
 Covers the satellite requirements of the kernels PR: float64 kernel
 parity with SciPy across all built-in metrics, float32-versus-float64
-tolerance bounds, chunk autotuning, workspace reuse, and the new
-``dtype`` / ``kernel_chunk`` knobs on :class:`repro.api.ProblemSpec`.
+tolerance bounds, chunk autotuning, workspace reuse, and the ``dtype``
+knob on :class:`repro.api.ProblemSpec`.
 """
 
 import numpy as np
@@ -166,24 +166,22 @@ class TestWorkspace:
 class TestSpecKnobs:
     def test_defaults(self):
         spec = ProblemSpec(k=2, z=1, eps=0.5)
-        assert spec.dtype is None and spec.kernel_chunk is None
+        assert spec.dtype is None
 
     def test_normalization(self):
-        spec = ProblemSpec(k=2, z=1, eps=0.5, dtype=np.float32, kernel_chunk=512.0)
-        assert spec.dtype == "float32" and spec.kernel_chunk == 512
+        spec = ProblemSpec(k=2, z=1, eps=0.5, dtype=np.float32)
+        assert spec.dtype == "float32"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ProblemSpec(k=2, z=1, eps=0.5, dtype="int8")
-        with pytest.raises(ValueError):
-            ProblemSpec(k=2, z=1, eps=0.5, kernel_chunk=0)
 
     def test_as_dict_and_replace_roundtrip(self):
-        spec = ProblemSpec(k=2, z=1, eps=0.5, dtype="float32", kernel_chunk=256)
+        spec = ProblemSpec(k=2, z=1, eps=0.5, dtype="float32", decision_jobs=2)
         d = spec.as_dict()
-        assert d["dtype"] == "float32" and d["kernel_chunk"] == 256
+        assert d["dtype"] == "float32" and d["decision_jobs"] == 2
         spec2 = spec.replace(dtype=None)
-        assert spec2.dtype is None and spec2.kernel_chunk == 256
+        assert spec2.dtype is None and spec2.decision_jobs == 2
 
     def test_float32_solve_close_to_float64(self):
         from repro.core import WeightedPointSet, charikar_greedy

@@ -238,6 +238,25 @@ class TestSnapshotFile:
         with pytest.raises(SnapshotError, match="reconstruct"):
             KCenterSession.load(bad_spec)
 
+    def test_retired_spec_knobs_still_load(self, tmp_path):
+        # snapshots written before the kernel knobs were removed carry
+        # them in the spec dict; they never changed a result
+        path = str(tmp_path / "s.ckpt")
+        sess = _make("insertion-only")
+        sess.extend(_stream("insertion-only", 0, n=60))
+        sess.save(path)
+        manifest, state = read_snapshot(path)
+        manifest["spec"].update({"kernel_chunk": 2048,
+                                 "kernel_backend": "numba", "prune": "off"})
+        old = str(tmp_path / "old.ckpt")
+        write_snapshot(old, manifest, state)
+        a, b = KCenterSession.load(path), KCenterSession.load(old)
+        assert b.spec == a.spec and b.spec.as_dict() == _spec().as_dict()
+        assert np.array_equal(a.coreset().points, b.coreset().points)
+        assert np.array_equal(a.coreset().weights, b.coreset().weights)
+        assert a.solve().radius == b.solve().radius
+        assert a.updates_seen == b.updates_seen
+
     def test_unserializable_option_fails_at_save(self, tmp_path):
         sess = KCenterSession.from_spec(
             _spec(), backend="mpc-two-round", num_machines=2,

@@ -94,6 +94,15 @@ class TestSessionRoutes:
             ("no spec", "PUT", "/sessions/a", {}, 400, "missing-spec"),
             ("bad spec", "PUT", "/sessions/a", {"spec": {"k": -1}},
              400, "bad-spec"),
+            # json.dumps sends inf as the bare literal Infinity: integer
+            # fields must reject it and fractions, not overflow or truncate
+            ("infinite k", "PUT", "/sessions/a",
+             {"spec": {**SPEC, "k": float("inf")}}, 400, "bad-spec"),
+            ("infinite decision_jobs", "PUT", "/sessions/a",
+             {"spec": {**SPEC, "decision_jobs": float("inf")}},
+             400, "bad-spec"),
+            ("fractional k and z", "PUT", "/sessions/a",
+             {"spec": {**SPEC, "k": 2.9, "z": 0.5}}, 400, "bad-spec"),
             ("bad backend", "PUT", "/sessions/a",
              {"spec": SPEC, "backend": "warp-drive"}, 400, "unknown-backend"),
             ("bad cadence", "PUT", "/sessions/a",
@@ -168,8 +177,7 @@ class TestSessionRoutes:
         assert np.array_equal(np.asarray(doc["centers"]), want.centers)
         assert doc["coreset_size"] == want.coreset_size
         assert doc["radius_ratio"] == pytest.approx(1.0)
-        # kernel provenance rides along with every solve
-        assert doc["kernel_backend"] == "numpy"
+        # the radius search's decision path rides along with every solve
         assert doc["greedy_path"] in ("pairwise", "grid", "dense", "mixed")
 
     def test_solve_on_empty_sliding_window_is_200(self, server, client):
@@ -248,9 +256,10 @@ class TestMetricsEndpoint:
         hist = [s for s in fams["repro_serve_request_seconds"]["samples"]
                 if s[0].endswith("_count") and s[1]["op"] == "extend"]
         assert hist and float(hist[0][2]) == 1
-        # the solve also landed in the per-kernel-backend histogram
+        # the solve also landed in the solve-latency histogram
         khist = [s for s in fams["repro_serve_solve_seconds"]["samples"]
-                 if s[0].endswith("_count") and s[1]["kernel"] == "numpy"]
+                 if s[0].endswith("_count")
+                 and s[1]["backend"] == "insertion-only"]
         assert khist and float(khist[0][2]) == 1
 
     def test_session_gauges_are_removed_on_drop(self, server, client):
