@@ -18,7 +18,12 @@ ball ``B(v, 3g)`` covered.  If after ``k`` picks the uncovered weight is at
 most ``z``, the guess is feasible; Charikar et al. prove feasibility for
 every ``g >= opt_{k,z}(P)``.  The returned radius is ``3 * g*`` for the
 smallest feasible guess ``g*``, hence at most ``3 * opt`` (exact-candidate
-mode) or ``3 (1+tol) * opt`` (geometric mode for large inputs).
+mode) or ``3 (1+tol) * opt`` (geometric mode for large inputs).  Nothing
+before that final weight test looks at ``z``: the decision procedures
+return ``(centers, uncovered)`` and the search applies
+:func:`_weight_feasible`, so one :func:`charikar_greedy` call serves a
+whole ascending vector of budgets (Algorithm 2's round 1) and decides
+each guess once.
 
 Performance (the kernels refactor): both decision procedures maintain the
 candidate gains *incrementally* — one ball-membership matvec when a guess
@@ -87,6 +92,7 @@ serial scan for any job count.  :attr:`GreedyResult.stats` reports the
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,10 +189,12 @@ class GreedyResult:
         Provenance only — never affects results.
     stats:
         Provenance counters for the grid-pruned geometric search (zeroed
-        when it did not run): ``grid_builds`` (per-guess grids built),
-        ``decisions`` (grid decisions run), ``list_decisions`` (those of
-        them served by neighbour lists), ``decision_jobs`` (requested
-        job count), ``decision_shards`` (max shards any scan used) and
+        when it did not run), counted over the whole call — every result
+        of a multi-budget call shares them: ``grid_builds`` (per-guess
+        grids built), ``decisions`` (grid decisions run, one per distinct
+        guess), ``list_decisions`` (those of them served by neighbour
+        lists), ``decision_jobs`` (requested job count),
+        ``decision_shards`` (max shards any scan used) and
         ``sharded_scans`` (scans that actually fanned out).  JSON-safe
         ints only; never affects results.
     """
@@ -248,8 +256,13 @@ def _gain_dtype(weights: np.ndarray, kernel_dtype) -> type:
     return np.float64
 
 
-def _weight_feasible(weights: np.ndarray, uncovered: np.ndarray, z: int) -> bool:
-    """Float-safe feasibility: uncovered weight at most ``z``.
+def _uncovered_weight(weights: np.ndarray, uncovered: np.ndarray) -> float:
+    """Total weight of the points a decision left uncovered."""
+    return float(np.asarray(weights, dtype=float)[uncovered].sum())
+
+
+def _weight_feasible(rem: float, z: float) -> bool:
+    """Float-safe feasibility: uncovered weight ``rem`` at most ``z``.
 
     The pre-refactor code truncated via ``int(weights[uncovered].sum())``,
     so fractional uncovered weight ``z + 0.9`` passed as feasible.  Compare
@@ -257,7 +270,6 @@ def _weight_feasible(weights: np.ndarray, uncovered: np.ndarray, z: int) -> bool
     identical to the old test on integer weights (any violation is >= 1),
     correct on fractional ones (regression-tested).
     """
-    rem = float(np.asarray(weights, dtype=float)[uncovered].sum())
     return rem <= z + 1e-9 * max(1.0, float(z))
 
 
@@ -265,10 +277,9 @@ def _greedy_disks(
     D: np.ndarray,
     weights: np.ndarray,
     k: int,
-    z: int,
     guess: float,
     workspace: "Workspace | None" = None,
-) -> "tuple[bool, list[int], np.ndarray]":
+) -> "tuple[list[int], np.ndarray]":
     """Charikar decision procedure for radius ``guess`` on a precomputed
     distance matrix ``D``, with incrementally maintained gains.
 
@@ -279,8 +290,10 @@ def _greedy_disks(
     per pick.  Integer weights make the incremental sums exact, so picks
     (and therefore results) are bit-identical to the reference.
 
-    Returns ``(feasible, centers, uncovered_mask)`` where *uncovered* means
-    not within ``3 * guess`` of any chosen center.
+    Returns ``(centers, uncovered_mask)`` where *uncovered* means not
+    within ``3 * guess`` of any chosen center.  Nothing here depends on
+    the outlier budget ``z``: the caller tests the uncovered weight
+    against each budget (:func:`_weight_feasible`).
     """
     n = len(weights)
     tol = 1e-9 * max(1.0, guess)
@@ -314,18 +327,17 @@ def _greedy_disks(
                 gain = Wg @ (w * uncovered)
             else:
                 gain -= Wg[:, idx] @ w[idx]
-    return _weight_feasible(weights, uncovered, z), centers, uncovered
+    return centers, uncovered
 
 
 def _geometric_decision(
     wps: WeightedPointSet,
     metric: Metric,
     k: int,
-    z: int,
     guess: float,
     dtype=None,
     workspace: "Workspace | None" = None,
-) -> "tuple[bool, list[int], np.ndarray]":
+) -> "tuple[list[int], np.ndarray]":
     """Charikar decision without a full distance matrix (chunked).
 
     One chunked ball-membership pass seeds the gains; each pick then
@@ -371,7 +383,7 @@ def _geometric_decision(
                     pts[i0 : i0 + chunk], sub, dtype=dt, workspace=ws
                 )
                 gain[i0 : i0 + len(block)] -= (block <= guess + tol).astype(gdt) @ wi
-    return _weight_feasible(wps.weights, uncovered, z), centers, uncovered
+    return centers, uncovered
 
 
 def _grid_for_guess(pts: np.ndarray, cutoff: float) -> "PointGrid | None":
@@ -618,13 +630,12 @@ def _grid_decision(
     wps: WeightedPointSet,
     metric: Metric,
     k: int,
-    z: int,
     guess: float,
     grid: PointGrid,
     workspace: Workspace,
     executor: "ThreadExecutor | None" = None,
     stats: "dict | None" = None,
-) -> "tuple[bool, list[int], np.ndarray]":
+) -> "tuple[list[int], np.ndarray]":
     """Grid-pruned Charikar decision — same contract (and bit-identical
     results) as the float64 :func:`_geometric_decision` with integer
     weights, at ``O(pairs-in-nearby-cells)`` distance evaluations per
@@ -717,19 +728,19 @@ def _grid_decision(
                         stats["decision_shards"], shards
                     )
                     stats["sharded_scans"] += 1
-    return _weight_feasible(wps.weights, uncovered, z), centers, uncovered
+    return centers, uncovered
 
 
 def charikar_greedy(
     wps: WeightedPointSet,
     k: int,
-    z: int,
+    z: "int | Sequence[int]",
     metric: "Metric | str | None" = None,
     tol: float = 0.05,
     pairwise_limit: int = PAIRWISE_LIMIT,
     dtype=None,
     decision_jobs: "int | None" = None,
-) -> GreedyResult:
+) -> "GreedyResult | list[GreedyResult]":
     """Weighted 3-approximation for k-center with ``z`` outliers.
 
     This is ``Greedy(P, k, z)`` of the paper.  The returned
@@ -745,6 +756,23 @@ def charikar_greedy(
     Charikar et al.'s guarantee that the decision procedure succeeds for
     every guess ``>= opt``.  Both directions are exercised by the test
     suite against brute-force optima.
+
+    **One search for a whole outlier vector.**  ``z`` is one budget, or
+    an ascending sequence of budgets (Algorithm 2's round 1 asks for
+    ``Greedy(P, k, 2^j - 1)`` for every ``j``); a sequence returns one
+    result per budget, in order.  At a fixed guess the Charikar decision
+    does not look at ``z`` — the picks, the covered set and the guess
+    ladder are chosen without it, and only the final uncovered-weight
+    test compares against ``z`` — so one call decides each guess at most
+    once, whatever the number of budgets: the distance matrix and sorted
+    candidate radii (pairwise search), the Gonzalez bound and the guess
+    ladder (geometric search), and every decision, memoized by guess.
+    Each budget still runs its own binary search over those shared
+    decisions, with no bracket narrowing from the previous budget
+    (feasibility is only monotone for guesses ``>= opt``), so every
+    result is bit-identical to a call with that budget alone; the
+    one-budget call is simply the one-element case.  Negative budgets
+    and unsorted sequences raise :class:`ValueError`.
 
     ``dtype`` selects the distance kernel (:mod:`repro.kernels`): the
     default float64 path is bit-identical to the pre-kernels
@@ -773,10 +801,31 @@ def charikar_greedy(
     Degenerate cases: if the total weight is at most ``z`` (everything can
     be an outlier) or ``k >= n``, the radius is ``0``.
     """
+    single = np.ndim(z) == 0
+    zs = [z] if single else list(z)
+    if any(zj < 0 for zj in zs):
+        raise ValueError(f"outlier budget z must be >= 0, got {z!r}")
+    if any(b < a for a, b in zip(zs, zs[1:])):
+        raise ValueError(f"outlier budgets must be ascending, got {z!r}")
     metric = get_metric(metric)
     jobs = 1 if decision_jobs is None else int(decision_jobs)
     if jobs < 1:
         raise ValueError(f"decision_jobs must be >= 1, got {decision_jobs!r}")
+    n = len(wps)
+    # budgets are ascending, so the trivial ones (everything an outlier)
+    # are a suffix
+    live = [
+        zj for zj in zs if not (n == 0 or wps.total_weight <= zj or k >= n)
+    ]
+
+    def trivial() -> GreedyResult:
+        idx = np.arange(min(k, n), dtype=int)
+        return GreedyResult(idx, 0.0, 0.0, np.zeros(n, dtype=bool))
+
+    if not live:
+        return trivial() if single else [trivial() for _ in zs]
+    if k <= 0:
+        raise ValueError("k must be positive")
     # the pruning gate: exactly when pruned scans are provably
     # bit-identical to the dense float64 path — a built-in norm on real
     # coordinates in low dimension (sound (2R+1)^d cell neighborhoods)
@@ -789,14 +838,7 @@ def charikar_greedy(
         and np.issubdtype(wps.weights.dtype, np.integer)
         and float(wps.weights.sum()) < 2.0**53
     )
-    n = len(wps)
-    if n == 0 or wps.total_weight <= z or k >= n:
-        idx = np.arange(min(k, n), dtype=int)
-        return GreedyResult(idx, 0.0, 0.0, np.zeros(n, dtype=bool))
-    if k <= 0:
-        raise ValueError("k must be positive")
     ws = Workspace()
-    path = "dense"
     stats = {
         "decisions": 0,
         "list_decisions": 0,
@@ -805,57 +847,19 @@ def charikar_greedy(
         "decision_shards": 1,
         "sharded_scans": 0,
     }
-
+    paths_used = set()
+    executor = None
     if n <= pairwise_limit:
-        path = "pairwise"
+        paths_used.add("pairwise")
         # ONE distance matrix for the whole call; every guess below reuses
         # it (plus the workspace's mask/membership buffers).
         D = metric.pairwise_block(
             wps.points, wps.points, dtype=dtype, workspace=ws
         )
-        # radius 0 can be optimal (duplicates, or light far points absorbed
-        # by the outlier budget); test it outright before the positive
-        # candidates
-        ok0, centers0, uncovered0 = _greedy_disks(D, wps.weights, k, z, 0.0, ws)
-        if ok0:
-            return GreedyResult(
-                np.asarray(centers0, dtype=int), 0.0, 0.0, uncovered0, path
-            )
-        if isinstance(metric, _KernelMetric):
-            # the built-in norms are bit-symmetric (each entry is computed
-            # from coordinate differences whose sign cannot matter), so the
-            # strict upper triangle carries every distinct positive value —
-            # half the sort the candidate extraction pays
-            cand = np.unique(D[np.triu_indices(n, 1)])
-        else:
-            cand = np.unique(D)
-        cand = cand[cand > 0]
-        if len(cand) == 0:  # all points coincide
-            return GreedyResult(
-                np.zeros(1, dtype=int), 0.0, 0.0, np.zeros(n, dtype=bool), path
-            )
-        # Feasibility is monotone for guesses >= opt (Charikar et al.);
-        # binary search for the smallest feasible candidate.
-        lo, hi = 0, len(cand) - 1
-        feasible_hi = _greedy_disks(D, wps.weights, k, z, float(cand[hi]), ws)
-        if not feasible_hi[0]:
-            # cannot happen for guess >= diameter; guard anyway
-            raise RuntimeError("greedy decision failed at maximum candidate radius")
-        best = (float(cand[hi]),) + feasible_hi[1:]
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            g = float(cand[mid])
-            ok, centers, uncovered = _greedy_disks(D, wps.weights, k, z, g, ws)
-            if ok:
-                best = (g, centers, uncovered)
-                hi = mid - 1
-            else:
-                lo = mid + 1
-        guess, centers, uncovered = best
+
+        def decide(g):
+            return _greedy_disks(D, wps.weights, k, g, ws)
     else:
-        # geometric search between a positive lower bound and the Gonzalez
-        # (k-center, no outliers) radius, which upper-bounds opt_{k,z}.
-        paths_used = set()
         executor = ThreadExecutor(jobs=jobs) if grid_ok and jobs > 1 else None
 
         def decide(g):
@@ -865,65 +869,139 @@ def charikar_greedy(
                     stats["grid_builds"] += 1
                     paths_used.add("grid")
                     return _grid_decision(
-                        wps, metric, k, z, g, grid, ws,
+                        wps, metric, k, g, grid, ws,
                         executor=executor, stats=stats,
                     )
             paths_used.add("dense")
             return _geometric_decision(
-                wps, metric, k, z, g, dtype=dtype, workspace=ws
+                wps, metric, k, g, dtype=dtype, workspace=ws
             )
 
-        def geometric_path():
-            if paths_used == {"grid"}:
-                return "grid"
-            if paths_used == {"dense"} or not paths_used:
-                return "dense"
-            return "mixed"
+    # every positive guess's decision, shared by all budgets: the picks
+    # and the uncovered weight they leave (one float, not an n-byte mask)
+    memo: "dict[float, tuple[list[int], float]]" = {}
 
-        try:
-            ok0, centers0, uncovered0 = decide(0.0)
-            if ok0:
-                return GreedyResult(
-                    np.asarray(centers0, dtype=int), 0.0, 0.0, uncovered0,
-                    geometric_path(), stats,
-                )
-            gz = gonzalez(wps, k, metric)
-            hi_r = max(gz.radius, 1e-300)
-            lo_r = hi_r / max(4.0 * n, 4.0)
-            ok, centers, uncovered = decide(lo_r)
-            if ok:
-                guess = lo_r
-            else:
-                # grid of guesses lo_r * (1+tol)^i up to hi_r; binary search
-                ratio = 1.0 + tol
-                m = int(np.ceil(np.log(hi_r / lo_r) / np.log(ratio))) + 1
-                lo_i, hi_i = 0, m
-                best = None
-                while lo_i <= hi_i:
-                    mid = (lo_i + hi_i) // 2
-                    g = min(lo_r * ratio**mid, hi_r)
-                    ok, c, u = decide(g)
-                    if ok:
-                        best = (g, c, u)
-                        hi_i = mid - 1
-                    else:
-                        lo_i = mid + 1
-                if best is None:
-                    # hi_r is always feasible: Gonzalez covers everything
-                    g = hi_r
-                    ok, c, u = decide(g)
-                    best = (g, c, u)
-                guess, centers, uncovered = best
-            path = geometric_path()
-        finally:
-            if executor is not None:
-                executor.close()
+    def decided(g: float) -> "tuple[list[int], float]":
+        if g not in memo:
+            centers, uncovered = decide(g)
+            memo[g] = (centers, _uncovered_weight(wps.weights, uncovered))
+        return memo[g]
 
+    try:
+        # radius 0 can be optimal (duplicates, or light far points absorbed
+        # by the outlier budget); test it outright before the positive
+        # guesses
+        centers0, uncovered0 = decide(0.0)
+        rem0 = _uncovered_weight(wps.weights, uncovered0)
+        # the smallest budget needs the most: if it fits at guess 0, all do
+        if not _weight_feasible(rem0, live[0]):
+            search = (_pairwise_search(D, metric, decided)
+                      if n <= pairwise_limit else
+                      _ladder_search(wps, k, metric, tol, decided))
+        picks = [
+            (0.0, centers0, uncovered0) if _weight_feasible(rem0, zj)
+            else search(zj)
+            for zj in live
+        ]
+    finally:
+        if executor is not None:
+            executor.close()
+
+    path = paths_used.pop() if len(paths_used) == 1 else "mixed"
+    out = [
+        _certified(wps, metric, zj, guess, centers, uncovered, path, stats)
+        for zj, (guess, centers, uncovered) in zip(live, picks)
+    ]
+    out += [trivial() for _ in zs[len(live):]]
+    return out[0] if single else out
+
+
+def _smallest_feasible(guess_at, lo: int, hi: int, z, decided):
+    """Binary search ``guess_at(lo..hi)`` for the smallest guess whose
+    (memoized) decision leaves uncovered weight at most ``z``:
+    ``(guess, centers)``, or ``None`` when no probed guess is feasible.
+    Feasibility is monotone for guesses >= opt (Charikar et al.)."""
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        g = guess_at(mid)
+        centers, rem = decided(g)
+        if _weight_feasible(rem, z):
+            best = (g, centers)
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return best
+
+
+def _pairwise_search(D: np.ndarray, metric: Metric, decided):
+    """Per-budget search over the exact candidate radii, the distinct
+    positive entries of ``D``: ``search(z) -> (guess, centers,
+    uncovered)``, where ``uncovered`` is ``None`` unless the search
+    settled it itself."""
+    n = len(D)
+    if isinstance(metric, _KernelMetric):
+        # the built-in norms are bit-symmetric (each entry is computed
+        # from coordinate differences whose sign cannot matter), so the
+        # strict upper triangle carries every distinct positive value —
+        # half the sort the candidate extraction pays
+        cand = np.unique(D[np.triu_indices(n, 1)])
+    else:
+        cand = np.unique(D)
+    cand = cand[cand > 0]
+
+    def search(z):
+        if len(cand) == 0:  # all points coincide
+            return 0.0, [0], np.zeros(n, dtype=bool)
+        if not _weight_feasible(decided(float(cand[-1]))[1], z):
+            # cannot happen for guess >= diameter; guard anyway
+            raise RuntimeError(
+                "greedy decision failed at maximum candidate radius"
+            )
+        best = _smallest_feasible(lambda i: float(cand[i]), 0,
+                                  len(cand) - 1, z, decided)
+        return best + (None,)
+
+    return search
+
+
+def _ladder_search(wps: WeightedPointSet, k: int, metric: Metric,
+                   tol: float, decided):
+    """Per-budget geometric search between a positive lower bound and the
+    Gonzalez (k-center, no outliers) radius, which upper-bounds
+    ``opt_{k,z}`` for every ``z``: ``search(z) -> (guess, centers,
+    None)``."""
+    gz = gonzalez(wps, k, metric)
+    hi_r = max(gz.radius, 1e-300)
+    lo_r = hi_r / max(4.0 * len(wps), 4.0)
+    # grid of guesses lo_r * (1+tol)^i up to hi_r
+    ratio = 1.0 + tol
+    m = int(np.ceil(np.log(hi_r / lo_r) / np.log(ratio))) + 1
+
+    def search(z):
+        centers, rem = decided(lo_r)
+        if _weight_feasible(rem, z):
+            return lo_r, centers, None
+        best = _smallest_feasible(lambda i: min(lo_r * ratio**i, hi_r), 0,
+                                  m, z, decided)
+        if best is None:
+            # hi_r is always feasible: Gonzalez covers everything
+            best = (hi_r, decided(hi_r)[0])
+        return best + (None,)
+
+    return search
+
+
+def _certified(wps, metric, z, guess, centers, uncovered, path, stats):
+    """One budget's :class:`GreedyResult` from its search's pick.  A pick
+    without an ``uncovered`` mask reports the coverage radius the centers
+    actually achieve: it is at most ``3 * guess`` (the decision covered
+    all but weight ``z`` within ``3 * guess``) and at least opt, so the
+    certificate ``opt <= radius <= 3(1+tol) * opt`` is preserved while
+    often being tighter."""
     centers_idx = np.asarray(centers, dtype=int)
-    # Report the coverage radius actually achieved by the chosen centers:
-    # it is at most 3*guess (the decision procedure covered all but weight z
-    # within 3*guess) and at least opt, so the certificate
-    # opt <= radius <= 3(1+tol)*opt is preserved while often being tighter.
+    if uncovered is not None:
+        return GreedyResult(centers_idx, guess, guess, uncovered, path, stats)
     achieved = coverage_radius(wps, wps.points[centers_idx], z, metric)
     radius = float(min(3.0 * guess, achieved))
     d = nearest_center_distances(wps, wps.points[centers_idx], metric)

@@ -6,7 +6,7 @@ from .baselines import (
     ceccarello_one_round_randomized,
     cpp_local_coreset,
 )
-from .cluster import MPCStats, SimulatedMPC, parallel_map, resolve_executor
+from .cluster import MPCStats, SimulatedMPC, resolve_executor
 from .machine import Machine
 from .multi_round import multi_round_coreset
 from .one_round import one_round_coreset, random_outlier_budget
@@ -31,7 +31,6 @@ __all__ = [
     "multi_round_coreset",
     "one_round_coreset",
     "outlier_vector_length",
-    "parallel_map",
     "partition_adversarial_outliers",
     "partition_contiguous",
     "partition_random",

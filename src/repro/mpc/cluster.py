@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ..engine import Executor, get_executor
 from .machine import Machine
 
-__all__ = ["MPCStats", "SimulatedMPC", "parallel_map", "resolve_executor"]
+__all__ = ["MPCStats", "SimulatedMPC", "resolve_executor"]
 
 
 def resolve_executor(executor, parallel: bool = False) -> Executor:
@@ -34,21 +34,6 @@ def resolve_executor(executor, parallel: bool = False) -> Executor:
     if executor is not None:
         return get_executor(executor)
     return get_executor("thread" if parallel else None)
-
-
-def parallel_map(fn, items, parallel: bool = False, max_workers: "int | None" = None):
-    """Order-preserving map over per-machine work items.
-
-    Legacy shim kept for API stability; new code should go through
-    :mod:`repro.engine` directly.  ``parallel=True`` maps on a
-    :class:`~repro.engine.ThreadExecutor` — the heavy kernels (pairwise
-    distances, greedy passes) spend their time in BLAS/C code that
-    releases the GIL, so threads give real speedup while keeping results
-    deterministic (ordering is preserved and the algorithms share no
-    mutable state across machines).
-    """
-    executor = get_executor("thread" if parallel else None, jobs=max_workers)
-    return executor.map(fn, items)
 
 
 @dataclass(frozen=True)

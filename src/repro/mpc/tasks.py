@@ -37,15 +37,18 @@ def mbc_task(args) -> MiniBallCovering:
 def radius_vector_task(args) -> np.ndarray:
     """``(part, k, veclen, metric, dtype, decision_jobs)`` → the round-1
     vector ``V_i`` of Algorithm 2: ``V_i[j] = Greedy(part, k, 2^j - 1)``
-    radius."""
+    radius.
+
+    One :func:`~repro.core.greedy.charikar_greedy` call serves the whole
+    vector: its decisions do not depend on the outlier budget, so each
+    radius guess is decided once and shared by every ``j``, and each
+    entry equals the one-budget call's radius bit for bit."""
     part, k, veclen, metric, dtype, decision_jobs = args
-    v = np.zeros(veclen)
-    for j in range(veclen):
-        zj = (1 << j) - 1
-        v[j] = charikar_greedy(
-            part, k, zj, metric, dtype=dtype, decision_jobs=decision_jobs,
-        ).radius
-    return v
+    budgets = [(1 << j) - 1 for j in range(veclen)]
+    results = charikar_greedy(
+        part, k, budgets, metric, dtype=dtype, decision_jobs=decision_jobs,
+    )
+    return np.array([res.radius for res in results], dtype=float)
 
 
 def cpp_local_task(args):

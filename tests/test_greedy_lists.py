@@ -49,22 +49,21 @@ def _new_stats() -> dict:
             "sharded_scans": 0}
 
 
-def _decide(P, metric, k, z, g, per_cell):
+def _decide(P, metric, k, g, per_cell):
     """One grid decision at crossover ``per_cell``: ``(result, listed)``."""
     grid = _grid_for_guess(P.points, g + 1e-9 * max(1.0, g))
     assert grid is not None
     stats = _new_stats()
     with mock.patch.object(greedy_mod, "_LIST_PAIRS_PER_CELL", per_cell):
-        out = _grid_decision(P, metric, k, z, g, grid, Workspace(),
+        out = _grid_decision(P, metric, k, g, grid, Workspace(),
                              stats=stats)
     assert stats["decisions"] == 1
     return out, stats["list_decisions"] == 1
 
 
 def _assert_same_decision(a, b):
-    assert a[0] == b[0]
-    assert list(a[1]) == list(b[1])
-    np.testing.assert_array_equal(a[2], b[2])
+    assert list(a[0]) == list(b[0])
+    np.testing.assert_array_equal(a[1], b[1])
 
 
 def _stratified(n_side, seed):
@@ -89,14 +88,13 @@ def _stratified(n_side, seed):
     n=st.integers(2, 260),
     d=st.integers(1, 4),
     k=st.integers(1, 7),
-    z=st.integers(0, 12),
     scale=st.sampled_from([1e-3, 1.0, 1e4]),
     guess_frac=st.sampled_from([0.0, 1e-9, 1e-3, 0.05, 0.2, 0.7]),
     dup=st.booleans(),
     max_w=st.sampled_from([1, 2, 9]),
     metric=st.sampled_from(METRICS),
 )
-def test_list_blocked_dense_decision_parity(seed, n, d, k, z, scale,
+def test_list_blocked_dense_decision_parity(seed, n, d, k, scale,
                                             guess_frac, dup, max_w, metric):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, d)) * scale
@@ -107,10 +105,10 @@ def test_list_blocked_dense_decision_parity(seed, n, d, k, z, scale,
     g = guess_frac * scale
     # an untrusted quantization (tiny side, wide extent) has no grid
     assume(_grid_for_guess(pts, g + 1e-9 * max(1.0, g)) is not None)
-    listed, took_lists = _decide(P, met, k, z, g, FORCE_LISTS)
-    blocked, took_blocked = _decide(P, met, k, z, g, FORCE_BLOCKED)
+    listed, took_lists = _decide(P, met, k, g, FORCE_LISTS)
+    blocked, took_blocked = _decide(P, met, k, g, FORCE_BLOCKED)
     assert took_lists and not took_blocked
-    dense = _geometric_decision(P, met, k, z, g)
+    dense = _geometric_decision(P, met, k, g)
     _assert_same_decision(listed, blocked)
     _assert_same_decision(listed, dense)
 
@@ -122,15 +120,16 @@ class TestDecisionCases:
         P = WeightedPointSet(np.repeat(base, 25, axis=0),
                              rng.integers(1, 4, 300))
         met = get_metric(metric)
-        for k, z in ((12, 0), (5, 40), (3, 400)):
-            listed, took = _decide(P, met, k, z, 0.0, FORCE_LISTS)
+        for k in (12, 5, 3):
+            listed, took = _decide(P, met, k, 0.0, FORCE_LISTS)
             assert took
             _assert_same_decision(
-                listed, _decide(P, met, k, z, 0.0, FORCE_BLOCKED)[0])
+                listed, _decide(P, met, k, 0.0, FORCE_BLOCKED)[0])
             _assert_same_decision(listed,
-                                  _geometric_decision(P, met, k, z, 0.0))
-        # k covers every location: radius 0 is feasible on the list path
-        assert _decide(P, met, 12, 0, 0.0, FORCE_LISTS)[0][0]
+                                  _geometric_decision(P, met, k, 0.0))
+        # k covers every location: guess 0 leaves nothing uncovered on
+        # the list path
+        assert not _decide(P, met, 12, 0.0, FORCE_LISTS)[0][1].any()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("metric", METRICS)
@@ -142,11 +141,11 @@ class TestDecisionCases:
         g = 1e-6 if d <= 2 else 1e-2
         grid = _grid_for_guess(P.points, g)
         assert grid.num_cells == len(P)
-        listed, took = _decide(P, met, 5, 20, g, FORCE_LISTS)
+        listed, took = _decide(P, met, 5, g, FORCE_LISTS)
         assert took
         _assert_same_decision(listed,
-                              _decide(P, met, 5, 20, g, FORCE_BLOCKED)[0])
-        _assert_same_decision(listed, _geometric_decision(P, met, 5, 20, g))
+                              _decide(P, met, 5, g, FORCE_BLOCKED)[0])
+        _assert_same_decision(listed, _geometric_decision(P, met, 5, g))
 
     def test_default_gate_splits_by_cell_density(self, rng):
         # the same points: a tiny guess is sparse (lists), a guess near
@@ -156,11 +155,11 @@ class TestDecisionCases:
         met = get_metric(None)
         grid = _grid_for_guess(P.points, 0.05)
         stats = _new_stats()
-        _grid_decision(P, met, 4, 10, 0.05, grid, Workspace(), stats=stats)
+        _grid_decision(P, met, 4, 0.05, grid, Workspace(), stats=stats)
         assert stats["list_decisions"] == 1
         grid = _grid_for_guess(P.points, 4.0)
         stats = _new_stats()
-        _grid_decision(P, met, 4, 10, 4.0, grid, Workspace(), stats=stats)
+        _grid_decision(P, met, 4, 4.0, grid, Workspace(), stats=stats)
         assert stats["list_decisions"] == 0
 
     def test_pair_budget_keeps_the_blocked_path(self, rng):
@@ -168,9 +167,9 @@ class TestDecisionCases:
                              rng.integers(1, 4, 300))
         met = get_metric(None)
         with mock.patch.object(greedy_mod, "_LIST_MAX_PAIRS", 10):
-            out, took = _decide(P, met, 3, 5, 0.3, FORCE_LISTS)
+            out, took = _decide(P, met, 3, 0.3, FORCE_LISTS)
         assert not took
-        _assert_same_decision(out, _geometric_decision(P, met, 3, 5, 0.3))
+        _assert_same_decision(out, _geometric_decision(P, met, 3, 0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +203,10 @@ class TestSearches:
             grid = _grid_for_guess(P.points, g)
             assert grid.num_cells <= 20
             stats = _new_stats()
-            out = _grid_decision(P, met, 5, 10, g, grid, Workspace(),
+            out = _grid_decision(P, met, 5, g, grid, Workspace(),
                                  stats=stats)
             assert stats["list_decisions"] == 0
-            _assert_same_decision(out, _geometric_decision(P, met, 5, 10, g))
+            _assert_same_decision(out, _geometric_decision(P, met, 5, g))
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("per_cell", [FORCE_BLOCKED, 32, FORCE_LISTS])

@@ -21,7 +21,12 @@ from repro.core._greedy_reference import (
     greedy_absorb_reference,
     greedy_disks_reference,
 )
-from repro.core.greedy import _geometric_decision, _greedy_disks
+from repro.core.greedy import (
+    _geometric_decision,
+    _greedy_disks,
+    _uncovered_weight,
+    _weight_feasible,
+)
 from repro.core.mbc import _greedy_absorb
 from repro.core.metrics import PrecomputedMetric, get_metric
 
@@ -36,6 +41,11 @@ def _random_instance(rng, n_max=160):
         pts[int(rng.integers(0, n))] = pts[int(rng.integers(0, n))]
     w = rng.integers(1, 7, n)
     return WeightedPointSet(pts, w)
+
+
+def _feasible(weights, uncovered, z):
+    """The search's feasibility test on a (z-free) decision's mask."""
+    return _weight_feasible(_uncovered_weight(weights, uncovered), z)
 
 
 def _assert_same_result(a, b):
@@ -98,9 +108,9 @@ class TestCharikarParity:
             k = int(rng.integers(1, 5))
             z = int(rng.integers(0, 6))
             g = float(rng.choice(np.unique(D)[1:])) if n > 1 else 0.5
-            ok_a, c_a, u_a = _greedy_disks(D, w, k, z, g)
+            c_a, u_a = _greedy_disks(D, w, k, g)
             ok_b, c_b, u_b = greedy_disks_reference(D, w, k, z, g)
-            assert ok_a == ok_b and c_a == c_b
+            assert _feasible(w, u_a, z) == ok_b and c_a == c_b
             np.testing.assert_array_equal(u_a, u_b)
 
     def test_geometric_decision_bit_identical(self):
@@ -111,9 +121,9 @@ class TestCharikarParity:
             k = int(rng.integers(1, 5))
             z = int(rng.integers(0, 6))
             g = float(rng.choice([0.05, 0.5, 2.0]))
-            ok_a, c_a, u_a = _geometric_decision(P, met, k, z, g)
+            c_a, u_a = _geometric_decision(P, met, k, g)
             ok_b, c_b, u_b = geometric_decision_reference(P, met, k, z, g)
-            assert ok_a == ok_b and c_a == c_b
+            assert _feasible(P.weights, u_a, z) == ok_b and c_a == c_b
             np.testing.assert_array_equal(u_a, u_b)
 
 
@@ -133,8 +143,8 @@ class TestFractionalWeightFeasibility:
     def test_greedy_disks_rejects_truncated_weight(self):
         pts, w = self._fractional_setup()
         D = get_metric(None).pairwise(pts, pts)
-        ok_new, _, _ = _greedy_disks(D, w, k=1, z=1, guess=0.05)
-        assert not ok_new
+        _, uncovered = _greedy_disks(D, w, k=1, guess=0.05)
+        assert not _feasible(w, uncovered, 1)
         # the frozen reference documents the historical truncation bug
         ok_old, _, _ = greedy_disks_reference(D, w, k=1, z=1, guess=0.05)
         assert ok_old
@@ -152,8 +162,8 @@ class TestFractionalWeightFeasibility:
 
         P = _FloatWeighted(pts, w)
         met = get_metric(None)
-        ok_new, _, _ = _geometric_decision(P, met, k=1, z=1, guess=0.05)
-        assert not ok_new
+        _, uncovered = _geometric_decision(P, met, k=1, guess=0.05)
+        assert not _feasible(w, uncovered, 1)
         ok_old, _, _ = geometric_decision_reference(P, met, k=1, z=1, guess=0.05)
         assert ok_old
 
@@ -166,7 +176,7 @@ class TestFractionalWeightFeasibility:
         D = get_metric(None).pairwise(pts, pts)
         w = rng.random(30) * 0.2 + 0.05
         g = float(np.median(D))
-        ok_a, c_a, u_a = _greedy_disks(D, w, 3, 1, g)
+        c_a, u_a = _greedy_disks(D, w, 3, g)
         ok_b, c_b, u_b = greedy_disks_reference(D, w, 3, 1, g)
         assert c_a == c_b
         np.testing.assert_array_equal(u_a, u_b)
@@ -181,7 +191,7 @@ class TestFractionalWeightFeasibility:
             w = rng.integers(1, 9, n)
             g = float(np.median(D))
             assert (
-                _greedy_disks(D, w, 2, 3, g)[0]
+                _feasible(w, _greedy_disks(D, w, 2, g)[1], 3)
                 == greedy_disks_reference(D, w, 2, 3, g)[0]
             )
 

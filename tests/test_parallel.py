@@ -4,29 +4,11 @@ import numpy as np
 
 from repro.mpc import (
     one_round_coreset,
-    parallel_map,
     partition_adversarial_outliers,
     partition_random,
     two_round_coreset,
 )
 from repro.workloads import clustered_with_outliers
-
-
-class TestParallelMap:
-    def test_preserves_order(self):
-        out = parallel_map(lambda x: x * x, range(20), parallel=True)
-        assert out == [x * x for x in range(20)]
-
-    def test_sequential_identical(self):
-        seq = parallel_map(lambda x: x + 1, range(10), parallel=False)
-        par = parallel_map(lambda x: x + 1, range(10), parallel=True)
-        assert seq == par
-
-    def test_single_item_shortcut(self):
-        assert parallel_map(lambda x: -x, [5], parallel=True) == [-5]
-
-    def test_empty(self):
-        assert parallel_map(lambda x: x, [], parallel=True) == []
 
 
 class TestParallelAlgorithms:
