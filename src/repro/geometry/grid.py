@@ -141,24 +141,29 @@ class GridLevel:
         """Cell id of a single point."""
         return int(self.cell_ids(np.asarray(pt, dtype=np.int64)[None, :])[0])
 
-    def cell_center(self, cell_id: int) -> np.ndarray:
-        """Geometric centre of a cell, in original (1-based, continuous)
-        coordinates.
+    def cell_centers(self, cell_ids) -> np.ndarray:
+        """Geometric centres of cells, in original (1-based, continuous)
+        coordinates (shape ``(n, d)``).
 
         Algorithm 5 uses cell centres as the representatives of a relaxed
         coreset; any point of the cell is within ``side * sqrt(d) / 2``
         (Euclidean) of the centre.
         """
+        cid = np.asarray(cell_ids, dtype=np.int64).reshape(-1)
+        bad = (cid < 0) | (cid >= self.num_cells)
+        if bad.any():
+            raise ValueError(f"cell id {int(cid[np.argmax(bad)])} out of range")
         m = self.cells_per_axis
-        idx = np.zeros(self.dim, dtype=np.int64)
-        cid = int(cell_id)
-        if cid < 0 or cid >= self.num_cells:
-            raise ValueError(f"cell id {cell_id} out of range")
+        idx = np.empty((len(cid), self.dim), dtype=np.int64)
         for a in range(self.dim - 1, -1, -1):
-            idx[a] = cid % m
-            cid //= m
+            idx[:, a] = cid % m
+            cid = cid // m
         lo = idx.astype(float) * self.side + 1.0  # smallest coordinate in cell
         return lo + (self.side - 1) / 2.0
+
+    def cell_center(self, cell_id: int) -> np.ndarray:
+        """Centre of one cell (see :meth:`cell_centers`)."""
+        return self.cell_centers([cell_id])[0]
 
     def cell_diameter_linf(self) -> float:
         """``L_inf`` diameter of a cell (``side - 1`` on the integer grid,

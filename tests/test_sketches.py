@@ -1,12 +1,14 @@
-"""Unit tests for repro.sketches (hashing, 1-sparse, s-sparse, F0)."""
+"""Unit tests for repro.sketches (hashing, s-sparse, F0) and the 1-sparse
+cells of the frozen reference oracle."""
 
 import numpy as np
 import pytest
+from _sparse_recovery_reference import OneSparseCell
 
 from repro.sketches import (
+    MERSENNE_P,
     F0Estimator,
     KWiseHash,
-    OneSparseCell,
     SSparseRecovery,
 )
 
@@ -43,6 +45,16 @@ class TestKWiseHash:
             KWiseHash(0, rng=rng)
         with pytest.raises(ValueError):
             KWiseHash(10, k=0, rng=rng)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_vectorized_call_equals_hash_int(self, k):
+        p = MERSENNE_P
+        keys = [0, 1, 2, p - 2, p - 1, p, p + 1, 2 * p, 2**62, 2**63 - 1]
+        keys += np.random.default_rng(k).integers(0, 2**63 - 1, size=50).tolist()
+        for m in (1, 97, 2**31, 1 << 62):
+            h = KWiseHash(m, k=k, rng=np.random.default_rng(k))
+            assert h(np.array(keys, dtype=np.int64)).tolist() == \
+                [h.hash_int(key) for key in keys]
 
 
 class TestOneSparseCell:
@@ -134,6 +146,16 @@ class TestSSparseRecovery:
         sk.update_many([2], -1)
         assert sk.decode().items == {1: 1, 3: 1}
 
+    def test_update_many_is_all_or_nothing(self, rng):
+        # one key outside the universe rejects the whole batch: the valid
+        # key before it must not stay applied
+        sk = SSparseRecovery(4, 100, rng=rng)
+        with pytest.raises(ValueError, match="outside universe"):
+            sk.update_many([5, 500], [1, 1])
+        assert sk.is_empty
+        assert sk.decode().items == {}
+        assert sk.snapshot()["updates"] == 0
+
     def test_storage_cells_accounting(self, rng):
         sk = SSparseRecovery(16, 10**6, delta=0.01, rng=rng)
         assert sk.storage_cells == sk.rows * sk.buckets
@@ -193,6 +215,12 @@ class TestF0Estimator:
         f0 = F0Estimator(100, rng=rng)
         with pytest.raises(ValueError):
             f0.update(100, 1)
+
+    def test_update_many_is_all_or_nothing(self, rng):
+        f0 = F0Estimator(100, rng=rng)
+        with pytest.raises(ValueError, match="outside universe"):
+            f0.update_many([5, 100], [1, 1])
+        assert f0.estimate() == 0.0
 
     def test_eps_validation(self, rng):
         with pytest.raises(ValueError):
