@@ -50,15 +50,15 @@ __all__ = [
 _P = np.uint64(MERSENNE_P)
 _LO30 = np.uint64((1 << 30) - 1)
 _LO31 = np.uint64((1 << 31) - 1)
-#: ``|ws| <= (sum |delta|) * universe`` must stay below 2^63; the running
-#: sum is a float, so the check keeps a 2^-30 relative margin for rounding
-_WS_LIMIT = 2.0**63 * (1.0 - 2.0**-30)
+#: a batch whose running bound ``(M + sum |delta|) * universe`` stays
+#: below this cannot move any cell's ``|ws|`` past 2^63 (a factor-2
+#: margin absorbs float rounding); above it, the touched cells are checked
+_FAST_LIMIT = 2.0**62
 
 
 class SketchOverflowError(OverflowError):
-    """An update would let a sketch's int64 key sums reach ``2^63``
-    (``(sum |delta|) * universe`` too large); raised before any state
-    changes."""
+    """An update would take a cell's int64 ``w`` or key sum ``ws`` to
+    ``2^63`` or beyond; raised before any state changes."""
 
 
 class SparseRecoveryResult:
@@ -141,12 +141,12 @@ class _PendingUpdate:
     cannot fail, so an owner can prepare every stack's batch before
     touching any (all-or-nothing updates)."""
 
-    __slots__ = ("stack", "idx", "dw", "dws", "dfp", "mass", "counts")
+    __slots__ = ("stack", "idx", "dw", "dws", "dfp", "mass", "counts", "stale")
 
-    def __init__(self, stack, idx, dw, dws, dfp, mass, counts):
+    def __init__(self, stack, idx, dw, dws, dfp, mass, counts, stale):
         self.stack, self.idx = stack, idx
         self.dw, self.dws, self.dfp = dw, dws, dfp
-        self.mass, self.counts = mass, counts
+        self.mass, self.counts, self.stale = mass, counts, stale
 
     def apply(self) -> None:
         st = self.stack
@@ -156,6 +156,8 @@ class _PendingUpdate:
         np.add.at(st.ws.reshape(-1), self.idx, self.dws)
         _add_mod_p(st.fp.reshape(-1), self.idx, self.dfp)
         st._mass += self.mass
+        if self.stale.any():
+            st._mass[self.stale] = st._cell_bound(self.stale)
         st.updates += self.counts
 
 
@@ -198,7 +200,8 @@ class SketchStack:
         self.ws = np.zeros(shape, dtype=np.int64)
         self.fp = np.zeros(shape, dtype=np.uint64)
         self.updates = np.zeros(n, dtype=np.int64)
-        # running bound M with |w| <= M and |ws| <= M * universe per sketch
+        # running upper bound on _cell_bound() per sketch: its value at the
+        # last restore or refresh plus every |delta| applied since
         self._mass = np.zeros(n, dtype=np.float64)
 
     def __len__(self) -> int:
@@ -250,11 +253,13 @@ class SketchStack:
 
     def prepare(self, lev, keys, deltas) -> _PendingUpdate:
         """Validate ``F_lev[key] += delta`` for every entry and compute the
-        cell updates, changing nothing.
+        cell updates, changing no cell.
 
         Raises ``ValueError`` for a key outside its sketch's universe and
-        :class:`SketchOverflowError` when a sketch's key sums could reach
-        ``2^63``.
+        :class:`SketchOverflowError` when a cell's ``w`` or ``ws`` would
+        reach ``2^63``.  Whether a batch is accepted depends only on the
+        cells and the batch, so a restored sketch accepts exactly what its
+        original would.
         """
         keys = np.atleast_1d(np.asarray(keys, dtype=np.int64))
         lev = np.broadcast_to(np.asarray(lev, dtype=np.int64), keys.shape)
@@ -271,30 +276,59 @@ class SketchStack:
             lev, keys, deltas = lev[live], keys[live], deltas[live]
         n = len(self)
         if len(keys) == 0:
-            return _PendingUpdate(self, None, None, None, None, 0.0, 0)
+            return _PendingUpdate(self, None, None, None, None, 0.0, 0, None)
         mass = np.bincount(lev, weights=np.abs(deltas.astype(np.float64)),
                            minlength=n)
-        over = (self._mass + mass) * self.universe >= _WS_LIMIT
-        if over.any():
-            i = int(np.argmax(over))
-            raise SketchOverflowError(
-                f"sketch {i}: total |delta| {self._mass[i] + mass[i]:.4g} times "
-                f"universe {int(self.universe[i])} reaches 2^63; its int64 key "
-                "sums could wrap"
-            )
+        # fast path: the running bound proves every cell stays far from
+        # 2^63; only sketches where it cannot have their cells checked
+        stale = (self._mass + mass) * self.universe >= _FAST_LIMIT
         idx = self._flat_cells(lev, self._buckets(lev, keys))
+        if stale.any():
+            self._check_fits(idx, lev, keys, deltas, stale)
         dfp = mulmod(to_field(deltas), self._zeta_pow(lev, keys))
+        # int64 products may wrap, but the cell sums they feed are exact
+        # mod 2^64 and checked to lie in int64, so they come out right
         return _PendingUpdate(
             self, idx,
             np.repeat(deltas, self.rows),
             np.repeat(deltas * keys, self.rows),
             np.repeat(dfp, self.rows),
-            mass, np.bincount(lev, minlength=n),
+            mass, np.bincount(lev, minlength=n), stale,
         )
+
+    def _check_fits(self, idx, lev, keys, deltas, stale) -> None:
+        """Raise :class:`SketchOverflowError` unless every cell the batch
+        touches in a ``stale`` sketch keeps ``|w|`` and ``|ws|`` below
+        ``2^63``.  The new values are summed in float64 with an error bound
+        on the rounding (so cancelling inserts and deletes pass); a value
+        within that error of ``2^63`` is rejected."""
+        sel = np.repeat(stale[lev], self.rows)
+        cells, inv = np.unique(idx[sel], return_inverse=True)
+        slack = (np.bincount(inv) + 4) * 2.0**-50
+        dw = np.repeat(deltas.astype(np.float64), self.rows)[sel]
+        dws = dw * np.repeat(keys.astype(np.float64), self.rows)[sel]
+        for name, cur, add in (("w", self.w, dw), ("ws", self.ws, dws)):
+            old = cur.reshape(-1)[cells].astype(np.float64)
+            new = old + np.bincount(inv, weights=add)
+            size = np.abs(old) + np.bincount(inv, weights=np.abs(add))
+            over = np.abs(new) + slack * size >= 2.0**63
+            if over.any():
+                cell = int(cells[np.argmax(over)])
+                raise SketchOverflowError(
+                    f"sketch {cell // (self.rows * self.buckets)}: a cell's "
+                    f"{name} would reach 2^63 (about {new[np.argmax(over)]:.4g})"
+                )
 
     def update(self, lev, keys, deltas) -> None:
         """Apply ``F_lev[key] += delta`` for every entry (all or nothing)."""
         self.prepare(lev, keys, deltas).apply()
+
+    def _cell_bound(self, levels) -> np.ndarray:
+        """Per selected sketch, the least ``M`` with ``|w| <= M`` and
+        ``|ws| <= M * universe`` in every cell."""
+        w_max = np.abs(self.w[levels].astype(np.float64)).max(axis=(1, 2))
+        ws_max = np.abs(self.ws[levels].astype(np.float64)).max(axis=(1, 2))
+        return np.maximum(w_max, ws_max / self.universe[levels])
 
     # -- accounting ----------------------------------------------------------
 
@@ -389,10 +423,7 @@ class SketchStack:
         self.ws[...] = fields["ws"]
         self.fp[...] = np.asarray(fields["fp"]).astype(np.uint64)
         self.updates[...] = updates
-        # the bound the restored cells already satisfy
-        w_max = np.abs(self.w.astype(np.float64)).max(axis=(1, 2))
-        ws_max = np.abs(self.ws.astype(np.float64)).max(axis=(1, 2))
-        self._mass = np.maximum(w_max, ws_max / self.universe)
+        self._mass = self._cell_bound(slice(None))
 
     # -- decoding ------------------------------------------------------------
 

@@ -191,21 +191,85 @@ class TestExactArithmetic:
 
 class TestInt64Bound:
     def test_overflow_raises_typed_error_before_mutation(self):
+        # (2^23 + 1) * (2^40 - 1) > 2^63 - 1: the key's cells would wrap
+        key = 2**40 - 1
         sk = SSparseRecovery(4, 2**40, rng=np.random.default_rng(0))
-        sk.update(2**40 - 1, 2**21)
+        sk.update(key, 2**22)
         before = sk.snapshot()
         with pytest.raises(SketchOverflowError):
-            sk.update(7, 2**23)
+            sk.update(key, 2**22 + 1)
         assert_tree_equal(sk.snapshot(), before)
-        assert sk.decode().items == {2**40 - 1: 2**21}
+        assert sk.decode().items == {key: 2**22}
+
+    def test_largest_fitting_cell_is_accepted(self):
+        # 2^23 * (2^40 - 1) = 2^63 - 2^23 still fits in int64
+        key = 2**40 - 1
+        sk = SSparseRecovery(4, 2**40, rng=np.random.default_rng(0))
+        sk.update(key, 2**22)
+        sk.update(key, 2**22)
+        assert sk.decode().items == {key: 2**23}
+        sk.update(key, -(2**23))
+        assert sk.is_empty
 
     def test_bound_holds_across_restore(self):
+        key = 2**40 - 1
         sk = SSparseRecovery(4, 2**40, rng=np.random.default_rng(0))
-        sk.update(2**40 - 1, 2**21)
+        sk.update(key, 2**22)
         twin = SSparseRecovery(4, 2**40, rng=np.random.default_rng(0))
         twin.restore(sk.snapshot())
         with pytest.raises(SketchOverflowError):
-            twin.update(7, 2**23)
+            twin.update(key, 2**22 + 1)
+
+    def test_churn_on_one_key_outlives_the_running_sum(self):
+        # 2^15 unit updates on universe 2^48 exhaust a lifetime |delta|
+        # budget; the live mass never exceeds 2^10 here
+        sk = SSparseRecovery(4, 2**48, rng=np.random.default_rng(1))
+        key = 2**48 - 1
+        for _ in range(40):
+            sk.update(key, 2**10)
+            sk.update(key, -(2**10))
+        sk.update(key, 3)
+        sk.update(12345, 2**10)
+        res = sk.decode()
+        assert res.success and res.items == {key: 3, 12345: 2**10}
+
+    def test_dynamic_churn_outlives_the_running_sum(self):
+        # delta_universe 2^16 in 3-d: the finest grid's universe is 2^48,
+        # so 2^15 total |delta| there would exhaust a lifetime budget
+        dc = DynamicCoreset(1, 0, 1.0, 2**16, 3, rng=np.random.default_rng(0),
+                            use_f0=False, s_override=4)
+        pts = np.repeat(np.array([[2**16, 2**16, 2**16]]), 2**10, axis=0)
+        for _ in range(40):
+            dc.extend(pts)
+            dc.delete_many(pts)
+        dc.extend(pts[:3])
+        assert dc.updates_seen == 80 * 2**10 + 3
+        assert len(dc.coreset()) == 1
+
+    @pytest.mark.parametrize("history, nxt, expected", [
+        ([(2**40 - 1, 2**22), (2**40 - 1, -(2**22))], (7, 2**22), "accepted"),
+        ([(2**40 - 1, 2**22)], (2**40 - 1, 2**22 + 1), "rejected"),
+        ([(2**40 - 1, 2**22)], (2**40 - 1, 2**22), "accepted"),
+        ([(2**40 - 1, 2**22), (2**40 - 2, 2**22)], (2**40 - 3, 2**22),
+         "rejected"),
+        ([(5, 2**22), (6, -(2**21)), (5, -(2**22))], (2**40 - 1, 2**22),
+         "accepted"),
+    ])
+    def test_restored_twin_decides_alike(self, history, nxt, expected):
+        def outcome(sketch):
+            try:
+                sketch.update(*nxt)
+            except SketchOverflowError:
+                return "rejected"
+            return "accepted"
+
+        sk = SSparseRecovery(4, 2**40, rng=np.random.default_rng(0))
+        for key, delta in history:
+            sk.update(key, delta)
+        twin = SSparseRecovery(4, 2**40, rng=np.random.default_rng(0))
+        twin.restore(sk.snapshot())
+        assert outcome(sk) == outcome(twin) == expected
+        assert_tree_equal(sk.snapshot(), twin.snapshot())
 
     def test_dynamic_batch_overflow_is_all_or_nothing(self):
         dc = DynamicCoreset(1, 0, 1.0, 2**31, 2, rng=np.random.default_rng(0),
