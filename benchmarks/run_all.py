@@ -17,7 +17,7 @@ tracked).  The float64 outputs of old and new paths are asserted
 bit-identical before any timing is reported.
 
 The ``*_scale_*`` entries form the scaling curve for the grid-pruned
-candidate scans (n=10^5 and n=10^6, serial and ``decision_jobs=4``);
+candidate scans (n=10^5 and n=10^6);
 ``--quick`` keeps every entry id (so CI can diff the schema) at reduced
 sizes, and ``--assert-pruned`` fails the run unless the 10^5-scale
 greedy actually took the pruned path and beat the dense decision
@@ -286,48 +286,6 @@ def bench_mbc_scale_1m(quick: bool) -> dict:
     }
 
 
-def bench_charikar_scale_1m_mc(quick: bool) -> dict:
-    """The headline search with sharded decisions (``decision_jobs=4``).
-
-    Same instance as ``charikar_greedy_scale_1m``; the only change is
-    the thread fan-out, so the two entries read together as the
-    multi-core scaling figure.  The result is asserted bit-identical to
-    the serial run's radius/centers at quick sizes (full sizes would
-    double the bench; the parity suite owns that claim).  Records the
-    runner's core count so a 1-core runner's honest-but-flat number is
-    not mistaken for a scaling regression.
-    """
-    import os
-
-    from repro.core.greedy import charikar_greedy
-    from repro.core.metrics import get_metric
-
-    n, k, z = (50_000, 256, 1_000) if quick else (1_000_000, 1_024, 10_000)
-    jobs = 4
-    P = _instance(n, wmax=2)
-    met = get_metric(None)
-    new_s, res = _timed(
-        lambda: charikar_greedy(P, k, z, met, decision_jobs=jobs)
-    )
-    if quick:
-        serial = charikar_greedy(P, k, z, met)
-        assert serial.radius == res.radius, "sharded parity violated"
-        assert np.array_equal(serial.centers_idx, res.centers_idx)
-    return {
-        "id": "charikar_greedy_scale_1m_mc",
-        "params": {"n": n, "k": k, "z": z, "d": 2, "seed": 0,
-                   "decision_jobs": jobs},
-        "new_s": new_s,
-        "old_s": None,
-        "speedup": None,
-        "radius": float(res.radius),
-        "path": res.path,
-        "cores": os.cpu_count(),
-        "decision_shards": res.stats.get("decision_shards"),
-        "sharded_scans": res.stats.get("sharded_scans"),
-    }
-
-
 def bench_mbc_scale_10m(quick: bool) -> dict:
     """Out-of-core ingest at n=10^7: the ``ooc-clustered-10m`` stream
     served from its memory-mapped on-disk :class:`~repro.store.PointStore`
@@ -370,8 +328,7 @@ def bench_mbc_scale_10m(quick: bool) -> dict:
 
 BENCHES = (bench_charikar, bench_mbc, bench_mpc_two_round,
            bench_serve_replay, bench_charikar_scale_100k,
-           bench_charikar_scale_1m, bench_charikar_scale_1m_mc,
-           bench_mbc_scale_100k,
+           bench_charikar_scale_1m, bench_mbc_scale_100k,
            bench_mbc_scale_1m, bench_mbc_scale_10m)
 
 

@@ -331,7 +331,7 @@ class OfflineMBCBackend(_BufferedBackendBase):
             return P
         self.last_mbc = mbc_construction(
             P, self.spec.k, self.spec.z, self.spec.eps, self.spec.resolved_metric,
-            dtype=self.spec.dtype, decision_jobs=self.spec.decision_jobs,
+            dtype=self.spec.dtype,
         )
         return self.last_mbc.coreset
 
@@ -694,7 +694,7 @@ class MPCBackend(_BufferedBackendBase):
         thread pool.  Results are bit-identical under every executor.
 
     The machine-local radius searches and MBC constructions take the
-    spec's ``dtype`` and ``decision_jobs``.
+    spec's ``dtype``.
     """
 
     #: default partition scheme; deterministic algorithms tolerate any
@@ -800,7 +800,6 @@ class TwoRoundMPCBackend(MPCBackend):
             parallel=self.parallel,
             executor=self.executor,
             dtype=self.spec.dtype,
-            decision_jobs=self.spec.decision_jobs,
         )
 
     def guarantee(self) -> Guarantee:
@@ -841,7 +840,6 @@ class OneRoundMPCBackend(MPCBackend):
             parallel=self.parallel,
             executor=self.executor,
             dtype=self.spec.dtype,
-            decision_jobs=self.spec.decision_jobs,
         )
 
     def guarantee(self) -> Guarantee:
@@ -877,7 +875,6 @@ class MultiRoundMPCBackend(MPCBackend):
             rounds=self.rounds, metric=self.spec.resolved_metric,
             executor=self.executor,
             dtype=self.spec.dtype,
-            decision_jobs=self.spec.decision_jobs,
         )
 
     def guarantee(self) -> Guarantee:

@@ -63,7 +63,9 @@ __all__ = ["Solution", "KCenterSession"]
 _SNAPSHOT_KIND = "kcenter-session"
 
 #: spec fields that older snapshots may still carry; dropped on load
-_RETIRED_SPEC_KEYS = frozenset({"kernel_chunk", "kernel_backend", "prune"})
+_RETIRED_SPEC_KEYS = frozenset(
+    {"kernel_chunk", "kernel_backend", "prune", "decision_jobs"}
+)
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,7 @@ class KCenterSession:
             elif method == "greedy3":
                 res = charikar_greedy(
                     cs, spec.k, spec.z, spec.resolved_metric,
-                    dtype=spec.dtype, decision_jobs=spec.decision_jobs,
+                    dtype=spec.dtype,
                 )
                 centers, radius = cs.points[res.centers_idx], res.radius
                 greedy_path = res.path
@@ -281,8 +283,8 @@ class KCenterSession:
             if greedy_path is not None:
                 stats["greedy_path"] = greedy_path
             if greedy_stats:
-                # grid_builds / decision_shards breakdown of
-                # the grid-pruned radius search (JSON-safe ints)
+                # grid_builds / decisions breakdown of the
+                # grid-pruned radius search (JSON-safe ints)
                 stats["greedy_stats"] = dict(greedy_stats)
             return Solution(
                 centers=centers,

@@ -24,8 +24,7 @@ from ..core.metrics import Metric, get_metric
 __all__ = ["ProblemSpec"]
 
 #: integer fields and their lower bounds, validated in declaration order
-_INT_FIELDS = (("k", 1), ("z", 0), ("seed", 0), ("dim", 1), ("jobs", 1),
-               ("decision_jobs", 1))
+_INT_FIELDS = (("k", 1), ("z", 0), ("seed", 0), ("dim", 1), ("jobs", 1))
 
 
 def _as_int(name: str, value) -> int:
@@ -90,16 +89,10 @@ class ProblemSpec:
         halves kernel memory traffic at a documented ~1e-6 relative
         distance error.  Honored by every backend whose hot path runs
         the Greedy radius search (offline, MPC, session ``solve``).
-    decision_jobs:
-        Threads each pruned radius-search decision shards its cell scans
-        across (``>= 1``; ``None`` means serial).  The deterministic
-        shard reduction keeps results bit-identical to serial at any job
-        count.  Independent of ``jobs``, which fans out per-machine MPC
-        work.
 
-    The integer fields (``k``, ``z``, ``seed``, ``dim``, ``jobs``,
-    ``decision_jobs``) accept ints, integral floats and integer strings;
-    bools, fractions and non-finite values raise :class:`ValueError`.
+    The integer fields (``k``, ``z``, ``seed``, ``dim``, ``jobs``) accept
+    ints, integral floats and integer strings; bools, fractions and
+    non-finite values raise :class:`ValueError`.
     """
 
     k: int
@@ -111,7 +104,6 @@ class ProblemSpec:
     executor: "str | None" = None
     jobs: "int | None" = None
     dtype: "str | None" = None
-    decision_jobs: "int | None" = None
     _metric_obj: Metric = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -188,7 +180,7 @@ class ProblemSpec:
             "k": self.k, "z": self.z, "eps": self.eps,
             "metric": self.metric, "seed": self.seed, "dim": self.dim,
             "executor": self.executor, "jobs": self.jobs,
-            "dtype": self.dtype, "decision_jobs": self.decision_jobs,
+            "dtype": self.dtype,
         }
         base.update(changes)
         return ProblemSpec(**base)
@@ -205,7 +197,6 @@ class ProblemSpec:
             "executor": self.executor,
             "jobs": self.jobs,
             "dtype": self.dtype,
-            "decision_jobs": self.decision_jobs,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

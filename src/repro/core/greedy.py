@@ -58,36 +58,31 @@ precomputed metrics and fractional weights fall back to the dense path
 automatically (:attr:`GreedyResult.path` records which path served the
 call).
 
-A grid decision maintains its gains one of two ways, chosen per guess
-from the grid alone (:func:`_grid_decision`):
+A grid decision keeps its gains one of two ways, chosen per guess by
+the grid's density (:func:`_grid_decision`), both serial:
 
-* **Neighbour lists** when the grid averages at most
-  :data:`_LIST_PAIRS_PER_CELL` candidate pairs per cell and they fit
-  :data:`_LIST_MAX_PAIRS` — small guesses, where most points sit alone
-  in their cell.  Every within-cutoff pair is enumerated once per
-  decision (:func:`neighbour_lists`, shared with the MBC absorb loop);
-  one ``bincount`` seeds the gains and each pick subtracts one
-  ``bincount`` over the newly covered points' lists.  Serial.
-* **Blocked cell scans** otherwise — dense cells, where one distance
-  block per source cell amortizes its dispatch over many pairs.  The
-  seed and each pick's update scan cell by cell
-  (:func:`_grid_accumulate_gains`); these scans are what
-  ``decision_jobs`` shards.
+* **Sparse grids** — at most :data:`_LIST_PAIRS_PER_CELL` candidate
+  pairs per cell, as at small guesses where most points sit alone in
+  their cell — expand their pairs in blocks of whole cells
+  (:meth:`PointGrid.candidate_pairs`, filtered by
+  :func:`_within_cutoff`).  When the pairs fit :data:`_LIST_MAX_PAIRS`
+  they are kept as neighbour lists (:func:`neighbour_lists`, shared with
+  the MBC absorb loop): one ``bincount`` seeds the gains and each pick
+  subtracts one ``bincount`` over the newly covered points' lists.  When
+  they do not fit, each streamed block seeds its own points' gains (one
+  distance pass and one ``bincount``) and is dropped, and the picks
+  scan cells as below.
+* **Dense grids** scan cell by cell (:func:`_accumulate_cells`): one distance
+  block per source cell amortizes its dispatch over many pairs, for the
+  seed and for every pick.  A pick's sources lie within the 3-ring of
+  its cell, so a per-pick scan touches at most ``7^d`` cells.
 
 Both compare the same pairs in float64, so the choice never moves a
-bit.  :attr:`GreedyResult.stats` counts the ``list_decisions``.
-
-Each guess buckets the points into its own grid
+bit.  Each guess buckets the points into its own grid
 (:func:`_grid_for_guess`, cell side just above the cutoff), and
 :func:`repro.core.mbc._greedy_absorb` builds its own at the absorption
-radius.  The per-decision cell scans can additionally be sharded across
-a :class:`repro.engine.ThreadExecutor` (``decision_jobs``): shards are
-deterministic contiguous cell ranges, each accumulates into its own
-gain array, and the partials are reduced in shard order — with integer
-weights every partial is an exact float64 integer, so the reduction
-(and every argmax pick, tie-breaks included) is bit-identical to the
-serial scan for any job count.  :attr:`GreedyResult.stats` reports the
-``grid_builds`` / ``decision_shards`` breakdown.
+radius.  :attr:`GreedyResult.stats` counts the ``grid_builds``,
+``decisions`` and ``list_decisions``.
 """
 
 from __future__ import annotations
@@ -97,7 +92,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..engine.executor import ThreadExecutor, shard_ranges
 from ..geometry.grid import PointGrid, cutoff_side
 from ..kernels import (
     DEFAULT_BLOCK_BYTES,
@@ -120,18 +114,9 @@ PAIRWISE_LIMIT = 2048
 #: dimension the dense kernels win (same gate the absorption loop uses)
 _GRID_MAX_DIM = 4
 
-#: above this many *source* cells, the per-cell blocked scan (one distance
-#: block per cell, ~tens of µs of Python each) loses to the fully
-#: vectorized COO pair expansion
-_GRID_BLOCK_CELLS = 4096
-
-#: point-pair budget per COO expansion chunk (bounds peak memory)
+#: point pairs one blocked-scan distance block may hold (bounds the
+#: block of a giant cell: its candidate rows are chunked to fit)
 _GRID_PAIR_CHUNK = 4_000_000
-
-#: cells per vectorized neighbor-matching block (bounds the
-#: ``cells x 3^d`` searchsorted target matrix); scans at wider rings
-#: scale this down so the target matrix stays the same size
-_GRID_MATCH_CHUNK = 65536
 
 #: candidate pairs one neighbour-list build (:func:`neighbour_lists`) may
 #: enumerate, ~1.4M: the one gate of the list decisions and
@@ -155,11 +140,6 @@ _LIST_BLOCK_PAIRS = 1 << 18
 #: 4,000, k = 8 and 64): 1,500-3,700 pairs per cell; at 600 pairs per
 #: cell the lists already win 2-3x
 _LIST_PAIRS_PER_CELL = 2048
-
-#: below this many *source points*, a sharded scan's per-shard gain
-#: arrays (allocate + reduce, ``O(n * jobs)``) cost more than the scan
-#: itself; smaller scans stay serial (never affects results)
-_GRID_SHARD_MIN_POINTS = 32768
 
 
 @dataclass(frozen=True)
@@ -193,10 +173,7 @@ class GreedyResult:
         of a multi-budget call shares them: ``grid_builds`` (per-guess
         grids built), ``decisions`` (grid decisions run, one per distinct
         guess), ``list_decisions`` (those of them served by neighbour
-        lists), ``decision_jobs`` (requested job count),
-        ``decision_shards`` (max shards any scan used) and
-        ``sharded_scans`` (scans that actually fanned out).  JSON-safe
-        ints only; never affects results.
+        lists).  JSON-safe ints only; never affects results.
     """
 
     centers_idx: np.ndarray
@@ -414,165 +391,42 @@ def _accumulate_cells(
     workspace: Workspace,
     ring: int,
 ) -> None:
-    """Serial core of :func:`_grid_accumulate_gains`: accumulate
-    ``gain[i] += sign * w64[j]`` over every pair with ``j`` a *source*
-    point, ``i`` any point in a cell within Chebyshev ring ``ring`` of
-    ``j``'s cell, and ``dist(i, j) <= cutoff``.
+    """Blocked per-cell scan: accumulate ``gain[i] += sign * w64[j]``
+    over every pair with ``j`` a *source* point, ``i`` any point in a
+    cell within Chebyshev ring ``ring`` of ``j``'s cell, and
+    ``dist(i, j) <= cutoff``.
 
     Sources are given as cells (indices into ``grid.cell_codes``) with
     their member point indices in ``src_members[src_starts[s] :
     src_starts[s] + src_counts[s]]``.  Seeding passes the grid's own
     cells; the per-pick update passes the newly covered points grouped by
-    cell.  Two strategies with identical (exact-integer) results: a
-    per-cell blocked distance kernel when sources are few, and a fully
-    vectorized COO pair expansion over ragged cell pairs when cells are
-    many (tiny guesses make every point its own cell, and a Python loop
-    over a million cells would dominate the saved distance work).
+    cell.  One candidate-rows x source-cols distance block per source
+    cell, row-chunked so a giant cell (clustered data) never
+    materializes an unbounded block; neighbour cells are matched a slice
+    of sources at a time (:meth:`PointGrid.neighborhoods`).
     """
-    n_src = len(src_cells)
-    if n_src == 0:
-        return
-
-    def blocked(cand: np.ndarray, mem: np.ndarray) -> None:
-        # candidate-rows x source-cols membership matvec, row-chunked so a
-        # giant cell (clustered data) never materializes an unbounded block
-        rows_per = max(1, _GRID_PAIR_CHUNK // max(1, len(mem)))
-        for r0 in range(0, len(cand), rows_per):
-            rows = cand[r0 : r0 + rows_per]
-            block = metric.pairwise_block(pts[rows], pts[mem],
-                                          workspace=workspace)
-            contrib = (block <= cutoff) @ w64[mem]
-            if sign > 0:
-                gain[rows] += contrib
-            else:
-                gain[rows] -= contrib
-
-    if n_src <= _GRID_BLOCK_CELLS:
-        src_pos, nbr = grid.neighbors_of_cells(src_cells, ring)
-        bounds = np.searchsorted(src_pos, np.arange(n_src + 1))
-        for s in range(n_src):
+    for lo, bounds, nbr in grid.neighborhoods(src_cells, ring):
+        for s in range(len(bounds) - 1):
             cand = grid.points_in_cells(nbr[bounds[s] : bounds[s + 1]])
-            mem = src_members[src_starts[s] : src_starts[s] + src_counts[s]]
-            blocked(cand, mem)
-        return
-    kind = metric.name
-    # keep the cells x (2R+1)^d searchsorted target matrix the same size
-    # whatever the ring (chunking never affects results)
-    match_chunk = max(
-        256, (_GRID_MATCH_CHUNK * 9) // (2 * ring + 1) ** grid.dim
-    )
-    for c0 in range(0, n_src, match_chunk):
-        hi = min(c0 + match_chunk, n_src)
-        src_pos, nbr = grid.neighbors_of_cells(src_cells[c0:hi], ring)
-        src_pos = src_pos + c0
-        ca = grid.cell_counts[nbr]
-        cb = src_counts[src_pos]
-        pair_n = ca * cb
-        cum = np.cumsum(pair_n)
-        p0 = 0
-        while p0 < len(pair_n):
-            if pair_n[p0] > _GRID_PAIR_CHUNK:
-                # one oversized cell pair: use the blocked kernel for it
-                s = src_pos[p0]
-                blocked(
-                    grid.points_in_cells(nbr[p0 : p0 + 1]),
-                    src_members[src_starts[s] : src_starts[s] + src_counts[s]],
-                )
-                p0 += 1
-                continue
-            base = int(cum[p0 - 1]) if p0 else 0
-            p1 = int(np.searchsorted(cum, base + _GRID_PAIR_CHUNK,
-                                     side="right"))
-            p1 = min(max(p1, p0 + 1), len(pair_n))
-            cnt = pair_n[p0:p1]
-            total = int(cnt.sum())
-            if total:
-                pid = np.repeat(np.arange(p1 - p0), cnt)
-                offs = np.concatenate(([0], np.cumsum(cnt)))[:-1]
-                t = np.arange(total) - np.repeat(offs, cnt)
-                cb_p = cb[p0:p1][pid]
-                la = t // cb_p
-                lb = t - la * cb_p
-                rows = grid.order[grid.cell_starts[nbr[p0:p1]][pid] + la]
-                cols = src_members[src_starts[src_pos[p0:p1]][pid] + lb]
-                sel = pair_distances(kind, pts, rows, cols) <= cutoff
-                if sel.any():
-                    contrib = np.bincount(
-                        rows[sel], weights=w64[cols[sel]],
-                        minlength=len(gain),
-                    )
-                    if sign > 0:
-                        gain += contrib
-                    else:
-                        gain -= contrib
-            p0 = p1
-
-
-def _grid_accumulate_gains(
-    grid: PointGrid,
-    pts: np.ndarray,
-    metric: Metric,
-    w64: np.ndarray,
-    cutoff: float,
-    gain: np.ndarray,
-    sign: float,
-    src_cells: np.ndarray,
-    src_starts: np.ndarray,
-    src_counts: np.ndarray,
-    src_members: np.ndarray,
-    workspace: Workspace,
-    ring: int = 1,
-    executor: "ThreadExecutor | None" = None,
-) -> int:
-    """Sharding wrapper over :func:`_accumulate_cells`.
-
-    With an ``executor`` and a scan worth fanning out (at least
-    :data:`_GRID_SHARD_MIN_POINTS` source points), the source cells are
-    split into deterministic contiguous ranges (:func:`shard_ranges`);
-    each shard scans into its own zeroed gain array with its own
-    :class:`Workspace` (workspace buffers are tag-keyed, not
-    thread-safe), and the partials are added into ``gain`` in shard
-    order on the calling thread.  Every partial is an exact
-    (sign-applied) integer in float64, so the reduction is bit-identical
-    to the serial scan for any job count.  Returns the number of shards
-    that ran (1 = serial).
-    """
-    n_src = len(src_cells)
-    if n_src == 0:
-        return 1
-    if (
-        executor is not None
-        and n_src > 1
-        and int(src_counts.sum()) >= _GRID_SHARD_MIN_POINTS
-    ):
-        ranges = shard_ranges(n_src, getattr(executor, "jobs", None) or 1)
-        if len(ranges) > 1:
-
-            def run_shard(rng: "tuple[int, int]") -> np.ndarray:
-                lo, hi = rng
-                part = np.zeros(len(gain), dtype=np.float64)
-                _accumulate_cells(
-                    grid, pts, metric, w64, cutoff, part, sign,
-                    src_cells[lo:hi], src_starts[lo:hi], src_counts[lo:hi],
-                    src_members, Workspace(), ring,
-                )
-                return part
-
-            for part in executor.map(run_shard, ranges):
-                gain += part
-            return len(ranges)
-    _accumulate_cells(
-        grid, pts, metric, w64, cutoff, gain, sign, src_cells, src_starts,
-        src_counts, src_members, workspace, ring,
-    )
-    return 1
+            start = src_starts[lo + s]
+            mem = src_members[start : start + src_counts[lo + s]]
+            rows_per = max(1, _GRID_PAIR_CHUNK // len(mem))
+            for r0 in range(0, len(cand), rows_per):
+                rows = cand[r0 : r0 + rows_per]
+                block = metric.pairwise_block(pts[rows], pts[mem],
+                                              workspace=workspace)
+                contrib = (block <= cutoff) @ w64[mem]
+                if sign > 0:
+                    gain[rows] += contrib
+                else:
+                    gain[rows] -= contrib
 
 
 def _group_by_cell(
     grid: PointGrid, idx: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """Group point indices by their grid cell: ``(cells, starts, counts,
-    members)`` in the source format :func:`_grid_accumulate_gains` takes."""
+    members)`` in the source format :func:`_accumulate_cells` takes."""
     cells_of = grid.point_cell[idx]
     by_cell = np.argsort(cells_of, kind="stable")
     members = idx[by_cell]
@@ -584,6 +438,38 @@ def _group_by_cell(
     cells = sorted_cells[starts]
     counts = np.diff(np.append(starts, len(idx)))
     return cells, starts, counts, members
+
+
+def _within_cutoff(blocks, pts: np.ndarray, kind: str, cutoff: float):
+    """Filter :meth:`PointGrid.candidate_pairs` blocks down to their
+    within-``cutoff`` pairs, each re-checked with exact float64
+    :func:`pair_distances` (bit-identical to the dense cdist entries).
+
+    Yields ``(p0, p1, at, j)`` per block: the block's points are the
+    grid-order positions ``p0:p1`` (whole cells), and its kept pairs pair
+    position ``p0 + at[t]`` with point ``j[t]``, grouped by position.
+    Each block is dropped before the next is expanded, so only one
+    block's candidates are held at a time.
+    """
+    for pos, i, j in blocks:
+        keep = pair_distances(kind, pts, i, j) <= cutoff
+        p0, p1 = int(pos[0]), int(pos[-1]) + 1
+        at, j = pos[keep] - p0, j[keep]
+        del pos, i, keep
+        yield p0, p1, at, j
+
+
+def _lists_of(grid: PointGrid, kept) -> "tuple[np.ndarray, ...]":
+    """CSR neighbour lists ``(ptr, nbrs, row_of)`` from
+    :func:`_within_cutoff`'s blocks (see :func:`neighbour_lists`)."""
+    lists, sizes = [], []
+    for p0, p1, at, j in kept:
+        sizes.append(np.bincount(at, minlength=p1 - p0))
+        lists.append(j)
+    ptr = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+    row_of = np.empty(grid.n, dtype=np.int64)
+    row_of[grid.order] = np.arange(grid.n)
+    return ptr, lists[0] if len(lists) == 1 else np.concatenate(lists), row_of
 
 
 def neighbour_lists(
@@ -601,29 +487,15 @@ def neighbour_lists(
     ``nbrs[ptr[r]:ptr[r + 1]]`` for ``r = row_of[i]``; rows follow the
     grid's point order.  Candidates come from
     :meth:`PointGrid.candidate_pairs` in blocks of whole cells of at most
-    ``block_pairs`` pairs, each re-checked with exact float64
-    :func:`pair_distances` (bit-identical to the dense cdist entries)
-    before the next is expanded, so only one block's candidates are held
+    ``block_pairs`` pairs, filtered by :func:`_within_cutoff` one block
     at a time; the lists do not depend on the block size.  Returns
     ``None``, without expanding, when the exact candidate-pair count
     exceeds ``max_pairs``.
     """
-    blocks = grid.candidate_pairs(cutoff, max_pairs, block_pairs)
-    if blocks is None:
+    pairs = grid.candidate_pairs(cutoff, max_pairs, block_pairs)
+    if pairs is None:
         return None
-    kept, sizes = [], []
-    for pos, i, j in blocks:
-        keep = pair_distances(kind, pts, i, j) <= cutoff
-        # a block's points are the contiguous positions pos[0]..pos[-1]
-        sizes.append(np.bincount(pos[keep] - pos[0],
-                                 minlength=int(pos[-1] - pos[0]) + 1))
-        kept.append(j[keep])
-        # free this block before the generator expands the next one
-        del pos, i, j, keep
-    ptr = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-    row_of = np.empty(grid.n, dtype=np.int64)
-    row_of[grid.order] = np.arange(grid.n)
-    return ptr, kept[0] if len(kept) == 1 else np.concatenate(kept), row_of
+    return _lists_of(grid, _within_cutoff(pairs[1], pts, kind, cutoff))
 
 
 def _grid_decision(
@@ -633,7 +505,6 @@ def _grid_decision(
     guess: float,
     grid: PointGrid,
     workspace: Workspace,
-    executor: "ThreadExecutor | None" = None,
     stats: "dict | None" = None,
 ) -> "tuple[list[int], np.ndarray]":
     """Grid-pruned Charikar decision — same contract (and bit-identical
@@ -641,14 +512,16 @@ def _grid_decision(
     weights, at ``O(pairs-in-nearby-cells)`` distance evaluations per
     guess instead of ``O(n^2)``.
 
-    Two ways to maintain the gains, same pairs compared either way.
-    When the grid averages at most :data:`_LIST_PAIRS_PER_CELL`
-    candidate pairs per cell (and they fit :data:`_LIST_MAX_PAIRS`),
-    every within-cutoff pair is enumerated once
-    (:func:`neighbour_lists`): one ``bincount`` seeds the gains and each
-    pick subtracts one ``bincount`` over the newly covered points' lists
-    (serial).  Denser grids scan cell by cell with blocked distance
-    kernels (:func:`_grid_accumulate_gains`, sharded over ``executor``).
+    The grid's density picks how the gains are kept (same pairs compared
+    either way).  A *sparse* grid — at most :data:`_LIST_PAIRS_PER_CELL`
+    candidate pairs per cell — expands its pairs through
+    :meth:`PointGrid.candidate_pairs`: if they fit
+    :data:`_LIST_MAX_PAIRS` they become neighbour lists (one ``bincount``
+    seeds the gains, each pick subtracts one ``bincount`` over the newly
+    covered points' lists); otherwise the streamed blocks seed the gains
+    (one :func:`pair_distances` pass and one ``bincount`` per block) and
+    the picks scan cells.  A *dense* grid scans cells for the seed and
+    every pick (:func:`_accumulate_cells`).
 
     Exactness: candidate supersets from the grid are sound at whatever
     cell side it has (:meth:`PointGrid.ring` picks the ring the cutoff
@@ -656,9 +529,9 @@ def _grid_decision(
     bit-identical to the dense path's cdist entries, and
     integer weights make every accumulated gain an exact float64 integer
     in any summation order — so each argmax pick matches the dense pick,
-    including tie-breaks, serial or sharded.  The list path reads pick
-    ``v``'s contribution to candidate ``i`` off ``v``'s own list: the
-    built-in norms are bit-symmetric, so ``d(v, i) == d(i, v)``.
+    including tie-breaks.  The list path reads pick ``v``'s contribution
+    to candidate ``i`` off ``v``'s own list: the built-in norms are
+    bit-symmetric, so ``d(v, i) == d(i, v)``.
     """
     pts = wps.points
     n = len(pts)
@@ -667,32 +540,37 @@ def _grid_decision(
     cutoff = guess + tol
     limit3 = 3.0 * guess + tol
     ring = grid.ring(cutoff)
-    lists = neighbour_lists(
-        grid, pts, metric.name, cutoff,
-        min(_LIST_PAIRS_PER_CELL * grid.num_cells, _LIST_MAX_PAIRS),
+    pairs = grid.candidate_pairs(
+        cutoff, _LIST_PAIRS_PER_CELL * grid.num_cells, _LIST_BLOCK_PAIRS
     )
-    if lists is not None:
-        ptr, nbrs, row_of = lists
-        # each point's weight lands on every point of its list
-        gain = np.bincount(
-            nbrs, weights=np.repeat(w64[grid.order], np.diff(ptr)),
-            minlength=n,
-        )
-        shards = 1
-    else:
+    lists = None
+    if pairs is None:
         gain = np.zeros(n, dtype=np.float64)
-        shards = _grid_accumulate_gains(
+        _accumulate_cells(
             grid, pts, metric, w64, cutoff, gain, 1.0,
             np.arange(grid.num_cells), grid.cell_starts, grid.cell_counts,
-            grid.order, workspace, ring=ring, executor=executor,
+            grid.order, workspace, ring,
         )
+    else:
+        total, blocks = pairs
+        kept = _within_cutoff(blocks, pts, metric.name, cutoff)
+        if total <= _LIST_MAX_PAIRS:
+            ptr, nbrs, row_of = lists = _lists_of(grid, kept)
+            # each point's weight lands on every point of its list
+            gain = np.bincount(
+                nbrs, weights=np.repeat(w64[grid.order], np.diff(ptr)),
+                minlength=n,
+            )
+        else:
+            gain = np.empty(n, dtype=np.float64)
+            for p0, p1, at, j in kept:
+                gain[grid.order[p0:p1]] = np.bincount(
+                    at, weights=w64[j], minlength=p1 - p0
+                )
     if stats is not None:
         stats["decisions"] += 1
         if lists is not None:
             stats["list_decisions"] += 1
-        stats["decision_shards"] = max(stats["decision_shards"], shards)
-        if shards > 1:
-            stats["sharded_scans"] += 1
     uncovered = np.ones(n, dtype=bool)
     centers: list[int] = []
     for _ in range(min(k, n)):
@@ -717,17 +595,10 @@ def _grid_decision(
                     minlength=n,
                 )
             else:
-                cells, starts, counts, members = _group_by_cell(grid, idx)
-                shards = _grid_accumulate_gains(
+                _accumulate_cells(
                     grid, pts, metric, w64, cutoff, gain, -1.0,
-                    cells, starts, counts, members, workspace,
-                    ring=ring, executor=executor,
+                    *_group_by_cell(grid, idx), workspace, ring,
                 )
-                if stats is not None and shards > 1:
-                    stats["decision_shards"] = max(
-                        stats["decision_shards"], shards
-                    )
-                    stats["sharded_scans"] += 1
     return centers, uncovered
 
 
@@ -739,7 +610,6 @@ def charikar_greedy(
     tol: float = 0.05,
     pairwise_limit: int = PAIRWISE_LIMIT,
     dtype=None,
-    decision_jobs: "int | None" = None,
 ) -> "GreedyResult | list[GreedyResult]":
     """Weighted 3-approximation for k-center with ``z`` outliers.
 
@@ -771,8 +641,8 @@ def charikar_greedy(
     decisions, with no bracket narrowing from the previous budget
     (feasibility is only monotone for guesses ``>= opt``), so every
     result is bit-identical to a call with that budget alone; the
-    one-budget call is simply the one-element case.  Negative budgets
-    and unsorted sequences raise :class:`ValueError`.
+    one-budget call is simply the one-element case.  Negative or NaN
+    budgets and unsorted sequences raise :class:`ValueError`.
 
     ``dtype`` selects the distance kernel (:mod:`repro.kernels`): the
     default float64 path is bit-identical to the pre-kernels
@@ -792,25 +662,17 @@ def charikar_greedy(
     dense fallback would instead pay the documented ~1e-6 distance
     error.  :attr:`GreedyResult.path` records what ran.
 
-    ``decision_jobs`` shards each pruned decision's cell scans across
-    that many threads (:class:`repro.engine.ThreadExecutor`, created
-    once per call); the deterministic shard reduction keeps results
-    bit-identical to ``decision_jobs=1``.  Ignored off the grid path,
-    where the dense kernels already saturate BLAS threads.
-
     Degenerate cases: if the total weight is at most ``z`` (everything can
     be an outlier) or ``k >= n``, the radius is ``0``.
     """
     single = np.ndim(z) == 0
     zs = [z] if single else list(z)
-    if any(zj < 0 for zj in zs):
+    # ``not >= 0`` also rejects NaN, which every comparison would pass
+    if any(not zj >= 0 for zj in zs):
         raise ValueError(f"outlier budget z must be >= 0, got {z!r}")
     if any(b < a for a, b in zip(zs, zs[1:])):
         raise ValueError(f"outlier budgets must be ascending, got {z!r}")
     metric = get_metric(metric)
-    jobs = 1 if decision_jobs is None else int(decision_jobs)
-    if jobs < 1:
-        raise ValueError(f"decision_jobs must be >= 1, got {decision_jobs!r}")
     n = len(wps)
     # budgets are ascending, so the trivial ones (everything an outlier)
     # are a suffix
@@ -839,16 +701,8 @@ def charikar_greedy(
         and float(wps.weights.sum()) < 2.0**53
     )
     ws = Workspace()
-    stats = {
-        "decisions": 0,
-        "list_decisions": 0,
-        "grid_builds": 0,
-        "decision_jobs": jobs,
-        "decision_shards": 1,
-        "sharded_scans": 0,
-    }
+    stats = {"decisions": 0, "list_decisions": 0, "grid_builds": 0}
     paths_used = set()
-    executor = None
     if n <= pairwise_limit:
         paths_used.add("pairwise")
         # ONE distance matrix for the whole call; every guess below reuses
@@ -860,7 +714,6 @@ def charikar_greedy(
         def decide(g):
             return _greedy_disks(D, wps.weights, k, g, ws)
     else:
-        executor = ThreadExecutor(jobs=jobs) if grid_ok and jobs > 1 else None
 
         def decide(g):
             if grid_ok:
@@ -868,10 +721,8 @@ def charikar_greedy(
                 if grid is not None:
                     stats["grid_builds"] += 1
                     paths_used.add("grid")
-                    return _grid_decision(
-                        wps, metric, k, g, grid, ws,
-                        executor=executor, stats=stats,
-                    )
+                    return _grid_decision(wps, metric, k, g, grid, ws,
+                                          stats=stats)
             paths_used.add("dense")
             return _geometric_decision(
                 wps, metric, k, g, dtype=dtype, workspace=ws
@@ -887,25 +738,20 @@ def charikar_greedy(
             memo[g] = (centers, _uncovered_weight(wps.weights, uncovered))
         return memo[g]
 
-    try:
-        # radius 0 can be optimal (duplicates, or light far points absorbed
-        # by the outlier budget); test it outright before the positive
-        # guesses
-        centers0, uncovered0 = decide(0.0)
-        rem0 = _uncovered_weight(wps.weights, uncovered0)
-        # the smallest budget needs the most: if it fits at guess 0, all do
-        if not _weight_feasible(rem0, live[0]):
-            search = (_pairwise_search(D, metric, decided)
-                      if n <= pairwise_limit else
-                      _ladder_search(wps, k, metric, tol, decided))
-        picks = [
-            (0.0, centers0, uncovered0) if _weight_feasible(rem0, zj)
-            else search(zj)
-            for zj in live
-        ]
-    finally:
-        if executor is not None:
-            executor.close()
+    # radius 0 can be optimal (duplicates, or light far points absorbed
+    # by the outlier budget); test it outright before the positive guesses
+    centers0, uncovered0 = decide(0.0)
+    rem0 = _uncovered_weight(wps.weights, uncovered0)
+    # the smallest budget needs the most: if it fits at guess 0, all do
+    if not _weight_feasible(rem0, live[0]):
+        search = (_pairwise_search(D, metric, decided)
+                  if n <= pairwise_limit else
+                  _ladder_search(wps, k, metric, tol, decided))
+    picks = [
+        (0.0, centers0, uncovered0) if _weight_feasible(rem0, zj)
+        else search(zj)
+        for zj in live
+    ]
 
     path = paths_used.pop() if len(paths_used) == 1 else "mixed"
     out = [

@@ -153,21 +153,18 @@ def solve_kcenter_outliers(
     z: int,
     metric: "Metric | str | None" = None,
     method: str = "greedy3",
-    decision_jobs: "int | None" = None,
 ) -> Solution:
     """Solve k-center with outliers on a (typically small) point set.
 
     ``method="greedy3"`` runs Charikar et al. (3-approximation);
-    ``method="brute"`` runs the exact discrete optimum.  ``decision_jobs``
-    forwards to :func:`repro.core.greedy.charikar_greedy` (greedy3 only;
-    brute solves are candidate enumerations).
+    ``method="brute"`` runs the exact discrete optimum.
     """
     metric = get_metric(metric)
     if method == "brute":
         return brute_force_opt(wps, k, z, metric, max_points=len(wps))
     if method != "greedy3":
         raise ValueError(f"unknown method {method!r}")
-    res = charikar_greedy(wps, k, z, metric, decision_jobs=decision_jobs)
+    res = charikar_greedy(wps, k, z, metric)
     return Solution(wps.points[res.centers_idx], res.radius, "greedy3")
 
 

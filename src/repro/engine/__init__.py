@@ -18,7 +18,6 @@ from .executor import (
     derive_seeds,
     get_executor,
     map_machines,
-    shard_ranges,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "derive_seeds",
     "get_executor",
     "map_machines",
-    "shard_ranges",
 ]

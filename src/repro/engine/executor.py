@@ -49,34 +49,7 @@ __all__ = [
     "derive_seeds",
     "derive_rngs",
     "map_machines",
-    "shard_ranges",
 ]
-
-
-def shard_ranges(n: int, shards: int) -> "list[tuple[int, int]]":
-    """Deterministic contiguous ``[lo, hi)`` split of ``range(n)``.
-
-    The canonical work division for index-ordered sharded reductions
-    (the grid-pruned greedy decision fans its cell scans out this way):
-    shard boundaries depend only on ``(n, shards)``, never on scheduling,
-    and concatenating the ranges in list order reproduces ``range(n)``
-    exactly.  Sizes differ by at most one (remainder spread over the
-    leading shards); empty trailing ranges are dropped when
-    ``shards > n``.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    shards = min(shards, max(n, 1))
-    size, rem = divmod(n, shards)
-    out, lo = [], 0
-    for s in range(shards):
-        hi = lo + size + (1 if s < rem else 0)
-        if hi > lo:
-            out.append((lo, hi))
-        lo = hi
-    return out
 
 
 @runtime_checkable

@@ -47,6 +47,11 @@ __all__ = [
 #: product in int64
 _MAX_CELL_INDEX = 2.0**30
 
+#: neighbour-cell targets one match of :meth:`PointGrid.neighborhoods`
+#: or :meth:`PointGrid.candidate_pairs` holds (``cells x (2R+1)^d``;
+#: ~2 MB per int64 temporary)
+_MATCH_TARGETS = 1 << 18
+
 
 def quantize(pts: np.ndarray, side: float) -> "np.ndarray | None":
     """Per-axis cell indices ``floor(pts / side)`` as int64, or ``None``
@@ -345,6 +350,25 @@ class PointGrid:
         src_local, _ = np.nonzero(valid)
         return src_local, pos_c[valid]
 
+    def _match_cells(self, R: int) -> int:
+        """Cells one neighbour match may take at ring ``R``."""
+        return max(1, _MATCH_TARGETS // len(self.neighbor_deltas(R)))
+
+    def neighborhoods(
+        self, cells: np.ndarray, R: int
+    ) -> "Iterator[tuple[int, np.ndarray, np.ndarray]]":
+        """:meth:`neighbors_of_cells` a slice of ``cells`` at a time, so
+        the match temporaries stay bounded however many cells there are.
+
+        Yields ``(lo, bounds, nbr)`` per slice: the ring-``R`` neighbours
+        of ``cells[lo + s]`` are ``nbr[bounds[s]:bounds[s + 1]]``.
+        """
+        step = self._match_cells(R)
+        for lo in range(0, len(cells), step):
+            part = cells[lo : lo + step]
+            src, nbr = self.neighbors_of_cells(part, R)
+            yield lo, np.searchsorted(src, np.arange(len(part) + 1)), nbr
+
     def points_in_cells(self, cells: np.ndarray) -> np.ndarray:
         """Concatenated member point indices of the given cells (a fully
         vectorized ragged gather; duplicated cells yield duplicates)."""
@@ -371,48 +395,61 @@ class PointGrid:
 
     def candidate_pairs(
         self, dist: float, max_pairs: int, block_pairs: "int | None" = None
-    ) -> "Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]] | None":
+    ) -> "tuple[int, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]] | None":
         """Every (point, candidate) pair whose cells lie within
         :meth:`ring` ``(dist)`` of each other, grouped by point, expanded
         lazily in blocks of contiguous cells.
 
-        Yields ``(pos, i, j)`` per block: pair ``t`` pairs point ``i[t]``
-        with candidate ``j[t]``, and ``pos[t]`` is the position of
-        ``i[t]`` in :attr:`order` (non-decreasing across all blocks, so
+        Returns ``(total, blocks)``: the exact pair count, ``sum(counts[c]
+        * counts[c'])`` over neighboring cells ``c, c'``, and an iterator
+        yielding ``(pos, i, j)`` per block: pair ``t`` pairs point
+        ``i[t]`` with candidate ``j[t]``, and ``pos[t]`` is the position
+        of ``i[t]`` in :attr:`order` (non-decreasing across all blocks, so
         pairs come grouped by point in cell order).  A superset of all
         pairs within ``dist``, each point paired with itself too.  A
         block holds at most ``block_pairs`` pairs unless one cell alone
-        has more (``None``: one block).  Returns ``None`` without
-        expanding when the exact pair count, ``sum(counts[c] *
-        counts[c'])`` over neighboring cells ``c, c'``, or the
-        neighbor-cell lookup would exceed ``max_pairs``.
+        has more (``None``: no pair limit).  Returns ``None`` without
+        expanding when the pair count or the neighbor-cell lookup would
+        exceed ``max_pairs``.
+
+        Neighbor cells are matched :data:`_MATCH_TARGETS` targets at a
+        time: a grid too large for one match counts its pairs slice by
+        slice and matches each block (capped to one match) on its own.
         """
         R = self.ring(dist)
         if self.num_cells * len(self.neighbor_deltas(R)) > max_pairs:
             return None
-        src, nbr = self.neighbors_of_cells(np.arange(self.num_cells), R)
         # members of each cell's neighborhood, per cell
-        reach = np.bincount(src, weights=self.cell_counts[nbr],
-                            minlength=self.num_cells).astype(np.int64)
+        reach = np.empty(self.num_cells, dtype=np.int64)
+        for lo, bounds, nbr in self.neighborhoods(np.arange(self.num_cells),
+                                                  R):
+            reach[lo : lo + len(bounds) - 1] = np.add.reduceat(
+                self.cell_counts[nbr], bounds[:-1])
         pairs = reach * self.cell_counts
         total = int(pairs.sum())
         if total > max_pairs:
             return None
+        step = self._match_cells(R)
+        # one match covered the grid: keep it and slice it per block
+        whole = (bounds, nbr) if step >= self.num_cells else None
+        limit = total if block_pairs is None else block_pairs
+        cum = np.cumsum(pairs)
         cuts = [0]
-        if block_pairs is not None and total > block_pairs:
-            cum = np.cumsum(pairs)
-            while cuts[-1] < self.num_cells:
-                base = int(cum[cuts[-1] - 1]) if cuts[-1] else 0
-                nxt = int(np.searchsorted(cum, base + block_pairs,
-                                          side="right"))
-                cuts.append(max(nxt, cuts[-1] + 1))
-        else:
-            cuts.append(self.num_cells)
-        # src is ascending, so each block's neighbor cells are one slice
-        at = np.searchsorted(src, cuts)
-        return (self._expand(nbr[at[b]:at[b + 1]], reach, cuts[b],
-                             cuts[b + 1])
-                for b in range(len(cuts) - 1))
+        while cuts[-1] < self.num_cells:
+            c0 = cuts[-1]
+            base = int(cum[c0 - 1]) if c0 else 0
+            c1 = int(np.searchsorted(cum, base + limit, side="right"))
+            cuts.append(min(max(c1, c0 + 1), c0 + step))
+
+        def blocks():
+            for c0, c1 in zip(cuts, cuts[1:]):
+                if whole is None:
+                    nbr = self.neighbors_of_cells(np.arange(c0, c1), R)[1]
+                else:
+                    nbr = whole[1][whole[0][c0] : whole[0][c1]]
+                yield self._expand(nbr, reach, c0, c1)
+
+        return total, blocks()
 
     def _expand(self, nbr: np.ndarray, reach: np.ndarray, c0: int,
                 c1: int) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":

@@ -33,7 +33,6 @@ def multi_round_coreset(
     parallel: bool = False,
     executor=None,
     dtype=None,
-    decision_jobs: "int | None" = None,
 ) -> MPCCoresetResult:
     """Run Algorithm 7 with ``R = rounds`` communication rounds.
 
@@ -42,9 +41,9 @@ def multi_round_coreset(
     The per-round machine-local MBC constructions fan out through
     ``executor`` (bit-identical results under every executor);
     ``parallel=True`` is the legacy spelling of ``executor="thread"``.
-    ``dtype`` / ``decision_jobs`` select the distance-kernel precision and
-    decision sharding (:func:`repro.core.greedy.charikar_greedy`) for
-    every per-round MBC construction.
+    ``dtype`` selects the distance-kernel precision
+    (:func:`repro.core.greedy.charikar_greedy`) for every per-round MBC
+    construction.
     """
     metric = get_metric(metric)
     m = len(parts)
@@ -73,8 +72,7 @@ def multi_round_coreset(
         mbcs = map_machines(
             exec_,
             mbc_task,
-            [(Q[i], k, z, eps, metric, None, dtype, decision_jobs)
-             for i in range(active)],
+            [(Q[i], k, z, eps, metric, None, dtype) for i in range(active)],
             machines=machines[:active],
             charge=lambda mach, task, mbc: mach.charge(mbc.size),
         )

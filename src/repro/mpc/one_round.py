@@ -47,7 +47,6 @@ def one_round_coreset(
     parallel: bool = False,
     executor=None,
     dtype=None,
-    decision_jobs: "int | None" = None,
 ) -> MPCCoresetResult:
     """Run Algorithm 6 on randomly partitioned input.
 
@@ -59,10 +58,10 @@ def one_round_coreset(
     ``executor`` selects how the machine-local MBC constructions run
     (name, :class:`~repro.engine.Executor`, or ``None`` for serial);
     results are bit-identical under every executor.  ``parallel=True``
-    is the legacy spelling of ``executor="thread"``.  ``dtype`` /
-    ``decision_jobs`` select the distance-kernel precision and decision
-    sharding (:func:`repro.core.greedy.charikar_greedy`) for the
-    machine-local and coordinator MBC constructions.
+    is the legacy spelling of ``executor="thread"``.  ``dtype`` selects
+    the distance-kernel precision
+    (:func:`repro.core.greedy.charikar_greedy`) for the machine-local and
+    coordinator MBC constructions.
     """
     metric = get_metric(metric)
     m = len(parts)
@@ -78,8 +77,7 @@ def one_round_coreset(
     mbcs = map_machines(
         resolve_executor(executor, parallel),
         mbc_task,
-        [(part, k, zprime, eps, metric, None, dtype, decision_jobs)
-         for part in parts],
+        [(part, k, zprime, eps, metric, None, dtype) for part in parts],
         machines=machines,
         charge=lambda mach, task, mbc: (mach.charge(len(task[0])), mach.charge(mbc.size)),
     )
@@ -94,9 +92,7 @@ def one_round_coreset(
         else WeightedPointSet.empty(parts[0].dim)
     )
     if final_compress and len(union):
-        final_mbc = mbc_construction(
-            union, k, z, eps, metric, dtype=dtype, decision_jobs=decision_jobs
-        )
+        final_mbc = mbc_construction(union, k, z, eps, metric, dtype=dtype)
         coreset = final_mbc.coreset
         machines[0].charge(final_mbc.size)
         eps_out = compose_errors(eps, eps)

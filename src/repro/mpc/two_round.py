@@ -106,7 +106,6 @@ def two_round_coreset(
     parallel: bool = False,
     executor=None,
     dtype=None,
-    decision_jobs: "int | None" = None,
 ) -> MPCCoresetResult:
     """Run Algorithm 2 on pre-partitioned input.
 
@@ -129,10 +128,10 @@ def two_round_coreset(
         (``"serial"``, ``"thread"``, ``"process"``), a
         :class:`~repro.engine.Executor` instance, or ``None`` (serial).
         Results are bit-identical under every executor.
-    dtype, decision_jobs:
-        Distance-kernel precision and decision sharding
+    dtype:
+        Distance-kernel precision
         (:func:`repro.core.greedy.charikar_greedy`), shipped inside the
-        task tuples so process workers honor them too.
+        task tuples so process workers honor it too.
 
     Returns the coordinator's coreset with ``eps_guarantee = 3*eps`` when
     re-compressed, ``eps`` otherwise.
@@ -158,7 +157,7 @@ def two_round_coreset(
         vectors = map_machines(
             exec_,
             radius_vector_task,
-            [(part, k, veclen, metric, dtype, decision_jobs) for part in parts],
+            [(part, k, veclen, metric, dtype) for part in parts],
             machines=machines,
             charge=lambda mach, task, vec: mach.charge(veclen),  # own vector
         )
@@ -176,7 +175,7 @@ def two_round_coreset(
             mbc_task,
             [
                 (part, k, (1 << jhat) - 1, eps, metric, float(vec[jhat]),
-                 dtype, decision_jobs)
+                 dtype)
                 for part, jhat, vec in zip(parts, jhats, vectors)
             ],
             machines=machines,
@@ -191,8 +190,7 @@ def two_round_coreset(
         mbcs = map_machines(
             exec_,
             mbc_task,
-            [(part, k, z, eps, metric, None, dtype, decision_jobs)
-             for part in parts],
+            [(part, k, z, eps, metric, None, dtype) for part in parts],
             machines=machines,
             charge=lambda mach, task, mbc: mach.charge(mbc.size),
         )
@@ -207,9 +205,7 @@ def two_round_coreset(
         len(s) for s in received
     ) else WeightedPointSet.empty(parts[0].dim)
     if final_compress and len(union):
-        final_mbc = mbc_construction(
-            union, k, z, eps, metric, dtype=dtype, decision_jobs=decision_jobs
-        )
+        final_mbc = mbc_construction(union, k, z, eps, metric, dtype=dtype)
         coreset = final_mbc.coreset
         machines[0].charge(final_mbc.size)
         eps_out = compose_errors(eps, eps)  # <= 3*eps for eps <= 1

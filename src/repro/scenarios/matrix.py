@@ -15,8 +15,7 @@ Cells are independent, so the harness shards them across a
 :class:`repro.engine` executor (``--jobs``) and caches each cell in a
 :class:`~repro.engine.ResultsCache` keyed by the *fully resolved* cell
 identity — scenario, backend, quick, seed, the complete spec dict
-(including ``dtype``/``decision_jobs``) and the derived
-session options — so a knob change can never serve a stale cell.  With
+(including ``dtype``) and the derived session options — so a knob change can never serve a stale cell.  With
 ``--checkpoint-dir`` each in-flight cell additionally saves a durable
 session snapshot (:mod:`repro.persist`) after every batch: a killed
 sweep resumes *mid-stream* from the checkpoint (bit-identical to the
@@ -176,23 +175,18 @@ def _storage_probe(stats: dict) -> "int | None":
     return None
 
 
-def _resolved_spec(spec, dtype: "str | None",
-                   decision_jobs: "int | None" = None):
-    """The scenario's spec with sweep-level kernel knobs layered on."""
-    changes = {}
-    if dtype is not None:
-        changes["dtype"] = dtype
-    if decision_jobs is not None:
-        changes["decision_jobs"] = int(decision_jobs)
-    return spec.replace(**changes) if changes else spec
+def _resolved_spec(spec, dtype: "str | None"):
+    """The scenario's spec with the sweep-level kernel precision layered
+    on."""
+    return spec.replace(dtype=dtype) if dtype is not None else spec
 
 
 def cell_cache_params(scenario: str, backend: str, quick: bool, seed: int,
                       spec, options: dict) -> dict:
     """The fully resolved cache identity of one matrix cell.
 
-    Includes the complete spec dict (every knob, ``dtype`` and
-    ``decision_jobs`` included) and the derived backend session options,
+    Includes the complete spec dict (every knob, ``dtype`` included)
+    and the derived backend session options,
     so changing any of them misses the cache instead of serving a stale
     cell computed under different parameters.
     """
@@ -252,7 +246,6 @@ def run_cell(
     seed: int = 0,
     reference: "float | None" = None,
     dtype: "str | None" = None,
-    decision_jobs: "int | None" = None,
     checkpoint_dir: "str | None" = None,
     instance=None,
     replicate: int = 0,
@@ -280,11 +273,6 @@ def run_cell(
     dtype:
         Distance-kernel precision layered onto the scenario's spec
         (:mod:`repro.kernels`); part of the cell's cache identity.
-    decision_jobs:
-        Thread count for sharded grid-pruned greedy decisions
-        (:func:`repro.core.greedy.charikar_greedy`); bit-identical to
-        serial, so results match for any value, but it is still part of
-        the cell's cache identity (it is a spec field).
     checkpoint_dir:
         When set, the in-flight session is snapshotted here after every
         batch (streaming-model backends) or on a power-of-two batch
@@ -318,7 +306,7 @@ def run_cell(
             **ids,
         )
     try:
-        spec = _resolved_spec(inst.spec, dtype, decision_jobs)
+        spec = _resolved_spec(inst.spec, dtype)
         options = inst.session_options(info)
         ckpt = None
         if checkpoint_dir:
@@ -450,7 +438,7 @@ def _cell_task(task: tuple) -> dict:
     """One unit of matrix fan-out (module-level so process pools pickle
     it); opens its own cache handle and returns the cell as a dict."""
     (scenario, backend, quick, seed, replicate, cache_root, force,
-     dtype, decision_jobs, checkpoint_dir) = task
+     dtype, checkpoint_dir) = task
     cache = ResultsCache(cache_root) if cache_root else None
     cell_fields = {f.name for f in fields(CellResult)}
     info = get_backend(backend)
@@ -466,7 +454,7 @@ def _cell_task(task: tuple) -> dict:
     alias_params = {"scenario": scenario, "backend": backend,
                     "quick": bool(quick), "seed": int(seed),
                     "replicate": int(replicate),
-                    "dtype": dtype, "decision_jobs": decision_jobs}
+                    "dtype": dtype}
     sc = get_scenario(scenario)
     try:
         # memoized per process: the resolved spec/options the instance
@@ -482,7 +470,7 @@ def _cell_task(task: tuple) -> dict:
         return asdict(CellResult(scenario, backend, "unavailable",
                                  note=str(exc), seed=int(seed),
                                  replicate=int(replicate)))
-    spec = _resolved_spec(inst.spec, dtype, decision_jobs)
+    spec = _resolved_spec(inst.spec, dtype)
     params = cell_cache_params(
         scenario, backend, quick, seed, spec, inst.session_options(info)
     )
@@ -493,7 +481,6 @@ def _cell_task(task: tuple) -> dict:
     ref = _scenario_reference(scenario, quick, seed, cache, force)
     cell = asdict(run_cell(scenario, backend, quick=quick, seed=seed,
                            reference=ref, dtype=dtype,
-                           decision_jobs=decision_jobs,
                            checkpoint_dir=checkpoint_dir, instance=inst,
                            replicate=replicate))
     # only settled results are cached: transient failures ("unavailable",
@@ -764,7 +751,6 @@ def run_matrix(
     cache_root: "str | None" = None,
     force: bool = False,
     dtype: "str | None" = None,
-    decision_jobs: "int | None" = None,
     checkpoint_dir: "str | None" = None,
 ) -> MatrixResult:
     """Sweep ``backends`` x ``scenarios`` and collect the matrix.
@@ -799,11 +785,6 @@ def run_matrix(
     dtype:
         Distance-kernel precision layered onto every cell's spec; part
         of each cell's cache identity.
-    decision_jobs:
-        Sharded-decision thread count layered onto every cell's spec;
-        results are bit-identical for any value (deterministic
-        index-ordered reduction), which the CI parity step exploits by
-        byte-comparing ``--decision-jobs 1`` against ``2``.
     checkpoint_dir:
         Per-cell mid-stream checkpoint directory (see :func:`run_cell`);
         a killed sweep rerun with the same directory resumes in-flight
@@ -832,7 +813,7 @@ def run_matrix(
     # per-process instance memo keeps paying under replication
     tasks = [
         (s, b, quick, rep_seed, rep, cache_root, force, dtype,
-         decision_jobs, checkpoint_dir)
+         checkpoint_dir)
         for s in scenario_names
         for rep, rep_seed in enumerate(seeds)
         for b in backend_names
@@ -904,11 +885,6 @@ def build_matrix_parser() -> argparse.ArgumentParser:
                         help="distance-kernel precision layered onto every "
                              "cell's spec (cache-keyed; default: the "
                              "scenario's own setting)")
-    parser.add_argument("--decision-jobs", type=int, default=None,
-                        metavar="N", dest="decision_jobs",
-                        help="threads for sharded grid-pruned greedy "
-                             "decisions (cache-keyed; bit-identical results "
-                             "for any N)")
     parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                         help="save a durable session snapshot per cell after "
                              "every batch; a killed sweep rerun with the same "
@@ -945,9 +921,6 @@ def matrix_main(argv: "list[str]") -> int:
     if not 0.0 < args.alpha < 1.0:
         print("--alpha must be in (0, 1)")
         return 2
-    if args.decision_jobs is not None and args.decision_jobs < 1:
-        print("--decision-jobs must be >= 1")
-        return 2
 
     try:
         scenarios = (
@@ -980,7 +953,7 @@ def matrix_main(argv: "list[str]") -> int:
         replicates=args.replicates, alpha=args.alpha,
         jobs=args.jobs if args.jobs > 1 else None,
         cache_root=cache_root, force=args.force,
-        dtype=args.dtype, decision_jobs=args.decision_jobs,
+        dtype=args.dtype,
         checkpoint_dir=args.checkpoint_dir,
     )
 

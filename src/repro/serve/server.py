@@ -494,10 +494,6 @@ class ReproServer:
             "Per-guess grids built by pruned radius searches (kind is "
             "always direct).",
             ("backend", "kind"))
-        self.counter_sharded_scans = reg.counter(
-            "repro_serve_greedy_sharded_scans_total",
-            "Pruned-decision cell scans that fanned out across decision "
-            "threads.", ("backend",))
         self.gauge_up = reg.gauge(
             "repro_serve_ready",
             "1 when the server is accepting traffic, else 0.")
@@ -523,14 +519,11 @@ class ReproServer:
             self.counter_points.labels(op=op, backend=backend).inc(points)
 
     def observe_greedy(self, backend: str, greedy_stats: dict) -> None:
-        """Record a pruned radius search's geometry/sharding breakdown."""
+        """Record a pruned radius search's per-guess grid builds."""
         v = int(greedy_stats.get("grid_builds", 0) or 0)
         if v:
             self.counter_grid_levels.labels(
                 backend=backend, kind="direct").inc(v)
-        v = int(greedy_stats.get("sharded_scans", 0) or 0)
-        if v:
-            self.counter_sharded_scans.labels(backend=backend).inc(v)
 
     def render_metrics(self) -> str:
         """The current scrape body."""

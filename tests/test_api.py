@@ -36,10 +36,10 @@ class TestProblemSpec:
         {"k": 1, "z": 1, "eps": 0.5, "dim": 0},
         {"k": 1, "z": 1, "eps": 0.5, "seed": -3},
         {"k": float("inf"), "z": 1, "eps": 0.5},
-        {"k": 1, "z": 1, "eps": 0.5, "decision_jobs": 0},
-        {"k": 1, "z": 1, "eps": 0.5, "decision_jobs": -2},
+        {"k": 1, "z": 1, "eps": 0.5, "jobs": 0},
+        {"k": 1, "z": 1, "eps": 0.5, "jobs": -2},
         # integer fields fail closed: no truncation, overflow or bools
-        {"k": 1, "z": 1, "eps": 0.5, "decision_jobs": float("inf")},
+        {"k": 1, "z": 1, "eps": 0.5, "jobs": float("inf")},
         {"k": 2.9, "z": 1, "eps": 0.5},
         {"k": 1, "z": 0.5, "eps": 0.5},
         {"k": 1, "z": 1, "eps": 0.5, "seed": -0.5},
@@ -50,11 +50,6 @@ class TestProblemSpec:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ProblemSpec(**kwargs)
-
-    def test_decision_jobs_accepted(self):
-        spec = ProblemSpec(1, 0, 1.0, decision_jobs=4)
-        assert spec.decision_jobs == 4 and isinstance(spec.decision_jobs, int)
-        assert ProblemSpec(1, 0, 1.0).decision_jobs is None
 
     def test_metric_resolution(self):
         assert ProblemSpec(1, 0, 1.0, metric="linf").metric_name == "chebyshev"
@@ -89,7 +84,7 @@ class TestProblemSpec:
         d = ProblemSpec(2, 3, 0.5, dim=1, seed=0).as_dict()
         assert d == {"k": 2, "z": 3, "eps": 0.5, "metric": "euclidean",
                      "seed": 0, "dim": 1, "executor": None, "jobs": None,
-                     "dtype": None, "decision_jobs": None}
+                     "dtype": None}
 
 
 class TestRegistry:

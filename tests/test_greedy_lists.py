@@ -2,13 +2,15 @@
 and the dense float64 decision.
 
 A grid-pruned decision whose grid averages few candidate pairs per cell
-enumerates every within-cutoff pair once (:func:`neighbour_lists`) and
-walks those lists for the gain seed and every pick; denser grids keep
-the per-cell blocked scans.  Both compare the same pairs in float64 and
-integer weights make every gain an exact integer, so the list path, the
-blocked path and the dense :func:`_geometric_decision` must agree bit for
-bit: centres, uncovered mask and feasibility.  The crossover constant is
-patched to force either side.
+enumerates every within-cutoff pair once: within :data:`_LIST_MAX_PAIRS`
+it keeps them as lists (:func:`neighbour_lists`) and walks them for the
+gain seed and every pick; over that budget the streamed pair blocks seed
+the gains and the picks scan cells.  Denser grids keep the per-cell
+blocked scans.  All compare the same pairs in float64 and integer
+weights make every gain an exact integer, so the list path, the streamed
+seed, the blocked path and the dense :func:`_geometric_decision` must
+agree bit for bit: centres, uncovered mask and feasibility.  The
+crossover constants are patched to force each side.
 """
 
 import tracemalloc
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 import repro.core.greedy as greedy_mod
 import repro.core.mbc as mbc_mod
+import repro.geometry.grid as grid_mod
 from repro.core import WeightedPointSet, charikar_greedy
 from repro.core._greedy_reference import (
     charikar_greedy_reference,
@@ -45,8 +48,7 @@ FORCE_BLOCKED, FORCE_LISTS = 0, 10**12
 
 
 def _new_stats() -> dict:
-    return {"decisions": 0, "list_decisions": 0, "decision_shards": 1,
-            "sharded_scans": 0}
+    return {"decisions": 0, "list_decisions": 0}
 
 
 def _decide(P, metric, k, g, per_cell):
@@ -163,6 +165,8 @@ class TestDecisionCases:
         assert stats["list_decisions"] == 0
 
     def test_pair_budget_keeps_the_blocked_path(self, rng):
+        # sparse but over the list budget: the streamed seed, then
+        # blocked pick scans
         P = WeightedPointSet(rng.uniform(0, 10, size=(300, 2)),
                              rng.integers(1, 4, 300))
         met = get_metric(None)
@@ -170,6 +174,66 @@ class TestDecisionCases:
             out, took = _decide(P, met, 3, 0.3, FORCE_LISTS)
         assert not took
         _assert_same_decision(out, _geometric_decision(P, met, 3, 0.3))
+
+
+# ---------------------------------------------------------------------------
+# Streamed seeds: sparse grids over the list budget
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 400),
+       k=st.integers(1, 6), z=st.integers(0, 12),
+       list_frac=st.sampled_from([0, 1]),
+       block_pairs=st.sampled_from([1, 64, _LIST_BLOCK_PAIRS]),
+       match_targets=st.sampled_from([1, 100, grid_mod._MATCH_TARGETS]))
+def test_streamed_seed_search_matches_reference(metric, d, seed, n, k, z,
+                                                list_frac, block_pairs,
+                                                match_targets):
+    # every grid counts as sparse, and a list budget of 0 or n pairs
+    # sends every guess, or all but the tiniest, to the streamed seed;
+    # tiny blocks and neighbour matches cut the streams and scans into
+    # many pieces
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, d)) * 5.0
+    if seed % 3 == 0:  # fold in duplicates
+        pts[: n // 4] = pts[n // 4: 2 * (n // 4)]
+    P = WeightedPointSet(pts, rng.integers(1, 6, n))
+    with mock.patch.multiple(greedy_mod, _LIST_PAIRS_PER_CELL=FORCE_LISTS,
+                             _LIST_MAX_PAIRS=list_frac * n,
+                             _LIST_BLOCK_PAIRS=block_pairs), \
+            mock.patch.object(grid_mod, "_MATCH_TARGETS", match_targets):
+        res = charikar_greedy(P, k, z, metric, pairwise_limit=8)
+    assert res.stats["list_decisions"] < res.stats["decisions"]
+    _assert_same_result(
+        res, charikar_greedy_reference(P, k, z, metric, pairwise_limit=8))
+
+
+def test_streamed_seed_memory_is_bounded_on_a_sparse_d4_grid():
+    # 3*10^4 points in [0, 10]^4 at guess 0.5: ~one point per cell,
+    # 3*10^4 cells x 81 neighbour offsets.  Matching every cell at once
+    # holds ~80 MB of targets; the seed matches a slice of cells and
+    # expands one block of pairs at a time
+    rng = np.random.default_rng(0)
+    P = WeightedPointSet(rng.uniform(0, 10, (30_000, 4)),
+                         np.ones(30_000, dtype=np.int64))
+    g = 0.5
+    grid = _grid_for_guess(P.points, g + 1e-9)
+    assert grid.num_cells > 25_000
+    stats = _new_stats()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        with mock.patch.object(greedy_mod, "_LIST_MAX_PAIRS", 0):
+            _grid_decision(P, get_metric(None), 1, g, grid, Workspace(),
+                           stats=stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats == {"decisions": 1, "list_decisions": 0}
+    assert peak < _LIST_BLOCK_PAIRS * 64 + len(P) * 64
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +286,6 @@ class TestSearches:
             assert res.stats["list_decisions"] > 0
         _assert_same_result(
             res, charikar_greedy_reference(P, 4, 12, metric, pairwise_limit=8))
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_results_identical_for_any_job_count(self, rng, jobs,
-                                                 monkeypatch):
-        # the list path is serial; sharding still splits the blocked scans
-        monkeypatch.setattr(greedy_mod, "_GRID_SHARD_MIN_POINTS", 1)
-        P = WeightedPointSet(rng.uniform(0, 10, size=(700, 2)),
-                             rng.integers(1, 5, 700))
-        res = charikar_greedy(P, 4, 10, pairwise_limit=8,
-                              decision_jobs=jobs)
-        assert res.stats["list_decisions"] > 0
-        assert (res.stats["sharded_scans"] > 0) == (jobs > 1)
-        _assert_same_result(
-            res, charikar_greedy_reference(P, 4, 10, pairwise_limit=8))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +341,7 @@ class TestNeighbourLists:
         # temporaries, never every candidate at once
         assert peak < len(nbrs) * 24 + _LIST_BLOCK_PAIRS * 64
         cands = sum(len(pos) for pos, _, _ in
-                    grid.candidate_pairs(cutoff, _LIST_MAX_PAIRS))
+                    grid.candidate_pairs(cutoff, _LIST_MAX_PAIRS)[1])
         assert cands > 3 * _LIST_BLOCK_PAIRS
         assert len(nbrs) == ptr[-1] < cands // 2
 

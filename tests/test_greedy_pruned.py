@@ -302,14 +302,12 @@ class TestAdversarialParity:
         assert res.radius == 0.0
 
     def test_coo_and_oversized_pair_machinery(self, rng, monkeypatch):
-        # tiny thresholds force the COO pair-expansion path, its budget
-        # chunking, and the oversized-single-pair diversion to the
-        # blocked kernel — all must stay bit-identical
-        monkeypatch.setattr(greedy_mod, "_GRID_BLOCK_CELLS", 1)
+        # a tiny pair budget makes the blocked kernel chunk the candidate
+        # rows of the one oversized cell; the scans stay bit-identical
+        monkeypatch.setattr(greedy_mod, "_LIST_PAIRS_PER_CELL", 0)
         monkeypatch.setattr(greedy_mod, "_GRID_PAIR_CHUNK", 64)
-        monkeypatch.setattr(greedy_mod, "_GRID_MATCH_CHUNK", 7)
         pts = rng.uniform(0, 10, size=(400, 2))
-        # one dense blob => one cell pair with >> 64 pairs (oversized)
+        # one dense blob => one cell with >> 64 pairs (oversized)
         pts[:150] = 5.0 + rng.uniform(0, 1e-4, size=(150, 2))
         P = WeightedPointSet(pts, rng.integers(1, 6, 400))
         _check_parity(P, 3, 10)
@@ -357,25 +355,6 @@ class TestPruneKnob:
         assert res.stats["grid_builds"] > 0
         _assert_same_result(res, _reference(P, 3, 2))
 
-    def test_invalid_decision_jobs_rejected(self, rng):
-        P = WeightedPointSet.from_points(rng.uniform(0, 1, size=(10, 2)))
-        with pytest.raises(ValueError, match="decision_jobs"):
-            charikar_greedy(P, 2, 1, decision_jobs=0)
-
-    @pytest.mark.parametrize("jobs", [2, 8])
-    def test_sharded_decisions_bit_match_serial(self, rng, jobs, monkeypatch):
-        # drop the sharding floor so a small instance actually shards,
-        # then demand bit-parity with jobs=1 and with the reference
-        monkeypatch.setattr(greedy_mod, "_GRID_SHARD_MIN_POINTS", 1)
-        pts = rng.uniform(0, 10, size=(600, 2))
-        P = WeightedPointSet(pts, rng.integers(1, 5, 600))
-        sharded = charikar_greedy(P, 4, 10, pairwise_limit=8,
-                                  decision_jobs=jobs)
-        assert sharded.stats["decision_jobs"] == jobs
-        assert sharded.stats["decision_shards"] >= 2
-        serial = charikar_greedy(P, 4, 10, pairwise_limit=8)
-        _assert_same_result(sharded, serial)
-        _assert_same_result(sharded, _reference(P, 4, 10))
 
 
 class TestGridDecisionDirect:

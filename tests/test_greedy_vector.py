@@ -159,7 +159,7 @@ class TestSharedDecisions:
         with mock.patch.object(
             greedy_mod, "gonzalez", wraps=greedy_mod.gonzalez
         ) as gz:
-            v = radius_vector_task((P, 8, len(MPC_BUDGETS), None, None, None))
+            v = radius_vector_task((P, 8, len(MPC_BUDGETS), None, None))
         assert gz.call_count == 1
         expected = [charikar_greedy(P, 8, z).radius for z in MPC_BUDGETS]
         assert v.tolist() == expected
@@ -190,14 +190,16 @@ class TestSharedDecisions:
 class TestBadBudgets:
     # 300 points take the exact pairwise search, 3,000 the grid search:
     # a negative budget used to raise RuntimeError on the first and
-    # return a radius from an infeasible decision on the second
+    # return a radius from an infeasible decision on the second; a NaN
+    # budget raised RuntimeError on the first and IndexError on the second
     @pytest.mark.parametrize("n", [300, 3000])
     def test_negative_budget_rejected(self, rng, n):
         P = WeightedPointSet(rng.uniform(0, 10, size=(n, 2)))
-        with pytest.raises(ValueError, match="z must be >= 0"):
-            charikar_greedy(P, 4, -1)
-        with pytest.raises(ValueError, match="z must be >= 0"):
-            charikar_greedy(P, 4, [-1, 0, 3])
+        for bad in (-1, float("nan")):
+            with pytest.raises(ValueError, match="z must be >= 0"):
+                charikar_greedy(P, 4, bad)
+            with pytest.raises(ValueError, match="z must be >= 0"):
+                charikar_greedy(P, 4, [bad, 0, 3])
 
     def test_unsorted_budgets_rejected(self, rng):
         P = WeightedPointSet(rng.uniform(0, 10, size=(50, 2)))

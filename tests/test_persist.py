@@ -239,15 +239,19 @@ class TestSnapshotFile:
             KCenterSession.load(bad_spec)
 
     def test_retired_spec_knobs_still_load(self, tmp_path):
-        # snapshots written before the kernel knobs were removed carry
-        # them in the spec dict; they never changed a result
+        # snapshots (and evicted serve tenants) written before the kernel
+        # and decision-threading knobs were removed carry them in the
+        # spec dict; they never changed a result
+        from repro.serve.wire import WireError, parse_create_payload
+
+        retired = {"kernel_chunk": 2048, "kernel_backend": "numba",
+                   "prune": "off", "decision_jobs": 2}
         path = str(tmp_path / "s.ckpt")
         sess = _make("insertion-only")
         sess.extend(_stream("insertion-only", 0, n=60))
         sess.save(path)
         manifest, state = read_snapshot(path)
-        manifest["spec"].update({"kernel_chunk": 2048,
-                                 "kernel_backend": "numba", "prune": "off"})
+        manifest["spec"].update(retired)
         old = str(tmp_path / "old.ckpt")
         write_snapshot(old, manifest, state)
         a, b = KCenterSession.load(path), KCenterSession.load(old)
@@ -256,6 +260,12 @@ class TestSnapshotFile:
         assert np.array_equal(a.coreset().weights, b.coreset().weights)
         assert a.solve().radius == b.solve().radius
         assert a.updates_seen == b.updates_seen
+        # a new session naming one is an unknown field: 400 bad-spec
+        for key, value in retired.items():
+            with pytest.raises(WireError) as err:
+                parse_create_payload(
+                    {"spec": {**_spec().as_dict(), key: value}})
+            assert (err.value.status, err.value.code) == (400, "bad-spec")
 
     def test_unserializable_option_fails_at_save(self, tmp_path):
         sess = KCenterSession.from_spec(

@@ -98,9 +98,8 @@ class TestSessionRoutes:
             # fields must reject it and fractions, not overflow or truncate
             ("infinite k", "PUT", "/sessions/a",
              {"spec": {**SPEC, "k": float("inf")}}, 400, "bad-spec"),
-            ("infinite decision_jobs", "PUT", "/sessions/a",
-             {"spec": {**SPEC, "decision_jobs": float("inf")}},
-             400, "bad-spec"),
+            ("infinite jobs", "PUT", "/sessions/a",
+             {"spec": {**SPEC, "jobs": float("inf")}}, 400, "bad-spec"),
             ("fractional k and z", "PUT", "/sessions/a",
              {"spec": {**SPEC, "k": 2.9, "z": 0.5}}, 400, "bad-spec"),
             ("bad backend", "PUT", "/sessions/a",
