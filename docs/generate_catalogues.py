@@ -72,8 +72,12 @@ def generate_backends() -> str:
         "  universe size; coordinates must lie in `1..Delta`).",
         "- `sliding-window` — `window`, `r_min`, `r_max` (window length and",
         "  the radius-ladder bounds).",
-        "- MPC backends — optional `num_machines`, `partition`, `executor`,",
-        "  `jobs`.",
+        "- MPC backends — optional `num_machines` (an integer `>= 1`),",
+        "  `partition` (`\"contiguous\"`, `\"random\"` or a callable), `executor`,",
+        "  `jobs` (`jobs` alone means a thread pool, neither means serial), and",
+        "  for `mpc-multi-round` `rounds` (an integer `>= 1`). A bad value fails",
+        "  when the session is built (HTTP 400 `bad-session`), not at the first",
+        "  query.",
         "",
         "Custom algorithms plug in via `repro.api.register_backend`; see",
         "`examples/composable_pipeline.py`.",

@@ -10,9 +10,9 @@ local outlier count, so the faulty worker budgets ~z while healthy
 workers budget 0.  The registry makes the baseline comparison one string
 away: 'cpp-mpc-deterministic' must budget z on every machine.
 
-The spec's ``executor``/``jobs`` knobs fan the per-machine work out over
-a real worker pool (here: 4 threads — the distance kernels release the
-GIL); results are bit-identical to a serial run.
+The ``executor``/``jobs`` session options fan the per-machine work out
+over a real worker pool (here: 4 threads — the distance kernels release
+the GIL); results are bit-identical to a serial run.
 
 Run:  python examples/mpc_sensor_fleet.py
 """
@@ -25,8 +25,8 @@ from repro.workloads import clustered_with_outliers
 
 rng = np.random.default_rng(7)
 n, m = 6000, 12
-spec = ProblemSpec(k=4, z=120, eps=0.5, dim=3, seed=0,
-                   executor="thread", jobs=4)
+spec = ProblemSpec(k=4, z=120, eps=0.5, dim=3, seed=0)
+pool = {"executor": "thread", "jobs": 4}
 
 wl = clustered_with_outliers(n, spec.k, spec.z, d=spec.dim, rng=rng)
 P = wl.point_set()
@@ -35,14 +35,14 @@ adversarial = lambda pts: partition_adversarial_outliers(  # noqa: E731
 )
 print(f"fleet: {n} readings over {m} machines, k={spec.k} regimes, "
       f"z={spec.z} faulty")
-print(f"execution: {spec.executor} pool, jobs={spec.jobs} "
+print(f"execution: {pool['executor']} pool, jobs={pool['jobs']} "
       f"(bit-identical to serial)")
 print(f"outliers per machine: "
       f"{[int(wl.outlier_mask.sum()) if i == 1 else 0 for i in range(m)][:6]} ...")
 
 # -- Algorithm 2 through the facade ------------------------------------------
 ours = KCenterSession.from_spec(spec, backend="mpc-two-round",
-                                num_machines=m, partition=adversarial)
+                                num_machines=m, partition=adversarial, **pool)
 ours.extend(P.points)
 sol = ours.solve()
 res = ours.backend.last_result
@@ -55,7 +55,7 @@ print(f"  worker peak {res.stats.worker_peak} items, rounds {res.stats.rounds}")
 
 # -- baseline: CPP19 must budget z on EVERY machine ---------------------------
 base = KCenterSession.from_spec(spec, backend="cpp-mpc-deterministic",
-                                num_machines=m, partition=adversarial)
+                                num_machines=m, partition=adversarial, **pool)
 base.extend(P.points)
 bsol = base.solve()
 bres = base.backend.last_result

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..core.mbc import MiniBallCovering, compose_errors, mbc_construction
 from ..core.points import WeightedPointSet
+from ..engine import get_executor
 from ..mpc.baselines import (
     ceccarello_one_round_deterministic,
     ceccarello_one_round_randomized,
@@ -49,7 +50,7 @@ from ..streaming.insertion_only import InsertionOnlyCoreset
 from ..streaming.sliding_window import SlidingWindowCoreset
 from ..store import is_chunked, iter_point_chunks
 from .registry import register_backend
-from .spec import ProblemSpec
+from .spec import ProblemSpec, _as_int
 
 __all__ = [
     "Guarantee",
@@ -689,9 +690,11 @@ class MPCBackend(_BufferedBackendBase):
         ``P -> list[WeightedPointSet]`` for custom distributions.
     executor, jobs:
         How machine-local work fans out (see :mod:`repro.engine`):
-        executor name or instance plus worker count.  Defaults to the
-        spec's ``executor``/``jobs`` fields; ``jobs`` alone implies a
-        thread pool.  Results are bit-identical under every executor.
+        executor name or instance plus worker count.  ``jobs`` alone
+        means a thread pool, neither means serial.  Results are
+        bit-identical under every executor.
+
+    Bad options raise :class:`ValueError` here, not at the first query.
 
     The machine-local radius searches and MBC constructions take the
     spec's ``dtype``.
@@ -709,21 +712,20 @@ class MPCBackend(_BufferedBackendBase):
         jobs: "int | None" = None,
     ):
         super().__init__(spec)
+        if num_machines is not None:
+            num_machines = _as_int("num_machines", num_machines, 1)
         self.num_machines = num_machines
         self.partition = partition if partition is not None else self.default_partition
-        self.executor = self._resolve_executor(executor, jobs)
+        if not (callable(self.partition)
+                or self.partition in ("contiguous", "random")):
+            raise ValueError(
+                f"unknown partition scheme {self.partition!r}; use "
+                "'contiguous', 'random', or a callable"
+            )
+        if executor is None and jobs is not None:
+            executor = "thread"
+        self.executor = get_executor(executor, jobs)
         self.last_result: "MPCCoresetResult | None" = None
-
-    def _resolve_executor(self, executor, jobs):
-        """Session options override the spec's knobs; ``None`` (no knob
-        anywhere) defers to the protocol's legacy ``parallel`` flag."""
-        name = executor if executor is not None else self.spec.executor
-        j = jobs if jobs is not None else self.spec.jobs
-        if name is None and j is None:
-            return None
-        from ..engine import get_executor
-
-        return get_executor(name if name is not None else "thread", j)
 
     def _invalidate(self) -> None:
         self.last_result = None
@@ -739,12 +741,7 @@ class MPCBackend(_BufferedBackendBase):
             )
         if self.partition == "contiguous":
             return partition_contiguous(P, m)
-        if self.partition == "random":
-            return partition_random(P, m, self.spec.rng(salt=1))
-        raise ValueError(
-            f"unknown partition scheme {self.partition!r}; use 'contiguous', "
-            "'random', or a callable"
-        )
+        return partition_random(P, m, self.spec.rng(salt=1))
 
     def _run(self, parts: "list[WeightedPointSet]") -> MPCCoresetResult:
         raise NotImplementedError
@@ -783,11 +780,9 @@ class TwoRoundMPCBackend(MPCBackend):
     """Deterministic 2-round algorithm with outlier guessing."""
 
     def __init__(self, spec, num_machines=None, partition=None,
-                 parallel: bool = False, final_compress: bool = True,
-                 outlier_guessing: bool = True, executor=None,
-                 jobs: "int | None" = None):
+                 final_compress: bool = True, outlier_guessing: bool = True,
+                 executor=None, jobs: "int | None" = None):
         super().__init__(spec, num_machines, partition, executor, jobs)
-        self.parallel = bool(parallel)
         self.final_compress = bool(final_compress)
         self.outlier_guessing = bool(outlier_guessing)
 
@@ -797,7 +792,6 @@ class TwoRoundMPCBackend(MPCBackend):
             metric=self.spec.resolved_metric,
             final_compress=self.final_compress,
             outlier_guessing=self.outlier_guessing,
-            parallel=self.parallel,
             executor=self.executor,
             dtype=self.spec.dtype,
         )
@@ -826,10 +820,9 @@ class OneRoundMPCBackend(MPCBackend):
     default_partition = "random"
 
     def __init__(self, spec, num_machines=None, partition=None,
-                 parallel: bool = False, final_compress: bool = True,
-                 executor=None, jobs: "int | None" = None):
+                 final_compress: bool = True, executor=None,
+                 jobs: "int | None" = None):
         super().__init__(spec, num_machines, partition, executor, jobs)
-        self.parallel = bool(parallel)
         self.final_compress = bool(final_compress)
 
     def _run(self, parts):
@@ -837,7 +830,6 @@ class OneRoundMPCBackend(MPCBackend):
             parts, self.spec.k, self.spec.z, self.spec.eps,
             metric=self.spec.resolved_metric,
             final_compress=self.final_compress,
-            parallel=self.parallel,
             executor=self.executor,
             dtype=self.spec.dtype,
         )
@@ -865,9 +857,7 @@ class MultiRoundMPCBackend(MPCBackend):
     def __init__(self, spec, num_machines=None, partition=None,
                  rounds: int = 2, executor=None, jobs: "int | None" = None):
         super().__init__(spec, num_machines, partition, executor, jobs)
-        if int(rounds) < 1:
-            raise ValueError("rounds must be >= 1")
-        self.rounds = int(rounds)
+        self.rounds = _as_int("rounds", rounds, 1)
 
     def _run(self, parts):
         return multi_round_coreset(

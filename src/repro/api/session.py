@@ -64,7 +64,8 @@ _SNAPSHOT_KIND = "kcenter-session"
 
 #: spec fields that older snapshots may still carry; dropped on load
 _RETIRED_SPEC_KEYS = frozenset(
-    {"kernel_chunk", "kernel_backend", "prune", "decision_jobs"}
+    {"kernel_chunk", "kernel_backend", "prune", "decision_jobs",
+     "executor", "jobs"}
 )
 
 
@@ -389,7 +390,11 @@ class KCenterSession:
             Expected backend name; a mismatch with the manifest raises
             (pass ``None`` to accept whatever was saved).
         spec:
-            Expected :class:`ProblemSpec`; a mismatch raises.
+            Expected :class:`ProblemSpec`; a mismatch raises.  Spec keys
+            older snapshots carry but the spec no longer has
+            (``kernel_chunk``, ``kernel_backend``, ``prune``,
+            ``decision_jobs``, ``executor``, ``jobs``) are dropped before
+            the comparison, so they never cause a mismatch.
         mmap_dir:
             Out-of-core restore: extract the array payload here and
             memory-map large state arrays (copy-on-write, so backends

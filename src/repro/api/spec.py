@@ -24,11 +24,11 @@ from ..core.metrics import Metric, get_metric
 __all__ = ["ProblemSpec"]
 
 #: integer fields and their lower bounds, validated in declaration order
-_INT_FIELDS = (("k", 1), ("z", 0), ("seed", 0), ("dim", 1), ("jobs", 1))
+_INT_FIELDS = (("k", 1), ("z", 0), ("seed", 0), ("dim", 1))
 
 
-def _as_int(name: str, value) -> int:
-    """``value`` as an exact ``int``, or :class:`ValueError`.
+def _as_int(name: str, value, low: int) -> int:
+    """``value`` as an exact ``int >= low``, or :class:`ValueError`.
 
     Integer strings (``"3"``) and integral floats (``2.0``) coerce; bools,
     fractional values (``2.9``) and non-finite values (``inf``, NaN) are
@@ -36,17 +36,18 @@ def _as_int(name: str, value) -> int:
     """
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if isinstance(value, (int, np.integer)):
-        return int(value)
     try:
-        if isinstance(value, str):
-            return int(value)
-        f = float(value)
+        exact = isinstance(value, (int, np.integer, str))
+        out = int(value) if exact else float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if not (np.isfinite(f) and f.is_integer()):
-        raise ValueError(f"{name} must be a finite integer, got {value!r}")
-    return int(f)
+    if isinstance(out, float):
+        if not (np.isfinite(out) and out.is_integer()):
+            raise ValueError(f"{name} must be a finite integer, got {value!r}")
+        out = int(out)
+    if out < low:
+        raise ValueError(f"{name} must be >= {low}, got {out}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,6 @@ class ProblemSpec:
         backends whose size thresholds depend on the doubling dimension
         (streaming, sliding-window, dynamic); ``None`` is accepted for
         purely offline/MPC use.
-    executor:
-        How backends fan out their machine-local work: ``"serial"``,
-        ``"thread"``, ``"process"`` (optionally ``"thread:8"`` with an
-        inline job count), or ``None`` for serial.  Honored by the MPC
-        backends; results are bit-identical under every executor (see
-        :mod:`repro.engine`).
-    jobs:
-        Worker count for the executor; ``None`` means one worker per
-        item up to the CPU count.
     dtype:
         Distance-kernel precision (:mod:`repro.kernels`): ``None`` /
         ``"float64"`` is the bit-exact reference path; ``"float32"``
@@ -90,9 +82,13 @@ class ProblemSpec:
         distance error.  Honored by every backend whose hot path runs
         the Greedy radius search (offline, MPC, session ``solve``).
 
-    The integer fields (``k``, ``z``, ``seed``, ``dim``, ``jobs``) accept
-    ints, integral floats and integer strings; bools, fractions and
-    non-finite values raise :class:`ValueError`.
+    The integer fields (``k``, ``z``, ``seed``, ``dim``) accept ints,
+    integral floats and integer strings; bools, fractions and non-finite
+    values raise :class:`ValueError`.
+
+    How a backend runs (the MPC backends' ``executor``/``jobs``, for
+    instance) is a session option, not part of the problem: results are
+    bit-identical under every executor.
     """
 
     k: int
@@ -101,8 +97,6 @@ class ProblemSpec:
     metric: "Metric | str | None" = None
     seed: "int | None" = None
     dim: "int | None" = None
-    executor: "str | None" = None
-    jobs: "int | None" = None
     dtype: "str | None" = None
     _metric_obj: Metric = field(init=False, repr=False, compare=False)
 
@@ -111,17 +105,10 @@ class ProblemSpec:
             value = getattr(self, name)
             if value is None and name not in ("k", "z"):
                 continue
-            value = _as_int(name, value)
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _as_int(name, value, low))
         if not 0 < float(self.eps) <= 1:
             raise ValueError(f"eps must be in (0, 1], got {self.eps}")
         object.__setattr__(self, "eps", float(self.eps))
-        if self.executor is not None and not isinstance(self.executor, str):
-            raise ValueError(
-                f"executor must be an executor name or None, got {self.executor!r}"
-            )
         if self.dtype is not None:
             from ..kernels import resolve_dtype
 
@@ -159,19 +146,6 @@ class ProblemSpec:
             return np.random.default_rng()
         return np.random.default_rng(self.seed + salt)
 
-    def resolved_executor(self):
-        """The :class:`~repro.engine.Executor` the spec's ``executor`` /
-        ``jobs`` knobs describe (a fresh instance per call).  Same rule
-        the MPC backends apply: ``jobs`` alone implies a thread pool,
-        neither knob means serial."""
-        from ..engine import get_executor  # local: keep spec import-light
-
-        if self.executor is None and self.jobs is None:
-            return get_executor(None)
-        return get_executor(
-            self.executor if self.executor is not None else "thread", self.jobs
-        )
-
     # -- derivation --------------------------------------------------------
 
     def replace(self, **changes) -> "ProblemSpec":
@@ -179,7 +153,6 @@ class ProblemSpec:
         base = {
             "k": self.k, "z": self.z, "eps": self.eps,
             "metric": self.metric, "seed": self.seed, "dim": self.dim,
-            "executor": self.executor, "jobs": self.jobs,
             "dtype": self.dtype,
         }
         base.update(changes)
@@ -194,8 +167,6 @@ class ProblemSpec:
             "metric": self.metric_name,
             "seed": self.seed,
             "dim": self.dim,
-            "executor": self.executor,
-            "jobs": self.jobs,
             "dtype": self.dtype,
         }
 

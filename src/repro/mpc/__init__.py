@@ -6,7 +6,7 @@ from .baselines import (
     ceccarello_one_round_randomized,
     cpp_local_coreset,
 )
-from .cluster import MPCStats, SimulatedMPC, resolve_executor
+from .cluster import MPCStats, SimulatedMPC
 from .machine import Machine
 from .multi_round import multi_round_coreset
 from .one_round import one_round_coreset, random_outlier_budget
@@ -36,6 +36,5 @@ __all__ = [
     "partition_random",
     "random_outlier_budget",
     "recommended_num_machines",
-    "resolve_executor",
     "two_round_coreset",
 ]

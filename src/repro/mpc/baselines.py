@@ -24,8 +24,8 @@ from ..core.greedy import gonzalez
 from ..core.mbc import update_coreset
 from ..core.metrics import get_metric
 from ..core.points import WeightedPointSet
-from ..engine import map_machines
-from .cluster import SimulatedMPC, resolve_executor
+from ..engine import get_executor, map_machines
+from .cluster import SimulatedMPC, cluster_for
 from .one_round import random_outlier_budget
 from .result import MPCCoresetResult
 from .tasks import cpp_local_task
@@ -69,29 +69,17 @@ def _run_one_round(
     cluster: "SimulatedMPC | None",
     executor=None,
 ) -> MPCCoresetResult:
-    m = len(parts)
-    cluster = cluster or SimulatedMPC(m)
-    if cluster.m != m:
-        raise ValueError("cluster size does not match number of parts")
-    machines = cluster.machines
+    cluster = cluster_for(parts, cluster)
     locals_ = map_machines(
-        resolve_executor(executor),
+        get_executor(executor),
         cpp_local_task,
         [(part, k, budgets[i], eps, metric) for i, part in enumerate(parts)],
-        machines=machines,
+        machines=cluster.machines,
         charge=lambda mach, task, local: (
             mach.charge(len(task[0])), mach.charge(len(local))
         ),
     )
-    for i, local in enumerate(locals_):
-        cluster.send(i, 0, local, items=len(local))
-    cluster.end_round()
-    received = [payload for _, payload in machines[0].inbox]
-    union = (
-        WeightedPointSet.concat([s for s in received if len(s)])
-        if any(len(s) for s in received)
-        else WeightedPointSet.empty(parts[0].dim)
-    )
+    union = cluster.gather(locals_, parts[0].dim)
     return MPCCoresetResult(
         coreset=union,
         eps_guarantee=eps,

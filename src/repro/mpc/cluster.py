@@ -19,21 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine import Executor, get_executor
+from ..core.points import WeightedPointSet
 from .machine import Machine
 
-__all__ = ["MPCStats", "SimulatedMPC", "resolve_executor"]
-
-
-def resolve_executor(executor, parallel: bool = False) -> Executor:
-    """Resolve the protocols' ``(executor, parallel)`` knob pair.
-
-    ``executor`` wins when given (name, ``Executor`` instance, or
-    ``None``); the legacy ``parallel=True`` flag means a thread pool.
-    """
-    if executor is not None:
-        return get_executor(executor)
-    return get_executor("thread" if parallel else None)
+__all__ = ["MPCStats", "SimulatedMPC", "cluster_for"]
 
 
 @dataclass(frozen=True)
@@ -74,9 +63,10 @@ class SimulatedMPC:
         for mach in cluster.machines:
             for src, payload in mach.inbox: ...
 
-    Delivered payloads are automatically charged to the recipient's
-    storage; the recipient must :meth:`Machine.release` them when it
-    discards them.
+    A round in which every machine ships one point set to the
+    coordinator is :meth:`gather`.  Delivered payloads are automatically
+    charged to the recipient's storage; the recipient must
+    :meth:`Machine.release` them when it discards them.
     """
 
     def __init__(self, num_machines: int):
@@ -125,6 +115,19 @@ class SimulatedMPC:
             if dst != src:
                 self.send(src, dst, payload, items)
 
+    def gather(self, payloads: "list[WeightedPointSet]",
+               dim: int) -> WeightedPointSet:
+        """One round in which machine ``i`` ships ``payloads[i]`` to the
+        coordinator; returns the union the coordinator then holds (empty
+        ``dim``-dimensional when every payload is empty)."""
+        for i, payload in enumerate(payloads):
+            self.send(i, 0, payload, items=len(payload))
+        self.end_round()
+        received = [p for _, p in self.coordinator.inbox if len(p)]
+        if not received:
+            return WeightedPointSet.empty(dim)
+        return WeightedPointSet.concat(received)
+
     def end_round(self) -> None:
         """Deliver all queued messages and count one communication round."""
         for mach in self.machines:
@@ -150,3 +153,16 @@ class SimulatedMPC:
             per_machine_peak=peaks,
             total_communication=self._communication,
         )
+
+
+def cluster_for(parts: "list[WeightedPointSet]",
+                cluster: "SimulatedMPC | None" = None) -> SimulatedMPC:
+    """The cluster the per-machine ``parts`` run on: ``cluster`` when
+    given (one machine per part), else a fresh one."""
+    if len(parts) < 1:
+        raise ValueError("need at least one machine")
+    if cluster is None:
+        return SimulatedMPC(len(parts))
+    if cluster.m != len(parts):
+        raise ValueError("cluster size does not match number of parts")
+    return cluster

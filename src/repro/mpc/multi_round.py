@@ -14,8 +14,8 @@ from math import ceil
 
 from ..core.metrics import get_metric
 from ..core.points import WeightedPointSet
-from ..engine import map_machines
-from .cluster import SimulatedMPC, resolve_executor
+from ..engine import get_executor, map_machines
+from .cluster import SimulatedMPC, cluster_for
 from .result import MPCCoresetResult
 from .tasks import mbc_task
 
@@ -30,7 +30,6 @@ def multi_round_coreset(
     rounds: int,
     metric=None,
     cluster: "SimulatedMPC | None" = None,
-    parallel: bool = False,
     executor=None,
     dtype=None,
 ) -> MPCCoresetResult:
@@ -39,23 +38,19 @@ def multi_round_coreset(
     ``parts[i]`` is machine ``i``'s initial data (machine 0 is the paper's
     ``M_1``, the coordinator).  ``eps_guarantee = (1+eps)^rounds - 1``.
     The per-round machine-local MBC constructions fan out through
-    ``executor`` (bit-identical results under every executor);
-    ``parallel=True`` is the legacy spelling of ``executor="thread"``.
+    ``executor`` (name, :class:`~repro.engine.Executor`, or ``None`` for
+    serial; bit-identical results under every executor).
     ``dtype`` selects the distance-kernel precision
     (:func:`repro.core.greedy.charikar_greedy`) for every per-round MBC
     construction.
     """
     metric = get_metric(metric)
-    m = len(parts)
-    if m < 1:
-        raise ValueError("need at least one machine")
+    cluster = cluster_for(parts, cluster)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    cluster = cluster or SimulatedMPC(m)
-    if cluster.m != m:
-        raise ValueError("cluster size does not match number of parts")
+    m = len(parts)
     machines = cluster.machines
-    exec_ = resolve_executor(executor, parallel)
+    exec_ = get_executor(executor)
     beta = max(2, int(ceil(m ** (1.0 / rounds))))
     dim = parts[0].dim
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from math import ceil, log2
 
-from ..core.mbc import compose_errors, mbc_construction
 from ..core.metrics import get_metric
 from ..core.points import WeightedPointSet
-from ..engine import map_machines
-from .cluster import SimulatedMPC, resolve_executor
+from ..engine import get_executor, map_machines
+from .cluster import SimulatedMPC, cluster_for
 from .result import MPCCoresetResult
 from .tasks import mbc_task
+from .two_round import coordinator_compress
 
 __all__ = ["random_outlier_budget", "one_round_coreset"]
 
@@ -44,7 +44,6 @@ def one_round_coreset(
     metric=None,
     final_compress: bool = True,
     cluster: "SimulatedMPC | None" = None,
-    parallel: bool = False,
     executor=None,
     dtype=None,
 ) -> MPCCoresetResult:
@@ -57,48 +56,27 @@ def one_round_coreset(
 
     ``executor`` selects how the machine-local MBC constructions run
     (name, :class:`~repro.engine.Executor`, or ``None`` for serial);
-    results are bit-identical under every executor.  ``parallel=True``
-    is the legacy spelling of ``executor="thread"``.  ``dtype`` selects
+    results are bit-identical under every executor.  ``dtype`` selects
     the distance-kernel precision
     (:func:`repro.core.greedy.charikar_greedy`) for the machine-local and
     coordinator MBC constructions.
     """
     metric = get_metric(metric)
-    m = len(parts)
-    if m < 1:
-        raise ValueError("need at least one machine")
-    cluster = cluster or SimulatedMPC(m)
-    if cluster.m != m:
-        raise ValueError("cluster size does not match number of parts")
-    machines = cluster.machines
+    cluster = cluster_for(parts, cluster)
     n = sum(len(p) for p in parts)
-    zprime = random_outlier_budget(n, m, z)
+    zprime = random_outlier_budget(n, len(parts), z)
 
     mbcs = map_machines(
-        resolve_executor(executor, parallel),
+        get_executor(executor),
         mbc_task,
         [(part, k, zprime, eps, metric, None, dtype) for part in parts],
-        machines=machines,
+        machines=cluster.machines,
         charge=lambda mach, task, mbc: (mach.charge(len(task[0])), mach.charge(mbc.size)),
     )
-    for i, mbc in enumerate(mbcs):
-        cluster.send(i, 0, mbc.coreset, items=mbc.size)
-    cluster.end_round()
-
-    received = [payload for _, payload in machines[0].inbox]
-    union = (
-        WeightedPointSet.concat([s for s in received if len(s)])
-        if any(len(s) for s in received)
-        else WeightedPointSet.empty(parts[0].dim)
+    union = cluster.gather([mbc.coreset for mbc in mbcs], parts[0].dim)
+    coreset, eps_out = coordinator_compress(
+        cluster, union, k, z, eps, metric, final_compress, dtype
     )
-    if final_compress and len(union):
-        final_mbc = mbc_construction(union, k, z, eps, metric, dtype=dtype)
-        coreset = final_mbc.coreset
-        machines[0].charge(final_mbc.size)
-        eps_out = compose_errors(eps, eps)
-    else:
-        coreset = union
-        eps_out = eps
     return MPCCoresetResult(
         coreset=coreset,
         eps_guarantee=eps_out,

@@ -36,12 +36,13 @@ import numpy as np
 from ..core.mbc import compose_errors, mbc_construction
 from ..core.metrics import get_metric
 from ..core.points import WeightedPointSet
-from ..engine import map_machines
-from .cluster import SimulatedMPC, resolve_executor
+from ..engine import get_executor, map_machines
+from .cluster import SimulatedMPC, cluster_for
 from .result import MPCCoresetResult
 from .tasks import mbc_task, radius_vector_task
 
-__all__ = ["outlier_vector_length", "compute_rhat", "two_round_coreset"]
+__all__ = ["outlier_vector_length", "compute_rhat", "coordinator_compress",
+           "two_round_coreset"]
 
 
 def outlier_vector_length(z: int) -> int:
@@ -94,6 +95,20 @@ def compute_rhat(vectors: "list[np.ndarray]", z: int) -> "tuple[float, list[int]
     return rhat, jhats
 
 
+def coordinator_compress(cluster: SimulatedMPC, union: WeightedPointSet, k: int,
+                         z: int, eps: float, metric, final_compress: bool = True,
+                         dtype=None) -> "tuple[WeightedPointSet, float]":
+    """Lemma 5 at the coordinator: ``(coreset, eps_guarantee)`` of the
+    union of the machines' ``(eps, k, z)``-coverings re-compressed once
+    (charged to the coordinator; ``<= 3 eps`` for ``eps <= 1``), or of the
+    union itself when ``final_compress`` is off or the union is empty."""
+    if not (final_compress and len(union)):
+        return union, eps
+    final_mbc = mbc_construction(union, k, z, eps, metric, dtype=dtype)
+    cluster.coordinator.charge(final_mbc.size)
+    return final_mbc.coreset, compose_errors(eps, eps)
+
+
 def two_round_coreset(
     parts: "list[WeightedPointSet]",
     k: int,
@@ -103,7 +118,6 @@ def two_round_coreset(
     final_compress: bool = True,
     outlier_guessing: bool = True,
     cluster: "SimulatedMPC | None" = None,
-    parallel: bool = False,
     executor=None,
     dtype=None,
 ) -> MPCCoresetResult:
@@ -121,8 +135,6 @@ def two_round_coreset(
     outlier_guessing:
         The paper's mechanism (True) versus naive local budget ``z``
         (False) — ablation E16.  The naive variant needs one round only.
-    parallel:
-        Legacy spelling of ``executor="thread"``.
     executor:
         How the machine-local computations run: an executor name
         (``"serial"``, ``"thread"``, ``"process"``), a
@@ -137,20 +149,15 @@ def two_round_coreset(
     re-compressed, ``eps`` otherwise.
     """
     metric = get_metric(metric)
-    m = len(parts)
-    if m < 1:
-        raise ValueError("need at least one machine")
-    cluster = cluster or SimulatedMPC(m)
-    if cluster.m != m:
-        raise ValueError("cluster size does not match number of parts")
+    cluster = cluster_for(parts, cluster)
     machines = cluster.machines
-    exec_ = resolve_executor(executor, parallel)
+    exec_ = get_executor(executor)
     for i, part in enumerate(parts):
         machines[i].charge(len(part))  # local input
 
     veclen = outlier_vector_length(z)
     rhat = float("nan")
-    jhats: "list[int]" = [0] * m
+    jhats: "list[int]" = [0] * len(parts)
 
     if outlier_guessing:
         # ---- Round 1: local radius vectors, broadcast -------------------
@@ -169,49 +176,23 @@ def two_round_coreset(
         # Every machine runs the same deterministic computation on the same
         # m vectors; we run it once and charge everyone for holding them.
         rhat, jhats = compute_rhat(vectors, z)
-
-        mbcs = map_machines(
-            exec_,
-            mbc_task,
-            [
-                (part, k, (1 << jhat) - 1, eps, metric, float(vec[jhat]),
-                 dtype)
-                for part, jhat, vec in zip(parts, jhats, vectors)
-            ],
-            machines=machines,
-            charge=lambda mach, task, mbc: mach.charge(mbc.size),
-        )
-        for i, mbc in enumerate(mbcs):
-            cluster.send(i, 0, mbc.coreset, items=mbc.size)
-        cluster.end_round()
         budgets = [(1 << j) - 1 for j in jhats]
+        tasks = [
+            (part, k, budget, eps, metric, float(vec[jhat]), dtype)
+            for part, budget, jhat, vec in zip(parts, budgets, jhats, vectors)
+        ]
     else:
         # ---- Naive ablation: one round, local budget z everywhere -------
-        mbcs = map_machines(
-            exec_,
-            mbc_task,
-            [(part, k, z, eps, metric, None, dtype) for part in parts],
-            machines=machines,
-            charge=lambda mach, task, mbc: mach.charge(mbc.size),
-        )
-        for i, mbc in enumerate(mbcs):
-            cluster.send(i, 0, mbc.coreset, items=mbc.size)
-        cluster.end_round()
-        budgets = [z] * m
+        budgets = [z] * len(parts)
+        tasks = [(part, k, z, eps, metric, None, dtype) for part in parts]
+    mbcs = map_machines(exec_, mbc_task, tasks, machines=machines,
+                        charge=lambda mach, task, mbc: mach.charge(mbc.size))
 
     # ---- Coordinator: union (Lemma 9) + optional re-compression ----------
-    received = [payload for _, payload in machines[0].inbox]
-    union = WeightedPointSet.concat([s for s in received if len(s)]) if any(
-        len(s) for s in received
-    ) else WeightedPointSet.empty(parts[0].dim)
-    if final_compress and len(union):
-        final_mbc = mbc_construction(union, k, z, eps, metric, dtype=dtype)
-        coreset = final_mbc.coreset
-        machines[0].charge(final_mbc.size)
-        eps_out = compose_errors(eps, eps)  # <= 3*eps for eps <= 1
-    else:
-        coreset = union
-        eps_out = eps
+    union = cluster.gather([mbc.coreset for mbc in mbcs], parts[0].dim)
+    coreset, eps_out = coordinator_compress(
+        cluster, union, k, z, eps, metric, final_compress, dtype
+    )
     return MPCCoresetResult(
         coreset=coreset,
         eps_guarantee=eps_out,

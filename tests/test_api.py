@@ -36,16 +36,16 @@ class TestProblemSpec:
         {"k": 1, "z": 1, "eps": 0.5, "dim": 0},
         {"k": 1, "z": 1, "eps": 0.5, "seed": -3},
         {"k": float("inf"), "z": 1, "eps": 0.5},
-        {"k": 1, "z": 1, "eps": 0.5, "jobs": 0},
-        {"k": 1, "z": 1, "eps": 0.5, "jobs": -2},
+        {"k": 1, "z": 1, "eps": 0.5, "dim": -2},
+        {"k": 1, "z": 1, "eps": 0.5, "seed": "-1"},
         # integer fields fail closed: no truncation, overflow or bools
-        {"k": 1, "z": 1, "eps": 0.5, "jobs": float("inf")},
+        {"k": 1, "z": 1, "eps": 0.5, "dim": float("inf")},
         {"k": 2.9, "z": 1, "eps": 0.5},
         {"k": 1, "z": 0.5, "eps": 0.5},
         {"k": 1, "z": 1, "eps": 0.5, "seed": -0.5},
         {"k": 1, "z": 1, "eps": 0.5, "dim": float("nan")},
         {"k": True, "z": 1, "eps": 0.5},
-        {"k": 1, "z": 1, "eps": 0.5, "jobs": "two"},
+        {"k": 1, "z": 1, "eps": 0.5, "seed": "two"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -83,8 +83,7 @@ class TestProblemSpec:
     def test_as_dict(self):
         d = ProblemSpec(2, 3, 0.5, dim=1, seed=0).as_dict()
         assert d == {"k": 2, "z": 3, "eps": 0.5, "metric": "euclidean",
-                     "seed": 0, "dim": 1, "executor": None, "jobs": None,
-                     "dtype": None}
+                     "seed": 0, "dim": 1, "dtype": None}
 
 
 class TestRegistry:
@@ -252,12 +251,11 @@ class TestSession:
             KCenterSession.from_spec(ProblemSpec(2, 4, 0.5),
                                      backend="insertion-only")
 
-    def test_bad_partition_scheme(self, spec, points):
-        sess = KCenterSession.from_spec(spec, backend="mpc-two-round",
-                                        partition="bogus")
-        sess.extend(points)
+    def test_bad_partition_scheme(self, spec):
+        # rejected when the session is built, not at the first query
         with pytest.raises(ValueError, match="partition"):
-            sess.coreset()
+            KCenterSession.from_spec(spec, backend="mpc-two-round",
+                                     partition="bogus")
 
     def test_radius_shortcut(self, spec, points):
         sess = KCenterSession.from_spec(spec, backend="offline")

@@ -177,11 +177,11 @@ class TestSpecKnobs:
             ProblemSpec(k=2, z=1, eps=0.5, dtype="int8")
 
     def test_as_dict_and_replace_roundtrip(self):
-        spec = ProblemSpec(k=2, z=1, eps=0.5, dtype="float32", jobs=2)
+        spec = ProblemSpec(k=2, z=1, eps=0.5, dtype="float32", seed=2)
         d = spec.as_dict()
-        assert d["dtype"] == "float32" and d["jobs"] == 2
+        assert d["dtype"] == "float32" and d["seed"] == 2
         spec2 = spec.replace(dtype=None)
-        assert spec2.dtype is None and spec2.jobs == 2
+        assert spec2.dtype is None and spec2.seed == 2
 
     def test_float32_solve_close_to_float64(self):
         from repro.core import WeightedPointSet, charikar_greedy

@@ -1,5 +1,10 @@
 """Tests for Algorithm 2 (deterministic 2-round MPC)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -146,3 +151,32 @@ class TestTwoRound:
         b = two_round_coreset(parts, 3, 10, 0.5)
         assert np.array_equal(a.coreset.points, b.coreset.points)
         assert np.array_equal(a.coreset.weights, b.coreset.weights)
+
+
+#: a fresh interpreter, since install() patches the repro modules for good
+_TRACED_RUN = """import importlib.util, sys
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+tracer.install()
+from repro.core import WeightedPointSet
+from repro.mpc import partition_contiguous, two_round_coreset
+P = WeightedPointSet(__import__("numpy").random.default_rng(0).random((200, 2)))
+two_round_coreset(partition_contiguous(P, 3), 2, 4, 0.5)
+print(*tracer.by_name(tracer.TRACER.tree()))"""
+
+
+def test_benchmark_tracer_hooks_still_fire():
+    """The benchmark tracer patches ``two_round.map_machines`` and
+    ``two_round.mbc_construction``: both rounds and the coordinator's
+    compression must still run through those module names."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-B", "-c", _TRACED_RUN,
+                           str(root / "perfbench" / "tracer.py")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    spans = set(proc.stdout.split())
+    assert {"mpc.protocol", "mpc.round:radius_vector_task", "mpc.round:mbc_task",
+            "mpc.compress"} <= spans, sorted(spans)

@@ -245,7 +245,8 @@ class TestSnapshotFile:
         from repro.serve.wire import WireError, parse_create_payload
 
         retired = {"kernel_chunk": 2048, "kernel_backend": "numba",
-                   "prune": "off", "decision_jobs": 2}
+                   "prune": "off", "decision_jobs": 2,
+                   "executor": "thread", "jobs": 2}
         path = str(tmp_path / "s.ckpt")
         sess = _make("insertion-only")
         sess.extend(_stream("insertion-only", 0, n=60))
@@ -266,6 +267,19 @@ class TestSnapshotFile:
                 parse_create_payload(
                     {"spec": {**_spec().as_dict(), key: value}})
             assert (err.value.status, err.value.code) == (400, "bad-spec")
+
+    def test_spec_jobs_snapshot_loads_under_caller_spec(self, tmp_path):
+        # saved while the spec still carried the executor knobs: matches
+        # the same problem stated without them
+        path = str(tmp_path / "s.ckpt")
+        sess = _make("mpc-two-round")
+        sess.extend(_stream("mpc-two-round", 0, n=60))
+        sess.save(path)
+        manifest, state = read_snapshot(path)
+        manifest["spec"].update({"executor": "thread", "jobs": 2})
+        write_snapshot(path, manifest, state)
+        b = KCenterSession.load(path, backend="mpc-two-round", spec=_spec())
+        assert np.array_equal(sess.coreset().points, b.coreset().points)
 
     def test_unserializable_option_fails_at_save(self, tmp_path):
         sess = KCenterSession.from_spec(

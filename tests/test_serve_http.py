@@ -98,12 +98,22 @@ class TestSessionRoutes:
             # fields must reject it and fractions, not overflow or truncate
             ("infinite k", "PUT", "/sessions/a",
              {"spec": {**SPEC, "k": float("inf")}}, 400, "bad-spec"),
-            ("infinite jobs", "PUT", "/sessions/a",
-             {"spec": {**SPEC, "jobs": float("inf")}}, 400, "bad-spec"),
+            ("infinite seed", "PUT", "/sessions/a",
+             {"spec": {**SPEC, "seed": float("inf")}}, 400, "bad-spec"),
             ("fractional k and z", "PUT", "/sessions/a",
              {"spec": {**SPEC, "k": 2.9, "z": 0.5}}, 400, "bad-spec"),
             ("bad backend", "PUT", "/sessions/a",
              {"spec": SPEC, "backend": "warp-drive"}, 400, "unknown-backend"),
+            # MPC options fail at creation, not at every solve, and are
+            # never truncated
+            *[(f"mpc {opts}", "PUT", "/sessions/a",
+               {"spec": SPEC, "backend": backend, "options": opts}, 400, "bad-session")
+              for backend, opts in [
+                  ("mpc-two-round", {"num_machines": 0}),
+                  ("mpc-one-round", {"num_machines": 2.5}),
+                  ("mpc-two-round", {"partition": "bogus"}),
+                  ("mpc-multi-round", {"rounds": 2.5}),
+                  ("mpc-multi-round", {"rounds": True})]],
             ("bad cadence", "PUT", "/sessions/a",
              {"spec": SPEC, "checkpoint_every": 0},
              400, "bad-checkpoint-every"),
