@@ -13,11 +13,20 @@ and self-registered in :mod:`repro.api.registry` under a stable name.
 :class:`~repro.api.session.KCenterSession` drives any of them
 interchangeably.
 
-Batch discipline: ``extend(array)`` is the hot path.  Adapters forward to
-the wrapped structure's vectorized batch entry point where one exists
-(one metric-matrix / cell-id evaluation per batch) and buffer whole
-arrays where the algorithm is inherently offline, so per-point Python
-loops never appear on the facade's ingest path.
+Batch discipline: ``extend(array)`` is the hot path.  The session is
+the only chunk iterator: it turns every carrier (dense array,
+:class:`~repro.store.PointSource`, chunk iterator) into non-empty dense
+2-D float arrays, so ``extend`` never sees a chunked input.  Adapters
+forward to the wrapped structure's vectorized batch entry point where
+one exists (one metric-matrix / cell-id evaluation per batch) and buffer
+whole arrays where the algorithm is inherently offline, so per-point
+Python loops never appear on the facade's ingest path.
+
+Adapters whose whole state is a wrapped ``algo`` structure derive from
+one delegating base; buffered (offline and MPC) adapters derive from
+another.  Operations a backend lacks are absent rather than stubbed:
+the session probes with ``getattr``, and a backend is checkpointable
+exactly when ``snapshot`` and ``restore`` are both callable.
 """
 
 from __future__ import annotations
@@ -48,7 +57,6 @@ from ..streaming.dynamic import DynamicCoreset
 from ..streaming.dynamic_deterministic import DeterministicDynamicCoreset
 from ..streaming.insertion_only import InsertionOnlyCoreset
 from ..streaming.sliding_window import SlidingWindowCoreset
-from ..store import is_chunked, iter_point_chunks
 from .registry import register_backend
 from .spec import ProblemSpec, _as_int
 
@@ -112,7 +120,8 @@ class CoresetBackend(Protocol):
         """Delete a point (fully-dynamic models only)."""
 
     def extend(self, points) -> None:
-        """Batched ingest of a whole array of points."""
+        """Batched ingest of a non-empty dense ``(n, d)`` float array;
+        the session splits chunked carriers before calling this."""
 
     def coreset(self) -> WeightedPointSet:
         """The current ``(eps, k, z)``-coreset."""
@@ -127,15 +136,14 @@ class CoresetBackend(Protocol):
 
 
 class _BackendBase:
-    """Shared plumbing: spec storage and default method behaviour."""
+    """Shared plumbing: spec storage, the ``delete`` refusal and empty
+    stats.  Any other operation a backend lacks is absent, and the
+    session's ``getattr`` probes report it."""
 
     def __init__(self, spec: ProblemSpec):
         if not isinstance(spec, ProblemSpec):
             raise TypeError(f"spec must be a ProblemSpec, got {type(spec).__name__}")
         self.spec = spec
-
-    def insert(self, point) -> None:
-        raise NotImplementedError
 
     def delete(self, point) -> None:
         raise UnsupportedOperationError(
@@ -143,79 +151,59 @@ class _BackendBase:
             "fully-dynamic backend ('dynamic' or 'dynamic-deterministic')"
         )
 
-    def extend(self, points) -> None:
-        if is_chunked(points):
-            return self._extend_chunks(points)
-        for p in np.atleast_2d(np.asarray(points, dtype=float)):
-            self.insert(p)
-
-    def _extend_chunks(self, chunks) -> None:
-        """Ingest a :class:`~repro.store.PointSource` / chunk iterator by
-        re-entering :meth:`extend` per chunk.  Bit-identical to one
-        monolithic ``extend``: every backend's batch path is
-        chunking-invariant (property-tested in
-        ``tests/test_out_of_core.py``).  Weighted chunks route through
-        ``extend_weighted`` where the backend has one."""
-        for pts, w in iter_point_chunks(chunks):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            if not len(pts):
-                continue
-            if w is None:
-                self.extend(pts)
-                continue
-            ew = getattr(self, "extend_weighted", None)
-            if ew is None:
-                raise UnsupportedOperationError(
-                    f"{type(self).__name__} does not accept weighted "
-                    "chunks (no extend_weighted); expand the weights or "
-                    "use a buffered backend"
-                )
-            ew(WeightedPointSet(pts, np.asarray(w, dtype=np.int64)))
-
-    def coreset(self) -> WeightedPointSet:
-        raise NotImplementedError
-
-    def guarantee(self) -> Guarantee:
-        raise NotImplementedError
-
     def stats(self) -> dict:
         """Backend-specific diagnostics (sizes, thresholds, sketch cells)."""
         return {}
 
-    def snapshot(self) -> dict:
-        """Placeholder: subclasses that can be checkpointed override this
-        (see :mod:`repro.persist`); the base raises so
-        ``supports_snapshot`` can tell the difference."""
-        raise UnsupportedOperationError(
-            f"{type(self).__name__} does not implement snapshot(); this "
-            "backend cannot be checkpointed"
-        )
 
-    snapshot.unsupported = True  # type: ignore[attr-defined]
-
-    def restore(self, state: dict) -> None:
-        """Placeholder counterpart of :meth:`snapshot`."""
-        raise UnsupportedOperationError(
-            f"{type(self).__name__} does not implement restore(); this "
-            "backend cannot be checkpointed"
-        )
-
-    restore.unsupported = True  # type: ignore[attr-defined]
-
-
-class _AlgoSnapshotMixin:
-    """Snapshot plumbing for adapters whose entire mutable state lives in
-    the wrapped ``self.algo`` structure."""
+class _AlgoBackend(_BackendBase):
+    """Adapter whose entire mutable state lives in the wrapped
+    ``self.algo`` structure: ingest, queries and checkpoints delegate to
+    it, and ``extend`` reaches its vectorized batch path."""
 
     algo: object
 
+    def insert(self, point) -> None:
+        self.algo.insert(point)
+
+    def extend(self, points) -> None:
+        self.algo.extend(points)
+
+    def coreset(self) -> WeightedPointSet:
+        return self.algo.coreset()
+
     def snapshot(self) -> dict:
-        """Delegate to the wrapped structure's ``snapshot()``."""
         return self.algo.snapshot()
 
     def restore(self, state: dict) -> None:
-        """Delegate to the wrapped structure's ``restore(state)``."""
         self.algo.restore(state)
+
+
+class _DynamicAlgoBackend(_AlgoBackend):
+    """:class:`_AlgoBackend` over a fully dynamic sketch structure, which
+    also takes single and batched deletions."""
+
+    def delete(self, point) -> None:
+        self.algo.delete(point)
+
+    def delete_many(self, points) -> None:
+        self.algo.delete_many(points)
+
+
+def _optional_int(name: str, value) -> "int | None":
+    """``None`` or ``value`` as an exact ``int >= 1`` (see ``_as_int``)."""
+    return None if value is None else _as_int(name, value, 1)
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a finite float (bools rejected), or :class:`ValueError`."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = np.nan
+    if isinstance(value, (bool, np.bool_)) or not np.isfinite(out):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return out
 
 
 class _BufferedBackendBase(_BackendBase):
@@ -236,8 +224,6 @@ class _BufferedBackendBase(_BackendBase):
         self.extend(np.asarray(point, dtype=float).reshape(1, -1))
 
     def extend(self, points) -> None:
-        if is_chunked(points):
-            return self._extend_chunks(points)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if len(pts) == 0:
             return
@@ -357,22 +343,10 @@ class OfflineMBCBackend(_BufferedBackendBase):
 # ---------------------------------------------------------------------------
 
 
-class _StreamingBackendBase(_AlgoSnapshotMixin, _BackendBase):
+class _StreamingBackendBase(_AlgoBackend):
     """Common adapter over the Algorithm-3-shaped streaming structures."""
 
     algo: InsertionOnlyCoreset
-
-    def insert(self, point) -> None:
-        self.algo.insert(point)
-
-    def extend(self, points) -> None:
-        # vectorized batch path: chunked, cell-indexed once r > 0
-        if is_chunked(points):
-            return self._extend_chunks(points)
-        self.algo.extend(points)
-
-    def coreset(self) -> WeightedPointSet:
-        return self.algo.coreset()
 
     def stats(self) -> dict:
         return {
@@ -396,7 +370,8 @@ class InsertionOnlyBackend(_StreamingBackendBase):
         super().__init__(spec)
         self.algo = InsertionOnlyCoreset(
             spec.k, spec.z, spec.eps, spec.require_dim(),
-            metric=spec.resolved_metric, size_cap=size_cap,
+            metric=spec.resolved_metric,
+            size_cap=_optional_int("size_cap", size_cap),
         )
 
     def guarantee(self) -> Guarantee:
@@ -446,7 +421,7 @@ class CeccarelloStreamBackend(_StreamingBackendBase):
     supports_delete=True,
     deterministic=False,
 )
-class DynamicBackend(_AlgoSnapshotMixin, _BackendBase):
+class DynamicBackend(_DynamicAlgoBackend):
     """Sketch-based fully dynamic coreset over ``[Delta]^d``.
 
     Options
@@ -472,33 +447,14 @@ class DynamicBackend(_AlgoSnapshotMixin, _BackendBase):
                 "the 'dynamic' backend needs delta_universe (the integer "
                 "universe size); pass it as a session option"
             )
+        failure = _finite("failure", failure)
+        if not 0 < failure < 1:
+            raise ValueError(f"failure must be in (0, 1), got {failure}")
         self.algo = DynamicCoreset(
-            spec.k, spec.z, spec.eps, int(delta_universe), spec.require_dim(),
-            failure=failure, rng=spec.rng(), use_f0=use_f0,
-            s_override=s_override,
+            spec.k, spec.z, spec.eps, _as_int("delta_universe", delta_universe, 2),
+            spec.require_dim(), failure=failure, rng=spec.rng(), use_f0=use_f0,
+            s_override=_optional_int("s_override", s_override),
         )
-
-    def insert(self, point) -> None:
-        """Sketch-update one inserted point."""
-        self.algo.insert(point)
-
-    def delete(self, point) -> None:
-        """Sketch-update one deleted point."""
-        self.algo.delete(point)
-
-    def extend(self, points) -> None:
-        """Batched sketch updates for inserted points."""
-        if is_chunked(points):
-            return self._extend_chunks(points)
-        self.algo.extend(points)
-
-    def delete_many(self, points) -> None:
-        """Batched sketch updates for deleted points."""
-        self.algo.delete_many(points)
-
-    def coreset(self) -> WeightedPointSet:
-        """Decode the sketches into the current relaxed coreset."""
-        return self.algo.coreset()
 
     def guarantee(self) -> Guarantee:
         """Theorem 21: relaxed coreset whp, polylog sketch cells."""
@@ -525,7 +481,7 @@ class DynamicBackend(_AlgoSnapshotMixin, _BackendBase):
     guarantee="relaxed (eps,k,z)-coreset, O((k/eps^d+z) log Delta) space",
     supports_delete=True,
 )
-class DeterministicDynamicBackend(_AlgoSnapshotMixin, _BackendBase):
+class DeterministicDynamicBackend(_DynamicAlgoBackend):
     """Deterministic fully dynamic coreset (no randomness anywhere).
 
     Options: ``delta_universe`` (required), ``check``, ``s_override``.
@@ -545,31 +501,10 @@ class DeterministicDynamicBackend(_AlgoSnapshotMixin, _BackendBase):
                 "pass it as a session option"
             )
         self.algo = DeterministicDynamicCoreset(
-            spec.k, spec.z, spec.eps, int(delta_universe), spec.require_dim(),
-            check=check, s_override=s_override,
+            spec.k, spec.z, spec.eps, _as_int("delta_universe", delta_universe, 2),
+            spec.require_dim(), check=_as_int("check", check, 0),
+            s_override=_optional_int("s_override", s_override),
         )
-
-    def insert(self, point) -> None:
-        """Sketch-update one inserted point."""
-        self.algo.insert(point)
-
-    def delete(self, point) -> None:
-        """Sketch-update one deleted point."""
-        self.algo.delete(point)
-
-    def extend(self, points) -> None:
-        """Batched sketch updates for inserted points."""
-        if is_chunked(points):
-            return self._extend_chunks(points)
-        self.algo.extend(points)
-
-    def delete_many(self, points) -> None:
-        """Batched sketch updates for deleted points."""
-        self.algo.delete_many(points)
-
-    def coreset(self) -> WeightedPointSet:
-        """Decode the sketches into the current relaxed coreset."""
-        return self.algo.coreset()
 
     def guarantee(self) -> Guarantee:
         """Deterministic relaxed coreset, ``O(... log Delta)`` elements."""
@@ -599,7 +534,7 @@ class DeterministicDynamicBackend(_AlgoSnapshotMixin, _BackendBase):
     algorithm="DBMZ (ESA 2021) substrate; optimal by Theorem 30",
     guarantee="window coreset, O((kz/eps^d) log sigma) space",
 )
-class SlidingWindowBackend(_AlgoSnapshotMixin, _BackendBase):
+class SlidingWindowBackend(_AlgoBackend):
     """Per-radius-guess covers of the last ``W`` arrivals.
 
     Options
@@ -628,25 +563,12 @@ class SlidingWindowBackend(_AlgoSnapshotMixin, _BackendBase):
                 "pass them as session options"
             )
         self.algo = SlidingWindowCoreset(
-            spec.k, spec.z, spec.eps, spec.require_dim(), int(window),
-            r_min=float(r_min), r_max=float(r_max),
+            spec.k, spec.z, spec.eps, spec.require_dim(),
+            _as_int("window", window, 1),
+            r_min=_finite("r_min", r_min), r_max=_finite("r_max", r_max),
             metric=spec.resolved_metric, ladder_ratio=ladder_ratio,
-            capacity=capacity, dtype=spec.dtype,
+            capacity=_optional_int("capacity", capacity), dtype=spec.dtype,
         )
-
-    def insert(self, point) -> None:
-        """Insert one arrival into every radius-guess cover."""
-        self.algo.insert(point)
-
-    def extend(self, points) -> None:
-        """Batched ingest across the whole guess ladder at once."""
-        if is_chunked(points):
-            return self._extend_chunks(points)
-        self.algo.extend(points)
-
-    def coreset(self) -> WeightedPointSet:
-        """Coreset of the current window (last ``W`` arrivals)."""
-        return self.algo.coreset()
 
     def guarantee(self) -> Guarantee:
         """Theorem 30: optimal sliding-window space."""

@@ -52,7 +52,7 @@ from ..core.metrics import get_metric
 from ..core.points import WeightedPointSet
 from ..core.solver import solve_kcenter_outliers
 from ..persist import SnapshotError, read_snapshot, write_snapshot
-from ..store import is_chunked, iter_point_chunks
+from ..store import iter_point_chunks
 from .backends import CoresetBackend, Guarantee, UnsupportedOperationError
 from .registry import BackendInfo, get_backend
 from .spec import ProblemSpec
@@ -159,39 +159,36 @@ class KCenterSession:
 
         ``points`` may also be a :class:`~repro.store.PointSource` or a
         bare iterator/generator of ``(points, weights)`` chunks — the
-        out-of-core path.  Chunks are applied one at a time under the
-        session lock, so the working set is one chunk while the batch as
-        a whole stays atomic with respect to concurrent callers, and the
-        final state is bit-identical to one monolithic ``extend`` of the
-        same stream (every backend's batch path is chunking-invariant).
-        ``batch`` re-chunks a :class:`PointSource` to that many rows;
-        it is ignored for dense arrays and pre-chunked iterators.
+        out-of-core path.  The session is the only chunk iterator: every
+        carrier runs through one :func:`~repro.store.iter_point_chunks`
+        loop (a dense array is one chunk), so backends only ever receive
+        non-empty 2-D float arrays, and weighted chunks go to the
+        backend's ``extend_weighted``.  Chunks are applied one at a time
+        under the session lock, so the working set is one chunk while the
+        batch as a whole stays atomic with respect to concurrent callers,
+        and the final state is bit-identical to one monolithic ``extend``
+        of the same stream (every backend's batch path is
+        chunking-invariant).  ``batch`` re-chunks a :class:`PointSource`
+        to that many rows; it is ignored for dense arrays and
+        pre-chunked iterators.
         """
-        if is_chunked(points):
-            with self._lock:
-                t0 = time.perf_counter()
-                for pts, w in iter_point_chunks(points, batch):
-                    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-                    if not len(pts):
-                        continue
-                    if w is None:
-                        self.backend.extend(pts)
-                    else:
-                        ew = getattr(self.backend, "extend_weighted", None)
-                        if ew is None:
-                            raise UnsupportedOperationError(
-                                f"backend {self.info.name!r} does not accept "
-                                "weighted chunks (no extend_weighted)"
-                            )
-                        ew(WeightedPointSet(pts, np.asarray(w, dtype=np.int64)))
-                    self._updates += len(pts)
-                self._wall_time += time.perf_counter() - t0
-            return
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
         with self._lock:
             t0 = time.perf_counter()
-            self.backend.extend(pts)
-            self._updates += len(pts)
+            for pts, w in iter_point_chunks(points, batch):
+                pts = np.atleast_2d(np.asarray(pts, dtype=float))
+                if not len(pts):
+                    continue
+                if w is None:
+                    self.backend.extend(pts)
+                else:
+                    ew = getattr(self.backend, "extend_weighted", None)
+                    if ew is None:
+                        raise UnsupportedOperationError(
+                            f"backend {self.info.name!r} does not accept "
+                            "weighted chunks (no extend_weighted)"
+                        )
+                    ew(WeightedPointSet(pts, w))
+                self._updates += len(pts)
             self._wall_time += time.perf_counter() - t0
 
     def delete_many(self, points) -> None:

@@ -29,7 +29,8 @@ class WeightedPointSet:
         Array of shape ``(n, d)``.
     weights:
         Integer array of shape ``(n,)`` with strictly positive entries.
-        If omitted, unit weights are used.
+        Integral floats (``2.0``) coerce; fractional or non-finite ones
+        raise :class:`ValueError`.  If omitted, unit weights are used.
     """
 
     points: np.ndarray
@@ -45,7 +46,11 @@ class WeightedPointSet:
         if self.weights is None:
             w = np.ones(len(pts), dtype=np.int64)
         else:
-            w = np.asarray(self.weights, dtype=np.int64)
+            w = np.asarray(self.weights)
+            # float weights must be exact integers: never truncate 1.7 to 1
+            if w.dtype.kind == "f" and not np.all(np.isfinite(w) & (w == np.floor(w))):
+                raise ValueError("weights must be finite integers")
+            w = w.astype(np.int64, copy=False)
         if w.shape != (len(pts),):
             raise ValueError(
                 f"weights shape {w.shape} does not match {len(pts)} points"

@@ -73,14 +73,7 @@ class Snapshottable(Protocol):
 
 
 def supports_snapshot(backend) -> bool:
-    """Whether a backend instance or class implements the snapshot protocol.
-
-    Base-class placeholder methods that merely raise are marked with an
-    ``unsupported`` attribute and do not count.
-    """
-    snap = getattr(backend, "snapshot", None)
-    rest = getattr(backend, "restore", None)
-    if not callable(snap) or not callable(rest):
-        return False
-    return not (getattr(snap, "unsupported", False)
-                or getattr(rest, "unsupported", False))
+    """Whether a backend instance or class implements the snapshot
+    protocol: ``snapshot`` and ``restore`` are both callable."""
+    return (callable(getattr(backend, "snapshot", None))
+            and callable(getattr(backend, "restore", None)))

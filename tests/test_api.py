@@ -251,6 +251,39 @@ class TestSession:
             KCenterSession.from_spec(ProblemSpec(2, 4, 0.5),
                                      backend="insertion-only")
 
+    _WINDOW = {"window": 50, "r_min": 0.1, "r_max": 10.0}
+
+    @pytest.mark.parametrize("backend, options, name", [
+        ("dynamic", {"delta_universe": 64.7}, "delta_universe"),
+        ("dynamic-deterministic", {"delta_universe": 64.7}, "delta_universe"),
+        ("dynamic", {"delta_universe": 64, "s_override": 2.5}, "s_override"),
+        ("dynamic", {"delta_universe": 64, "failure": 5.0}, "failure"),
+        ("dynamic", {"delta_universe": 64, "failure": 0}, "failure"),
+        ("dynamic-deterministic", {"delta_universe": 64, "check": -3}, "check"),
+        ("sliding-window", {**_WINDOW, "window": 10.9}, "window"),
+        ("sliding-window", {**_WINDOW, "window": True}, "window"),
+        ("sliding-window", {**_WINDOW, "window": 0}, "window"),
+        ("sliding-window", {**_WINDOW, "capacity": 0}, "capacity"),
+        ("sliding-window", {**_WINDOW, "r_max": float("inf")}, "r_max"),
+        ("insertion-only", {"size_cap": 100.5}, "size_cap"),
+    ])
+    def test_backend_options_fail_closed(self, spec, backend, options, name):
+        # rejected at construction: never truncated, never an
+        # OverflowError, never a session whose every solve fails
+        with pytest.raises(ValueError, match=name):
+            KCenterSession.from_spec(spec, backend=backend, **options)
+
+    def test_integral_float_options_coerce(self, spec):
+        sess = KCenterSession.from_spec(
+            spec, backend="sliding-window", window=50.0, r_min=0.1,
+            r_max=10.0, capacity=8.0)
+        assert sess.backend.algo.window == 50
+        assert type(sess.backend.algo.window) is int
+        sess = KCenterSession.from_spec(spec, backend="dynamic",
+                                        delta_universe=64.0)
+        sess.extend([[3.0, 4.0]])
+        assert sess.updates_seen == 1
+
     def test_bad_partition_scheme(self, spec):
         # rejected when the session is built, not at the first query
         with pytest.raises(ValueError, match="partition"):

@@ -26,10 +26,13 @@ import numpy as np
 import pytest
 
 from repro.api import (
+    Guarantee,
     KCenterSession,
     ProblemSpec,
     UnsupportedOperationError,
     available_backends,
+    register_backend,
+    unregister_backend,
 )
 from repro.core.points import WeightedPointSet
 from repro.persist import read_snapshot
@@ -159,6 +162,15 @@ class TestChunkedEqualsMonolithic:
         with pytest.raises(UnsupportedOperationError):
             sess.extend(iter([(stream, w)]))
 
+    def test_fractional_chunk_weights_rejected(self):
+        stream = _stream("offline", seed=4, n=2)
+        sess = _make("offline")
+        # never truncated to total weight 3
+        with pytest.raises(ValueError, match="finite integers"):
+            sess.extend(iter([(stream, [1.7, 2.9])]))
+        assert sess.updates_seen == 0
+        assert len(sess.coreset()) == 0
+
     @pytest.mark.parametrize("backend", sorted(INTEGER_BACKENDS))
     def test_delete_bearing_stream(self, backend):
         stream = _stream(backend, seed=31)
@@ -179,6 +191,52 @@ class TestChunkedEqualsMonolithic:
         sess = _make("insertion-only")
         sess.extend(from_array(stream), batch=33)
         assert sess.updates_seen == 100
+
+
+class _RecordingBackend:
+    """Protocol-only backend (no library base class) that records every
+    array ``extend`` receives."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.batches = []
+
+    def insert(self, point):
+        self.extend(np.atleast_2d(point))
+
+    def extend(self, points):
+        self.batches.append(points)
+
+    def coreset(self):
+        return WeightedPointSet(np.concatenate(self.batches))
+
+    def guarantee(self):
+        return Guarantee(eps=self.spec.eps, model="offline")
+
+    def stats(self):
+        return {}
+
+
+class TestSessionIsTheOnlyChunkIterator:
+    def test_backend_receives_only_dense_float_batches(self):
+        register_backend("_recording", _RecordingBackend)
+        try:
+            sess = KCenterSession.from_spec(_spec(), backend="_recording")
+            pts = np.arange(40).reshape(20, 2)  # integer dtype on purpose
+            sess.extend(from_array(pts), batch=7)
+            sess.extend(iter([pts[:5], np.zeros((0, 2)), pts[5:].tolist()]))
+            sess.extend(pts)
+            sess.extend(np.zeros((0, 2)))
+            got = sess.backend.batches
+            assert [len(b) for b in got] == [7, 7, 6, 5, 15, 20]
+            for b in got:
+                assert type(b) is np.ndarray
+                assert b.ndim == 2 and b.dtype == np.float64
+            assert sess.updates_seen == 60
+            assert np.array_equal(sess.coreset().points,
+                                  np.concatenate([pts, pts, pts]))
+        finally:
+            unregister_backend("_recording")
 
 
 class TestSourceBackedScenario:

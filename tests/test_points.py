@@ -35,6 +35,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             WeightedPointSet(np.zeros((3, 1)), [1, 2])
 
+    @pytest.mark.parametrize("weights", [[1.7, 2.9], [1.0, np.inf]],
+                             ids=["fractional", "infinite"])
+    def test_rejects_non_integral_float_weights(self, weights):
+        # never truncated to [1, 2], never an OverflowError
+        with pytest.raises(ValueError, match="finite integers"):
+            WeightedPointSet(np.zeros((2, 1)), weights)
+
+    def test_integral_float_weights_coerce(self):
+        P = WeightedPointSet(np.zeros((2, 1)), np.array([2.0, 3.0]))
+        assert P.weights.dtype == np.int64
+        assert P.weights.tolist() == [2, 3]
+
     def test_arrays_read_only(self):
         P = WeightedPointSet(np.zeros((2, 2)))
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from repro.serve.server import _Handler
 from test_serve_metrics import parse_prometheus
 
 SPEC = dict(k=3, z=4, eps=0.5, dim=2, seed=0)
+WINDOW = dict(window=50, r_min=0.1, r_max=10.0)
 
 
 @pytest.fixture
@@ -114,6 +115,21 @@ class TestSessionRoutes:
                   ("mpc-two-round", {"partition": "bogus"}),
                   ("mpc-multi-round", {"rounds": 2.5}),
                   ("mpc-multi-round", {"rounds": True})]],
+            # so do the streaming and dynamic backends' options
+            *[(f"{backend} {opts}", "PUT", "/sessions/a",
+               {"spec": SPEC, "backend": backend, "options": opts}, 400, "bad-session")
+              for backend, opts in [
+                  ("dynamic", {"delta_universe": 64.7}),
+                  ("dynamic-deterministic", {"delta_universe": 64.7}),
+                  ("dynamic", {"delta_universe": 64, "s_override": 2.5}),
+                  ("dynamic", {"delta_universe": 64, "failure": 5.0}),
+                  ("dynamic-deterministic", {"delta_universe": 64, "check": -3}),
+                  ("sliding-window", {**WINDOW, "window": 10.9}),
+                  ("sliding-window", {**WINDOW, "window": True}),
+                  ("sliding-window", {**WINDOW, "window": 0}),
+                  ("sliding-window", {**WINDOW, "capacity": 0}),
+                  ("sliding-window", {**WINDOW, "r_max": float("inf")}),
+                  ("insertion-only", {"size_cap": 100.5})]],
             ("bad cadence", "PUT", "/sessions/a",
              {"spec": SPEC, "checkpoint_every": 0},
              400, "bad-checkpoint-every"),
