@@ -131,8 +131,22 @@ class KCenterSession:
 
     # -- ingest ------------------------------------------------------------
 
+    def _check_points(self, pts: np.ndarray) -> None:
+        """Refuse a chunk no backend may see: it must be 2-D, finite and,
+        when the spec fixes ``dim``, exactly that wide."""
+        if pts.ndim != 2:
+            raise ValueError(f"points must form an (n, d) array, got shape {pts.shape}")
+        dim = self.spec.dim
+        if dim is not None and pts.shape[1] != dim:
+            raise ValueError(
+                f"points have {pts.shape[1]} coordinates, the spec's dim is {dim}"
+            )
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite (no NaN or infinite coordinates)")
+
     def insert(self, point) -> None:
         """Insert a single point."""
+        self._check_points(np.atleast_2d(np.asarray(point, dtype=float)))
         with self._lock:
             t0 = time.perf_counter()
             self.backend.insert(point)
@@ -171,13 +185,18 @@ class KCenterSession:
         chunking-invariant).  ``batch`` re-chunks a :class:`PointSource`
         to that many rows; it is ignored for dense arrays and
         pre-chunked iterators.
+
+        A chunk that is not 2-D, holds a NaN or infinite coordinate, or
+        is not ``spec.dim`` wide raises :class:`ValueError` before the
+        backend sees it (earlier chunks of the same call stay applied).
         """
         with self._lock:
             t0 = time.perf_counter()
             for pts, w in iter_point_chunks(points, batch):
                 pts = np.atleast_2d(np.asarray(pts, dtype=float))
-                if not len(pts):
+                if not pts.size:  # no points (``[]`` reads as one 0-wide row)
                     continue
+                self._check_points(pts)
                 if w is None:
                     self.backend.extend(pts)
                 else:

@@ -7,7 +7,6 @@ from .dynamic_deterministic import DeterministicDynamicCoreset
 from .insertion_only import InsertionOnlyCoreset, paper_size_threshold
 from .mccutchen_khuller import McCutchenKhuller, MKInstance
 from .sliding_window import (
-    GuessStructure,
     SlidingWindowCoreset,
     default_cell_capacity,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "DeterministicDynamicCoreset",
     "DynamicCoreset",
     "DynamicKCenter",
-    "GuessStructure",
     "InsertionOnlyCoreset",
     "MKInstance",
     "McCutchenKhuller",

@@ -302,3 +302,68 @@ class TestSession:
         assert repro.ProblemSpec is ProblemSpec
         assert repro.KCenterSession is KCenterSession
         assert "api" in repro.__all__
+
+
+#: options that make every registered backend constructible
+_OPTIONS = {
+    "dynamic": {"delta_universe": 64},
+    "dynamic-deterministic": {"delta_universe": 64},
+    "sliding-window": {"window": 50, "r_min": 0.1, "r_max": 10.0},
+}
+_BAD_CHUNKS = {
+    "nan": [[1.0, 2.0], [float("nan"), 3.0]],
+    "inf": [[1.0, 2.0], [3.0, float("inf")]],
+    "-inf": [[float("-inf"), 2.0]],
+    "wide": [[1.0, 2.0, 3.0]],
+    "narrow": [[1.0]],
+    "3-d": [[[1.0, 2.0]]],
+}
+
+
+class TestIngestValidation:
+    """Every backend refuses non-finite and wrong-width points at the
+    session, before the backend's state sees them."""
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_CHUNKS))
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    def test_extend_rejects(self, backend, bad):
+        spec = ProblemSpec(k=2, z=1, eps=0.5, dim=2, seed=0)
+        sess = KCenterSession.from_spec(spec, backend=backend,
+                                        **_OPTIONS.get(backend, {}))
+        sess.extend([[3.0, 4.0], [5.0, 6.0]])
+        before = sess.coreset()
+        with pytest.raises(ValueError):
+            sess.extend(np.array(_BAD_CHUNKS[bad]))
+        assert sess.updates_seen == 2
+        after = sess.coreset()
+        assert np.array_equal(before.points, after.points)
+        assert np.array_equal(before.weights, after.weights)
+
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    def test_empty_input_is_a_no_op(self, backend):
+        spec = ProblemSpec(k=2, z=1, eps=0.5, dim=2, seed=0)
+        sess = KCenterSession.from_spec(spec, backend=backend,
+                                        **_OPTIONS.get(backend, {}))
+        sess.extend([])
+        sess.extend(np.zeros((0, 2)))
+        assert sess.updates_seen == 0
+        assert len(sess.coreset()) == 0
+
+    @pytest.mark.parametrize("backend", ["insertion-only", "sliding-window"])
+    def test_insert_rejects(self, backend):
+        spec = ProblemSpec(k=2, z=1, eps=0.5, dim=2, seed=0)
+        sess = KCenterSession.from_spec(spec, backend=backend,
+                                        **_OPTIONS.get(backend, {}))
+        for bad in ([float("nan"), 1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError):
+                sess.insert(bad)
+        assert sess.updates_seen == 0
+
+    def test_bad_chunk_of_a_source_stops_the_stream(self):
+        spec = ProblemSpec(k=2, z=1, eps=0.5, dim=2, seed=0)
+        sess = KCenterSession.from_spec(spec, backend="insertion-only")
+        chunks = iter([(np.ones((3, 2)), None),
+                       (np.array([[np.nan, 0.0]]), None)])
+        with pytest.raises(ValueError, match="finite"):
+            sess.extend(chunks)
+        assert sess.updates_seen == 3  # the chunk before stays applied
