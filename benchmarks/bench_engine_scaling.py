@@ -8,7 +8,10 @@ embarrassingly parallel across the ``m`` simulated machines; on smaller
 runners the numbers are still recorded but the speedup assertion is
 skipped (there is nothing to win on one core).
 
-Scale with ``REPRO_BENCH_N`` (default 50000).
+Scale with ``REPRO_BENCH_N`` (default 50000).  A plain pytest file, run
+by name (``bench_*.py`` is outside pytest's default pattern)::
+
+    PYTHONPATH=src python -m pytest -q -s benchmarks/bench_engine_scaling.py
 """
 
 import os
@@ -54,8 +57,8 @@ def _run(executors=("serial", f"thread:{JOBS}", f"process:{JOBS}")):
     return rows, results
 
 
-def test_engine_scaling_two_round(once):
-    rows, results = once(_run)
+def test_engine_scaling_two_round():
+    rows, results = _run()
     print()
     print(format_table(rows, f"E21: executor scaling, 2-round MPC at n={N}"))
 

@@ -702,20 +702,24 @@ class TwoRoundMPCBackend(MPCBackend):
     """Deterministic 2-round algorithm with outlier guessing."""
 
     def __init__(self, spec, num_machines=None, partition=None,
-                 final_compress: bool = True, outlier_guessing: bool = True,
+                 final_compress: bool = True,
+                 outlier_guessing: "bool | None" = None,
                  executor=None, jobs: "int | None" = None):
         super().__init__(spec, num_machines, partition, executor, jobs)
         self.final_compress = bool(final_compress)
-        self.outlier_guessing = bool(outlier_guessing)
+        # unset keeps two_round_coreset's own default (guessing on), so
+        # the budget rule has one default, not a copy here
+        self._guessing = ({} if outlier_guessing is None
+                          else {"outlier_guessing": bool(outlier_guessing)})
 
     def _run(self, parts):
         return two_round_coreset(
             parts, self.spec.k, self.spec.z, self.spec.eps,
             metric=self.spec.resolved_metric,
             final_compress=self.final_compress,
-            outlier_guessing=self.outlier_guessing,
             executor=self.executor,
             dtype=self.spec.dtype,
+            **self._guessing,
         )
 
     def guarantee(self) -> Guarantee:

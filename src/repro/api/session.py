@@ -11,7 +11,8 @@ backend and exposes the uniform stream/query surface::
 ``extend(array)`` is the hot path: the array is handed to the backend in
 one call, so vectorized backends evaluate one metric matrix (or one
 cell-id pass) per batch instead of a per-point Python loop — the
-difference ``benchmarks/bench_api_batched.py`` measures.
+difference ``tests/test_api_parity.py`` asserts (> 1.1x on a 10k-point
+stream, bit-identical structure).
 
 ``solve()`` runs an offline solver on the maintained coreset (the
 paper's end-to-end recipe) and returns a :class:`Solution` carrying full
@@ -161,6 +162,7 @@ class KCenterSession:
                 f"backend {self.info.name!r} does not support delete; use a "
                 "fully-dynamic backend ('dynamic' or 'dynamic-deterministic')"
             )
+        self._check_points(np.atleast_2d(np.asarray(point, dtype=float)))
         with self._lock:
             t0 = time.perf_counter()
             delete(point)
@@ -220,7 +222,8 @@ class KCenterSession:
         contract (they validate the whole batch before mutating).
         Backends without any delete support raise a clear
         :class:`~repro.api.backends.UnsupportedOperationError` rather
-        than an ``AttributeError``.
+        than an ``AttributeError``.  Points are checked as in
+        :meth:`extend` before the backend sees them.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         delete_many = getattr(self.backend, "delete_many", None)
@@ -231,6 +234,7 @@ class KCenterSession:
                 "nor delete; use a fully-dynamic backend ('dynamic' or "
                 "'dynamic-deterministic')"
             )
+        self._check_points(pts)
         with self._lock:
             t0 = time.perf_counter()
             applied = 0

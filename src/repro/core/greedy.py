@@ -32,7 +32,7 @@ subtracted from the gains of the candidates whose ``g``-ball contains
 them.  Because all library weights are integers (exactly representable in
 float64), the incremental sums equal the recomputed sums bit for bit, so
 results are identical to the pre-refactor code
-(:mod:`repro.core._greedy_reference`; proven by
+(``tests/_greedy_reference.py``; proven by
 ``tests/test_greedy_parity.py``) at a fraction of the work: ``O(n^2)``
 per guess instead of ``O(k n^2)``.  Distance blocks come from
 :mod:`repro.kernels` via :meth:`Metric.pairwise_block`, honoring the

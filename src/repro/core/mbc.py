@@ -25,7 +25,7 @@ greedy decision procedure uses) and evaluates distances only against the
 ``3^d`` neighboring cells of each representative — any point within
 ``delta`` under L2/L1/Linf is within ``delta`` per coordinate, so no
 candidate is missed and results are bit-identical to the scalar loop
-(:func:`repro.core._greedy_reference.greedy_absorb_reference`; proven by
+(``greedy_absorb_reference`` in ``tests/_greedy_reference.py``; proven by
 the parity tests).  While the exact candidate-pair count fits the kernel
 layer's block budget, every within-``delta`` pair is found up front in
 vectorized blocks of cells (:func:`repro.core.greedy.neighbour_lists`,

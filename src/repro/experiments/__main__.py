@@ -78,21 +78,21 @@ EXPERIMENTS: "dict[str, Experiment]" = {
     for e in [
         Experiment("E1", "randomized 1-round MPC (Table 1 rows 1-2)",
                    "mpc_one_round_rows",
-                   quick={"n": 800, "z_values": (8, 32)}),
+                   quick={"n": 1200, "z_values": (8, 32, 128)}),
         Experiment("E2", "deterministic MPC, adversarial outliers (rows 3-4)",
                    "mpc_two_round_rows",
-                   quick={"n": 800, "z_values": (8, 32)}),
+                   quick={"n": 1200, "z_values": (8, 32, 128)}),
         Experiment("E3", "R-round trade-off (row 5)",
                    "mpc_multi_round_rows",
-                   quick={"n": 800, "m": 8, "rounds_values": (1, 2)}),
+                   quick={"n": 800, "m": 8, "rounds_values": (1, 2, 3)}),
         Experiment("E4", "insertion-only streaming (rows 6-8)",
                    "streaming_insertion_rows",
-                   quick={"n": 1000, "eps_values": (1.0,), "z_values": (8, 64)}),
+                   quick={"n": 1000, "eps_values": (1.0, 0.5), "z_values": (8, 64)}),
         Experiment("E5", "insertion-only lower bound (Figures 2-3)",
                    "insertion_lb_rows"),
         Experiment("E6", "fully dynamic streaming (row 12)",
                    "dynamic_rows",
-                   quick={"delta_values": (64, 256), "n": 120, "deletions": 60}),
+                   quick={"delta_values": (64, 256, 1024), "n": 120, "deletions": 60}),
         Experiment("E7", "dynamic lower bound (Figure 5)",
                    "dynamic_lb_rows"),
         Experiment("E8", "sliding window (rows 9-11)",

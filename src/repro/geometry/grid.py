@@ -67,6 +67,27 @@ def quantize(pts: np.ndarray, side: float) -> "np.ndarray | None":
     return q.astype(np.int64)
 
 
+def integer_points(points) -> np.ndarray:
+    """``points`` as a 2-D int64 array of ``[Delta]^d`` coordinates.
+
+    Raises :class:`ValueError` if any coordinate is not a finite integer:
+    a bare int64 cast truncates ``3.7`` to ``3``, so a fractional delete
+    would cancel a different point's insert.  Integral values beyond the
+    int64 range are clipped, not wrapped, so the ``1..Delta`` check of
+    :class:`GridLevel` still rejects them.
+    """
+    pts = np.atleast_2d(np.asarray(points))
+    if pts.dtype.kind in "biu":
+        return pts.astype(np.int64, copy=False)
+    f = pts.astype(np.float64)
+    with np.errstate(invalid="ignore"):
+        whole = np.isfinite(f) & (f == np.floor(f))
+    if not whole.all():
+        bad = float(f[~whole].flat[0])
+        raise ValueError(f"coordinates must be integers in 1..Delta, got {bad!r}")
+    return np.clip(f, -(2.0**62), 2.0**62).astype(np.int64)
+
+
 def cutoff_side(cutoff: float, pts: np.ndarray) -> float:
     """A cell side for ring-1 queries at ``cutoff`` over ``pts``: just
     above the cutoff (the ``1e-6`` slack keeps :func:`cell_ring` at 1),

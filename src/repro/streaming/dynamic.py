@@ -31,7 +31,7 @@ import numpy as np
 from ..core.greedy import charikar_greedy
 from ..core.metrics import get_metric
 from ..core.points import WeightedPointSet
-from ..geometry.grid import GridHierarchy
+from ..geometry.grid import GridHierarchy, integer_points
 from ..geometry.packing import grid_cell_bound
 from ..sketches.f0 import F0Estimator
 from ..sketches.sparse_recovery import SketchParams, SketchStack
@@ -120,13 +120,14 @@ class DynamicCoreset:
         The sketches are linear, so the final state is identical to
         per-point updates.
 
-        Every cell id is computed (which validates every coordinate
-        against ``[Delta]^d``) and every sketch update prepared *before*
+        Every coordinate is checked to be an integer, every cell id is
+        computed (which validates it against ``[Delta]^d``) and every
+        sketch update prepared *before*
         any sketch is touched, so a bad batch raises with the structure
         unmutated — the batch is all-or-nothing, which is what makes the
         session's update accounting exact.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=np.int64))
+        pts = integer_points(points)
         if len(pts) == 0:
             return
         per_level = [

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.points import WeightedPointSet
-from ..geometry.grid import GridHierarchy
+from ..geometry.grid import GridHierarchy, integer_points
 from ..geometry.packing import grid_cell_bound
 from ..sketches.vandermonde import PRIME_31, VandermondeSketch
 
@@ -81,28 +81,22 @@ class DeterministicDynamicCoreset:
 
     # -- stream interface -------------------------------------------------
 
-    def _update(self, point, sign: int) -> None:
-        p = np.asarray(point, dtype=np.int64).reshape(1, -1)
-        self._updates += 1
-        for lvl, sk in zip(self._levels, self._sketches):
-            sk.update(int(lvl.cell_ids(p)[0]), sign)
-
     def insert(self, point) -> None:
         """Insert a point of ``[Delta]^d``."""
-        self._update(point, +1)
+        self._apply_batch(np.asarray(point).reshape(1, -1), +1)
 
     def delete(self, point) -> None:
         """Delete a previously inserted point (strict turnstile)."""
-        self._update(point, -1)
+        self._apply_batch(np.asarray(point).reshape(1, -1), -1)
 
     def _apply_batch(self, points, sign: int) -> None:
         """Batched updates: one vectorized cell-id pass per grid, one
         field update per distinct touched cell (linearity makes this
-        exactly equivalent to per-point updates).  All cell ids are
-        computed (validating every coordinate) before any field update,
-        so a bad batch raises with the structure unmutated
-        (all-or-nothing)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.int64))
+        exactly equivalent to per-point updates).  All coordinates are
+        checked to be integers and all cell ids computed (validating every
+        coordinate) before any field update, so a bad batch raises with
+        the structure unmutated (all-or-nothing)."""
+        pts = integer_points(points)
         if len(pts) == 0:
             return
         per_level = [

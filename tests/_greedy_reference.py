@@ -8,8 +8,8 @@ refactor.  They exist for two reasons:
   incremental implementations in :mod:`repro.core.greedy` and
   :mod:`repro.core.mbc` are bit-for-bit identical to these on float64
   integer-weighted instances, and
-* the benchmark runner (``benchmarks/run_all.py`` /
-  ``benchmarks/bench_core_kernels.py``) measures speedups against them.
+* the benchmark runner (``benchmarks/run_all.py``, which loads this file
+  by path) measures speedups against them.
 
 The one intentional deviation: the pre-refactor code decided feasibility
 via ``int(weights[uncovered].sum()) <= z``, which truncates fractional
@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .greedy import GreedyResult, gonzalez
-from .metrics import Metric, get_metric
-from .points import WeightedPointSet
-from .radius import coverage_radius, nearest_center_distances
+from repro.core.greedy import GreedyResult, gonzalez
+from repro.core.metrics import Metric, get_metric
+from repro.core.points import WeightedPointSet
+from repro.core.radius import coverage_radius, nearest_center_distances
 
 __all__ = [
     "greedy_disks_reference",

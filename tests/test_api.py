@@ -1,6 +1,8 @@
 """Facade unit tests: ProblemSpec validation, registry error handling,
 session behaviour and the backend protocol."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -321,8 +323,25 @@ _BAD_CHUNKS = {
 
 
 class TestIngestValidation:
-    """Every backend refuses non-finite and wrong-width points at the
-    session, before the backend's state sees them."""
+    """Every backend ingests and solves one spec's stream, and refuses
+    non-finite and wrong-width points at the session, before the
+    backend's state sees them."""
+
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    def test_stream_then_solve(self, backend):
+        rng = np.random.default_rng(0)
+        pts = np.concatenate([rng.normal(c, 0.5, (500, 2))
+                              for c in [(0, 0), (10, 0), (0, 10), (10, 10)]])
+        rng.shuffle(pts)
+        if backend.startswith("dynamic"):  # integer points of [64]^2
+            pts = np.clip(np.abs(pts).astype(int) + 1, 1, 64)
+        spec = ProblemSpec(k=4, z=20, eps=0.5, dim=2, seed=0)
+        sess = KCenterSession.from_spec(spec, backend=backend,
+                                        **_OPTIONS.get(backend, {}))
+        sess.extend(pts)
+        sol = sess.solve()
+        assert sol.coreset_size > 0
+        assert sol.radius > 0
 
     @pytest.mark.parametrize("bad", sorted(_BAD_CHUNKS))
     @pytest.mark.parametrize("backend", sorted(available_backends()))
@@ -358,6 +377,25 @@ class TestIngestValidation:
             with pytest.raises(ValueError):
                 sess.insert(bad)
         assert sess.updates_seen == 0
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("backend", ["dynamic", "dynamic-deterministic"])
+    def test_delete_rejects_non_finite(self, backend, bad):
+        """Deletes go through the same session check as ingest, before
+        any cast in the backend (no cast warning, no OverflowError)."""
+        spec = ProblemSpec(k=2, z=1, eps=0.5, dim=2, seed=0)
+        sess = KCenterSession.from_spec(spec, backend=backend,
+                                        **_OPTIONS.get(backend, {}))
+        sess.extend([[3.0, 4.0], [5.0, 6.0]])
+        pts = np.array(_BAD_CHUNKS[bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                sess.delete_many(pts)
+            with pytest.raises(ValueError, match="finite"):
+                sess.delete(pts[-1])
+        assert sess.updates_seen == 2
+        assert sess.coreset().total_weight == 2
 
     def test_bad_chunk_of_a_source_stops_the_stream(self):
         spec = ProblemSpec(k=2, z=1, eps=0.5, dim=2, seed=0)

@@ -1,21 +1,7 @@
-"""Smoke tests for the experiment drivers (small parameters)."""
+"""The experiment report table (the drivers' claims are asserted in
+``tests/test_paper_claims.py``)."""
 
-
-from repro.experiments import (
-    Row,
-    coreset_quality_rows,
-    dynamic_lb_rows,
-    format_table,
-    geometry_rows,
-    insertion_lb_rows,
-    mpc_multi_round_rows,
-    mpc_one_round_rows,
-    mpc_two_round_rows,
-    omega_z_lb_rows,
-    sliding_lb_rows,
-    sliding_window_rows,
-    streaming_insertion_rows,
-)
+from repro.experiments import Row, format_table
 
 
 class TestReport:
@@ -36,43 +22,3 @@ class TestReport:
     def test_nan_rendered(self):
         out = format_table([Row("E", "a", {}, {"q": float("nan")})])
         assert "nan" in out
-
-
-class TestDriversSmoke:
-    def test_mpc_two_round(self):
-        rows = mpc_two_round_rows(n=300, z_values=(4,), m=3)
-        assert {r.algorithm for r in rows} == {"ours-2round", "cpp19-det"}
-        for r in rows:
-            assert r.metrics["coreset"] > 0
-
-    def test_mpc_one_round(self):
-        rows = mpc_one_round_rows(n=300, z_values=(4,))
-        assert len(rows) == 2
-
-    def test_mpc_multi_round(self):
-        rows = mpc_multi_round_rows(n=300, m=4, rounds_values=(1, 2))
-        assert [r.params["R"] for r in rows] == [1, 2]
-
-    def test_streaming(self):
-        rows = streaming_insertion_rows(n=300, eps_values=(1.0,), z_values=(4,))
-        assert len(rows) == 3  # ours, cpp, mk
-
-    def test_sliding(self):
-        rows = sliding_window_rows(n=400, window=100, z_values=(2,))
-        assert rows[0].metrics["stored"] > 0
-
-    def test_lower_bound_drivers(self):
-        assert all(
-            r.metrics.get("fatal", r.metrics.get("claim38_ok", 1)) is not None
-            for r in insertion_lb_rows(configs=((2, 2, 1, 1 / 8),))
-            + omega_z_lb_rows(configs=((2, 3),))
-            + dynamic_lb_rows(delta_values=(2**10,))
-            + sliding_lb_rows(g=2)
-            + geometry_rows(configs=((1, 1 / 8),))
-        )
-
-    def test_quality_driver(self):
-        rows = coreset_quality_rows(n=300)
-        assert len(rows) == 4
-        for r in rows:
-            assert r.metrics["quality"] > 0

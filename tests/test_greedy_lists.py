@@ -25,7 +25,7 @@ import repro.core.greedy as greedy_mod
 import repro.core.mbc as mbc_mod
 import repro.geometry.grid as grid_mod
 from repro.core import WeightedPointSet, charikar_greedy
-from repro.core._greedy_reference import (
+from _greedy_reference import (
     charikar_greedy_reference,
     greedy_absorb_reference,
 )

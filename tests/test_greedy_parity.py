@@ -1,5 +1,5 @@
 """Bit-for-bit parity of the incremental radius-search stack against the
-frozen pre-refactor reference (:mod:`repro.core._greedy_reference`).
+frozen pre-refactor reference (``tests/_greedy_reference.py``).
 
 The kernels refactor rewrote ``_greedy_disks`` / ``_geometric_decision``
 to maintain gains incrementally and ``_greedy_absorb`` to prune
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import WeightedPointSet, charikar_greedy, mbc_construction
-from repro.core._greedy_reference import (
+from _greedy_reference import (
     charikar_greedy_reference,
     geometric_decision_reference,
     greedy_absorb_reference,

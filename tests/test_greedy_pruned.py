@@ -1,7 +1,7 @@
 """The grid-pruned candidate scans: PointGrid correctness, the sparse
 pair-distance kernel, workspace norm-subset reuse, and bit-for-bit
 parity of the pruned geometric search against the frozen dense
-reference (:mod:`repro.core._greedy_reference`) on adversarial layouts.
+reference (``tests/_greedy_reference.py``) on adversarial layouts.
 
 Parity here is *identity*, not closeness: integer weights are exact in
 float64 (sums are order-independent), and :func:`pair_distances`
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import repro.core.greedy as greedy_mod
 from repro.core import WeightedPointSet, charikar_greedy
-from repro.core._greedy_reference import charikar_greedy_reference
+from _greedy_reference import charikar_greedy_reference
 from repro.core.greedy import _grid_decision, _grid_for_guess
 from repro.core.metrics import get_metric
 from repro.geometry import PointGrid
@@ -359,7 +359,7 @@ class TestPruneKnob:
 
 class TestGridDecisionDirect:
     def test_matches_dense_decision_across_guesses(self, rng):
-        from repro.core._greedy_reference import geometric_decision_reference
+        from _greedy_reference import geometric_decision_reference
 
         pts = rng.uniform(0, 8, size=(220, 2))
         P = WeightedPointSet(pts, rng.integers(1, 5, 220))

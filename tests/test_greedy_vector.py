@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import WeightedPointSet, charikar_greedy, mbc_construction
 from repro.core import greedy as greedy_mod
-from repro.core._greedy_reference import charikar_greedy_reference
+from _greedy_reference import charikar_greedy_reference
 from repro.core.metrics import get_metric
 from repro.mpc.tasks import radius_vector_task
 from test_greedy_lists import _stratified

@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist
 
 import repro.streaming.insertion_only as io
 from repro.core import WeightedPointSet
-from repro.core._greedy_reference import greedy_absorb_reference
+from _greedy_reference import greedy_absorb_reference
 from repro.core.mbc import _ABSORB_MAX_PAIRS, _greedy_absorb
 from repro.core.metrics import get_metric
 from repro.geometry import CellIndex, PointGrid

@@ -1,18 +1,12 @@
-"""Scaled-down Table-1 shape checks inside the unit suite.
+"""Streaming and sliding-window shape checks on the structures themselves.
 
-The benchmarks assert the paper's headline shapes at full size; these
-miniatures witness the same claims in seconds so `pytest tests/` alone
-covers them.
+``tests/test_paper_claims.py`` asserts the Table-1 shapes through the
+experiment drivers; these miniatures drive the streaming structures
+directly (thresholds, measured storage, ladder length).
 """
 
 import numpy as np
-import pytest
 
-from repro.mpc import (
-    ceccarello_one_round_deterministic,
-    partition_adversarial_outliers,
-    two_round_coreset,
-)
 from repro.streaming import (
     CeccarelloStreamingCoreset,
     InsertionOnlyCoreset,
@@ -20,26 +14,7 @@ from repro.streaming import (
     cpp_size_threshold,
     paper_size_threshold,
 )
-from repro.workloads import clustered_with_outliers, drifting_stream
-
-
-class TestMPCShapes:
-    def test_ours_flat_in_z_baseline_linear(self, rng):
-        """Table 1 rows 3-4: coreset growth in z under adversarial
-        distribution."""
-        sizes_ours, sizes_base = [], []
-        for z in (8, 64):
-            wl = clustered_with_outliers(600, 3, z, d=2,
-                                         rng=np.random.default_rng(0))
-            P = wl.point_set()
-            parts = partition_adversarial_outliers(P, wl.outlier_mask, 6, rng)
-            sizes_ours.append(len(two_round_coreset(parts, 3, z, 0.5).coreset))
-            sizes_base.append(
-                len(ceccarello_one_round_deterministic(parts, 3, z, 0.5).coreset)
-            )
-        growth_ours = sizes_ours[1] / sizes_ours[0]
-        growth_base = sizes_base[1] / sizes_base[0]
-        assert growth_base > growth_ours
+from repro.workloads import drifting_stream
 
 
 class TestStreamingShapes:

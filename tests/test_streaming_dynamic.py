@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import WeightedPointSet, charikar_greedy
-from repro.streaming import DynamicCoreset, DynamicKCenter
+from repro.streaming import DeterministicDynamicCoreset, DynamicCoreset, DynamicKCenter
 from repro.workloads import integer_workload
 
 
@@ -102,6 +102,23 @@ class TestDynamicCoreset:
         dyn.insert((1, 1))
         dyn.delete((1, 1))
         assert dyn.updates_seen == 2
+
+
+@pytest.mark.parametrize("cls", [DynamicCoreset, DeterministicDynamicCoreset])
+def test_fractional_coordinates_rejected(cls):
+    """Both sketches index [Delta]^d by integers: a fractional point
+    raises instead of truncating, so a delete of (3.5, 4.0) can not
+    cancel the insert of (3, 4)."""
+    sketch = cls(2, 1, 1.0, 16, 2)
+    for bad in ([3.7, 4.2], [3.0, np.nan], [np.inf, 4.0]):
+        with pytest.raises(ValueError, match="integers"):
+            sketch.insert(bad)
+    sketch.extend(np.array([[3, 4]]))
+    with pytest.raises(ValueError, match="integers"):
+        sketch.delete_many([[3.5, 4.0]])
+    sketch.delete_many([[3.0, 4.0]])  # integral floats are fine
+    assert sketch.updates_seen == 2
+    assert sketch.coreset().total_weight == 0
 
 
 class TestDynamicKCenter:
