@@ -1,0 +1,250 @@
+"""A/B record of the working tree against a parent commit, on perfbench.
+
+    python benchmarks/ab.py --parent HEAD --pairs 10 --out AB_PR<n>.json
+    python benchmarks/ab.py --pairs 3 --seconds 8 offline-search mpc-two-round
+
+The parent is extracted with ``git archive REV | tar -x`` into a
+temporary directory; the change is the working tree.  For each workload
+it runs ``--pairs`` pairs of ``python3 perfbench/run.py --workload W
+--seed S --seconds T --trace 0``, one run per side in its own tree; odd
+pairs run the parent first, even pairs the change.  Each run keeps the
+result line perfbench prints last and its ``runner`` line.
+
+The record written to ``--out`` holds both sides' rev, commit and
+``source_sha256``, every run, and ``summary[workload][metric]`` for each
+end-to-end metric: medians, the parent's quartiles, wins, the
+``repro.verify`` sign test and paired bootstrap of change − parent, the
+metric's ``BENCHMARK.json`` bound and a verdict (layout in
+``docs/benchmarks.md``):
+
+* ``better``: of at least ten pairs, the change wins >= 9/10 of the
+  untied ones, and its median beats the parent's by more than the
+  parent's interquartile range;
+* ``worse``: the change median is worse than the parent median by more
+  than the bound (a fraction of the parent median);
+* ``unresolved``: the parent's interquartile range is wider than the
+  bound, and not every change run beats every parent run;
+* ``within``: anything else.
+
+``summary[workload]["failed_share"]`` holds each side's share of
+attempted operations that failed; it reads ``worse`` when the change's
+share is larger.  Verdicts are reported, not gated: the exit status is 1
+only when some run exits non-zero or reports an incorrect result.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+SIDES = ("parent", "change")
+
+
+def pair_order(pair: int) -> "tuple[str, str]":
+    """The sides of pair ``pair`` (from 1) in the order they run."""
+    return SIDES if pair % 2 else SIDES[::-1]
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", ROOT, *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, dest: str) -> str:
+    """Extract ``rev`` into ``dest`` with ``git archive | tar -x``; return
+    its commit."""
+    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    archive = subprocess.Popen(["git", "-C", ROOT, "archive", commit],
+                               stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() or untar.returncode:
+        raise RuntimeError(f"git archive {commit} | tar -x failed")
+    return commit
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run in ``tree``, reduced to its record."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", f"{seconds:g}", "--trace", "0"]
+    start = time.monotonic()
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    wall = time.monotonic() - start
+    lines = proc.stdout.splitlines()
+    runner = next((json.loads(line[len("runner "):]) for line in lines
+                   if line.startswith("runner ")), None)
+    try:
+        result = json.loads(lines[-1]) if lines else {}
+    except json.JSONDecodeError:
+        result = {}
+    result = result if isinstance(result, dict) else {}
+    if proc.returncode:
+        sys.stderr.write(proc.stderr[-4000:])
+    return {"exit": proc.returncode, "correct": result.get("correct") is True,
+            "attempted": result.get("attempted", 0),
+            "failed": result.get("failed", 0),
+            "metrics": {name: m["value"]
+                        for name, m in result.get("metrics", {}).items()},
+            "runner": runner, "wall_s": round(wall, 3)}
+
+
+def collect(run, workloads, pairs: int) -> "list[dict]":
+    """Every run in execution order; ``run(side, workload)`` makes one."""
+    runs = []
+    for workload in workloads:
+        for pair in range(1, pairs + 1):
+            for order, side in enumerate(pair_order(pair), start=1):
+                entry = {"workload": workload, "pair": pair, "side": side,
+                         "order": order, **run(side, workload)}
+                runs.append(entry)
+                print(f"{workload} pair {pair} {side}: exit {entry['exit']}, "
+                      f"correct {entry['correct']}, {entry['wall_s']:.1f} s",
+                      file=sys.stderr)
+    return runs
+
+
+def verdict(row: dict, parent, change) -> str:
+    """One metric's verdict from its summary row and paired values (see
+    the module doc)."""
+    lower = row["better"] == "lower"
+    gain = row["parent_median"] - row["change_median"]
+    gain = gain if lower else -gain
+    iqr = row["parent_q3"] - row["parent_q1"]
+    allowed = row["bound"] * abs(row["parent_median"])
+    untied = row["pairs"] - row["ties"]
+    if row["pairs"] >= 10 and untied \
+            and 10 * row["change_wins"] >= 9 * untied and gain > iqr:
+        return "better"
+    if -gain > allowed:
+        return "worse"
+    beats_all = (max(change) < min(parent) if lower
+                 else min(change) > max(parent))
+    if iqr > allowed and not beats_all:
+        return "unresolved"
+    return "within"
+
+
+def summarize(runs, bench: dict) -> dict:
+    """``summary[workload][metric]`` over the paired runs, plus each
+    workload's ``failed_share``."""
+    from repro.verify import paired_bootstrap, sign_test
+
+    by_key = {(r["workload"], r["pair"], r["side"]): r for r in runs}
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        rows = summary[workload] = {}
+        pair_ids = sorted({p for w, p, _ in by_key if w == workload})
+        for m in bench["end_to_end"]:
+            name = m["name"]
+            paired = [(by_key[workload, p, "parent"]["metrics"][name],
+                       by_key[workload, p, "change"]["metrics"][name])
+                      for p in pair_ids
+                      if all(name in by_key.get((workload, p, side), {})
+                             .get("metrics", {}) for side in SIDES)]
+            if not paired:
+                continue
+            parent, change = (np.array(side, dtype=float)
+                              for side in zip(*paired))
+            diffs = change - parent
+            sign = sign_test(diffs)
+            mean, lo, hi, boot_p = paired_bootstrap(diffs,
+                                                    key=(workload, name))
+            q1, q3 = np.quantile(parent, [0.25, 0.75])
+            row = rows[name] = {
+                "parent_median": float(np.median(parent)),
+                "change_median": float(np.median(change)),
+                "parent_q1": float(q1), "parent_q3": float(q3),
+                "change_wins": (sign.n_neg if m["better"] == "lower"
+                                else sign.n_pos),
+                "pairs": len(paired), "ties": sign.n_ties, "sign_p": sign.p,
+                "boot_mean": mean, "boot_ci": [lo, hi], "boot_p": boot_p,
+                "better": m["better"], "bound": m["bound"],
+            }
+            row["verdict"] = verdict(row, parent, change)
+        share = {}
+        for side in SIDES:
+            mine = [r for r in runs
+                    if r["workload"] == workload and r["side"] == side]
+            attempted = sum(r["attempted"] for r in mine)
+            share[side] = (sum(r["failed"] for r in mine) / attempted
+                           if attempted else 0.0)
+        share["verdict"] = ("worse" if share["change"] > share["parent"]
+                            else "within")
+        rows["failed_share"] = share
+    return summary
+
+
+def side_info(rev: str, commit: "str | None", runs, side: str) -> dict:
+    """Rev, commit and the ``source_sha256`` every run of ``side`` reported
+    (null unless they all agree)."""
+    shas = {r["runner"]["source_sha256"] for r in runs
+            if r["side"] == side and r["runner"]}
+    return {"rev": rev, "commit": commit,
+            "source_sha256": shas.pop() if len(shas) == 1 else None}
+
+
+def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    names = [w["name"] for w in bench["workloads"]]
+    ap = argparse.ArgumentParser(prog="python benchmarks/ab.py",
+                                 description=__doc__.splitlines()[0])
+    ap.add_argument("workloads", nargs="*", metavar="WORKLOAD",
+                    help=f"workloads to run (default: all of {names})")
+    ap.add_argument("--parent", default="HEAD", help="rev to compare with")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--out", default="ab.json", metavar="PATH")
+    args = ap.parse_args(argv)
+    unknown = sorted(set(args.workloads) - set(names))
+    if unknown:
+        ap.error(f"unknown workloads {unknown}; choose from {names}")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+
+    workloads = args.workloads or names
+    with tempfile.TemporaryDirectory(prefix="ab-parent-") as parent_tree:
+        commit = export(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        runs = collect(lambda side, workload: run_once(
+            trees[side], workload, args.seed, args.seconds),
+            workloads, args.pairs)
+    summary = summarize(runs, bench)
+    doc = {
+        "command": "python3 perfbench/run.py --workload W --seed "
+                   f"{args.seed} --seconds {args.seconds:g} --trace 0",
+        "pairs": args.pairs,
+        "parent": side_info(args.parent, commit, runs, "parent"),
+        "change": side_info("working tree", _git("rev-parse", "HEAD"),
+                            runs, "change"),
+        "runs": runs,
+        "summary": summary,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1)
+    for workload, rows in summary.items():
+        for name, row in rows.items():
+            parent, change = (row.get(f"{side}_median", row.get(side))
+                              for side in SIDES)
+            wins = (f"wins {row['change_wins']}/{row['pairs'] - row['ties']}"
+                    if "pairs" in row else "")
+            print(f"{workload:<15} {name:<20} {parent:>12.6g} "
+                  f"{change:>12.6g} {wins:<11} {row['verdict']}")
+    print(f"wrote {args.out}")
+    return 0 if all(r["exit"] == 0 and r["correct"] for r in runs) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

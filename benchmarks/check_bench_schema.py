@@ -1,10 +1,10 @@
 """Diff two benchmark JSON documents by schema, not by timing.
 
 CI regenerates the quick benchmark document on every run and compares it
-against the committed reference (``BENCH_PR8.json``)::
+against the committed reference (``BENCH_PR18.json``)::
 
     PYTHONPATH=src python benchmarks/run_all.py --quick --json /tmp/bench.json
-    python benchmarks/check_bench_schema.py BENCH_PR8.json /tmp/bench.json
+    python benchmarks/check_bench_schema.py BENCH_PR18.json /tmp/bench.json
 
 ``--require id1,id2`` additionally asserts that the named entry ids are
 present in the candidate document (CI pins the PR's new scaling-curve
@@ -16,33 +16,12 @@ type must match.  Timings, throughputs, versions and timestamps are
 expected to drift run-to-run and are deliberately NOT compared — the
 check catches a bench being dropped, renamed, or silently changing its
 report shape, without making CI flaky on runner speed.
-
-``--compare OLD1.json [OLD2.json ...] NEW.json [--max-slowdown R]
-[--best-of K]`` is a second mode that DOES look at timings: the last
-path is the candidate, every preceding path is history (oldest first —
-the committed ``BENCH_PR*.json`` series).  Each candidate entry is
-gated against the *fastest* params-matched ``new_s`` among the last
-``K`` (default 3) history documents that carry it, and fails when the
-candidate regressed by more than the allowed ratio (default 1.25) —
-so a slow PR cannot reset the baseline for the next one.  The mode is
-strict about series integrity: an entry present in the most recent
-history document but missing from the candidate is an error (a bench
-was dropped), as is a candidate ``new_s`` that is not a positive number
-(type drift).  Entries whose ``params`` changed are skipped with a note
-(a bench that changed its workload is not a regression), as are entries
-new in the candidate.  CI runs this over the whole committed series to
-catch order-of-magnitude performance regressions while the generous
-ratio absorbs runner noise.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-
-#: Values whose *presence* matters but whose content is run-dependent.
-_VOLATILE_TOP_LEVEL = {"version", "python", "numpy", "timestamp"}
-
 
 def _json_type(value) -> str:
     if value is None:
@@ -106,95 +85,9 @@ def compare(reference: dict, candidate: dict) -> "list[str]":
     return problems
 
 
-def _timing(entry) -> "float | None":
-    """An entry's ``new_s`` as a positive float, or ``None``."""
-    value = entry.get("new_s")
-    if isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and value > 0:
-        return float(value)
-    return None
-
-
-def compare_timings(history, candidate: dict, max_slowdown: float,
-                    best_of: int = 3) -> "tuple[list[str], list[str]]":
-    """Timing regressions of ``candidate`` against a bench series.
-
-    Parameters
-    ----------
-    history:
-        One reference document (the legacy two-document mode) or a list
-        of documents oldest-first (the committed ``BENCH_PR*.json``
-        series).
-    candidate:
-        The document under test.
-    max_slowdown:
-        Allowed ``new_s`` ratio against the reference timing.
-    best_of:
-        The reference timing is the *minimum* params-matched ``new_s``
-        over the last ``best_of`` history documents carrying the entry
-        — a slow PR cannot relax the gate for its successor.
-
-    Returns
-    -------
-    tuple of (problems, notes)
-        Problems fail the gate: a regression beyond the ratio, an entry
-        the most recent history document has but the candidate dropped,
-        or a candidate ``new_s`` that is not a positive number (type
-        drift).  Params changes and candidate-only entries are notes.
-    """
-    docs = history if isinstance(history, list) else [history]
-    problems, notes = [], []
-    cand_by_id = {e.get("id"): e for e in candidate.get("entries") or []}
-    hist_maps = [{e.get("id"): e for e in doc.get("entries") or []}
-                 for doc in docs]
-    latest = hist_maps[-1] if hist_maps else {}
-    all_hist_ids = set().union(*hist_maps) if hist_maps else set()
-    for eid in sorted(set(latest) - set(cand_by_id)):
-        problems.append(
-            f"entry {eid!r} dropped: present in the most recent reference "
-            f"document but missing from the candidate")
-    for eid in sorted(all_hist_ids - set(cand_by_id) - set(latest)):
-        notes.append(f"entry {eid!r} only in older references; not compared")
-    for eid in sorted(set(cand_by_id) - all_hist_ids):
-        notes.append(f"entry {eid!r} only in candidate; not compared")
-    for eid in sorted(set(cand_by_id) & all_hist_ids):
-        cand = cand_by_id[eid]
-        cand_s = _timing(cand)
-        if cand_s is None:
-            problems.append(
-                f"entry {eid!r}: candidate new_s must be a positive number, "
-                f"got {cand.get('new_s')!r} "
-                f"({type(cand.get('new_s')).__name__})")
-            continue
-        # the last `best_of` history docs that carry this entry at all,
-        # then the comparable params-matched measurements among them
-        window = [m[eid] for m in hist_maps if eid in m][-int(best_of):]
-        matched = [_timing(e) for e in window
-                   if e.get("params") == cand.get("params")
-                   and _timing(e) is not None]
-        if not matched:
-            notes.append(f"entry {eid!r}: params changed (or no comparable "
-                         "reference timing); not compared")
-            continue
-        ref_s = min(matched)
-        ratio = cand_s / ref_s
-        if ratio > max_slowdown:
-            problems.append(
-                f"entry {eid!r}: new_s regressed {ref_s:.4g}s -> "
-                f"{cand_s:.4g}s ({ratio:.2f}x > {max_slowdown:.2f}x "
-                f"best-of-last-{len(matched)})")
-        else:
-            notes.append(f"entry {eid!r}: {ref_s:.4g}s -> {cand_s:.4g}s "
-                         f"({ratio:.2f}x vs best-of-last-{len(matched)}) OK")
-    return problems, notes
-
-
 def main(argv: "list[str]") -> int:
     require: "list[str]" = []
     paths: "list[str]" = []
-    compare_mode = False
-    max_slowdown = 1.25
-    best_of = 3
     it = iter(argv)
     for arg in it:
         if arg == "--require":
@@ -204,59 +97,12 @@ def main(argv: "list[str]") -> int:
                       file=sys.stderr)
                 return 2
             require.extend(x for x in value.split(",") if x)
-        elif arg == "--compare":
-            compare_mode = True
-        elif arg == "--max-slowdown":
-            value = next(it, None)
-            try:
-                max_slowdown = float(value)
-            except (TypeError, ValueError):
-                print("--max-slowdown needs a positive ratio",
-                      file=sys.stderr)
-                return 2
-            if max_slowdown <= 0:
-                print("--max-slowdown needs a positive ratio",
-                      file=sys.stderr)
-                return 2
-        elif arg == "--best-of":
-            value = next(it, None)
-            try:
-                best_of = int(value)
-            except (TypeError, ValueError):
-                print("--best-of needs a positive integer", file=sys.stderr)
-                return 2
-            if best_of < 1:
-                print("--best-of needs a positive integer", file=sys.stderr)
-                return 2
         else:
             paths.append(arg)
-    usage = ("usage: python benchmarks/check_bench_schema.py "
-             "[--require id1,id2] REFERENCE.json CANDIDATE.json\n"
-             "       python benchmarks/check_bench_schema.py "
-             "--compare [--max-slowdown R] [--best-of K] "
-             "OLD1.json [OLD2.json ...] NEW.json")
-    if compare_mode:
-        if len(paths) < 2:
-            print(usage, file=sys.stderr)
-            return 2
-        docs = []
-        for path in paths:
-            with open(path) as fh:
-                docs.append(json.load(fh))
-        problems, notes = compare_timings(
-            docs[:-1], docs[-1], max_slowdown, best_of=best_of)
-        for note in notes:
-            print(f"compare: {note}")
-        for p in problems:
-            print(f"TIMING REGRESSION: {p}", file=sys.stderr)
-        if problems:
-            return 1
-        print(f"bench timings OK over {len(docs) - 1} reference document(s) "
-              f"(max allowed slowdown {max_slowdown:.2f}x, "
-              f"best-of-last-{best_of})")
-        return 0
     if len(paths) != 2:
-        print(usage, file=sys.stderr)
+        print("usage: python benchmarks/check_bench_schema.py "
+              "[--require id1,id2] REFERENCE.json CANDIDATE.json",
+              file=sys.stderr)
         return 2
     with open(paths[0]) as fh:
         reference = json.load(fh)

@@ -4,8 +4,8 @@ Times the three operations the kernels refactor targets — the Charikar
 radius search, ``mbc_construction``, and one end-to-end two-round MPC
 run — at fixed seeds, against the frozen pre-refactor reference
 implementations where one exists (``tests/_greedy_reference.py``, loaded
-by path), and writes a JSON document so CI can archive a perf
-trajectory across PRs::
+by path), and writes a JSON document whose schema CI checks against the
+committed ``BENCH_PR18.json``::
 
     PYTHONPATH=src python benchmarks/run_all.py --json BENCH_core.json
     PYTHONPATH=src python benchmarks/run_all.py --quick --json BENCH_core.json
@@ -17,7 +17,9 @@ tracked).  The float64 outputs of old and new paths are asserted
 bit-identical before any timing is reported.  At full size the two
 reference comparisons also assert their speedup bars: ``charikar_greedy``
 (n=2048) >= 3x and ``mbc_construction`` (n=50k) >= 2x; ``--quick``
-only reports them.
+only reports them.  Each entry runs in its own freshly spawned process,
+so its timings and peak RSS are its own; an entry that fails fails the
+run.
 
 The ``*_scale_*`` entries form the scaling curve for the grid-pruned
 candidate scans (n=10^5 and n=10^6);
@@ -26,8 +28,8 @@ sizes, and ``--assert-pruned`` fails the run unless the 10^5-scale
 greedy actually took the pruned path and beat the dense decision
 procedure by >= 2x.  ``mbc_scale_10m`` ingests the out-of-core
 ``ooc-clustered-10m`` store (n=10^7 at full size) through the
-insertion-only session chunk by chunk and records throughput plus the
-process peak RSS;
+insertion-only session chunk by chunk and records throughput plus its
+peak RSS;
 ``--store-dir`` points the store cache at a persistent directory so
 the generated stream is reused across runs.
 """
@@ -35,8 +37,10 @@ the generated stream is reused across runs.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import importlib.util
 import json
+import multiprocessing
 import os
 import platform
 import sys
@@ -319,10 +323,9 @@ def bench_mbc_scale_10m(quick: bool) -> dict:
     into the insertion-only session, one 65536-row chunk resident at a
     time (the PR-10 headline — ingest never materializes the stream).
 
-    ``peak_rss_mb`` is the process-lifetime ``ru_maxrss`` at the end of
-    this bench — an upper bound that includes earlier benches in the
-    same run; the strict <2 GB out-of-core guard lives in
-    ``tests/test_out_of_core.py`` in a fresh subprocess.  The cached
+    ``peak_rss_mb`` is the ``ru_maxrss`` of this entry's own process
+    (:func:`run_isolated`); the strict <2 GB out-of-core guard lives in
+    ``tests/test_out_of_core.py``.  The cached
     store under ``--store-dir`` (default ``$REPRO_DATA_DIR``) is
     generated chunk-wise on first use and reused after.  ``--quick``
     keeps the id at the scenario's quick size (n=4*10^4).
@@ -351,6 +354,14 @@ def bench_mbc_scale_10m(quick: bool) -> dict:
         "radius": float(sol.radius),
         "peak_rss_mb": peak_mb,
     }
+
+
+def run_isolated(bench, quick: bool) -> dict:
+    """Run one entry in a freshly spawned process and return its entry;
+    an exception raised by the entry is raised here."""
+    ctx = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=ctx) as pool:
+        return pool.submit(bench, quick).result()
 
 
 BENCHES = (bench_charikar, bench_mbc, bench_mpc_two_round,
@@ -386,7 +397,7 @@ def main(argv: "list[str]") -> int:
 
     entries = []
     for bench in BENCHES:
-        entry = bench(args.quick)
+        entry = run_isolated(bench, args.quick)
         entries.append(entry)
         speed = (
             f"{entry['speedup']:.2f}x vs pre-refactor"

@@ -1,0 +1,178 @@
+"""Tests for ``benchmarks/ab.py``: pair order, summary and verdicts.
+
+The summaries are built from synthetic runs through ``ab.collect`` with a
+fake run function, so no benchmark process is started.  ``benchmarks/``
+is a script directory, not a package, so the module is loaded by file
+path.
+"""
+
+import importlib.util
+import json
+import os
+import textwrap
+
+import numpy as np
+
+_ROOT = os.path.join(os.path.dirname(__file__), "..")
+_spec = importlib.util.spec_from_file_location(
+    "ab", os.path.join(_ROOT, "benchmarks", "ab.py"))
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+with open(os.path.join(_ROOT, "BENCHMARK.json")) as _fh:
+    BENCH = json.load(_fh)
+
+#: one offline-search-like run's end-to-end metrics
+BASE = {"setup_s": 0.5, "ingest_points_per_s": 1.0e6, "coreset_s": 1.2,
+        "solve_s": 0.09, "coreset_size": 2457.0, "radius": 3.1,
+        "peak_rss_mb": 120.0, "success_frac": 1.0, "extend_p50_ms": 0.0}
+TIMED = ("setup_s", "ingest_points_per_s", "coreset_s", "solve_s",
+         "peak_rss_mb")
+
+
+def _noisy(rng, scale=None):
+    """BASE with +-3% noise on the timed metrics (times ``scale``)."""
+    scale = scale or {}
+    return {name: value * scale.get(name, 1.0)
+            * (1.0 + rng.uniform(-0.03, 0.03) if name in TIMED else 1.0)
+            for name, value in BASE.items()}
+
+
+def _fake_run(metrics, failed=None):
+    """A run function serving ``metrics[side]`` one run at a time."""
+    its = {side: iter(values) for side, values in metrics.items()}
+    failed = failed or {}
+    calls = []
+
+    def run(side, workload):
+        calls.append(side)
+        return {"exit": 0, "correct": True, "attempted": 100,
+                "failed": failed.get(side, 0), "metrics": next(its[side]),
+                "runner": {"source_sha256": "abc"}, "wall_s": 1.0}
+
+    run.calls = calls
+    return run
+
+
+def _summary(parent, change, pairs=10, **kw):
+    runs = ab.collect(_fake_run({"parent": parent, "change": change}, **kw),
+                      ["offline-search"], pairs)
+    return ab.summarize(runs, BENCH)["offline-search"]
+
+
+def _coreset_s(parent_values, change_values):
+    def rows(values):
+        return [dict(BASE, coreset_s=v) for v in values]
+    return _summary(rows(parent_values), rows(change_values),
+                    pairs=len(parent_values))["coreset_s"]
+
+
+def test_pairs_alternate_which_side_runs_first():
+    run = _fake_run({side: [BASE] * 4 for side in ab.SIDES})
+    runs = ab.collect(run, ["mpc-two-round"], 4)
+    assert run.calls == ["parent", "change", "change", "parent",
+                         "parent", "change", "change", "parent"]
+    assert [(r["pair"], r["side"], r["order"]) for r in runs] == [
+        (1, "parent", 1), (1, "change", 2), (2, "change", 1),
+        (2, "parent", 2), (3, "parent", 1), (3, "change", 2),
+        (4, "change", 1), (4, "parent", 2)]
+    assert {r["workload"] for r in runs} == {"mpc-two-round"}
+
+
+def test_self_against_self_is_within_everywhere():
+    rng = np.random.default_rng(0)
+    runs = [_noisy(rng) for _ in range(20)]
+    summary = _summary(runs[::2], runs[1::2])
+    assert set(summary) == {m["name"] for m in BENCH["end_to_end"]} \
+        | {"failed_share"}
+    assert {name: row["verdict"] for name, row in summary.items()} == \
+        dict.fromkeys(summary, "within")
+    row = summary["coreset_s"]
+    assert row["pairs"] == 10 and row["bound"] == 0.25
+    assert row["parent_q1"] <= row["parent_median"] <= row["parent_q3"]
+    assert summary["radius"]["ties"] == 10
+    assert summary["radius"]["sign_p"] == 1.0
+
+
+def test_a_change_half_again_slower_on_coreset_s_is_worse():
+    rng = np.random.default_rng(1)
+    parent = [_noisy(rng) for _ in range(10)]
+    change = [_noisy(rng, {"coreset_s": 1.5}) for _ in range(10)]
+    summary = _summary(parent, change)
+    row = summary["coreset_s"]
+    assert row["verdict"] == "worse"
+    assert row["change_wins"] == 0 and row["pairs"] == 10
+    assert row["sign_p"] < 0.01
+    assert row["boot_ci"][0] > 0.0  # change - parent, in seconds
+    assert [name for name, r in summary.items()
+            if r["verdict"] != "within"] == ["coreset_s"]
+
+
+def test_lower_throughput_is_worse():
+    rng = np.random.default_rng(2)
+    parent = [_noisy(rng) for _ in range(10)]
+    change = [_noisy(rng, {"ingest_points_per_s": 0.7}) for _ in range(10)]
+    assert _summary(parent, change)["ingest_points_per_s"]["verdict"] \
+        == "worse"
+
+
+def test_ten_wins_beyond_the_parent_iqr_is_better_eight_is_not():
+    parent = [1.0 + 0.004 * i for i in range(10)]
+    row = _coreset_s(parent, [0.9] * 10)
+    assert (row["change_wins"], row["verdict"]) == (10, "better")
+    row = _coreset_s(parent, [0.9] * 8 + [1.1] * 2)
+    assert (row["change_wins"], row["verdict"]) == (8, "within")
+    # fewer than ten pairs never read better, however clear
+    row = _coreset_s(parent[:9], [0.9] * 9)
+    assert (row["change_wins"], row["verdict"]) == (9, "within")
+
+
+def test_wins_inside_the_parent_iqr_are_not_better():
+    parent = [1.0, 1.1] * 5
+    row = _coreset_s(parent, [v - 0.01 for v in parent])
+    assert (row["change_wins"], row["verdict"]) == (10, "within")
+
+
+def test_parent_spread_wider_than_the_bound_is_unresolved():
+    parent = [0.5, 1.5] * 5
+    assert _coreset_s(parent, [1.0] * 10)["verdict"] == "unresolved"
+    # unless every change run beats every parent run
+    assert _coreset_s(parent, [0.45] * 10)["verdict"] == "within"
+
+
+def test_a_larger_failed_share_on_the_change_side_is_reported():
+    runs = [BASE] * 3
+    share = _summary(runs, runs, pairs=3,
+                     failed={"change": 5})["failed_share"]
+    assert share == {"parent": 0.0, "change": 0.05, "verdict": "worse"}
+    share = _summary(runs, runs, pairs=3,
+                     failed={"parent": 5})["failed_share"]
+    assert share["verdict"] == "within"
+
+
+def test_a_run_without_metrics_drops_its_pair():
+    run = _fake_run({"parent": [BASE, {}, BASE], "change": [BASE] * 3})
+    runs = ab.collect(run, ["stream-ingest"], 3)
+    assert ab.summarize(runs, BENCH)["stream-ingest"]["coreset_s"]["pairs"] \
+        == 2
+
+
+def test_run_once_keeps_the_result_and_runner_lines(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(textwrap.dedent("""
+        import json, sys
+        print("workload", sys.argv[2])
+        print("runner " + json.dumps({"source_sha256": "f00"}))
+        print(json.dumps({"correct": True, "attempted": 3, "failed": 1,
+                          "metrics": {"radius": {"value": 2.5,
+                                                 "unit": "dist"}}}))
+    """))
+    rec = ab.run_once(str(tmp_path), "offline-search", 0, 1.0)
+    assert rec["exit"] == 0 and rec["correct"] is True
+    assert (rec["attempted"], rec["failed"]) == (3, 1)
+    assert rec["metrics"] == {"radius": 2.5}
+    assert rec["runner"] == {"source_sha256": "f00"}
+    info = ab.side_info("HEAD", "c0ffee", [{**rec, "side": "change"}],
+                        "change")
+    assert info == {"rev": "HEAD", "commit": "c0ffee",
+                    "source_sha256": "f00"}
