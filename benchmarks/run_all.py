@@ -205,7 +205,6 @@ def bench_charikar_scale_100k(quick: bool) -> dict:
         charikar_greedy,
     )
     from repro.core.metrics import get_metric
-    from repro.kernels import Workspace
 
     n = 50_000 if quick else 100_000
     k, z = 16, 100 if quick else 200
@@ -215,12 +214,8 @@ def bench_charikar_scale_100k(quick: bool) -> dict:
     g = float(res.guess)
     grid = _grid_for_guess(P.points, g + 1e-9 * max(1.0, g))
     assert grid is not None, "grid must apply at benchmark sizes"
-    pruned_s, pruned = _timed(
-        lambda: _grid_decision(P, met, k, g, grid, Workspace())
-    )
-    dense_s, dense = _timed(
-        lambda: _geometric_decision(P, met, k, g, workspace=Workspace())
-    )
+    pruned_s, pruned = _timed(lambda: _grid_decision(P, met, k, g, grid))
+    dense_s, dense = _timed(lambda: _geometric_decision(P, met, k, g))
     assert pruned[0] == dense[0], "pruned/dense decision parity violated"
     assert np.array_equal(pruned[1], dense[1])
     return {

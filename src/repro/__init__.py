@@ -17,9 +17,8 @@ Core (``repro.core``)
     verification.
 Kernels (``repro.kernels``)
     The shared distance-computation layer under every radius search and
-    absorption loop: block kernels (bit-exact float64 / fast float32),
-    chunk autotuning and reusable workspaces, with the ``dtype`` knob
-    threaded through ``ProblemSpec`` and the MPC task tuples.
+    absorption loop: exact float64 block and pair-list kernels with
+    chunk autotuning.
 Persist (``repro.persist``)
     Durable session state: a versioned snapshot container (JSON manifest
     + npz payload) behind ``KCenterSession.save``/``load``, implemented

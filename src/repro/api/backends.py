@@ -318,7 +318,6 @@ class OfflineMBCBackend(_BufferedBackendBase):
             return P
         self.last_mbc = mbc_construction(
             P, self.spec.k, self.spec.z, self.spec.eps, self.spec.resolved_metric,
-            dtype=self.spec.dtype,
         )
         return self.last_mbc.coreset
 
@@ -567,7 +566,7 @@ class SlidingWindowBackend(_AlgoBackend):
             _as_int("window", window, 1),
             r_min=_finite("r_min", r_min), r_max=_finite("r_max", r_max),
             metric=spec.resolved_metric, ladder_ratio=ladder_ratio,
-            capacity=_optional_int("capacity", capacity), dtype=spec.dtype,
+            capacity=_optional_int("capacity", capacity),
         )
 
     def guarantee(self) -> Guarantee:
@@ -617,9 +616,6 @@ class MPCBackend(_BufferedBackendBase):
         bit-identical under every executor.
 
     Bad options raise :class:`ValueError` here, not at the first query.
-
-    The machine-local radius searches and MBC constructions take the
-    spec's ``dtype``.
     """
 
     #: default partition scheme; deterministic algorithms tolerate any
@@ -718,7 +714,6 @@ class TwoRoundMPCBackend(MPCBackend):
             metric=self.spec.resolved_metric,
             final_compress=self.final_compress,
             executor=self.executor,
-            dtype=self.spec.dtype,
             **self._guessing,
         )
 
@@ -757,7 +752,6 @@ class OneRoundMPCBackend(MPCBackend):
             metric=self.spec.resolved_metric,
             final_compress=self.final_compress,
             executor=self.executor,
-            dtype=self.spec.dtype,
         )
 
     def guarantee(self) -> Guarantee:
@@ -790,7 +784,6 @@ class MultiRoundMPCBackend(MPCBackend):
             parts, self.spec.k, self.spec.z, self.spec.eps,
             rounds=self.rounds, metric=self.spec.resolved_metric,
             executor=self.executor,
-            dtype=self.spec.dtype,
         )
 
     def guarantee(self) -> Guarantee:

@@ -66,7 +66,7 @@ _SNAPSHOT_KIND = "kcenter-session"
 #: spec fields that older snapshots may still carry; dropped on load
 _RETIRED_SPEC_KEYS = frozenset(
     {"kernel_chunk", "kernel_backend", "prune", "decision_jobs",
-     "executor", "jobs"}
+     "executor", "jobs", "dtype"}
 )
 
 
@@ -286,10 +286,8 @@ class KCenterSession:
                 centers = np.zeros((0, cs.dim if len(cs) else (spec.dim or 1)))
                 radius = 0.0
             elif method == "greedy3":
-                res = charikar_greedy(
-                    cs, spec.k, spec.z, spec.resolved_metric,
-                    dtype=spec.dtype,
-                )
+                res = charikar_greedy(cs, spec.k, spec.z,
+                                      spec.resolved_metric)
                 centers, radius = cs.points[res.centers_idx], res.radius
                 greedy_path = res.path
                 greedy_stats = res.stats
@@ -477,7 +475,9 @@ class KCenterSession:
         spec_dict = manifest.get("spec")
         if not isinstance(spec_dict, dict):
             raise SnapshotError("snapshot manifest is missing the spec dict")
-        # knobs older snapshots carry; none of them ever changed a result
+        # knobs older snapshots carry.  Only the kernel precision
+        # ``dtype`` ever changed a result: a snapshot that lowered it now
+        # solves in exact float64
         spec_dict = {key: value for key, value in spec_dict.items()
                      if key not in _RETIRED_SPEC_KEYS}
         try:

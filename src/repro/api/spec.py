@@ -75,12 +75,6 @@ class ProblemSpec:
         backends whose size thresholds depend on the doubling dimension
         (streaming, sliding-window, dynamic); ``None`` is accepted for
         purely offline/MPC use.
-    dtype:
-        Distance-kernel precision (:mod:`repro.kernels`): ``None`` /
-        ``"float64"`` is the bit-exact reference path; ``"float32"``
-        halves kernel memory traffic at a documented ~1e-6 relative
-        distance error.  Honored by every backend whose hot path runs
-        the Greedy radius search (offline, MPC, session ``solve``).
 
     The integer fields (``k``, ``z``, ``seed``, ``dim``) accept ints,
     integral floats and integer strings; bools, fractions and non-finite
@@ -97,7 +91,6 @@ class ProblemSpec:
     metric: "Metric | str | None" = None
     seed: "int | None" = None
     dim: "int | None" = None
-    dtype: "str | None" = None
     _metric_obj: Metric = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -109,10 +102,6 @@ class ProblemSpec:
         if not 0 < float(self.eps) <= 1:
             raise ValueError(f"eps must be in (0, 1], got {self.eps}")
         object.__setattr__(self, "eps", float(self.eps))
-        if self.dtype is not None:
-            from ..kernels import resolve_dtype
-
-            object.__setattr__(self, "dtype", resolve_dtype(self.dtype).name)
         object.__setattr__(self, "_metric_obj", get_metric(self.metric))
 
     # -- resolved views ----------------------------------------------------
@@ -153,7 +142,6 @@ class ProblemSpec:
         base = {
             "k": self.k, "z": self.z, "eps": self.eps,
             "metric": self.metric, "seed": self.seed, "dim": self.dim,
-            "dtype": self.dtype,
         }
         base.update(changes)
         return ProblemSpec(**base)
@@ -167,7 +155,6 @@ class ProblemSpec:
             "metric": self.metric_name,
             "seed": self.seed,
             "dim": self.dim,
-            "dtype": self.dtype,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -34,9 +34,9 @@ float64), the incremental sums equal the recomputed sums bit for bit, so
 results are identical to the pre-refactor code
 (``tests/_greedy_reference.py``; proven by
 ``tests/test_greedy_parity.py``) at a fraction of the work: ``O(n^2)``
-per guess instead of ``O(k n^2)``.  Distance blocks come from
-:mod:`repro.kernels` via :meth:`Metric.pairwise_block`, honoring the
-``dtype`` knob of :class:`repro.api.ProblemSpec`.
+per guess instead of ``O(k n^2)``.  Distance blocks come from the
+exact float64 kernels of :mod:`repro.kernels` via
+:meth:`Metric.pairwise`.
 
 Grid pruning (the sub-quadratic refactor): for the built-in norms in low
 dimension with integer weights, each geometric radius-guess decision
@@ -50,13 +50,9 @@ come from the grid; the surviving pairs are re-evaluated in float64 with
 cdist entries the dense float64 path compares, and all accumulated sums
 are exact integers — so the pruned decisions pick the same centers, bit
 for bit, as the dense float64 reference (``tests/test_greedy_pruned.py``).
-This holds for the float32 fast path too: a pruned decision always
-evaluates its sparse distances in exact float64, so ``dtype="float32"``
-with pruning returns the float64-reference results (the lossy float32
-kernel only runs on the dense fallback).  High dimension, arbitrary /
-precomputed metrics and fractional weights fall back to the dense path
-automatically (:attr:`GreedyResult.path` records which path served the
-call).
+High dimension, arbitrary / precomputed metrics and fractional weights
+fall back to the dense path automatically (:attr:`GreedyResult.path`
+records which path served the call).
 
 A grid decision keeps its gains one of two ways, chosen per guess by
 the grid's density (:func:`_grid_decision`), both serial:
@@ -93,13 +89,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..geometry.grid import PointGrid, cutoff_side
-from ..kernels import (
-    DEFAULT_BLOCK_BYTES,
-    Workspace,
-    auto_chunk,
-    pair_distances,
-    resolve_dtype,
-)
+from ..kernels import DEFAULT_BLOCK_BYTES, auto_chunk, pair_distances
 from .metrics import Metric, _KernelMetric, get_metric
 from .points import WeightedPointSet
 from .radius import coverage_radius, nearest_center_distances
@@ -216,18 +206,15 @@ def gonzalez(
     )
 
 
-def _gain_dtype(weights: np.ndarray, kernel_dtype) -> type:
+def _gain_dtype(weights: np.ndarray) -> type:
     """Accumulator dtype for the candidate gains.
 
-    float32 when the kernel itself is float32, or when gains are *exactly*
-    representable there: integer weights whose total stays below 2^24 —
-    then every partial sum is an exact float32 integer and the matvecs run
-    at half the memory traffic with bit-identical argmax decisions.
-    Fractional weights (a float array passed directly) must stay in
-    float64: rounding them would move picks.
+    float32 when gains are *exactly* representable there: integer weights
+    whose total stays below 2^24 — then every partial sum is an exact
+    float32 integer and the matvecs run at half the memory traffic with
+    bit-identical argmax decisions.  Fractional weights (a float array
+    passed directly) must stay in float64: rounding them would move picks.
     """
-    if kernel_dtype == np.float32:
-        return np.float32
     if np.issubdtype(weights.dtype, np.integer) and float(weights.sum()) < 2.0**24:
         return np.float32
     return np.float64
@@ -250,15 +237,27 @@ def _weight_feasible(rem: float, z: float) -> bool:
     return rem <= z + 1e-9 * max(1.0, float(z))
 
 
+def _disk_buffers(
+    D: np.ndarray, weights: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Scratch for :func:`_greedy_disks`: the boolean ball-membership mask
+    and its copy in the gain dtype, so the matvec hits BLAS without a
+    hidden bool->float promotion copy per pick."""
+    return (np.empty(D.shape, dtype=bool),
+            np.empty(D.shape, dtype=_gain_dtype(weights)))
+
+
 def _greedy_disks(
     D: np.ndarray,
     weights: np.ndarray,
     k: int,
     guess: float,
-    workspace: "Workspace | None" = None,
+    buffers: "tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> "tuple[list[int], np.ndarray]":
     """Charikar decision procedure for radius ``guess`` on a precomputed
     distance matrix ``D``, with incrementally maintained gains.
+    ``buffers`` (from :func:`_disk_buffers`) lets a radius search reuse
+    its ball-membership matrices across guesses.
 
     ``gain[v]`` is the uncovered weight inside ``B(v, guess)``.  It is
     seeded with one matvec and then *updated* per pick — the weight of the
@@ -277,16 +276,11 @@ def _greedy_disks(
     uncovered = np.ones(n, dtype=bool)
     centers: list[int] = []
     limit3 = 3.0 * guess + tol
+    mask, Wg = buffers if buffers is not None else _disk_buffers(D, weights)
     # comparisons against D stay in D's own dtype; only the gain
     # accumulators may drop to float32 (see _gain_dtype)
-    dt = _gain_dtype(weights, D.dtype)
-    w = weights.astype(dt)
-    ws = workspace if workspace is not None else Workspace()
-    # ball membership at g, as the kernel dtype so the matvec hits BLAS
-    # without a hidden bool->float promotion copy per pick
-    mask = ws.buffer("disks.mask", D.shape, bool)
+    w = weights.astype(Wg.dtype)
     np.less_equal(D, guess + tol, out=mask)
-    Wg = ws.buffer("disks.Wg", D.shape, dt)
     np.copyto(Wg, mask, casting="unsafe")
     gain = Wg @ w
     for _ in range(min(k, n)):
@@ -312,8 +306,6 @@ def _geometric_decision(
     metric: Metric,
     k: int,
     guess: float,
-    dtype=None,
-    workspace: "Workspace | None" = None,
 ) -> "tuple[list[int], np.ndarray]":
     """Charikar decision without a full distance matrix (chunked).
 
@@ -326,19 +318,15 @@ def _geometric_decision(
     """
     pts = wps.points
     n = len(pts)
-    dt = resolve_dtype(dtype)
-    gdt = _gain_dtype(wps.weights, dt)
+    gdt = _gain_dtype(wps.weights)
     w = wps.weights.astype(gdt)
     tol = 1e-9 * max(1.0, guess)
-    chunk = auto_chunk(n, dtype=dt)
-    ws = workspace if workspace is not None else Workspace()
+    chunk = auto_chunk(n)
     uncovered = np.ones(n, dtype=bool)
     centers: list[int] = []
     gain = np.empty(n, dtype=gdt)
     for i0 in range(0, n, chunk):
-        block = metric.pairwise_block(
-            pts[i0 : i0 + chunk], pts, dtype=dt, workspace=ws
-        )
+        block = metric.pairwise(pts[i0 : i0 + chunk], pts)
         gain[i0 : i0 + len(block)] = (block <= guess + tol).astype(gdt) @ w
     limit3 = 3.0 * guess + tol
     for _ in range(min(k, n)):
@@ -350,15 +338,10 @@ def _geometric_decision(
         idx = np.flatnonzero(uncovered & (dv <= limit3))
         if idx.size:
             uncovered[idx] = False
-            # ws.take gathers the subset's squared norms from the cached
-            # full-array reduction instead of re-reducing them per guess
-            # (bit-identical values; only the float32 GEMM kernel reads them)
-            sub = ws.take(pts, idx)
+            sub = pts[idx]
             wi = w[idx]
             for i0 in range(0, n, chunk):
-                block = metric.pairwise_block(
-                    pts[i0 : i0 + chunk], sub, dtype=dt, workspace=ws
-                )
+                block = metric.pairwise(pts[i0 : i0 + chunk], sub)
                 gain[i0 : i0 + len(block)] -= (block <= guess + tol).astype(gdt) @ wi
     return centers, uncovered
 
@@ -388,7 +371,6 @@ def _accumulate_cells(
     src_starts: np.ndarray,
     src_counts: np.ndarray,
     src_members: np.ndarray,
-    workspace: Workspace,
     ring: int,
 ) -> None:
     """Blocked per-cell scan: accumulate ``gain[i] += sign * w64[j]``
@@ -413,8 +395,7 @@ def _accumulate_cells(
             rows_per = max(1, _GRID_PAIR_CHUNK // len(mem))
             for r0 in range(0, len(cand), rows_per):
                 rows = cand[r0 : r0 + rows_per]
-                block = metric.pairwise_block(pts[rows], pts[mem],
-                                              workspace=workspace)
+                block = metric.pairwise(pts[rows], pts[mem])
                 contrib = (block <= cutoff) @ w64[mem]
                 if sign > 0:
                     gain[rows] += contrib
@@ -504,7 +485,6 @@ def _grid_decision(
     k: int,
     guess: float,
     grid: PointGrid,
-    workspace: Workspace,
     stats: "dict | None" = None,
 ) -> "tuple[list[int], np.ndarray]":
     """Grid-pruned Charikar decision — same contract (and bit-identical
@@ -549,7 +529,7 @@ def _grid_decision(
         _accumulate_cells(
             grid, pts, metric, w64, cutoff, gain, 1.0,
             np.arange(grid.num_cells), grid.cell_starts, grid.cell_counts,
-            grid.order, workspace, ring,
+            grid.order, ring,
         )
     else:
         total, blocks = pairs
@@ -597,7 +577,7 @@ def _grid_decision(
             else:
                 _accumulate_cells(
                     grid, pts, metric, w64, cutoff, gain, -1.0,
-                    *_group_by_cell(grid, idx), workspace, ring,
+                    *_group_by_cell(grid, idx), ring,
                 )
     return centers, uncovered
 
@@ -609,7 +589,6 @@ def charikar_greedy(
     metric: "Metric | str | None" = None,
     tol: float = 0.05,
     pairwise_limit: int = PAIRWISE_LIMIT,
-    dtype=None,
 ) -> "GreedyResult | list[GreedyResult]":
     """Weighted 3-approximation for k-center with ``z`` outliers.
 
@@ -642,25 +621,19 @@ def charikar_greedy(
     (feasibility is only monotone for guesses ``>= opt``), so every
     result is bit-identical to a call with that budget alone; the
     one-budget call is simply the one-element case.  Negative or NaN
-    budgets and unsorted sequences raise :class:`ValueError`.
+    budgets and unsorted sequences raise :class:`ValueError`, as does a
+    ``tol`` that is not finite and positive.
 
-    ``dtype`` selects the distance kernel (:mod:`repro.kernels`): the
-    default float64 path is bit-identical to the pre-kernels
-    implementation; ``dtype="float32"`` halves memory traffic at a
-    documented ~1e-6 relative distance error, which can move radius
-    candidates by the same order (the certificate still holds with
-    ``tol'`` inflated accordingly).  The distance structure is computed
-    once per call and shared across every binary-search / geometric-grid
-    guess via a :class:`repro.kernels.Workspace`.
+    Every distance is exact float64 (:mod:`repro.kernels`).  The
+    pairwise search computes its distance matrix once per call and
+    reuses it, with its ball-membership buffers, across every guess.
 
     The geometric search prunes its candidate scans with a grid whenever
     that is exact — a built-in norm in dimension <= 4 with integer
     weights totalling under ``2**53`` — and runs the dense chunked path
-    otherwise.  Pruned decisions always evaluate their sparse distances
-    in exact float64, so pruned results are bit-identical to the dense
-    *float64* reference — including under ``dtype="float32"``, where the
-    dense fallback would instead pay the documented ~1e-6 distance
-    error.  :attr:`GreedyResult.path` records what ran.
+    otherwise.  Pruned decisions evaluate exactly the distances the dense
+    path compares, so pruned results are bit-identical to it.
+    :attr:`GreedyResult.path` records what ran.
 
     Degenerate cases: if the total weight is at most ``z`` (everything can
     be an outlier) or ``k >= n``, the radius is ``0``.
@@ -672,6 +645,10 @@ def charikar_greedy(
         raise ValueError(f"outlier budget z must be >= 0, got {z!r}")
     if any(b < a for a, b in zip(zs, zs[1:])):
         raise ValueError(f"outlier budgets must be ascending, got {z!r}")
+    # the chained test also rejects NaN; tol <= 0 would never climb the
+    # guess ladder and tol = inf would jump straight to its top
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     metric = get_metric(metric)
     n = len(wps)
     # budgets are ascending, so the trivial ones (everything an outlier)
@@ -700,19 +677,17 @@ def charikar_greedy(
         and np.issubdtype(wps.weights.dtype, np.integer)
         and float(wps.weights.sum()) < 2.0**53
     )
-    ws = Workspace()
     stats = {"decisions": 0, "list_decisions": 0, "grid_builds": 0}
     paths_used = set()
     if n <= pairwise_limit:
         paths_used.add("pairwise")
         # ONE distance matrix for the whole call; every guess below reuses
-        # it (plus the workspace's mask/membership buffers).
-        D = metric.pairwise_block(
-            wps.points, wps.points, dtype=dtype, workspace=ws
-        )
+        # it (plus the mask/membership buffers).
+        D = metric.pairwise(wps.points, wps.points)
+        buffers = _disk_buffers(D, wps.weights)
 
         def decide(g):
-            return _greedy_disks(D, wps.weights, k, g, ws)
+            return _greedy_disks(D, wps.weights, k, g, buffers)
     else:
 
         def decide(g):
@@ -721,12 +696,10 @@ def charikar_greedy(
                 if grid is not None:
                     stats["grid_builds"] += 1
                     paths_used.add("grid")
-                    return _grid_decision(wps, metric, k, g, grid, ws,
+                    return _grid_decision(wps, metric, k, g, grid,
                                           stats=stats)
             paths_used.add("dense")
-            return _geometric_decision(
-                wps, metric, k, g, dtype=dtype, workspace=ws
-            )
+            return _geometric_decision(wps, metric, k, g)
 
     # every positive guess's decision, shared by all budgets: the picks
     # and the uncovered weight they leave (one float, not an n-byte mask)

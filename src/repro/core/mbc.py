@@ -209,7 +209,6 @@ def mbc_construction(
     metric: "Metric | str | None" = None,
     radius: "float | None" = None,
     order: "np.ndarray | None" = None,
-    dtype=None,
 ) -> MiniBallCovering:
     """Algorithm 1: ``MBCConstruction(P, k, z, eps)``.
 
@@ -222,10 +221,6 @@ def mbc_construction(
     order:
         Optional permutation controlling which 'arbitrary point' is picked
         first (the guarantee holds for any order).
-    dtype:
-        Distance-kernel precision of the embedded radius search (see
-        :func:`repro.core.greedy.charikar_greedy`); the absorption itself
-        always evaluates exact float64 distances.
 
     Returns an ``(eps', k, z)``-mini-ball covering with
     ``eps' = eps * (r / (3 opt)) <= eps`` — i.e. at least as good as
@@ -235,7 +230,7 @@ def mbc_construction(
         raise ValueError("eps must be non-negative")
     metric = get_metric(metric)
     if radius is None:
-        radius = charikar_greedy(wps, k, z, metric, dtype=dtype).radius
+        radius = charikar_greedy(wps, k, z, metric).radius
     delta = eps * radius / 3.0
     coreset, assignment = _greedy_absorb(wps, delta, metric, order)
     return MiniBallCovering(

@@ -57,24 +57,6 @@ class Metric:
         """
         raise NotImplementedError
 
-    def pairwise_block(
-        self, a: np.ndarray, b: np.ndarray, dtype=None, workspace=None,
-    ) -> np.ndarray:
-        """Distance block in the requested kernel ``dtype``.
-
-        ``dtype=None``/``"float64"`` is the exact reference path
-        (identical to :meth:`pairwise`); ``"float32"`` may use a faster,
-        lower-precision kernel where one exists.  ``workspace`` is an
-        optional :class:`repro.kernels.Workspace` for norm/buffer reuse
-        across blocks of one outer computation.  The base implementation
-        computes exactly and casts, so arbitrary metrics stay correct.
-        """
-        from ..kernels import resolve_dtype
-
-        D = self.pairwise(a, b)
-        dt = resolve_dtype(dtype)
-        return D if D.dtype == dt else D.astype(dt)
-
     def to_set(self, q: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distances from a single point ``q`` (shape ``(d,)``) to each row
         of ``b`` (shape ``(m, d)``), returned as shape ``(m,)``."""
@@ -105,19 +87,11 @@ class _KernelMetric(Metric):
     """A norm with a dedicated entry in :mod:`repro.kernels`.
 
     ``pairwise`` routes through the kernel layer's float64 path (SciPy
-    ``cdist`` — bit-identical to the pre-kernels implementation);
-    ``pairwise_block`` additionally honors ``dtype``/``workspace`` so the
-    radius-search stack can opt into the float32 fast kernels.
+    ``cdist`` — bit-identical to the pre-kernels implementation).
     """
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return pairwise_kernel(self.name, a, b)
-
-    def pairwise_block(
-        self, a: np.ndarray, b: np.ndarray, dtype=None, workspace=None,
-    ) -> np.ndarray:
-        return pairwise_kernel(self.name, a, b, dtype=dtype,
-                               workspace=workspace)
 
 
 class EuclideanMetric(_KernelMetric):

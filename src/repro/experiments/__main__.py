@@ -43,7 +43,6 @@ sidecar with the key and parameters.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from dataclasses import dataclass, field
 
@@ -66,10 +65,9 @@ class Experiment:
     def kwargs(self, quick: bool) -> dict:
         return dict(self.quick if quick else self.full)
 
-    def run(self, quick: bool = False, **overrides) -> "list[Row]":
-        """Invoke the driver; ``overrides`` layer on top of the
-        experiment's own kwargs (the ``--dtype`` injection path)."""
-        return getattr(table1, self.driver)(**{**self.kwargs(quick), **overrides})
+    def run(self, quick: bool = False) -> "list[Row]":
+        """Invoke the driver with the experiment's own kwargs."""
+        return getattr(table1, self.driver)(**self.kwargs(quick))
 
 
 #: experiment id -> definition (insertion order is the display order)
@@ -116,30 +114,19 @@ def run_experiment(
     quick: bool = False,
     cache: "ResultsCache | None" = None,
     force: bool = False,
-    dtype: "str | None" = None,
 ) -> "list[Row]":
-    """Run one experiment (through the cache when one is given).
-
-    ``dtype`` selects the distance kernel (:mod:`repro.kernels`) for the
-    drivers that accept it (the greedy-heavy MPC sweeps); it is part of
-    the cache key, so float32 and float64 rows never mix.
-    """
+    """Run one experiment (through the cache when one is given)."""
     exp = EXPERIMENTS[eid]
-    overrides = {}
-    if dtype is not None:
-        driver_params = inspect.signature(getattr(table1, exp.driver)).parameters
-        if "dtype" in driver_params:
-            overrides["dtype"] = dtype
     params = {
         "driver": exp.driver,
-        "kwargs": {**exp.kwargs(quick), **overrides},
+        "kwargs": exp.kwargs(quick),
         "quick": bool(quick),
     }
     if cache is not None and not force:
         rows = cache.get(eid, params)
         if rows is not None:
             return rows
-    rows = exp.run(quick, **overrides)
+    rows = exp.run(quick)
     if cache is not None:
         cache.put(eid, params, rows)
     return rows
@@ -148,11 +135,9 @@ def run_experiment(
 def _shard(task: tuple) -> "tuple[str, list[Row]]":
     """One unit of `--jobs` fan-out (module-level so process pools can
     pickle it); returns ``(eid, rows)``."""
-    eid, quick, cache_root, force, dtype = task
+    eid, quick, cache_root, force = task
     cache = ResultsCache(cache_root) if cache_root else None
-    return eid, run_experiment(
-        eid, quick=quick, cache=cache, force=force, dtype=dtype
-    )
+    return eid, run_experiment(eid, quick=quick, cache=cache, force=force)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,9 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run without reading or writing cached rows")
     parser.add_argument("--force", action="store_true",
                         help="recompute even when cached rows exist")
-    parser.add_argument("--dtype", choices=("float32", "float64"), default=None,
-                        help="distance-kernel precision for the drivers that "
-                             "accept it (default: float64)")
     return parser
 
 
@@ -202,8 +184,7 @@ def main(argv: "list[str]") -> int:
         return 2
 
     cache_root = None if args.no_cache else (args.results_dir or default_results_dir())
-    tasks = [(eid, args.quick, cache_root, args.force, args.dtype)
-             for eid in targets]
+    tasks = [(eid, args.quick, cache_root, args.force) for eid in targets]
     executor = get_executor("process" if args.jobs > 1 else None, jobs=args.jobs)
     for eid, rows in executor.map(_shard, tasks):
         print(format_table(rows, f"{eid}: {EXPERIMENTS[eid].title}"))

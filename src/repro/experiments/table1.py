@@ -85,17 +85,16 @@ def _mpc_session(
 
 def mpc_one_round_rows(
     n: int = 3000, k: int = 4, eps: float = 0.5, d: int = 2,
-    z_values=(8, 32, 128), seed: int = 0, dtype: "str | None" = None,
+    z_values=(8, 32, 128), seed: int = 0,
 ) -> "list[Row]":
     """E1 — Table 1 rows 1-2: randomized 1-round, ours versus CPP19,
-    under random distribution; storage versus ``z``.  ``dtype`` selects
-    the distance kernel for the machine-local radius searches."""
+    under random distribution; storage versus ``z``."""
     rows = []
     for z in z_values:
         rng = np.random.default_rng(seed)
         wl = clustered_with_outliers(n, k, z, d, rng=rng)
         P = wl.point_set()
-        spec = ProblemSpec(k=k, z=z, eps=eps, dim=d, seed=seed, dtype=dtype)
+        spec = ProblemSpec(k=k, z=z, eps=eps, dim=d, seed=seed)
         m = recommended_num_machines(n, k, z, eps, d)
         parts = partition_random(P, m, rng)
         for name, backend in (
@@ -119,7 +118,6 @@ def mpc_one_round_rows(
 def mpc_two_round_rows(
     n: int = 3000, k: int = 4, eps: float = 0.5, d: int = 2,
     z_values=(8, 32, 128), m: int = 8, seed: int = 0,
-    dtype: "str | None" = None,
 ) -> "list[Row]":
     """E2 — Table 1 rows 3-4: deterministic algorithms under an
     *adversarial* partition (all outliers on one worker).  CPP19 must
@@ -130,7 +128,7 @@ def mpc_two_round_rows(
         rng = np.random.default_rng(seed)
         wl = clustered_with_outliers(n, k, z, d, rng=rng)
         P = wl.point_set()
-        spec = ProblemSpec(k=k, z=z, eps=eps, dim=d, seed=seed, dtype=dtype)
+        spec = ProblemSpec(k=k, z=z, eps=eps, dim=d, seed=seed)
         parts = partition_adversarial_outliers(P, wl.outlier_mask, m, rng)
         ours = _mpc_session(spec, "mpc-two-round", P, parts)
         base = _mpc_session(spec, "cpp-mpc-deterministic", P, parts)
@@ -157,13 +155,12 @@ def mpc_two_round_rows(
 def mpc_multi_round_rows(
     n: int = 3000, k: int = 4, z: int = 32, eps: float = 0.3, d: int = 2,
     m: int = 27, rounds_values=(1, 2, 3), seed: int = 0,
-    dtype: "str | None" = None,
 ) -> "list[Row]":
     """E3 — Table 1 row 5: the rounds/storage trade-off of Algorithm 7."""
     rng = np.random.default_rng(seed)
     wl = clustered_with_outliers(n, k, z, d, rng=rng)
     P = wl.point_set()
-    spec = ProblemSpec(k=k, z=z, eps=eps, dim=d, seed=seed, dtype=dtype)
+    spec = ProblemSpec(k=k, z=z, eps=eps, dim=d, seed=seed)
     parts = partition_random(P, m, rng)
     rows = []
     for R in rounds_values:

@@ -31,7 +31,6 @@ def multi_round_coreset(
     metric=None,
     cluster: "SimulatedMPC | None" = None,
     executor=None,
-    dtype=None,
 ) -> MPCCoresetResult:
     """Run Algorithm 7 with ``R = rounds`` communication rounds.
 
@@ -40,9 +39,6 @@ def multi_round_coreset(
     The per-round machine-local MBC constructions fan out through
     ``executor`` (name, :class:`~repro.engine.Executor`, or ``None`` for
     serial; bit-identical results under every executor).
-    ``dtype`` selects the distance-kernel precision
-    (:func:`repro.core.greedy.charikar_greedy`) for every per-round MBC
-    construction.
     """
     metric = get_metric(metric)
     cluster = cluster_for(parts, cluster)
@@ -67,7 +63,7 @@ def multi_round_coreset(
         mbcs = map_machines(
             exec_,
             mbc_task,
-            [(Q[i], k, z, eps, metric, None, dtype) for i in range(active)],
+            [(Q[i], k, z, eps, metric, None) for i in range(active)],
             machines=machines[:active],
             charge=lambda mach, task, mbc: mach.charge(mbc.size),
         )

@@ -45,7 +45,6 @@ def one_round_coreset(
     final_compress: bool = True,
     cluster: "SimulatedMPC | None" = None,
     executor=None,
-    dtype=None,
 ) -> MPCCoresetResult:
     """Run Algorithm 6 on randomly partitioned input.
 
@@ -56,10 +55,7 @@ def one_round_coreset(
 
     ``executor`` selects how the machine-local MBC constructions run
     (name, :class:`~repro.engine.Executor`, or ``None`` for serial);
-    results are bit-identical under every executor.  ``dtype`` selects
-    the distance-kernel precision
-    (:func:`repro.core.greedy.charikar_greedy`) for the machine-local and
-    coordinator MBC constructions.
+    results are bit-identical under every executor.
     """
     metric = get_metric(metric)
     cluster = cluster_for(parts, cluster)
@@ -69,13 +65,13 @@ def one_round_coreset(
     mbcs = map_machines(
         get_executor(executor),
         mbc_task,
-        [(part, k, zprime, eps, metric, None, dtype) for part in parts],
+        [(part, k, zprime, eps, metric, None) for part in parts],
         machines=cluster.machines,
         charge=lambda mach, task, mbc: (mach.charge(len(task[0])), mach.charge(mbc.size)),
     )
     union = cluster.gather([mbc.coreset for mbc in mbcs], parts[0].dim)
     coreset, eps_out = coordinator_compress(
-        cluster, union, k, z, eps, metric, final_compress, dtype
+        cluster, union, k, z, eps, metric, final_compress
     )
     return MPCCoresetResult(
         coreset=coreset,

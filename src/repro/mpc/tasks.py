@@ -20,20 +20,14 @@ __all__ = ["mbc_task", "radius_vector_task", "cpp_local_task"]
 
 
 def mbc_task(args) -> MiniBallCovering:
-    """``(part, k, z_local, eps, metric, radius, dtype)`` →
-    ``MBCConstruction(part, k, z_local, eps)`` (Lemma 7).
-
-    The kernel precision (see :func:`repro.core.greedy.charikar_greedy`)
-    rides inside the task tuple because a ``ProcessExecutor`` worker only
-    sees the tuple.
-    """
-    part, k, z_local, eps, metric, radius, dtype = args
-    return mbc_construction(part, k, z_local, eps, metric, radius=radius,
-                            dtype=dtype)
+    """``(part, k, z_local, eps, metric, radius)`` →
+    ``MBCConstruction(part, k, z_local, eps)`` (Lemma 7)."""
+    part, k, z_local, eps, metric, radius = args
+    return mbc_construction(part, k, z_local, eps, metric, radius=radius)
 
 
 def radius_vector_task(args) -> np.ndarray:
-    """``(part, k, veclen, metric, dtype)`` → the round-1
+    """``(part, k, veclen, metric)`` → the round-1
     vector ``V_i`` of Algorithm 2: ``V_i[j] = Greedy(part, k, 2^j - 1)``
     radius.
 
@@ -41,9 +35,9 @@ def radius_vector_task(args) -> np.ndarray:
     vector: its decisions do not depend on the outlier budget, so each
     radius guess is decided once and shared by every ``j``, and each
     entry equals the one-budget call's radius bit for bit."""
-    part, k, veclen, metric, dtype = args
+    part, k, veclen, metric = args
     budgets = [(1 << j) - 1 for j in range(veclen)]
-    results = charikar_greedy(part, k, budgets, metric, dtype=dtype)
+    results = charikar_greedy(part, k, budgets, metric)
     return np.array([res.radius for res in results], dtype=float)
 
 

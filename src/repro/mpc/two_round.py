@@ -96,15 +96,16 @@ def compute_rhat(vectors: "list[np.ndarray]", z: int) -> "tuple[float, list[int]
 
 
 def coordinator_compress(cluster: SimulatedMPC, union: WeightedPointSet, k: int,
-                         z: int, eps: float, metric, final_compress: bool = True,
-                         dtype=None) -> "tuple[WeightedPointSet, float]":
+                         z: int, eps: float, metric,
+                         final_compress: bool = True,
+                         ) -> "tuple[WeightedPointSet, float]":
     """Lemma 5 at the coordinator: ``(coreset, eps_guarantee)`` of the
     union of the machines' ``(eps, k, z)``-coverings re-compressed once
     (charged to the coordinator; ``<= 3 eps`` for ``eps <= 1``), or of the
     union itself when ``final_compress`` is off or the union is empty."""
     if not (final_compress and len(union)):
         return union, eps
-    final_mbc = mbc_construction(union, k, z, eps, metric, dtype=dtype)
+    final_mbc = mbc_construction(union, k, z, eps, metric)
     cluster.coordinator.charge(final_mbc.size)
     return final_mbc.coreset, compose_errors(eps, eps)
 
@@ -119,7 +120,6 @@ def two_round_coreset(
     outlier_guessing: bool = True,
     cluster: "SimulatedMPC | None" = None,
     executor=None,
-    dtype=None,
 ) -> MPCCoresetResult:
     """Run Algorithm 2 on pre-partitioned input.
 
@@ -140,10 +140,6 @@ def two_round_coreset(
         (``"serial"``, ``"thread"``, ``"process"``), a
         :class:`~repro.engine.Executor` instance, or ``None`` (serial).
         Results are bit-identical under every executor.
-    dtype:
-        Distance-kernel precision
-        (:func:`repro.core.greedy.charikar_greedy`), shipped inside the
-        task tuples so process workers honor it too.
 
     Returns the coordinator's coreset with ``eps_guarantee = 3*eps`` when
     re-compressed, ``eps`` otherwise.
@@ -164,7 +160,7 @@ def two_round_coreset(
         vectors = map_machines(
             exec_,
             radius_vector_task,
-            [(part, k, veclen, metric, dtype) for part in parts],
+            [(part, k, veclen, metric) for part in parts],
             machines=machines,
             charge=lambda mach, task, vec: mach.charge(veclen),  # own vector
         )
@@ -178,20 +174,20 @@ def two_round_coreset(
         rhat, jhats = compute_rhat(vectors, z)
         budgets = [(1 << j) - 1 for j in jhats]
         tasks = [
-            (part, k, budget, eps, metric, float(vec[jhat]), dtype)
+            (part, k, budget, eps, metric, float(vec[jhat]))
             for part, budget, jhat, vec in zip(parts, budgets, jhats, vectors)
         ]
     else:
         # ---- Naive ablation: one round, local budget z everywhere -------
         budgets = [z] * len(parts)
-        tasks = [(part, k, z, eps, metric, None, dtype) for part in parts]
+        tasks = [(part, k, z, eps, metric, None) for part in parts]
     mbcs = map_machines(exec_, mbc_task, tasks, machines=machines,
                         charge=lambda mach, task, mbc: mach.charge(mbc.size))
 
     # ---- Coordinator: union (Lemma 9) + optional re-compression ----------
     union = cluster.gather([mbc.coreset for mbc in mbcs], parts[0].dim)
     coreset, eps_out = coordinator_compress(
-        cluster, union, k, z, eps, metric, final_compress, dtype
+        cluster, union, k, z, eps, metric, final_compress
     )
     return MPCCoresetResult(
         coreset=coreset,

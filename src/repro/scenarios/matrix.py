@@ -14,12 +14,12 @@ quality/runtime cell per ``(scenario, backend)`` pair:
 Cells are independent, so the harness shards them across a
 :class:`repro.engine` executor (``--jobs``) and caches each cell in a
 :class:`~repro.engine.ResultsCache` keyed by the *fully resolved* cell
-identity — scenario, backend, quick, seed, the complete spec dict
-(including ``dtype``) and the derived session options — so a knob change can never serve a stale cell.  With
-``--checkpoint-dir`` each in-flight cell additionally saves a durable
-session snapshot (:mod:`repro.persist`) after every batch: a killed
-sweep resumes *mid-stream* from the checkpoint (bit-identical to the
-uninterrupted run) instead of replaying the cell from scratch.
+identity — scenario, backend, quick, seed, the complete spec dict and
+the derived session options — so a knob change can never serve a stale
+cell.  With ``--checkpoint-dir`` each in-flight cell additionally saves
+a durable session snapshot (:mod:`repro.persist`) after every batch: a
+killed sweep resumes *mid-stream* from the checkpoint (bit-identical to
+the uninterrupted run) instead of replaying the cell from scratch.
 
 With ``--replicates N`` every ``(scenario, backend)`` pair runs ``N``
 times, each replicate on its own stream seed derived through the
@@ -175,20 +175,13 @@ def _storage_probe(stats: dict) -> "int | None":
     return None
 
 
-def _resolved_spec(spec, dtype: "str | None"):
-    """The scenario's spec with the sweep-level kernel precision layered
-    on."""
-    return spec.replace(dtype=dtype) if dtype is not None else spec
-
-
 def cell_cache_params(scenario: str, backend: str, quick: bool, seed: int,
                       spec, options: dict) -> dict:
     """The fully resolved cache identity of one matrix cell.
 
-    Includes the complete spec dict (every knob, ``dtype`` included)
-    and the derived backend session options,
-    so changing any of them misses the cache instead of serving a stale
-    cell computed under different parameters.
+    Includes the complete spec dict and the derived backend session
+    options, so changing any of them misses the cache instead of serving
+    a stale cell computed under different parameters.
     """
     return {
         "scenario": scenario,
@@ -245,7 +238,6 @@ def run_cell(
     quick: bool = False,
     seed: int = 0,
     reference: "float | None" = None,
-    dtype: "str | None" = None,
     checkpoint_dir: "str | None" = None,
     instance=None,
     replicate: int = 0,
@@ -270,9 +262,6 @@ def run_cell(
         seed)`` triple, so sweeps solve the full-stream reference once
         per scenario instead of once per cell; ``None`` computes it
         here.
-    dtype:
-        Distance-kernel precision layered onto the scenario's spec
-        (:mod:`repro.kernels`); part of the cell's cache identity.
     checkpoint_dir:
         When set, the in-flight session is snapshotted here after every
         batch (streaming-model backends) or on a power-of-two batch
@@ -306,7 +295,7 @@ def run_cell(
             **ids,
         )
     try:
-        spec = _resolved_spec(inst.spec, dtype)
+        spec = inst.spec
         options = inst.session_options(info)
         ckpt = None
         if checkpoint_dir:
@@ -438,7 +427,7 @@ def _cell_task(task: tuple) -> dict:
     """One unit of matrix fan-out (module-level so process pools pickle
     it); opens its own cache handle and returns the cell as a dict."""
     (scenario, backend, quick, seed, replicate, cache_root, force,
-     dtype, checkpoint_dir) = task
+     checkpoint_dir) = task
     cache = ResultsCache(cache_root) if cache_root else None
     cell_fields = {f.name for f in fields(CellResult)}
     info = get_backend(backend)
@@ -453,8 +442,7 @@ def _cell_task(task: tuple) -> dict:
     # unavailable dataset can still serve its last-known-good cell
     alias_params = {"scenario": scenario, "backend": backend,
                     "quick": bool(quick), "seed": int(seed),
-                    "replicate": int(replicate),
-                    "dtype": dtype}
+                    "replicate": int(replicate)}
     sc = get_scenario(scenario)
     try:
         # memoized per process: the resolved spec/options the instance
@@ -470,9 +458,8 @@ def _cell_task(task: tuple) -> dict:
         return asdict(CellResult(scenario, backend, "unavailable",
                                  note=str(exc), seed=int(seed),
                                  replicate=int(replicate)))
-    spec = _resolved_spec(inst.spec, dtype)
     params = cell_cache_params(
-        scenario, backend, quick, seed, spec, inst.session_options(info)
+        scenario, backend, quick, seed, inst.spec, inst.session_options(info)
     )
     if cache is not None and not force:
         hit = cache.get("matrix-cell", params)
@@ -480,7 +467,7 @@ def _cell_task(task: tuple) -> dict:
             return hit
     ref = _scenario_reference(scenario, quick, seed, cache, force)
     cell = asdict(run_cell(scenario, backend, quick=quick, seed=seed,
-                           reference=ref, dtype=dtype,
+                           reference=ref,
                            checkpoint_dir=checkpoint_dir, instance=inst,
                            replicate=replicate))
     # only settled results are cached: transient failures ("unavailable",
@@ -750,7 +737,6 @@ def run_matrix(
     jobs: "int | None" = None,
     cache_root: "str | None" = None,
     force: bool = False,
-    dtype: "str | None" = None,
     checkpoint_dir: "str | None" = None,
 ) -> MatrixResult:
     """Sweep ``backends`` x ``scenarios`` and collect the matrix.
@@ -782,9 +768,6 @@ def run_matrix(
         Cell cache directory; ``None`` disables caching.
     force:
         Recompute cells even when cached.
-    dtype:
-        Distance-kernel precision layered onto every cell's spec; part
-        of each cell's cache identity.
     checkpoint_dir:
         Per-cell mid-stream checkpoint directory (see :func:`run_cell`);
         a killed sweep rerun with the same directory resumes in-flight
@@ -812,8 +795,7 @@ def run_matrix(
     # share a (scenario, seed) materialization, so the single-entry
     # per-process instance memo keeps paying under replication
     tasks = [
-        (s, b, quick, rep_seed, rep, cache_root, force, dtype,
-         checkpoint_dir)
+        (s, b, quick, rep_seed, rep, cache_root, force, checkpoint_dir)
         for s in scenario_names
         for rep, rep_seed in enumerate(seeds)
         for b in backend_names
@@ -880,11 +862,6 @@ def build_matrix_parser() -> argparse.ArgumentParser:
                         help="run without reading or writing cached cells")
     parser.add_argument("--force", action="store_true",
                         help="recompute even when cached cells exist")
-    parser.add_argument("--dtype", choices=("float32", "float64"),
-                        default=None,
-                        help="distance-kernel precision layered onto every "
-                             "cell's spec (cache-keyed; default: the "
-                             "scenario's own setting)")
     parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                         help="save a durable session snapshot per cell after "
                              "every batch; a killed sweep rerun with the same "
@@ -953,7 +930,6 @@ def matrix_main(argv: "list[str]") -> int:
         replicates=args.replicates, alpha=args.alpha,
         jobs=args.jobs if args.jobs > 1 else None,
         cache_root=cache_root, force=args.force,
-        dtype=args.dtype,
         checkpoint_dir=args.checkpoint_dir,
     )
 

@@ -98,7 +98,7 @@ class SlidingWindowCoreset:
 
     def __init__(self, k: int, z: int, eps: float, d: int, window: int,
                  r_min: float, r_max: float, metric=None, ladder_ratio: float = 2.0,
-                 capacity: "int | None" = None, dtype: "str | None" = None):
+                 capacity: "int | None" = None):
         if not (0 < r_min <= r_max):
             raise ValueError("need 0 < r_min <= r_max")
         if ladder_ratio <= 1:
@@ -106,9 +106,6 @@ class SlidingWindowCoreset:
         self.k, self.z, self.eps, self.d = int(k), int(z), float(eps), int(d)
         self.window = int(window)
         self.metric = get_metric(metric)
-        #: distance-kernel precision for the greedy radius query
-        #: (:mod:`repro.kernels`); coresets themselves are kernel-free
-        self.dtype = dtype
         self.capacity = (
             default_cell_capacity(k, z, eps, d) if capacity is None else int(capacity)
         )
@@ -460,8 +457,7 @@ class SlidingWindowCoreset:
         cs = self.coreset()
         if len(cs) == 0 or cs.total_weight <= self.z:
             return 0.0
-        return charikar_greedy(cs, self.k, self.z, self.metric,
-                               dtype=self.dtype).radius
+        return charikar_greedy(cs, self.k, self.z, self.metric).radius
 
     # -- persistence ---------------------------------------------------------
 

@@ -85,7 +85,7 @@ class TestProblemSpec:
     def test_as_dict(self):
         d = ProblemSpec(2, 3, 0.5, dim=1, seed=0).as_dict()
         assert d == {"k": 2, "z": 3, "eps": 0.5, "metric": "euclidean",
-                     "seed": 0, "dim": 1, "dtype": None}
+                     "seed": 0, "dim": 1}
 
 
 class TestRegistry:

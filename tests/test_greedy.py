@@ -124,6 +124,13 @@ class TestCharikarGeometricMode:
         res = charikar_greedy(P, 1, 0, pairwise_limit=5)
         assert res.radius == 0.0
 
+    @pytest.mark.parametrize("tol", [0.0, -0.5, float("nan"), float("inf")])
+    def test_bad_tol_rejected(self, tiny_set, tol):
+        # tol <= 0 never climbs the guess ladder (0 divides by log 1),
+        # NaN has no ladder length and inf skips to the Gonzalez radius
+        with pytest.raises(ValueError, match="tol"):
+            charikar_greedy(tiny_set, 2, 1, pairwise_limit=4, tol=tol)
+
 
 class TestMetricSupport:
     @pytest.mark.parametrize("metric", ["euclidean", "linf", "l1"])

@@ -38,7 +38,6 @@ from repro.core.greedy import (
     neighbour_lists,
 )
 from repro.core.metrics import get_metric
-from repro.kernels import Workspace
 from test_greedy_pruned import _assert_same_result
 
 METRICS = ("euclidean", "chebyshev", "manhattan")
@@ -57,8 +56,7 @@ def _decide(P, metric, k, g, per_cell):
     assert grid is not None
     stats = _new_stats()
     with mock.patch.object(greedy_mod, "_LIST_PAIRS_PER_CELL", per_cell):
-        out = _grid_decision(P, metric, k, g, grid, Workspace(),
-                             stats=stats)
+        out = _grid_decision(P, metric, k, g, grid, stats=stats)
     assert stats["decisions"] == 1
     return out, stats["list_decisions"] == 1
 
@@ -157,11 +155,11 @@ class TestDecisionCases:
         met = get_metric(None)
         grid = _grid_for_guess(P.points, 0.05)
         stats = _new_stats()
-        _grid_decision(P, met, 4, 0.05, grid, Workspace(), stats=stats)
+        _grid_decision(P, met, 4, 0.05, grid, stats=stats)
         assert stats["list_decisions"] == 1
         grid = _grid_for_guess(P.points, 4.0)
         stats = _new_stats()
-        _grid_decision(P, met, 4, 4.0, grid, Workspace(), stats=stats)
+        _grid_decision(P, met, 4, 4.0, grid, stats=stats)
         assert stats["list_decisions"] == 0
 
     def test_pair_budget_keeps_the_blocked_path(self, rng):
@@ -227,8 +225,7 @@ def test_streamed_seed_memory_is_bounded_on_a_sparse_d4_grid():
     try:
         tracemalloc.reset_peak()
         with mock.patch.object(greedy_mod, "_LIST_MAX_PAIRS", 0):
-            _grid_decision(P, get_metric(None), 1, g, grid, Workspace(),
-                           stats=stats)
+            _grid_decision(P, get_metric(None), 1, g, grid, stats=stats)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -267,8 +264,7 @@ class TestSearches:
             grid = _grid_for_guess(P.points, g)
             assert grid.num_cells <= 20
             stats = _new_stats()
-            out = _grid_decision(P, met, 5, g, grid, Workspace(),
-                                 stats=stats)
+            out = _grid_decision(P, met, 5, g, grid, stats=stats)
             assert stats["list_decisions"] == 0
             _assert_same_decision(out, _geometric_decision(P, met, 5, g))
 

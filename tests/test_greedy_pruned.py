@@ -1,7 +1,7 @@
 """The grid-pruned candidate scans: PointGrid correctness, the sparse
-pair-distance kernel, workspace norm-subset reuse, and bit-for-bit
-parity of the pruned geometric search against the frozen dense
-reference (``tests/_greedy_reference.py``) on adversarial layouts.
+pair-distance kernel, and bit-for-bit parity of the pruned geometric
+search against the frozen dense reference
+(``tests/_greedy_reference.py``) on adversarial layouts.
 
 Parity here is *identity*, not closeness: integer weights are exact in
 float64 (sums are order-independent), and :func:`pair_distances`
@@ -20,7 +20,7 @@ from _greedy_reference import charikar_greedy_reference
 from repro.core.greedy import _grid_decision, _grid_for_guess
 from repro.core.metrics import get_metric
 from repro.geometry import PointGrid
-from repro.kernels import Workspace, pair_distances, pairwise_kernel
+from repro.kernels import pair_distances, pairwise_kernel
 
 METRICS = ("euclidean", "chebyshev", "manhattan")
 
@@ -208,33 +208,6 @@ class TestPairDistances:
 
 
 # ---------------------------------------------------------------------------
-# Workspace.take — cached norm subsets for the pruned scans
-# ---------------------------------------------------------------------------
-
-
-class TestWorkspaceTake:
-    def test_subset_norms_bit_equal_and_seeded(self, rng):
-        ws = Workspace()
-        base = rng.normal(size=(50, 3)).astype(np.float32)
-        full = ws.sqnorms(base)
-        idx = np.array([4, 9, 11, 30])
-        sub = ws.take(base, idx)
-        np.testing.assert_array_equal(sub, base[idx])
-        # the subset's norms were seeded from the cached full reduction
-        np.testing.assert_array_equal(ws.sqnorms(sub), full[idx])
-
-    def test_memoized_per_index_set(self, rng):
-        ws = Workspace()
-        base = rng.normal(size=(20, 2))
-        idx = np.array([1, 3, 5])
-        sub1 = ws.take(base, idx)
-        sub2 = ws.take(base, idx.copy())  # equal content, distinct array
-        assert sub1 is sub2
-        other = ws.take(base, np.array([2, 4]))
-        assert other is not sub1
-
-
-# ---------------------------------------------------------------------------
 # Pruned-vs-dense parity on adversarial layouts
 # ---------------------------------------------------------------------------
 
@@ -343,19 +316,6 @@ class TestPruneKnob:
         P = WeightedPointSet(pts, np.ones(64, dtype=np.int64))
         assert charikar_greedy(P, 3, 2, pairwise_limit=8).path == "dense"
 
-    def test_float32_kernel_prunes_with_float64_parity(self, rng):
-        # float32 sessions now take the grid path too: the pruned scans
-        # always evaluate exact float64 sparse distances, so the result
-        # is bit-identical to the float64 dense reference (not merely to
-        # a float32 dense run)
-        pts = rng.uniform(0, 10, size=(300, 2))
-        P = WeightedPointSet(pts, np.ones(300, dtype=np.int64))
-        res = charikar_greedy(P, 3, 2, pairwise_limit=8, dtype="float32")
-        assert res.path in ("grid", "mixed")
-        assert res.stats["grid_builds"] > 0
-        _assert_same_result(res, _reference(P, 3, 2))
-
-
 
 class TestGridDecisionDirect:
     def test_matches_dense_decision_across_guesses(self, rng):
@@ -367,7 +327,7 @@ class TestGridDecisionDirect:
         for g in (0.0, 0.1, 0.7, 3.0):
             grid = _grid_for_guess(P.points, g + 1e-9 * max(1.0, g))
             assert grid is not None
-            c_a, u_a = _grid_decision(P, met, 4, g, grid, Workspace())
+            c_a, u_a = _grid_decision(P, met, 4, g, grid)
             _, c_b, u_b = geometric_decision_reference(P, met, 4, 6, g)
             assert list(c_a) == list(c_b)
             np.testing.assert_array_equal(u_a, u_b)

@@ -159,7 +159,7 @@ class TestSharedDecisions:
         with mock.patch.object(
             greedy_mod, "gonzalez", wraps=greedy_mod.gonzalez
         ) as gz:
-            v = radius_vector_task((P, 8, len(MPC_BUDGETS), None, None))
+            v = radius_vector_task((P, 8, len(MPC_BUDGETS), None))
         assert gz.call_count == 1
         expected = [charikar_greedy(P, 8, z).radius for z in MPC_BUDGETS]
         assert v.tolist() == expected

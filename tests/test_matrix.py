@@ -145,21 +145,7 @@ class TestCacheKeyResolution:
                                    True, 0, inst.spec,
                                    inst.session_options(info))
         assert params["spec"] == inst.spec.as_dict()
-        assert "dtype" in params["spec"]
         assert "options" in params
-
-    def test_dtype_change_misses_the_cache(self, tmp_path):
-        # the stale-cache hazard: a --dtype change must recompute, not
-        # serve the float64 cell
-        first = run_matrix(["clustered-baseline"], ["offline"], quick=True,
-                           cache_root=str(tmp_path))
-        assert first.cells[0].status == "ok"
-        n_entries = len(list(tmp_path.glob("matrix-cell-*.pkl")))
-        assert n_entries == 1
-        other = run_matrix(["clustered-baseline"], ["offline"], quick=True,
-                           cache_root=str(tmp_path), dtype="float32")
-        assert other.cells[0].status == "ok"
-        assert len(list(tmp_path.glob("matrix-cell-*.pkl"))) == n_entries + 1
 
     def test_unavailable_dataset_serves_last_known_good_cell(self, tmp_path):
         from repro.scenarios import register_scenario, unregister_scenario
@@ -355,13 +341,12 @@ class TestCLI:
     def test_matrix_bad_jobs_exits_2(self, capsys):
         assert experiments_main(["matrix", "--jobs", "0"]) == 2
 
-    def test_matrix_checkpoint_dir_and_dtype_flags(self, tmp_path, capsys):
+    def test_matrix_checkpoint_dir_flag(self, tmp_path, capsys):
         rc = experiments_main([
             "matrix", "--quick", "--no-cache",
             "--scenarios", "outlier-burst", "--backends", "offline",
             "--results-dir", str(tmp_path),
             "--checkpoint-dir", str(tmp_path / "ckpts"),
-            "--dtype", "float32",
         ])
         assert rc == 0
         doc = json.loads((tmp_path / "matrix.json").read_text())

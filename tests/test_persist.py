@@ -241,12 +241,13 @@ class TestSnapshotFile:
     def test_retired_spec_knobs_still_load(self, tmp_path):
         # snapshots (and evicted serve tenants) written before the kernel
         # and decision-threading knobs were removed carry them in the
-        # spec dict; they never changed a result
+        # spec dict.  Only dtype="float32" ever changed a result (a lossy
+        # distance kernel); such a snapshot now solves in exact float64
         from repro.serve.wire import WireError, parse_create_payload
 
         retired = {"kernel_chunk": 2048, "kernel_backend": "numba",
                    "prune": "off", "decision_jobs": 2,
-                   "executor": "thread", "jobs": 2}
+                   "executor": "thread", "jobs": 2, "dtype": "float32"}
         path = str(tmp_path / "s.ckpt")
         sess = _make("insertion-only")
         sess.extend(_stream("insertion-only", 0, n=60))

@@ -103,6 +103,9 @@ class TestSessionRoutes:
              {"spec": {**SPEC, "seed": float("inf")}}, 400, "bad-spec"),
             ("fractional k and z", "PUT", "/sessions/a",
              {"spec": {**SPEC, "k": 2.9, "z": 0.5}}, 400, "bad-spec"),
+            # the retired kernel-precision knob is an unknown field
+            ("retired dtype", "PUT", "/sessions/a",
+             {"spec": {**SPEC, "dtype": "float32"}}, 400, "bad-spec"),
             ("bad backend", "PUT", "/sessions/a",
              {"spec": SPEC, "backend": "warp-drive"}, 400, "unknown-backend"),
             # MPC options fail at creation, not at every solve, and are
