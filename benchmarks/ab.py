@@ -19,7 +19,8 @@ metric's ``BENCHMARK.json`` bound and a verdict (layout in
 
 * ``better``: of at least ten pairs, the change wins >= 9/10 of the
   untied ones, and its median beats the parent's by more than the
-  parent's interquartile range;
+  parent's interquartile range and by more than ``MIN_GAIN`` (1%) of
+  the parent median;
 * ``worse``: the change median is worse than the parent median by more
   than the bound (a fraction of the parent median);
 * ``unresolved``: the parent's interquartile range is wider than the
@@ -47,6 +48,10 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SIDES = ("parent", "change")
+#: the smallest median gain, as a fraction of the parent median, that
+#: reads ``better``: a tightly repeating metric (peak RSS) can beat the
+#: parent's interquartile range by a negligible amount
+MIN_GAIN = 0.01
 
 
 def pair_order(pair: int) -> "tuple[str, str]":
@@ -123,7 +128,8 @@ def verdict(row: dict, parent, change) -> str:
     allowed = row["bound"] * abs(row["parent_median"])
     untied = row["pairs"] - row["ties"]
     if row["pairs"] >= 10 and untied \
-            and 10 * row["change_wins"] >= 9 * untied and gain > iqr:
+            and 10 * row["change_wins"] >= 9 * untied and gain > iqr \
+            and gain > MIN_GAIN * abs(row["parent_median"]):
         return "better"
     if -gain > allowed:
         return "worse"

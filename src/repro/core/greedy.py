@@ -68,10 +68,18 @@ the grid's density (:func:`_grid_decision`), both serial:
   they do not fit, each streamed block seeds its own points' gains (one
   distance pass and one ``bincount``) and is dropped, and the picks
   scan cells as below.
-* **Dense grids** scan cell by cell (:func:`_accumulate_cells`): one distance
-  block per source cell amortizes its dispatch over many pairs, for the
-  seed and for every pick.  A pick's sources lie within the 3-ring of
-  its cell, so a per-pick scan touches at most ``7^d`` cells.
+* **Dense grids** seed cell by cell: one distance block per source cell
+  amortizes its dispatch over many pairs.  When every cell's candidate
+  rows together fit :data:`_LIST_MAX_PAIRS` (:func:`_kept_seed`), the
+  seed keeps each cell's rows and contribution, and the picks spend
+  them (:func:`_subtract_kept`): a cell whose last uncovered members a
+  pick covers subtracts what is left of its contribution without a
+  distance, and only the other cells a pick touches scan their newly
+  covered members against their kept rows.  Over that budget (e.g. the
+  n = 10^6 search) the seed keeps nothing and every pick rescans its
+  newly covered points cell by cell (:func:`_accumulate_cells`); a
+  pick's sources lie within the 3-ring of its cell, so such a scan
+  touches at most ``7^d`` cells.
 
 Both compare the same pairs in float64, so the choice never moves a
 bit.  Each guess buckets the points into its own grid
@@ -359,6 +367,25 @@ def _grid_for_guess(pts: np.ndarray, cutoff: float) -> "PointGrid | None":
     return PointGrid.build(pts, cutoff_side(cutoff, pts), max_ring=3)
 
 
+def _cell_contribution(
+    pts: np.ndarray,
+    metric: Metric,
+    w64: np.ndarray,
+    cutoff: float,
+    rows: np.ndarray,
+    mem: np.ndarray,
+) -> np.ndarray:
+    """``(dist(rows, mem) <= cutoff) @ w64[mem]``: the weight of the
+    source points ``mem`` within ``cutoff`` of each candidate row.  One
+    rows x sources distance block, row-chunked so a giant cell (clustered
+    data) never materializes an unbounded block."""
+    rows_per = max(1, _GRID_PAIR_CHUNK // len(mem))
+    src, wm = pts[mem], w64[mem]
+    parts = [(metric.pairwise(pts[rows[r0 : r0 + rows_per]], src) <= cutoff)
+             @ wm for r0 in range(0, len(rows), rows_per)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _accumulate_cells(
     grid: PointGrid,
     pts: np.ndarray,
@@ -380,27 +407,113 @@ def _accumulate_cells(
 
     Sources are given as cells (indices into ``grid.cell_codes``) with
     their member point indices in ``src_members[src_starts[s] :
-    src_starts[s] + src_counts[s]]``.  Seeding passes the grid's own
-    cells; the per-pick update passes the newly covered points grouped by
-    cell.  One candidate-rows x source-cols distance block per source
-    cell, row-chunked so a giant cell (clustered data) never
-    materializes an unbounded block; neighbour cells are matched a slice
-    of sources at a time (:meth:`PointGrid.neighborhoods`).
+    src_starts[s] + src_counts[s]]``.  The seed of a dense grid over the
+    row budget of :func:`_kept_seed` passes the grid's own cells; each
+    pick of such a grid, or of a streamed seed, passes its newly covered
+    points grouped by cell (:func:`_group_by_cell`).  One
+    :func:`_cell_contribution` block per source cell; neighbour cells
+    are matched a slice of sources at a time
+    (:meth:`PointGrid.neighborhoods`).
     """
     for lo, bounds, nbr in grid.neighborhoods(src_cells, ring):
         for s in range(len(bounds) - 1):
-            cand = grid.points_in_cells(nbr[bounds[s] : bounds[s + 1]])
+            rows = grid.points_in_cells(nbr[bounds[s] : bounds[s + 1]])
             start = src_starts[lo + s]
             mem = src_members[start : start + src_counts[lo + s]]
-            rows_per = max(1, _GRID_PAIR_CHUNK // len(mem))
-            for r0 in range(0, len(cand), rows_per):
-                rows = cand[r0 : r0 + rows_per]
-                block = metric.pairwise(pts[rows], pts[mem])
-                contrib = (block <= cutoff) @ w64[mem]
-                if sign > 0:
-                    gain[rows] += contrib
-                else:
-                    gain[rows] -= contrib
+            contrib = _cell_contribution(pts, metric, w64, cutoff, rows, mem)
+            if sign > 0:
+                gain[rows] += contrib
+            else:
+                gain[rows] -= contrib
+
+
+def _kept_seed(
+    grid: PointGrid,
+    pts: np.ndarray,
+    metric: Metric,
+    w64: np.ndarray,
+    cutoff: float,
+    ring: int,
+) -> "tuple[np.ndarray, tuple[np.ndarray, ...]] | None":
+    """Blocked seed of a dense grid that keeps what each cell computed:
+    ``(gain, kept)``.  Returns ``None``, before computing any distance,
+    when the cells' candidate rows total more than
+    :data:`_LIST_MAX_PAIRS`; the caller then seeds with
+    :func:`_accumulate_cells`.
+
+    ``kept = (ptr, rows, rem, left)``: cell ``c``'s candidate rows (the
+    points of its ring-``ring`` cells, as :func:`_accumulate_cells`
+    scans them) are ``rows[ptr[c]:ptr[c + 1]]`` and ``rem`` holds its
+    contribution ``(dist(rows, members) <= cutoff) @ w64[members]``
+    alongside; ``left[c]`` counts its members still uncovered.
+    :func:`_subtract_kept` spends both as the picks cover the cells.
+    """
+    matched, sizes, total = [], [], 0
+    for _, bounds, nbr in grid.neighborhoods(np.arange(grid.num_cells),
+                                             ring):
+        sizes.append(np.add.reduceat(grid.cell_counts[nbr], bounds[:-1]))
+        total += int(sizes[-1].sum())
+        if total > _LIST_MAX_PAIRS:
+            return None
+        matched.append(nbr)
+    ptr = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+    # a slice's neighbour cells, in source order, are its cells' rows
+    rows = np.concatenate([grid.points_in_cells(nbr) for nbr in matched])
+    rem = np.empty(total, dtype=np.float64)
+    for c in range(grid.num_cells):
+        a, b = ptr[c], ptr[c + 1]
+        start = grid.cell_starts[c]
+        rem[a:b] = _cell_contribution(
+            pts, metric, w64, cutoff, rows[a:b],
+            grid.order[start : start + grid.cell_counts[c]])
+    gain = np.bincount(rows, weights=rem, minlength=grid.n)
+    return gain, (ptr, rows, rem, grid.cell_counts.copy())
+
+
+def _subtract_kept(
+    grid: PointGrid,
+    pts: np.ndarray,
+    metric: Metric,
+    w64: np.ndarray,
+    cutoff: float,
+    gain: np.ndarray,
+    kept: "tuple[np.ndarray, ...]",
+    idx: np.ndarray,
+) -> None:
+    """One pick's update from :func:`_kept_seed`'s cells: subtract the
+    weight of the newly covered points ``idx`` from the gains.
+
+    A cell whose last uncovered members are covered (all of them at
+    once, or the rest after earlier picks) subtracts what is left of its
+    seed contribution, with no distance computed; all such cells go in
+    one ``bincount``.  Any other cell scans only its newly covered
+    members against its kept rows, with no neighbour lookup, and spends
+    the result from what it has left.  Integer weights make every kept,
+    spent and remaining contribution an exact float64 integer, so the
+    gains equal the rescans' bit for bit.
+    """
+    ptr, rows, rem, left = kept
+    cells, starts, counts, members = _group_by_cell(grid, idx)
+    left[cells] -= counts
+    done = left[cells] == 0
+    if done.any():
+        lo = ptr[cells[done]]
+        flat = _ranges(lo, ptr[cells[done] + 1] - lo)
+        gain -= np.bincount(rows[flat], weights=rem[flat],
+                            minlength=len(gain))
+    for s in np.flatnonzero(~done):
+        a, b = ptr[cells[s]], ptr[cells[s] + 1]
+        mem = members[starts[s] : starts[s] + counts[s]]
+        contrib = _cell_contribution(pts, metric, w64, cutoff, rows[a:b],
+                                     mem)
+        gain[rows[a:b]] -= contrib
+        rem[a:b] -= contrib
+
+
+def _ranges(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """The concatenated index ranges ``lo[t] : lo[t] + cnt[t]``."""
+    return np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) \
+        + np.arange(int(cnt.sum()))
 
 
 def _group_by_cell(
@@ -500,8 +613,14 @@ def _grid_decision(
     seeds the gains, each pick subtracts one ``bincount`` over the newly
     covered points' lists); otherwise the streamed blocks seed the gains
     (one :func:`pair_distances` pass and one ``bincount`` per block) and
-    the picks scan cells.  A *dense* grid scans cells for the seed and
-    every pick (:func:`_accumulate_cells`).
+    the picks scan cells.  A *dense* grid seeds one distance block per
+    cell.  If the cells' candidate rows fit :data:`_LIST_MAX_PAIRS`, the
+    seed keeps them with each cell's contribution (:func:`_kept_seed`)
+    and the picks subtract from those (:func:`_subtract_kept`): cells a
+    pick covers to the last member cost no distance, and the others scan
+    only their newly covered members against their kept rows.  Over the
+    budget the seed keeps nothing and the picks rescan their newly
+    covered points cell by cell (:func:`_accumulate_cells`).
 
     Exactness: candidate supersets from the grid are sound at whatever
     cell side it has (:meth:`PointGrid.ring` picks the ring the cutoff
@@ -509,9 +628,11 @@ def _grid_decision(
     bit-identical to the dense path's cdist entries, and
     integer weights make every accumulated gain an exact float64 integer
     in any summation order — so each argmax pick matches the dense pick,
-    including tie-breaks.  The list path reads pick ``v``'s contribution
-    to candidate ``i`` off ``v``'s own list: the built-in norms are
-    bit-symmetric, so ``d(v, i) == d(i, v)``.
+    including tie-breaks.  The same holds for the kept contributions: a
+    cell's kept rows are exactly the ones its rescan would scan, and what
+    it has left is an exact integer too.  The list path reads pick
+    ``v``'s contribution to candidate ``i`` off ``v``'s own list: the
+    built-in norms are bit-symmetric, so ``d(v, i) == d(i, v)``.
     """
     pts = wps.points
     n = len(pts)
@@ -523,19 +644,23 @@ def _grid_decision(
     pairs = grid.candidate_pairs(
         cutoff, _LIST_PAIRS_PER_CELL * grid.num_cells, _LIST_BLOCK_PAIRS
     )
-    lists = None
+    lists = kept = None
     if pairs is None:
-        gain = np.zeros(n, dtype=np.float64)
-        _accumulate_cells(
-            grid, pts, metric, w64, cutoff, gain, 1.0,
-            np.arange(grid.num_cells), grid.cell_starts, grid.cell_counts,
-            grid.order, ring,
-        )
+        seeded = _kept_seed(grid, pts, metric, w64, cutoff, ring)
+        if seeded is not None:
+            gain, kept = seeded
+        else:
+            gain = np.zeros(n, dtype=np.float64)
+            _accumulate_cells(
+                grid, pts, metric, w64, cutoff, gain, 1.0,
+                np.arange(grid.num_cells), grid.cell_starts,
+                grid.cell_counts, grid.order, ring,
+            )
     else:
         total, blocks = pairs
-        kept = _within_cutoff(blocks, pts, metric.name, cutoff)
+        within = _within_cutoff(blocks, pts, metric.name, cutoff)
         if total <= _LIST_MAX_PAIRS:
-            ptr, nbrs, row_of = lists = _lists_of(grid, kept)
+            ptr, nbrs, row_of = lists = _lists_of(grid, within)
             # each point's weight lands on every point of its list
             gain = np.bincount(
                 nbrs, weights=np.repeat(w64[grid.order], np.diff(ptr)),
@@ -543,7 +668,7 @@ def _grid_decision(
             )
         else:
             gain = np.empty(n, dtype=np.float64)
-            for p0, p1, at, j in kept:
+            for p0, p1, at, j in within:
                 gain[grid.order[p0:p1]] = np.bincount(
                     at, weights=w64[j], minlength=p1 - p0
                 )
@@ -568,12 +693,13 @@ def _grid_decision(
                 rows = row_of[idx]
                 lo = ptr[rows]
                 cnt = ptr[rows + 1] - lo
-                flat = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) \
-                    + np.arange(int(cnt.sum()))
                 gain -= np.bincount(
-                    nbrs[flat], weights=np.repeat(w64[idx], cnt),
+                    nbrs[_ranges(lo, cnt)], weights=np.repeat(w64[idx], cnt),
                     minlength=n,
                 )
+            elif kept is not None:
+                _subtract_kept(grid, pts, metric, w64, cutoff, gain, kept,
+                               idx)
             else:
                 _accumulate_cells(
                     grid, pts, metric, w64, cutoff, gain, -1.0,

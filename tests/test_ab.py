@@ -12,6 +12,7 @@ import os
 import textwrap
 
 import numpy as np
+import pytest
 
 _ROOT = os.path.join(os.path.dirname(__file__), "..")
 _spec = importlib.util.spec_from_file_location(
@@ -125,6 +126,25 @@ def test_ten_wins_beyond_the_parent_iqr_is_better_eight_is_not():
     # fewer than ten pairs never read better, however clear
     row = _coreset_s(parent[:9], [0.9] * 9)
     assert (row["change_wins"], row["verdict"]) == (9, "within")
+
+
+def test_a_gain_under_one_percent_is_not_better():
+    # peak_rss_mb 96.47 -> 96.35 MB: 10/10 wins and a gap above the
+    # parent's ~0.11 MB interquartile range, but 0.12% of the median
+    parent = [96.36, 96.39, 96.41, 96.44, 96.46, 96.48, 96.50, 96.53,
+              96.55, 96.58]
+    rows = [dict(BASE, peak_rss_mb=v) for v in parent]
+    row = _summary(rows, [dict(r, peak_rss_mb=r["peak_rss_mb"] - 0.12)
+                          for r in rows])["peak_rss_mb"]
+    assert row["parent_median"] == pytest.approx(96.47)
+    assert row["change_median"] == pytest.approx(96.35)
+    assert row["parent_q3"] - row["parent_q1"] == pytest.approx(0.11,
+                                                                abs=0.01)
+    assert (row["change_wins"], row["verdict"]) == (10, "within")
+    # the same runs 2% lower read better
+    row = _summary(rows, [dict(r, peak_rss_mb=0.98 * r["peak_rss_mb"])
+                          for r in rows])["peak_rss_mb"]
+    assert (row["change_wins"], row["verdict"]) == (10, "better")
 
 
 def test_wins_inside_the_parent_iqr_are_not_better():

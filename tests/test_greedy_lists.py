@@ -6,14 +6,18 @@ enumerates every within-cutoff pair once: within :data:`_LIST_MAX_PAIRS`
 it keeps them as lists (:func:`neighbour_lists`) and walks them for the
 gain seed and every pick; over that budget the streamed pair blocks seed
 the gains and the picks scan cells.  Denser grids keep the per-cell
-blocked scans.  All compare the same pairs in float64 and integer
-weights make every gain an exact integer, so the list path, the streamed
-seed, the blocked path and the dense :func:`_geometric_decision` must
-agree bit for bit: centres, uncovered mask and feasibility.  The
-crossover constants are patched to force each side.
+blocked scans; within the same budget their seed keeps each cell's rows
+and contribution, and the picks spend those instead of scanning again.
+All compare the same pairs in float64 and integer weights make every
+gain an exact integer, so the list path, the streamed seed, the blocked
+path with or without its kept seed and the dense
+:func:`_geometric_decision` must agree bit for bit: centres, uncovered
+mask and feasibility.  The crossover constants and budgets are patched
+to force each side.
 """
 
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 
 import repro.core.greedy as greedy_mod
 import repro.core.mbc as mbc_mod
+import repro.core.metrics as metrics_mod
 import repro.geometry.grid as grid_mod
 from repro.core import WeightedPointSet, charikar_greedy
 from _greedy_reference import (
@@ -35,9 +40,11 @@ from repro.core.greedy import (
     _geometric_decision,
     _grid_decision,
     _grid_for_guess,
+    _subtract_kept,
     neighbour_lists,
 )
 from repro.core.metrics import get_metric
+from repro.kernels import pairwise_kernel
 from test_greedy_pruned import _assert_same_result
 
 METRICS = ("euclidean", "chebyshev", "manhattan")
@@ -231,6 +238,199 @@ def test_streamed_seed_memory_is_bounded_on_a_sparse_d4_grid():
         tracemalloc.stop()
     assert stats == {"decisions": 1, "list_decisions": 0}
     assert peak < _LIST_BLOCK_PAIRS * 64 + len(P) * 64
+
+
+# ---------------------------------------------------------------------------
+# Dense grids: the picks spend the cells the seed kept
+# ---------------------------------------------------------------------------
+
+
+def _kept_rows(grid, g):
+    """The candidate rows a dense-grid seed keeps at guess ``g``: the
+    members of every cell's ring neighbourhood, summed over cells."""
+    ring = grid.ring(g + 1e-9 * max(1.0, g))
+    _, nbr = grid.neighbors_of_cells(np.arange(grid.num_cells), ring)
+    return int(grid.cell_counts[nbr].sum())
+
+
+class _PickSpy:
+    """Wraps :func:`_subtract_kept` and sorts each pick's source cells:
+    ``whole`` (every member covered by this pick), ``completing`` (the
+    last uncovered members, after earlier picks) or ``partial``.
+
+    After every pick it also recomputes each gain from scratch, the
+    uncovered weight within the cutoff over a full distance matrix, and
+    asserts the maintained gains equal it exactly."""
+
+    def __init__(self):
+        self.kinds = Counter()
+        self._kept = None
+
+    def __call__(self, grid, pts, metric, w64, cutoff, gain, kept, idx):
+        left = kept[3]
+        cells, counts = np.unique(grid.point_cell[idx], return_counts=True)
+        size = grid.cell_counts[cells]
+        self.kinds["whole"] += int(np.sum(counts == size))
+        self.kinds["completing"] += int(
+            np.sum((counts == left[cells]) & (counts < size)))
+        self.kinds["partial"] += int(np.sum(counts < left[cells]))
+        if kept is not self._kept:  # a new decision
+            self._kept, self._uncovered = kept, np.ones(len(pts), dtype=bool)
+        self._uncovered[idx] = False
+        _subtract_kept(grid, pts, metric, w64, cutoff, gain, kept, idx)
+        within = pairwise_kernel(metric.name, pts, pts) <= cutoff
+        np.testing.assert_array_equal(gain, within @ (w64 * self._uncovered))
+
+
+def _layout(kind, rng, n, d):
+    """Points for one of the three pick patterns at guesses near their
+    optimum: ``clusters`` (tight, far apart: a pick's 3g-ball swallows
+    whole cells), ``uniform`` (many overlapping 3g-balls complete cells
+    over several picks) and ``spread`` (heavy tails: a few picks leave
+    cells partly covered)."""
+    if kind == "clusters":
+        centres = rng.uniform(0, 1000, (max(2, n // 40), d))
+        return centres[rng.integers(0, len(centres), n)] \
+            + rng.normal(0, 0.3, (n, d))
+    if kind == "uniform":
+        return rng.uniform(0, 10, (n, d))
+    return rng.standard_t(2, (n, d)) * 3.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["clusters", "uniform", "spread"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(40, 260),
+    d=st.integers(1, 4),
+    z=st.integers(0, 12),
+    dup=st.booleans(),
+    giant=st.booleans(),
+    max_w=st.sampled_from([1, 2, 9]),
+    metric=st.sampled_from(METRICS),
+)
+def test_kept_seed_search_matches_reference_and_rescans(kind, seed, n, d, z,
+                                                        dup, giant, max_w,
+                                                        metric):
+    # every grid is dense, and tiny distance blocks chunk the rows of any
+    # cell with more than 64 candidate pairs; the seed keeps its cells
+    # (default row budget) or keeps nothing (budget 0, today's rescans)
+    rng = np.random.default_rng(seed)
+    pts = _layout(kind, rng, n, d)
+    if dup:  # fold in exact duplicates
+        pts[: n // 4] = pts[n // 4: 2 * (n // 4)]
+    if giant:  # one blob far denser than the rest: a giant cell
+        pts[n - n // 3:] = pts[0] + rng.uniform(0, 1e-4, (n // 3, d))
+    P = WeightedPointSet(pts, rng.integers(1, max_w + 1, n))
+    k = {"clusters": max(2, n // 40), "uniform": 12, "spread": 2}[kind]
+    spy = _PickSpy()
+    with mock.patch.multiple(greedy_mod, _LIST_PAIRS_PER_CELL=FORCE_BLOCKED,
+                             _GRID_PAIR_CHUNK=64, _subtract_kept=spy):
+        kept = charikar_greedy(P, k, z, metric, pairwise_limit=8)
+        with mock.patch.object(greedy_mod, "_LIST_MAX_PAIRS", 0):
+            rescanned = charikar_greedy(P, k, z, metric, pairwise_limit=8)
+    assert kept.stats["list_decisions"] == 0
+    _assert_same_result(kept, rescanned)
+    _assert_same_result(
+        kept, charikar_greedy_reference(P, k, z, metric, pairwise_limit=8))
+    if kept.path == "grid":
+        assert sum(spy.kinds.values()) > 0
+
+
+class TestKeptSeed:
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_picks_meet_whole_completing_and_partial_cells(self, rng,
+                                                           metric):
+        P = WeightedPointSet(rng.uniform(0, 10, (2000, 2)),
+                             rng.integers(1, 10, 2000))
+        met = get_metric(metric)
+        g = 0.5
+        spy = _PickSpy()
+        with mock.patch.object(greedy_mod, "_subtract_kept", spy):
+            kept, _ = _decide(P, met, 30, g, FORCE_BLOCKED)
+        assert spy.kinds["whole"] > 0
+        assert spy.kinds["completing"] > 0
+        assert spy.kinds["partial"] > 0
+        with mock.patch.object(greedy_mod, "_LIST_MAX_PAIRS", 0):
+            rescanned, _ = _decide(P, met, 30, g, FORCE_BLOCKED)
+        _assert_same_decision(kept, rescanned)
+        _assert_same_decision(kept, _geometric_decision(P, met, 30, g))
+
+    def test_whole_cell_picks_compute_no_distance_block(self, rng):
+        # six tight clusters 100+ apart: each pick's 3g-ball takes a
+        # whole cluster, so every cell it touches is covered whole.  The
+        # seed makes one distance block per cell; the picks add only
+        # their 3g coverage queries, one call each
+        centres = np.arange(6)[:, None] * np.array([150.0, 40.0])
+        pts = np.repeat(centres, 300, axis=0) \
+            + rng.normal(0, 0.5, (1800, 2))
+        P = WeightedPointSet(pts, rng.integers(1, 10, 1800))
+        met = get_metric(None)
+        g = 5.0
+        grid = _grid_for_guess(P.points, g + 1e-9 * g)
+        calls = []
+
+        def counted(kind, a, b):
+            calls.append(len(a))
+            return pairwise_kernel(kind, a, b)
+
+        spy = _PickSpy()
+        with mock.patch.object(metrics_mod, "pairwise_kernel", counted), \
+                mock.patch.object(greedy_mod, "_subtract_kept", spy):
+            centers, uncovered = _decide(P, met, 6, g, FORCE_BLOCKED)[0]
+        assert len(centers) == 6 and not uncovered.any()
+        assert spy.kinds["whole"] == grid.num_cells
+        assert spy.kinds["completing"] == spy.kinds["partial"] == 0
+        assert len(calls) == grid.num_cells + len(centers)
+        assert calls[grid.num_cells:] == [1] * len(centers)
+        _assert_same_decision((centers, uncovered),
+                              _geometric_decision(P, met, 6, g))
+
+    def test_over_the_row_budget_the_picks_rescan(self, rng):
+        # one row over the budget: the seed keeps nothing, each pick
+        # rescans its cells, and the decision is the same bit for bit
+        P = WeightedPointSet(rng.uniform(0, 10, (1500, 2)),
+                             rng.integers(1, 10, 1500))
+        met = get_metric(None)
+        g = 0.8
+        rows = _kept_rows(_grid_for_guess(P.points, g + 1e-9), g)
+        out = {}
+        for budget in (rows, rows - 1):
+            spy = _PickSpy()
+            with mock.patch.multiple(greedy_mod, _LIST_MAX_PAIRS=budget,
+                                     _subtract_kept=spy):
+                out[budget] = _decide(P, met, 12, g, FORCE_BLOCKED)[0]
+            assert (sum(spy.kinds.values()) > 0) == (budget == rows)
+        _assert_same_decision(out[rows], out[rows - 1])
+        _assert_same_decision(out[rows], _geometric_decision(P, met, 12, g))
+
+    def test_kept_arrays_are_bounded_by_the_row_budget(self):
+        # offline-search's 2*10^4 stratified points at a guess near
+        # their optimum (~17 points per cell): a budget of exactly the
+        # seed's rows keeps them, 16 B per row (index and contribution)
+        # over what the same decision takes when it keeps nothing
+        pts = _stratified((160, 125), 0)
+        P = WeightedPointSet(pts, np.ones(len(pts), dtype=np.int64))
+        met = get_metric(None)
+        g = 3.0
+        grid = _grid_for_guess(pts, g + 1e-9 * g)
+        rows = _kept_rows(grid, g)
+        assert rows <= 9 * len(P)
+        peak, out = {}, {}
+        for budget in (rows, rows - 1):
+            stats = _new_stats()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                with mock.patch.multiple(greedy_mod, _LIST_MAX_PAIRS=budget,
+                                         _LIST_PAIRS_PER_CELL=FORCE_BLOCKED):
+                    out[budget] = _grid_decision(P, met, 64, g, grid,
+                                                 stats=stats)
+                peak[budget] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        _assert_same_decision(out[rows], out[rows - 1])
+        assert 8 * rows < peak[rows] - peak[rows - 1] < 16 * rows + 16 * len(P)
 
 
 # ---------------------------------------------------------------------------
