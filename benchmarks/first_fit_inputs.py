@@ -1,0 +1,131 @@
+"""Time the inputs that decide how first-fit runs, in one process.
+
+    PYTHONPATH=src python benchmarks/first_fit_inputs.py line
+    PYTHONPATH=src python benchmarks/first_fit_inputs.py drifting
+    PYTHONPATH=src python benchmarks/first_fit_inputs.py density
+
+Prints one JSON line.
+
+* ``line``: Algorithm 4 (``update_coreset``) on 8,000 points of a line
+  at spacing 0.6 delta, absorbed in order: every first-fit round settles
+  two points, so the rounds hand over to the in-order walk at once.
+* ``drifting``: Algorithm 3 (``InsertionOnlyCoreset.extend``, k=8,
+  z=64, eps=0.5) over 65,536 points of 8 clusters that arrive in
+  spatial order (sorted by x), so a chunk's openers form long chains.
+* ``density``: Algorithm 4 on 8,000 uniform points in [0, 100]^2 at
+  absorb radii whose neighbour lists average about 1, 7, 9, 16, 32 and
+  59 points, once with the rounds and once with the walk (needs
+  ``repro.core.mbc._ROUNDS_MAX_MEAN_LIST``).
+
+``line`` and ``drifting`` use public entry points only, so the same
+script times any tree given by ``PYTHONPATH``.  Each reports every
+repetition's seconds and the output that must not change.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import time
+
+import numpy as np
+
+REPEATS = 5
+
+
+def _timed(fn) -> "tuple[list[float], object]":
+    times, out = [], None
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return times, out
+
+
+def _digest(points: np.ndarray, weights: np.ndarray) -> str:
+    blob = np.ascontiguousarray(points).tobytes() + weights.tobytes()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def line() -> dict:
+    from repro.core import WeightedPointSet
+    from repro.core.mbc import update_coreset
+
+    n, delta = 8000, 1.0
+    P = WeightedPointSet((0.6 * delta * np.arange(float(n)))[:, None],
+                         np.ones(n, dtype=np.int64))
+    times, mbc = _timed(lambda: update_coreset(P, delta))
+    return {"input": "line", "n": n, "times_s": times, "size": mbc.size,
+            "digest": _digest(mbc.coreset.points, mbc.coreset.weights)}
+
+
+def drifting_stream(n: int = 1 << 16) -> np.ndarray:
+    """8 clusters (sd 0.8) on a ring of radius 30, sorted by x."""
+    rng = np.random.default_rng(0)
+    angles = 2 * np.pi * np.arange(8) / 8
+    centers = 30.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    pts = centers[rng.integers(0, 8, n)] + rng.normal(0, 0.8, (n, 2))
+    return pts[np.argsort(pts[:, 0], kind="stable")]
+
+
+def drifting() -> dict:
+    from repro.streaming import InsertionOnlyCoreset
+
+    pts = drifting_stream()
+
+    def ingest():
+        s = InsertionOnlyCoreset(8, 64, 0.5, 2)
+        s.extend(pts)
+        return s
+
+    times, s = _timed(ingest)
+    cs = s.coreset()
+    return {"input": "drifting", "n": len(pts), "times_s": times,
+            "size": s.size, "r": s.r, "doublings": s.doublings,
+            "digest": _digest(cs.points, cs.weights)}
+
+
+def density() -> dict:
+    import repro.core.mbc as mbc
+    from repro.core import WeightedPointSet
+    from repro.core.greedy import neighbour_lists
+    from repro.geometry.grid import PointGrid, cutoff_side
+
+    rng = np.random.default_rng(0)
+    P = WeightedPointSet(rng.uniform(0, 100, (8000, 2)),
+                         np.ones(8000, dtype=np.int64))
+    rows = []
+    for delta in (0.25, 1.55, 1.8, 2.5, 3.5, 4.9):
+        cutoff = delta + 1e-9 * max(1.0, delta)
+        grid = PointGrid.build(P.points, cutoff_side(cutoff, P.points),
+                               max_ring=1)
+        ptr, nbrs, _ = neighbour_lists(grid, P.points, "euclidean", cutoff,
+                                       mbc._ABSORB_MAX_PAIRS)
+        row = {"delta": delta, "mean_list": len(nbrs) / len(P)}
+        for name, limit in (("rounds", np.inf), ("walk", 0)):
+            saved = mbc._ROUNDS_MAX_MEAN_LIST
+            mbc._ROUNDS_MAX_MEAN_LIST = limit
+            try:
+                times, out = _timed(lambda: mbc.update_coreset(P, delta))
+            finally:
+                mbc._ROUNDS_MAX_MEAN_LIST = saved
+            row[f"{name}_s"] = times
+            row["size"] = out.size
+        rows.append(row)
+    return {"input": "density", "n": len(P), "rows": rows}
+
+
+def main(argv: "list[str]") -> int:
+    modes = {"line": line, "drifting": drifting, "density": density}
+    if len(argv) != 1 or argv[0] not in modes:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print(f"usage: first_fit_inputs.py {{{','.join(modes)}}}",
+              file=sys.stderr)
+        return 2
+    print(json.dumps(modes[argv[0]]()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

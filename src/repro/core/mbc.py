@@ -29,11 +29,15 @@ candidate is missed and results are bit-identical to the scalar loop
 the parity tests).  While the exact candidate-pair count fits the kernel
 layer's block budget, every within-``delta`` pair is found up front in
 vectorized blocks of cells (:func:`repro.core.greedy.neighbour_lists`,
-shared with the sparse-cell Charikar decisions) and the sequential
-greedy walks precomputed neighbor lists; denser inputs (duplicate
-floods) query the grid per representative instead.  Arbitrary metrics,
-high dimensions and degenerate cell sides fall back to scanning only the
-still-unabsorbed points, which shrinks as the balls absorb.
+shared with the sparse-cell Charikar decisions).  The greedy then picks
+exactly the *first-fit* set of the neighbour graph in the given order (a
+point is picked iff no earlier point of its list was): short lists (mean
+length at most :data:`_ROUNDS_MAX_MEAN_LIST`) compute it in vectorized
+rounds (:func:`first_fit`), longer ones walk the lists in order, where
+the rounds measured slower.  Denser inputs (duplicate floods) query the
+grid per representative instead.  Arbitrary metrics, high dimensions and
+degenerate cell sides fall back to scanning only the still-unabsorbed
+points, which shrinks as the balls absorb.
 """
 
 from __future__ import annotations
@@ -103,6 +107,74 @@ _GRID_MIN_POINTS = 192
 #: list decisions' budget, shared); denser inputs (duplicate floods) keep
 #: the per-representative grid queries
 _ABSORB_MAX_PAIRS = _LIST_MAX_PAIRS
+#: mean neighbour-list length (a point's list includes itself) up to which
+#: the absorb runs :func:`first_fit` rounds instead of walking the lists.
+#: Measured on 8,000 uniform points (one core of a 2-core Xeon VM,
+#: ``benchmarks/first_fit_inputs.py density``): rounds 7 vs walk 28 ms at
+#: mean length 1.2 and 14 vs 19 ms at 7, even at 17, 42 vs 36 ms at 31
+#: and 68 vs 59 ms at 59, so the rounds run only where they clearly win
+_ROUNDS_MAX_MEAN_LIST = 8
+#: a first-fit round that settles less than this share of the open
+#: vertices (long dependency chains, e.g. ordered input) hands the rest
+#: to the in-order walk
+_WALK_BELOW_SHARE = 1 / 8
+
+
+def first_fit(
+    n: int,
+    later: np.ndarray,
+    earlier: np.ndarray,
+    stats: "dict | None" = None,
+) -> np.ndarray:
+    """The first-fit set of a graph on the vertices ``0..n-1``: vertex
+    ``v`` is in it iff none of its neighbours ``u < v`` is (the greedy
+    maximal independent set in vertex order).  Edge ``e`` joins
+    ``later[e]`` to the earlier vertex ``earlier[e] < later[e]``; repeated
+    edges are harmless.  Returns the set as a boolean mask.
+
+    Computed in vectorized rounds (Blelloch, Fineman & Shun, SPAA 2012):
+    an open vertex with no open earlier neighbour joins the set, and its
+    open later neighbours close in the same round, so an open vertex
+    never has an earlier neighbour in the set.  The lowest open vertex
+    always joins, so every round settles one vertex at least; once a round
+    settles less than :data:`_WALK_BELOW_SHARE` of the open vertices, the
+    rest are walked in order, each open vertex joining and closing its
+    later neighbours.  ``stats``, when given, receives ``rounds`` and the
+    number of vertices ``walked``.
+    """
+    later = np.asarray(later, dtype=np.int64)
+    earlier = np.asarray(earlier, dtype=np.int64)
+    chosen = np.zeros(n, dtype=bool)
+    is_open = np.ones(n, dtype=bool)
+    live = np.arange(n)
+    rounds = 0
+    while len(live):
+        rounds += 1
+        blocked = np.zeros(n, dtype=bool)
+        blocked[later] = True
+        new = live[~blocked[live]]
+        chosen[new] = True
+        is_open[new] = False
+        is_open[later[chosen[earlier]]] = False
+        keep = is_open[later] & is_open[earlier]
+        later, earlier = later[keep], earlier[keep]
+        before = len(live)
+        live = live[is_open[live]]
+        if before - len(live) < _WALK_BELOW_SHARE * before:
+            break
+    if stats is not None:
+        stats["rounds"] = rounds
+        stats["walked"] = len(live)
+    if len(live):
+        o = np.argsort(earlier, kind="stable")
+        earlier, later = earlier[o], later[o]
+        lo = np.searchsorted(earlier, live, side="left").tolist()
+        hi = np.searchsorted(earlier, live, side="right").tolist()
+        for v, a, b in zip(live.tolist(), lo, hi):
+            if is_open[v]:
+                chosen[v] = True
+                is_open[later[a:b]] = False
+    return chosen
 
 
 def _greedy_absorb(
@@ -122,7 +194,9 @@ def _greedy_absorb(
     each representative's distances are evaluated against shrinks — to the
     nearby grid cells when the metric/dimension admit the grid (all
     evaluated up front while they fit :data:`_ABSORB_MAX_PAIRS`), or to
-    the still-unabsorbed points otherwise.
+    the still-unabsorbed points otherwise.  Neighbour lists of mean
+    length at most :data:`_ROUNDS_MAX_MEAN_LIST` skip the walk: the
+    picks are their :func:`first_fit` set (:func:`_absorb_rounds`).
     """
     n = len(wps)
     if n == 0:
@@ -156,6 +230,8 @@ def _greedy_absorb(
     if grid is not None:
         lists = neighbour_lists(grid, pts, metric.name, cutoff,
                                 _ABSORB_MAX_PAIRS)
+    if lists is not None and len(lists[1]) <= _ROUNDS_MAX_MEAN_LIST * n:
+        return _absorb_rounds(wps, grid.order, *lists, order)
     if lists is not None:
         # the greedy below is the same sequential loop over precomputed
         # neighbor lists (a point's list includes itself)
@@ -198,6 +274,40 @@ def _greedy_absorb(
     coreset = WeightedPointSet(
         pts[rep_rows], np.asarray(rep_weights, dtype=np.int64)
     )
+    return coreset, assignment
+
+
+def _absorb_rounds(
+    wps: WeightedPointSet,
+    grid_order: np.ndarray,
+    ptr: np.ndarray,
+    nbrs: np.ndarray,
+    row_of: np.ndarray,
+    order: np.ndarray,
+) -> "tuple[WeightedPointSet, np.ndarray]":
+    """:func:`_greedy_absorb` over symmetric neighbour lists as one
+    :func:`first_fit`: the walk picks a point iff no earlier point (in
+    ``order``) of its list was picked, and hands every other point to the
+    earliest pick in its list.  ``ptr``/``nbrs``/``row_of`` are
+    :func:`~repro.core.greedy.neighbour_lists` over a grid whose row
+    ``r`` holds point ``grid_order[r]``."""
+    n = len(wps)
+    order = np.asarray(order)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    at = rank[np.repeat(grid_order, np.diff(ptr))]
+    to = rank[nbrs]
+    edge = to < at
+    picked = first_fit(n, at[edge], to[edge])
+    # each point goes to the earliest picked rank in its list (a pick's
+    # own list holds no earlier pick, so it goes to itself)
+    key = np.where(picked[to], to, n)
+    first = np.minimum.reduceat(key, ptr[:-1])[row_of]
+    ordinal = np.cumsum(picked) - 1
+    assignment = ordinal[first]
+    weights = np.zeros(int(picked.sum()), dtype=np.int64)
+    np.add.at(weights, assignment, wps.weights)
+    coreset = WeightedPointSet(wps.points[order[picked]], weights)
     return coreset, assignment
 
 

@@ -510,7 +510,9 @@ class CellIndex:
 
     Members are kept sorted by code (ties in insertion order) in two
     parallel int64 arrays; :meth:`add` merges a batch with one
-    ``searchsorted`` + ``insert``.
+    ``searchsorted`` + ``insert`` and refreshes the distinct occupied
+    codes with each one's first member and count, so :meth:`pairs` finds
+    a target cell's members with one ``searchsorted``.
     """
 
     def __init__(self, side: float, dim: int, reach: float):
@@ -527,6 +529,9 @@ class CellIndex:
         self._deltas = offsets @ self._radix
         self._codes = np.zeros(0, dtype=np.int64)
         self._ids = np.zeros(0, dtype=np.int64)
+        #: distinct codes of ``_codes``, ascending, with each one's first
+        #: position in ``_codes`` and its member count
+        self._cells = self._starts = self._counts = self._codes
 
     def __len__(self) -> int:
         return len(self._codes)
@@ -548,16 +553,26 @@ class CellIndex:
         self._codes = np.insert(self._codes, pos, codes[o])
         self._ids = np.insert(self._ids, pos,
                               np.asarray(ids, dtype=np.int64)[o])
+        new_cell = np.empty(len(self._codes), dtype=bool)
+        new_cell[:1] = True
+        np.not_equal(self._codes[1:], self._codes[:-1], out=new_cell[1:])
+        self._starts = np.flatnonzero(new_cell)
+        self._cells = self._codes[self._starts]
+        self._counts = np.diff(self._starts, append=len(self._codes))
 
     def pairs(self, codes: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """Candidates for query points with cell ``codes``: ``(q, ids)``
         pairs, grouped by query index ``q`` ascending.  Every member
         within :attr:`reach` of query ``q`` appears paired with it."""
+        if not len(self._cells):
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         with np.errstate(over="ignore"):
             targets = (np.asarray(codes, dtype=np.int64)[:, None]
                        + self._deltas[None, :]).ravel()
-        lo = np.searchsorted(self._codes, targets, side="left")
-        cnt = np.searchsorted(self._codes, targets, side="right") - lo
+        at = np.searchsorted(self._cells, targets)
+        np.minimum(at, len(self._cells) - 1, out=at)
+        lo = self._starts[at]
+        cnt = np.where(self._cells[at] == targets, self._counts[at], 0)
         total = int(cnt.sum())
         src = np.repeat(np.arange(len(targets)) // len(self._deltas), cnt)
         starts = np.cumsum(cnt) - cnt

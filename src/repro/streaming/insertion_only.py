@@ -21,9 +21,13 @@ Omega(k/eps^d + z) lower bound of §4.1-4.2.
 Implementation notes: representatives live in a pre-allocated, doubling
 NumPy buffer (the guides' "no per-point Python objects" rule), and
 :meth:`InsertionOnlyCoreset.extend` ingests in chunks.  Each chunk finds
-every row's nearest representative at once, then walks the rows in order:
-absorptions become one weight update per chunk, and a row that opens a
-representative updates only the later rows it can reach.
+every row's nearest representative at once; absorptions become one
+weight update per chunk.  A row opens a representative iff no
+representative is within the cutoff when it arrives, so the chunk's
+openers are the *first-fit* set of the rows ``P*`` leaves unabsorbed
+(:func:`~repro.core.mbc.first_fit`, computed in vectorized rounds), and
+every other row then takes its nearest representative among ``P*`` and
+the earlier openers with one lexsort.
 
 Once ``r > 0`` the nearest-representative query goes through a
 :class:`~repro.geometry.CellIndex` over ``P*`` whose cells are just wider
@@ -33,11 +37,13 @@ evaluated, and the earliest-index tie-break of a dense ``argmin`` is
 kept: every representative that can win lies in that neighborhood, and a
 row with no candidate simply opens a representative.  The index is
 rebuilt when ``r`` changes (initialization, doubling) and grows with the
-representatives in between.  The dense ``chunk x P*`` block stays for
+representatives in between; a second cell index over the chunk finds the
+openers' within-cutoff pairs.  The dense ``chunk x P*`` block stays for
 ``r == 0``, metrics without coordinates, ``d > 4``, coordinates the grid
-cannot quantize, and small blocks where it is cheaper.  Both paths are
-bit-identical to the per-point :meth:`~InsertionOnlyCoreset.insert`
-loop (parity-tested).
+cannot quantize, and small blocks where it is cheaper; it walks its
+possible openers in order, each updating the later rows it can reach.
+Both paths are bit-identical to the per-point
+:meth:`~InsertionOnlyCoreset.insert` loop (parity-tested).
 
 The paper threshold is astronomical for small ``eps`` and moderate
 ``d``, so ``size_cap`` lets applications bound the structure (at the
@@ -51,7 +57,7 @@ from math import ceil
 
 import numpy as np
 
-from ..core.mbc import _GRID_MAX_DIM, update_coreset
+from ..core.mbc import _GRID_MAX_DIM, first_fit, update_coreset
 from ..core.metrics import _KernelMetric, get_metric
 from ..core.points import WeightedPointSet
 from ..core.radius import min_pairwise_distance
@@ -164,16 +170,21 @@ class InsertionOnlyCoreset:
 
     # -- buffer plumbing ---------------------------------------------------
 
-    def _ensure_capacity(self, dim: int) -> None:
+    def _ensure_capacity(self, dim: int, rows: int = 0) -> None:
+        """Room for ``rows`` more representatives and one free slot."""
         if self._dim is None:
             self._dim = dim
             self._buf = np.zeros((16, dim))
             self._w = np.zeros(16, dtype=np.int64)
         elif dim != self._dim:
             raise ValueError(f"point dim {dim} != stream dim {self._dim}")
-        if self._size == len(self._buf):
-            self._buf = np.concatenate([self._buf, np.zeros_like(self._buf)])
-            self._w = np.concatenate([self._w, np.zeros_like(self._w)])
+        cap = len(self._buf)
+        while self._size + rows >= cap:
+            cap *= 2
+        if cap > len(self._buf):
+            grow = cap - len(self._buf)
+            self._buf = np.concatenate([self._buf, np.zeros((grow, dim))])
+            self._w = np.concatenate([self._w, np.zeros(grow, dtype=np.int64)])
 
     def _set_reps(self, wps: WeightedPointSet) -> None:
         n = len(wps)
@@ -277,12 +288,13 @@ class InsertionOnlyCoreset:
             mbc = update_coreset(self.coreset(), self.eps / 2.0 * self.r, self.metric)
             self._set_reps(mbc.coreset)
 
-    def _open(self, p: np.ndarray) -> None:
-        """Append ``p`` to ``P*`` with weight 1."""
-        self._buf[self._size] = p
-        self._w[self._size] = 1
-        self._size += 1
-        self._ensure_capacity(len(p))
+    def _open(self, rows: np.ndarray) -> None:
+        """Append ``rows`` (shape ``(c, dim)``) to ``P*``, weight 1 each."""
+        self._ensure_capacity(rows.shape[1], len(rows))
+        end = self._size + len(rows)
+        self._buf[self._size: end] = rows
+        self._w[self._size: end] = 1
+        self._size = end
 
     def insert(self, point) -> None:
         """HandleArrival(p_t) of Algorithm 3 — the scalar reference
@@ -296,7 +308,7 @@ class InsertionOnlyCoreset:
             if dists[j] <= self._cutoff():
                 self._w[j] += 1
                 return
-        self._open(p)
+        self._open(p[None, :])
         self._init_radius()
         self._double_while_full()
 
@@ -350,58 +362,37 @@ class InsertionOnlyCoreset:
 
         Returns the number of rows consumed — fewer than ``len(chunk)``
         when ``r`` changed mid-chunk (the caller restarts from the next
-        row).
+        row).  Chunks the cell index serves go to :meth:`_extend_indexed`;
+        the others take one dense block against ``P*`` and walk their
+        possible openers in order, each opener updating the later rows.
         """
         self._ensure_capacity(chunk.shape[1])
-        cutoff = self._cutoff()
         found = self._cell_index(chunk)
         if found is not None:
-            m = len(chunk)
-            index, codes = found
-            q, ids = index.pairs(codes)
-            cur_min, cur_arg = _nearest(
-                q, ids, pair_distances(self._kind, chunk, q, ids,
-                                       other=self._buf), m)
+            return self._extend_indexed(chunk, *found)
+        cutoff = self._cutoff()
+        chunk = chunk[:_DENSE_CHUNK_ROWS]
+        m = len(chunk)
+        if self._size:
+            # ONE block against P*; np.argmin keeps the earliest index
+            D = self.metric.pairwise(chunk, self._buf[: self._size])
+            cur_arg = np.argmin(D, axis=1)
+            cur_min = D[np.arange(m), cur_arg]
         else:
-            chunk = chunk[:_DENSE_CHUNK_ROWS]
-            m = len(chunk)
-            if self._size:
-                # ONE block against P*; np.argmin keeps the earliest index
-                D = self.metric.pairwise(chunk, self._buf[: self._size])
-                cur_arg = np.argmin(D, axis=1)
-                cur_min = D[np.arange(m), cur_arg]
-            else:
-                cur_min = np.full(m, np.inf)
-                cur_arg = np.full(m, -1, dtype=np.int64)
+            cur_min = np.full(m, np.inf)
+            cur_arg = np.full(m, -1, dtype=np.int64)
         absorbed = cur_min <= cutoff
         if absorbed.all():
             self._credit(cur_arg)
             return m
-        opening = np.flatnonzero(~absorbed)
-        if found is not None:
-            # later rows each possibly-opening row can reach: the same
-            # cells, indexing the chunk itself, as CSR rows by source
-            local = CellIndex(index.side, self._dim, index.reach)
-            local.add(codes, np.arange(m))
-            q, later = local.pairs(codes[opening])
-            src = opening[q]
-            keep = later > src
-            src, later = src[keep], later[keep]
-            later_d = pair_distances(self._kind, chunk, src, later)
-            ptr = np.searchsorted(src, np.arange(m + 1)).tolist()
-        for j in opening.tolist():
+        for j in np.flatnonzero(~absorbed).tolist():
             if absorbed[j]:
                 continue  # an earlier row of this chunk opened its ball
             ridx = self._size
-            self._open(chunk[j])
-            if found is not None:
-                t, dt = later[ptr[j]: ptr[j + 1]], later_d[ptr[j]: ptr[j + 1]]
-            elif j + 1 < m:
+            self._open(chunk[j: j + 1])
+            if j + 1 < m:
                 t = np.arange(j + 1, m)
                 dt = self.metric.pairwise(chunk[j + 1:], chunk[j][None, :])[:, 0]
-            else:
-                t = ()
-            if len(t):
                 # strict < keeps the earliest-index tie-break (the new
                 # representative has the highest index)
                 upd = dt < cur_min[t]
@@ -419,6 +410,73 @@ class InsertionOnlyCoreset:
                 return j + 1
         self._credit(cur_arg, absorbed)
         return m
+
+    def _extend_indexed(self, chunk: np.ndarray, index: CellIndex,
+                        codes: np.ndarray) -> int:
+        """:meth:`_extend_chunk` through the cell index (``r > 0``).
+
+        A row opens a representative iff no representative is within the
+        cutoff when it arrives: none of ``P*`` (the index query) and none
+        of the rows of this chunk opened before it.  So the openers are
+        the :func:`~repro.core.mbc.first_fit` set of the rows ``P*`` does
+        not absorb, joined when within the cutoff (pairs from a cell index
+        over the chunk).  The chunk ends at the opener that fills the
+        threshold, since the recompression that follows changes ``r``.
+        Each consumed row then takes its nearest representative among
+        ``P*`` and the earlier openers, ties to the lowest index (``P*``
+        first, then the openers in order) like ``np.argmin`` in
+        :meth:`insert`: one lexsort over the openers' within-cutoff pairs.
+        """
+        m = len(chunk)
+        cutoff = self._cutoff()
+        q, ids = index.pairs(codes)
+        cur_min, cur_arg = _nearest(
+            q, ids, pair_distances(self._kind, chunk, q, ids,
+                                   other=self._buf), m)
+        absorbed = cur_min <= cutoff
+        if absorbed.all():
+            self._credit(cur_arg)
+            return m
+        opening = np.flatnonzero(~absorbed)
+        # (earlier candidate, later row) pairs within the cutoff
+        local = CellIndex(index.side, self._dim, index.reach)
+        local.add(codes, np.arange(m))
+        q, later = local.pairs(codes[opening])
+        src = opening[q]
+        keep = later > src
+        q, src, later = q[keep], src[keep], later[keep]
+        d = pair_distances(self._kind, chunk, src, later)
+        near = d <= cutoff
+        q, src, later, d = q[near], src[near], later[near], d[near]
+        both = ~absorbed[later]
+        opens = opening[first_fit(len(opening),
+                                  np.searchsorted(opening, later[both]),
+                                  q[both])]
+        room = max(self.threshold - self._size, 1)
+        full = len(opens) >= room
+        if full:
+            opens = opens[:room]
+        end = int(opens[-1]) + 1 if full else m
+        # each row's nearest opener: (row, distance, index) ascending
+        rep_id = np.full(m, -1, dtype=np.int64)
+        rep_id[opens] = self._size + np.arange(len(opens))
+        take = (rep_id[src] >= 0) & (later < end)
+        t, dt, rid = later[take], d[take], rep_id[src[take]]
+        o = np.lexsort((rid, dt, t))
+        t, dt, rid = t[o], dt[o], rid[o]
+        first = np.ones(len(t), dtype=bool)
+        np.not_equal(t[1:], t[:-1], out=first[1:])
+        t, dt, rid = t[first], dt[first], rid[first]
+        # strict < keeps P*'s lower indices on ties
+        win = dt < cur_min[t]
+        cur_arg[t[win]] = rid[win]
+        # every consumed row but the openers is now within the cutoff
+        absorbed = rep_id[:end] < 0
+        self._open(chunk[opens])
+        self._credit(cur_arg[:end], absorbed)
+        if full:
+            self._double_while_full()
+        return end
 
     def _credit(self, arg: np.ndarray,
                 absorbed: "np.ndarray | None" = None) -> None:

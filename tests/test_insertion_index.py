@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+import repro.core.mbc as mbc
 import repro.streaming.insertion_only as io
 from repro.core import WeightedPointSet
 from _greedy_reference import greedy_absorb_reference
@@ -52,6 +53,13 @@ def _stream(kind: str, n: int, d: int, seed: int) -> np.ndarray:
         pts = rng.normal(0, 1.0, (n, d))
         far = rng.random(n) < 0.15
         pts[far] = rng.normal(0, 1.0, (int(far.sum()), d)) * 1e12
+    elif kind == "drifting":
+        # clusters arriving in spatial order: a chunk's openers form long
+        # chains, so first-fit finishes them in order, and the threshold
+        # cuts chunks inside their openings
+        centers = rng.uniform(-20, 20, (4, d))
+        pts = centers[rng.integers(0, 4, n)] + rng.normal(0, 1.0, (n, d))
+        pts = pts[np.argsort(pts[:, 0], kind="stable")]
     else:  # mirrored: the same clusters with coordinates negated
         centers = rng.uniform(0, 20, (3, d))
         pts = centers[rng.integers(0, 3, n)] + rng.normal(0, 0.5, (n, d))
@@ -102,7 +110,7 @@ class TestExtendMatchesInsert:
     @settings(max_examples=40, deadline=None)
     @given(
         kind=st.sampled_from(["clusters", "lattice", "duplicates", "huge",
-                              "mirrored"]),
+                              "mirrored", "drifting"]),
         metric=st.sampled_from(METRICS),
         d=st.integers(1, 5),
         n=st.integers(1, 700),
@@ -157,6 +165,36 @@ class TestExtendMatchesInsert:
         for p in pts:
             ref.insert(p)
         _assert_same(got, ref)
+
+    def test_drifting_stream_walks_and_cuts(self, index_always, monkeypatch):
+        # arrivals in spatial order: some chunk's openers form a chain the
+        # first-fit rounds hand to the in-order walk, and some chunk is cut
+        # at the opener that fills the threshold; both stay bit-identical
+        seen = {"walked": 0, "cut": 0}
+        first_fit, indexed = io.first_fit, InsertionOnlyCoreset._extend_indexed
+
+        def walked(n, later, earlier, stats=None):
+            stats = {}
+            picked = first_fit(n, later, earlier, stats)
+            seen["walked"] += stats["walked"] > 0
+            return picked
+
+        def cut(self, chunk, index, codes):
+            used = indexed(self, chunk, index, codes)
+            seen["cut"] += used < len(chunk)
+            return used
+
+        monkeypatch.setattr(io, "first_fit", walked)
+        monkeypatch.setattr(InsertionOnlyCoreset, "_extend_indexed", cut)
+        for seed in range(4):
+            pts = _stream("drifting", 600, 1, seed)
+            ref = _structure("euclidean", 1, 40)
+            for p in pts:
+                ref.insert(p)
+            got = _structure("euclidean", 1, 40)
+            got.extend(pts)
+            _assert_same(got, ref)
+        assert seen["walked"] > 0 and seen["cut"] > 0
 
     def test_default_thresholds_index_a_large_stream(self):
         rng = np.random.default_rng(3)
@@ -228,6 +266,45 @@ class TestAbsorbCSR:
         np.testing.assert_array_equal(c_a.weights, c_b.weights)
         np.testing.assert_array_equal(as_a, as_b)
 
+    @pytest.mark.parametrize("rule", ["walk", "rounds"])
+    @pytest.mark.parametrize("metric", METRICS)
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(192, 900), d=st.integers(1, 4),
+           delta=st.sampled_from([0.05, 0.25, 0.5, 1.5]),
+           seed=st.integers(0, 2**16), lattice=st.booleans())
+    def test_density_rule_either_way(self, rule, metric, n, d, delta, seed,
+                                     lattice):
+        # lists of any mean length through either mechanism
+        rng = np.random.default_rng(seed)
+        pts = (rng.integers(-8, 8, (n, d)) * 0.25 if lattice
+               else rng.normal(0, 2.0, (n, d)))
+        P = WeightedPointSet(pts, rng.integers(1, 6, n))
+        met = get_metric(metric)
+        order = rng.permutation(n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mbc, "_ROUNDS_MAX_MEAN_LIST",
+                       0 if rule == "walk" else np.inf)
+            c_a, as_a = _greedy_absorb(P, delta, met, order)
+        c_b, as_b = greedy_absorb_reference(P, delta, met, order)
+        np.testing.assert_array_equal(c_a.points, c_b.points)
+        np.testing.assert_array_equal(c_a.weights, c_b.weights)
+        np.testing.assert_array_equal(as_a, as_b)
+
+    @pytest.mark.parametrize("rule", ["walk", "rounds"])
+    def test_ordered_line_either_way(self, rule, monkeypatch):
+        # spacing 0.6 delta in order: the rounds hand over to the walk
+        monkeypatch.setattr(mbc, "_ROUNDS_MAX_MEAN_LIST",
+                            0 if rule == "walk" else np.inf)
+        pts = (0.6 * np.arange(3000.0))[:, None]
+        P = WeightedPointSet(pts, np.arange(1, 3001))
+        met = get_metric(None)
+        c_a, as_a = _greedy_absorb(P, 1.0, met)
+        c_b, as_b = greedy_absorb_reference(P, 1.0, met)
+        assert len(c_a) == 1500
+        np.testing.assert_array_equal(c_a.points, c_b.points)
+        np.testing.assert_array_equal(c_a.weights, c_b.weights)
+        np.testing.assert_array_equal(as_a, as_b)
+
     def test_duplicate_flood_over_budget_keeps_loop(self):
         rng = np.random.default_rng(9)
         n = 1500
@@ -272,6 +349,36 @@ class TestCellIndex:
         D = cdist(queries, members, "chebyshev")
         want = set(zip(*np.nonzero(D <= reach)))
         assert want <= got
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 4), seed=st.integers(0, 2**16),
+           members=st.integers(0, 200), spread=st.sampled_from([1, 4, 1e8]))
+    def test_pairs_match_two_searches(self, d, seed, members, spread):
+        # one search into the distinct cells == a left and a right search
+        # over every member, order included: an empty index, many members
+        # per cell (a small spread), and for d >= 3 wrapped codes (1e8
+        # cells out, beyond the 2^(62/d) radix)
+        rng = np.random.default_rng(seed)
+        idx = CellIndex(1.0, d, 1.0)
+        pts = rng.uniform(-spread, spread, (members, d))
+        codes = idx.encode(pts)
+        half = members // 2
+        idx.add(codes[:half], np.arange(half))
+        idx.add(codes[half:], np.arange(half, members))
+        queries = np.concatenate([pts[:5], rng.uniform(-spread, spread,
+                                                       (20, d))])
+        qcodes = idx.encode(queries)
+        with np.errstate(over="ignore"):
+            targets = (qcodes[:, None] + idx._deltas[None, :]).ravel()
+        lo = np.searchsorted(idx._codes, targets, side="left")
+        hi = np.searchsorted(idx._codes, targets, side="right")
+        want_q = np.repeat(np.arange(len(targets)) // len(idx._deltas),
+                           hi - lo)
+        want_ids = idx._ids[np.concatenate(
+            [np.arange(a, b) for a, b in zip(lo, hi)] + [[]]).astype(int)]
+        q, ids = idx.pairs(qcodes)
+        np.testing.assert_array_equal(q, want_q)
+        np.testing.assert_array_equal(ids, want_ids)
 
     def test_encode_refuses_untrusted_coordinates(self):
         idx = CellIndex(0.1, 2, 0.1)
