@@ -2,6 +2,7 @@
 
     python benchmarks/ab.py --parent HEAD --pairs 10 --out AB_PR<n>.json
     python benchmarks/ab.py --pairs 3 --seconds 8 offline-search mpc-two-round
+    python benchmarks/ab.py --pairs 3 --extra scale_10m="python x.py"
 
 The parent is extracted with ``git archive REV | tar -x`` into a
 temporary directory; the change is the working tree.  For each workload
@@ -31,6 +32,13 @@ metric's ``BENCHMARK.json`` bound and a verdict (layout in
 attempted operations that failed; it reads ``worse`` when the change's
 share is larger.  Verdicts are reported, not gated: the exit status is 1
 only when some run exits non-zero or reports an incorrect result.
+
+``--extra NAME=CMD`` (repeatable) adds a shell command that runs from
+the root of each tree in the same alternation, after the workloads.  Its
+last stdout line must be a JSON object of numbers; ``summary[NAME]``
+reports each field's medians, the parent's quartiles, and the pairs in
+which the change is lower (``change_lower``), with no bound and no
+verdict.  With extras and no workloads named, only the extras run.
 """
 
 from __future__ import annotations
@@ -103,6 +111,30 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
             "runner": runner, "wall_s": round(wall, 3)}
 
 
+def run_extra(tree: str, cmd: str) -> dict:
+    """One run of the shell command ``cmd`` from the root of ``tree``;
+    ``metrics`` is its last stdout line, a JSON object of numbers
+    (``correct`` is false when it is not)."""
+    start = time.monotonic()
+    proc = subprocess.run(cmd, shell=True, cwd=tree, capture_output=True,
+                          text=True)
+    wall = time.monotonic() - start
+    lines = proc.stdout.splitlines()
+    try:
+        metrics = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        metrics = None
+    numeric = isinstance(metrics, dict) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        for v in metrics.values())
+    if proc.returncode or not numeric:
+        sys.stderr.write(proc.stderr[-4000:])
+    return {"exit": proc.returncode,
+            "correct": proc.returncode == 0 and numeric,
+            "metrics": metrics if numeric else {},
+            "wall_s": round(wall, 3)}
+
+
 def collect(run, workloads, pairs: int) -> "list[dict]":
     """Every run in execution order; ``run(side, workload)`` makes one."""
     runs = []
@@ -140,39 +172,50 @@ def verdict(row: dict, parent, change) -> str:
     return "within"
 
 
+def paired(runs, workload: str, field: str):
+    """``(parent, change)`` arrays of ``field`` over the pairs of
+    ``workload`` in which both runs reported it, or ``None``."""
+    by_key = {(r["pair"], r["side"]): r["metrics"] for r in runs
+              if r["workload"] == workload}
+    pairs = [(by_key[p, "parent"][field], by_key[p, "change"][field])
+             for p in sorted({p for p, _ in by_key})
+             if all(field in by_key.get((p, side), {}) for side in SIDES)]
+    if not pairs:
+        return None
+    return tuple(np.array(side, dtype=float) for side in zip(*pairs))
+
+
+def spread(parent, change) -> dict:
+    """Both medians and the parent's quartiles."""
+    q1, q3 = np.quantile(parent, [0.25, 0.75])
+    return {"parent_median": float(np.median(parent)),
+            "change_median": float(np.median(change)),
+            "parent_q1": float(q1), "parent_q3": float(q3)}
+
+
 def summarize(runs, bench: dict) -> dict:
     """``summary[workload][metric]`` over the paired runs, plus each
     workload's ``failed_share``."""
     from repro.verify import paired_bootstrap, sign_test
 
-    by_key = {(r["workload"], r["pair"], r["side"]): r for r in runs}
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         rows = summary[workload] = {}
-        pair_ids = sorted({p for w, p, _ in by_key if w == workload})
         for m in bench["end_to_end"]:
             name = m["name"]
-            paired = [(by_key[workload, p, "parent"]["metrics"][name],
-                       by_key[workload, p, "change"]["metrics"][name])
-                      for p in pair_ids
-                      if all(name in by_key.get((workload, p, side), {})
-                             .get("metrics", {}) for side in SIDES)]
-            if not paired:
+            found = paired(runs, workload, name)
+            if found is None:
                 continue
-            parent, change = (np.array(side, dtype=float)
-                              for side in zip(*paired))
+            parent, change = found
             diffs = change - parent
             sign = sign_test(diffs)
             mean, lo, hi, boot_p = paired_bootstrap(diffs,
                                                     key=(workload, name))
-            q1, q3 = np.quantile(parent, [0.25, 0.75])
             row = rows[name] = {
-                "parent_median": float(np.median(parent)),
-                "change_median": float(np.median(change)),
-                "parent_q1": float(q1), "parent_q3": float(q3),
+                **spread(parent, change),
                 "change_wins": (sign.n_neg if m["better"] == "lower"
                                 else sign.n_pos),
-                "pairs": len(paired), "ties": sign.n_ties, "sign_p": sign.p,
+                "pairs": len(diffs), "ties": sign.n_ties, "sign_p": sign.p,
                 "boot_mean": mean, "boot_ci": [lo, hi], "boot_p": boot_p,
                 "better": m["better"], "bound": m["bound"],
             }
@@ -190,11 +233,31 @@ def summarize(runs, bench: dict) -> dict:
     return summary
 
 
+def summarize_extra(runs) -> dict:
+    """``summary[name][field]`` for the ``--extra`` runs: medians, the
+    parent's quartiles and the pairs in which the change is lower,
+    reported without a bound or a verdict."""
+    summary = {}
+    for name in dict.fromkeys(r["workload"] for r in runs):
+        rows = summary[name] = {}
+        for field in dict.fromkeys(f for r in runs if r["workload"] == name
+                                   for f in r["metrics"]):
+            found = paired(runs, name, field)
+            if found is None:
+                continue
+            parent, change = found
+            rows[field] = {**spread(parent, change),
+                           "change_lower": int((change < parent).sum()),
+                           "pairs": len(parent),
+                           "ties": int((change == parent).sum())}
+    return summary
+
+
 def side_info(rev: str, commit: "str | None", runs, side: str) -> dict:
     """Rev, commit and the ``source_sha256`` every run of ``side`` reported
     (null unless they all agree)."""
     shas = {r["runner"]["source_sha256"] for r in runs
-            if r["side"] == side and r["runner"]}
+            if r["side"] == side and r.get("runner")}
     return {"rev": rev, "commit": commit,
             "source_sha256": shas.pop() if len(shas) == 1 else None}
 
@@ -212,25 +275,39 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="ab.json", metavar="PATH")
+    ap.add_argument("--extra", action="append", default=[],
+                    metavar="NAME=CMD",
+                    help="also run shell command CMD from each tree's "
+                         "root; its last stdout line is a JSON object "
+                         "of numbers (repeatable)")
     args = ap.parse_args(argv)
     unknown = sorted(set(args.workloads) - set(names))
     if unknown:
         ap.error(f"unknown workloads {unknown}; choose from {names}")
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    extras = dict(spec.partition("=")[::2] for spec in args.extra)
+    if any(not name or not cmd for name, cmd in extras.items()) \
+            or len(extras) < len(args.extra) or set(extras) & set(names):
+        ap.error("--extra takes NAME=CMD, with distinct names that are "
+                 "not workloads")
     sys.path.insert(0, os.path.join(ROOT, "src"))
 
-    workloads = args.workloads or names
+    workloads = args.workloads or ([] if extras else names)
     with tempfile.TemporaryDirectory(prefix="ab-parent-") as parent_tree:
         commit = export(args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
         runs = collect(lambda side, workload: run_once(
             trees[side], workload, args.seed, args.seconds),
             workloads, args.pairs)
-    summary = summarize(runs, bench)
+        extra_runs = collect(lambda side, name: run_extra(
+            trees[side], extras[name]), extras, args.pairs)
+    summary = {**summarize(runs, bench), **summarize_extra(extra_runs)}
+    runs += extra_runs
     doc = {
         "command": "python3 perfbench/run.py --workload W --seed "
                    f"{args.seed} --seconds {args.seconds:g} --trace 0",
+        "extras": extras,
         "pairs": args.pairs,
         "parent": side_info(args.parent, commit, runs, "parent"),
         "change": side_info("working tree", _git("rev-parse", "HEAD"),
@@ -245,9 +322,11 @@ def main(argv=None) -> int:
             parent, change = (row.get(f"{side}_median", row.get(side))
                               for side in SIDES)
             wins = (f"wins {row['change_wins']}/{row['pairs'] - row['ties']}"
+                    if "change_wins" in row else
+                    f"lower {row['change_lower']}/{row['pairs']}"
                     if "pairs" in row else "")
             print(f"{workload:<15} {name:<20} {parent:>12.6g} "
-                  f"{change:>12.6g} {wins:<11} {row['verdict']}")
+                  f"{change:>12.6g} {wins:<11} {row.get('verdict', '')}")
     print(f"wrote {args.out}")
     return 0 if all(r["exit"] == 0 and r["correct"] for r in runs) else 1
 

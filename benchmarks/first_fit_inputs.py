@@ -1,8 +1,10 @@
-"""Time the inputs that decide how first-fit runs, in one process.
+"""Time the inputs that decide how first-fit runs, and which path
+Algorithm 3's extend takes, in one process.
 
     PYTHONPATH=src python benchmarks/first_fit_inputs.py line
     PYTHONPATH=src python benchmarks/first_fit_inputs.py drifting
     PYTHONPATH=src python benchmarks/first_fit_inputs.py density
+    PYTHONPATH=src python benchmarks/first_fit_inputs.py index-threshold
 
 Prints one JSON line.
 
@@ -16,6 +18,17 @@ Prints one JSON line.
   absorb radii whose neighbour lists average about 1, 7, 9, 16, 32 and
   59 points, once with the rounds and once with the walk (needs
   ``repro.core.mbc._ROUNDS_MAX_MEAN_LIST``).
+* ``index-threshold``: one ``InsertionOnlyCoreset.extend`` of 16 to
+  256 rows against ``|P*|`` of about 200 to 16,000 representatives,
+  through the dense block and through the cell index (needs
+  ``repro.streaming.insertion_only._INDEX_MIN_PAIRS``).  ``P*`` is
+  Algorithm 4 over the first 2^16 of 2^17 points of the 8-cluster
+  stream ``drifting`` sorts, in arrival order, at the radius that
+  leaves about that many representatives; the extended rows are the
+  next points, so most of them are absorbed, as in a stream's steady
+  state.  Each repetition extends a fresh copy of one structure whose
+  index is already built; ``same`` says whether both paths left the
+  same representatives and weights.
 
 ``line`` and ``drifting`` use public entry points only, so the same
 script times any tree given by ``PYTHONPATH``.  Each reports every
@@ -60,12 +73,17 @@ def line() -> dict:
             "digest": _digest(mbc.coreset.points, mbc.coreset.weights)}
 
 
-def drifting_stream(n: int = 1 << 16) -> np.ndarray:
-    """8 clusters (sd 0.8) on a ring of radius 30, sorted by x."""
+def cluster_stream(n: int = 1 << 16) -> np.ndarray:
+    """8 clusters (sd 0.8) on a ring of radius 30, in arrival order."""
     rng = np.random.default_rng(0)
     angles = 2 * np.pi * np.arange(8) / 8
     centers = 30.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    pts = centers[rng.integers(0, 8, n)] + rng.normal(0, 0.8, (n, 2))
+    return centers[rng.integers(0, 8, n)] + rng.normal(0, 0.8, (n, 2))
+
+
+def drifting_stream(n: int = 1 << 16) -> np.ndarray:
+    """:func:`cluster_stream` sorted by x."""
+    pts = cluster_stream(n)
     return pts[np.argsort(pts[:, 0], kind="stable")]
 
 
@@ -116,8 +134,81 @@ def density() -> dict:
     return {"input": "density", "n": len(P), "rows": rows}
 
 
+#: index-threshold shapes: representatives wanted, and the extend rows
+THRESHOLD_REPS = (200, 700, 1800, 4000, 16000)
+THRESHOLD_ROWS = (16, 32, 64, 128, 256)
+THRESHOLD_REPEATS = 40
+
+
+def _structure_with_reps(pts: np.ndarray, want: int):
+    """An ``InsertionOnlyCoreset(8, 64, 0.5, 2)`` holding Algorithm 4's
+    representatives of ``pts`` at the radius (bisected in log scale)
+    that leaves ``want`` of them within 5%, its cell index built by an
+    extend of the last point of ``pts``."""
+    import repro.streaming.insertion_only as io
+    from repro.core import WeightedPointSet
+    from repro.core.mbc import update_coreset
+
+    P = WeightedPointSet(pts, np.ones(len(pts), dtype=np.int64))
+    lo, hi = -8.0, 6.0  # log2 of r
+    for _ in range(40):
+        r = 2.0 ** ((lo + hi) / 2)
+        cs = update_coreset(P, 0.25 * r).coreset
+        if abs(len(cs) - want) <= 0.05 * want:
+            break
+        lo, hi = (lo, (lo + hi) / 2) if len(cs) < want else ((lo + hi) / 2, hi)
+    s = io.InsertionOnlyCoreset(8, 64, 0.5, 2, size_cap=1 << 30)
+    s.restore({"n": len(pts), "r": r, "doublings": 0,
+               "threshold": s.threshold, "dim": 2,
+               "points": cs.points, "weights": cs.weights})
+    saved, io._INDEX_MIN_PAIRS = io._INDEX_MIN_PAIRS, 0
+    try:
+        s.extend(pts[-1:])
+    finally:
+        io._INDEX_MIN_PAIRS = saved
+    assert s._index is not None
+    return s
+
+
+def index_threshold() -> dict:
+    import copy
+
+    import repro.streaming.insertion_only as io
+
+    stream = cluster_stream(1 << 17)
+    prefix, rest = stream[: 1 << 16], stream[1 << 16:]
+    saved = io._INDEX_MIN_PAIRS
+    rows = []
+    try:
+        for want in THRESHOLD_REPS:
+            base = _structure_with_reps(prefix, want)
+            for m in THRESHOLD_ROWS:
+                chunk = rest[:m]
+                row = {"rows": m, "reps": base.size, "r": base.r}
+                outs = []
+                for name, limit in (("dense", np.inf), ("index", 0)):
+                    io._INDEX_MIN_PAIRS = limit
+                    times = []
+                    for _ in range(THRESHOLD_REPEATS):
+                        s = copy.deepcopy(base)
+                        t0 = time.perf_counter()
+                        s.extend(chunk)
+                        times.append(time.perf_counter() - t0)
+                    row[f"{name}_us"] = 1e6 * float(np.median(times))
+                    cs = s.coreset()
+                    outs.append(_digest(cs.points, cs.weights))
+                row["opened"] = s.size - base.size
+                row["same"] = outs[0] == outs[1]
+                rows.append(row)
+    finally:
+        io._INDEX_MIN_PAIRS = saved
+    return {"input": "index-threshold", "min_pairs": saved,
+            "repeats": THRESHOLD_REPEATS, "rows": rows}
+
+
 def main(argv: "list[str]") -> int:
-    modes = {"line": line, "drifting": drifting, "density": density}
+    modes = {"line": line, "drifting": drifting, "density": density,
+             "index-threshold": index_threshold}
     if len(argv) != 1 or argv[0] not in modes:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print(f"usage: first_fit_inputs.py {{{','.join(modes)}}}",

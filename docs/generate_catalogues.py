@@ -122,7 +122,7 @@ def generate_scenarios() -> str:
             inst = sc.make(quick=True, seed=0)
             size = f"n={inst.n}, d={inst.dim}"
         else:
-            size = "(on-disk / downloaded)"
+            size = "(user-dropped, on disk)"
         tags = ", ".join(sc.tags)
         lines.append(f"| `{sc.name}` | {tags} | {size} | {sc.description} |")
     lines += [
@@ -140,8 +140,8 @@ def generate_scenarios() -> str:
         "- **skipped** — structurally incompatible pair (the fully-dynamic",
         "  sketches only ingest integer streams, so they run on",
         "  `integer-grid` and are skipped elsewhere).",
-        "- **unavailable** — a real dataset that is neither cached, on disk",
-        "  (`$REPRO_DATA_DIR`), nor fetchable.",
+        "- **unavailable** — a real dataset that is neither cached nor",
+        "  dropped as a csv into `$REPRO_DATA_DIR`.",
         "",
         "New scenarios self-register via `repro.scenarios.register_scenario`;",
         "factories must be deterministic in `(quick, seed)`.",

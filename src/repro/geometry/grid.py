@@ -510,9 +510,11 @@ class CellIndex:
 
     Members are kept sorted by code (ties in insertion order) in two
     parallel int64 arrays; :meth:`add` merges a batch with one
-    ``searchsorted`` + ``insert`` and refreshes the distinct occupied
-    codes with each one's first member and count, so :meth:`pairs` finds
-    a target cell's members with one ``searchsorted``.
+    ``searchsorted`` + ``insert``.  The last axis has radix 1, so the
+    ``2R+1`` cells of one row of a neighbourhood have consecutive codes
+    and their members are one run of the sorted codes: :meth:`pairs`
+    finds it with a left search at the row's first code and a right
+    search at its last, once per distinct query cell.
     """
 
     def __init__(self, side: float, dim: int, reach: float):
@@ -526,12 +528,13 @@ class CellIndex:
         axes = np.meshgrid(*([np.arange(-ring, ring + 1)] * self.dim),
                            indexing="ij")
         offsets = np.stack(axes, axis=-1).reshape(-1, self.dim)
+        #: the neighbourhood's code offsets, one row of ``2R+1``
+        #: consecutive codes after another
         self._deltas = offsets @ self._radix
+        self._row_first = self._deltas[:: 2 * ring + 1]
+        self._row_last = self._row_first + 2 * ring
         self._codes = np.zeros(0, dtype=np.int64)
         self._ids = np.zeros(0, dtype=np.int64)
-        #: distinct codes of ``_codes``, ascending, with each one's first
-        #: position in ``_codes`` and its member count
-        self._cells = self._starts = self._counts = self._codes
 
     def __len__(self) -> int:
         return len(self._codes)
@@ -553,28 +556,68 @@ class CellIndex:
         self._codes = np.insert(self._codes, pos, codes[o])
         self._ids = np.insert(self._ids, pos,
                               np.asarray(ids, dtype=np.int64)[o])
-        new_cell = np.empty(len(self._codes), dtype=bool)
-        new_cell[:1] = True
-        np.not_equal(self._codes[1:], self._codes[:-1], out=new_cell[1:])
-        self._starts = np.flatnonzero(new_cell)
-        self._cells = self._codes[self._starts]
-        self._counts = np.diff(self._starts, append=len(self._codes))
 
     def pairs(self, codes: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """Candidates for query points with cell ``codes``: ``(q, ids)``
         pairs, grouped by query index ``q`` ascending.  Every member
         within :attr:`reach` of query ``q`` appears paired with it."""
-        if not len(self._cells):
+        _, cells, of = distinct_cells(codes)
+        return self.cell_pairs(cells, of)
+
+    def cell_pairs(self, cells: np.ndarray, of: np.ndarray,
+                   members: "tuple[np.ndarray, np.ndarray] | None" = None
+                   ) -> "tuple[np.ndarray, np.ndarray]":
+        """:meth:`pairs` for queries whose cell codes are ``cells[of]``,
+        with ``cells`` distinct (from :func:`distinct_cells`): two searches
+        per row of cells for each of ``cells``, however many queries share
+        it.
+
+        ``members`` is ``(codes, ids)`` with ``codes`` ascending (ties in
+        any order the caller wants kept) to search instead of this index's
+        members, at this index's cell geometry.  A query's pairs come row
+        by row in offset order, and within a row by code, then member
+        order: the order of a search per neighbour cell.
+        """
+        codes, ids = (self._codes, self._ids) if members is None else members
+        n = len(codes)
+        if not n or not len(of):
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         with np.errstate(over="ignore"):
-            targets = (np.asarray(codes, dtype=np.int64)[:, None]
-                       + self._deltas[None, :]).ravel()
-        at = np.searchsorted(self._cells, targets)
-        np.minimum(at, len(self._cells) - 1, out=at)
-        lo = self._starts[at]
-        cnt = np.where(self._cells[at] == targets, self._counts[at], 0)
+            # (row, cell): each row's needles ascend, which the searches
+            # exploit
+            first = np.add.outer(self._row_first, cells)
+            last = np.add.outer(self._row_last, cells)
+        lo = np.searchsorted(codes, first, side="left").T
+        hi = np.searchsorted(codes, last, side="right").T
+        wrap = (first > last).T
+        if wrap.any():
+            # a row crossing int64 max holds the codes >= first, then
+            # those <= last: split it into those two runs
+            lo, hi = (np.stack([lo, np.where(wrap, 0, hi)], axis=-1),
+                      np.stack([np.where(wrap, n, hi), hi], axis=-1))
+            lo, hi = (a.reshape(len(cells), -1) for a in (lo, hi))
+        lo = lo[of]
+        cnt = (hi[of] - lo).ravel()
+        lo = lo.ravel()
         total = int(cnt.sum())
-        src = np.repeat(np.arange(len(targets)) // len(self._deltas), cnt)
+        per_query = cnt.reshape(len(of), -1).sum(axis=1)
+        src = np.repeat(np.arange(len(of)), per_query)
         starts = np.cumsum(cnt) - cnt
         flat = np.repeat(lo - starts, cnt) + np.arange(total)
-        return src, self._ids[flat]
+        return src, ids[flat]
+
+
+def distinct_cells(codes: np.ndarray
+                   ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(order, cells, of)`` from one stable sort of cell ``codes``:
+    ``codes[order]`` ascends (ties in input order), ``cells`` are the
+    distinct codes ascending, and ``codes == cells[of]``."""
+    codes = np.asarray(codes, dtype=np.int64)
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    new = np.empty(len(codes), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    of = np.empty(len(codes), dtype=np.int64)
+    of[order] = np.cumsum(new) - 1
+    return order, ordered[new], of

@@ -371,15 +371,15 @@ def _ooc_clustered_10m(quick: bool = False, seed: int = 0) -> ScenarioInstance:
 @register_scenario(
     "real-iris",
     tags=("real", "on-disk"),
-    description="UCI Iris point cloud (downloaded and cached on disk)",
+    description="UCI Iris point cloud (a user-dropped csv, cached on disk)",
 )
 def _real_iris(quick: bool = False, seed: int = 0) -> ScenarioInstance:
     """The UCI Iris measurements as a real 4-d point cloud.
 
     Loaded through :func:`repro.scenarios.datasets.load_dataset`
-    (cache -> on-disk csv -> download); raises
-    :class:`~repro.scenarios.datasets.DatasetUnavailableError` when the
-    data cannot be obtained, which the matrix records as an
+    (cache -> user-dropped csv); raises
+    :class:`~repro.scenarios.datasets.DatasetUnavailableError` when
+    neither is in the data directory, which the matrix records as an
     ``"unavailable"`` cell.  ``seed`` shuffles the arrival order.
     """
     pts = load_dataset("iris")

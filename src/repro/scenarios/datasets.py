@@ -1,22 +1,23 @@
-"""On-disk real-dataset loader with download + cache.
+"""On-disk real-dataset loader with a cache.
 
 Follows the :class:`repro.engine.ResultsCache` pattern: a cache directory
 (``$REPRO_DATA_DIR`` or ``./.repro-data``) holds one ``<name>.npy`` per
-dataset plus a JSON sidecar recording provenance (source URL, shape,
-fetch time), and writes are atomic (temp file + rename).
+dataset plus a JSON sidecar recording provenance (the file it was parsed
+from, the source URL, shape, write time), and writes are atomic (temp
+file + rename).
 
 Resolution order for :func:`load_dataset`:
 
 1. the cached ``<name>.npy`` in the data directory;
-2. a user-dropped ``<name>.csv`` / ``<name>.txt`` in the data directory
-   (whitespace- or comma-separated numeric rows — the air-gapped path);
-3. a network fetch of the registered source URL (never attempted when
-   ``$REPRO_OFFLINE`` is set).
+2. a user-dropped ``<name>.csv`` / ``<name>.txt`` / ``<name>.data`` in
+   the data directory (whitespace- or comma-separated numeric rows, as
+   downloaded from the registered source URL).
 
-When all three fail the loader raises :class:`DatasetUnavailableError`;
+Nothing is fetched over the network.  When neither file exists the
+loader raises :class:`DatasetUnavailableError` naming the file to drop;
 the evaluation matrix records such cells as ``"unavailable"`` instead of
 failing the run, so real-data scenarios degrade gracefully on machines
-without the files or the network.
+without the files.
 """
 
 from __future__ import annotations
@@ -42,12 +43,10 @@ __all__ = [
 #: environment override for the dataset cache location
 DATA_DIR_ENV = "REPRO_DATA_DIR"
 
-#: set to any non-empty value to forbid network fetches
-OFFLINE_ENV = "REPRO_OFFLINE"
-
 
 class DatasetUnavailableError(RuntimeError):
-    """A real dataset is neither cached, on disk, nor fetchable."""
+    """A real dataset is neither cached nor dropped into the data
+    directory."""
 
 
 @dataclass(frozen=True)
@@ -148,29 +147,9 @@ def _write_cached(root: str, source: DatasetSource, pts: np.ndarray,
     os.replace(meta_tmp, meta)
 
 
-def _fetch(source: DatasetSource, timeout: float) -> str:
-    """Download the raw file (raises ``DatasetUnavailableError`` offline)."""
-    if os.environ.get(OFFLINE_ENV):
-        raise DatasetUnavailableError(
-            f"dataset {source.name!r}: ${OFFLINE_ENV} is set, not fetching"
-        )
-    from urllib.request import urlopen
-
-    try:
-        with urlopen(source.url, timeout=timeout) as resp:
-            return resp.read().decode("utf-8", errors="replace")
-    except Exception as exc:
-        raise DatasetUnavailableError(
-            f"dataset {source.name!r}: fetch of {source.url} failed ({exc}); "
-            f"drop a {source.name}.csv into {default_data_dir()!r} to use it "
-            "offline"
-        ) from None
-
-
 def load_dataset(
     name: str,
     data_dir: "str | None" = None,
-    timeout: float = 30.0,
 ) -> np.ndarray:
     """Load a registered real dataset as an ``(n, d)`` float array.
 
@@ -180,8 +159,6 @@ def load_dataset(
         Key in :data:`DATASETS`.
     data_dir:
         Cache directory; ``None`` resolves via :func:`default_data_dir`.
-    timeout:
-        Network timeout (seconds) for the download path.
 
     Returns
     -------
@@ -191,7 +168,7 @@ def load_dataset(
     Raises
     ------
     DatasetUnavailableError
-        When the dataset is not cached, not on disk, and not fetchable.
+        When the dataset is neither cached nor dropped as a raw file.
     """
     try:
         source = DATASETS[name]
@@ -216,15 +193,15 @@ def load_dataset(
             _write_cached(root, source, pts, origin=raw)
             return pts
 
-    pts = _parse_rows(_fetch(source, timeout), source)
-    _write_cached(root, source, pts, origin=source.url)
-    return pts
+    raise DatasetUnavailableError(
+        f"dataset {source.name!r} is not cached; download {source.url} "
+        f"and drop it as {source.name}.csv into {root!r}"
+    )
 
 
 def load_dataset_source(
     name: str,
     data_dir: "str | None" = None,
-    timeout: float = 30.0,
 ) -> MemmapSource:
     """Load a registered real dataset as a memory-mapped
     :class:`~repro.store.PointSource`.
@@ -244,7 +221,7 @@ def load_dataset_source(
     npy = os.path.join(root, f"{source.name}.npy")
     if not os.path.exists(npy):
         # populates the atomic .npy cache (or raises DatasetUnavailableError)
-        load_dataset(name, data_dir=data_dir, timeout=timeout)
+        load_dataset(name, data_dir=data_dir)
     try:
         return MemmapSource(npy)
     except Exception as exc:

@@ -81,7 +81,7 @@ DEFAULT_BACKENDS = (
 )
 
 #: scenario tags excluded from the default sweep (opt in by name/tag):
-#: "real" needs network-fetched datasets, "scale" streams n>=10^6 points
+#: "real" needs user-dropped datasets, "scale" streams n>=10^6 points
 #: from an on-disk store — both far too heavy for a default/CI sweep
 DEFAULT_EXCLUDED_TAGS = ("real", "scale")
 

@@ -37,12 +37,14 @@ evaluated, and the earliest-index tie-break of a dense ``argmin`` is
 kept: every representative that can win lies in that neighborhood, and a
 row with no candidate simply opens a representative.  The index is
 rebuilt when ``r`` changes (initialization, doubling) and grows with the
-representatives in between; a second cell index over the chunk finds the
-openers' within-cutoff pairs.  The dense ``chunk x P*`` block stays for
-``r == 0``, metrics without coordinates, ``d > 4``, coordinates the grid
-cannot quantize, and small blocks where it is cheaper; it walks its
-possible openers in order, each updating the later rows it can reach.
-Both paths are bit-identical to the per-point
+representatives in between.  Each chunk sorts its cell codes once: the
+distinct cells are the index's queries, so rows sharing a cell share its
+searches, and the sorted rows are the members the openers' within-cutoff
+pairs are searched in, so no second index is built.  The dense
+``chunk x P*`` block stays for ``r == 0``, metrics without coordinates,
+``d > 4``, coordinates the grid cannot quantize, and small blocks where
+it is cheaper; it walks its possible openers in order, each updating the
+later rows it can reach.  Both paths are bit-identical to the per-point
 :meth:`~InsertionOnlyCoreset.insert` loop (parity-tested).
 
 The paper threshold is astronomical for small ``eps`` and moderate
@@ -61,7 +63,7 @@ from ..core.mbc import _GRID_MAX_DIM, first_fit, update_coreset
 from ..core.metrics import _KernelMetric, get_metric
 from ..core.points import WeightedPointSet
 from ..core.radius import min_pairwise_distance
-from ..geometry.grid import CellIndex, cutoff_side
+from ..geometry.grid import CellIndex, cutoff_side, distinct_cells
 from ..kernels import pair_distances
 
 __all__ = ["paper_size_threshold", "InsertionOnlyCoreset"]
@@ -80,11 +82,16 @@ def paper_size_threshold(k: int, z: int, eps: float, d: int) -> int:
 #: away when a change of r invalidates a chunk's distances
 _CHUNK_ROWS = 2048
 _DENSE_CHUNK_ROWS = 256
-#: chunk rows x |P*| below which one dense distance block is cheaper
-#: than the cell index.  Measured per extend on 2-D clustered streams
-#: (one core of a 2-core Xeon VM): dense 30 us vs index 108 us at 32 x 204
-#: representatives, even at about 10^5 (128 x 714, 64 x 1838), index
-#: 2x ahead at 128 x 2185 and 16 x 15430
+#: chunk rows x |P*| below which one dense distance block is taken
+#: instead of the cell index.  One extend of a 2-D clustered stream, as
+#: dense/index medians (one core of a 2-core Xeon VM;
+#: AB_PR27_index_threshold.json): the dense block wins small blocks
+#: (21/89 us at 16 rows x 210 representatives, 140/174 us at 256 x 210),
+#: the index most shapes from about 3*10^4 pairs (102/91 us at 16 x 1795,
+#: 211/140 us at 128 x 668, 325/183 us at 32 x 4061) and every measured
+#: shape above 2^17 (646/193 us at 16 x 15973).  Below 2^17 neither path
+#: wins at every shape, so the threshold stays there; serve-sized
+#: extends (32 rows x ~256 representatives) stay on the dense block
 _INDEX_MIN_PAIRS = 1 << 17
 
 
@@ -419,17 +426,21 @@ class InsertionOnlyCoreset:
         cutoff when it arrives: none of ``P*`` (the index query) and none
         of the rows of this chunk opened before it.  So the openers are
         the :func:`~repro.core.mbc.first_fit` set of the rows ``P*`` does
-        not absorb, joined when within the cutoff (pairs from a cell index
-        over the chunk).  The chunk ends at the opener that fills the
-        threshold, since the recompression that follows changes ``r``.
-        Each consumed row then takes its nearest representative among
-        ``P*`` and the earlier openers, ties to the lowest index (``P*``
-        first, then the openers in order) like ``np.argmin`` in
-        :meth:`insert`: one lexsort over the openers' within-cutoff pairs.
+        not absorb, joined when within the cutoff (pairs searched among
+        the chunk's rows sorted by cell).  The chunk ends at the opener
+        that fills the threshold, since the recompression that follows
+        changes ``r``.  Each consumed row then takes its nearest
+        representative among ``P*`` and the earlier openers, ties to the
+        lowest index (``P*`` first, then the openers in order) like
+        ``np.argmin`` in :meth:`insert`: one lexsort over the openers'
+        within-cutoff pairs.
         """
         m = len(chunk)
         cutoff = self._cutoff()
-        q, ids = index.pairs(codes)
+        # one sort: the query cells of the P* lookup, and the chunk's
+        # rows as sorted members for the openers' lookup
+        order, cells, of = distinct_cells(codes)
+        q, ids = index.cell_pairs(cells, of)
         cur_min, cur_arg = _nearest(
             q, ids, pair_distances(self._kind, chunk, q, ids,
                                    other=self._buf), m)
@@ -439,9 +450,11 @@ class InsertionOnlyCoreset:
             return m
         opening = np.flatnonzero(~absorbed)
         # (earlier candidate, later row) pairs within the cutoff
-        local = CellIndex(index.side, self._dim, index.reach)
-        local.add(codes, np.arange(m))
-        q, later = local.pairs(codes[opening])
+        used = np.zeros(len(cells), dtype=bool)
+        used[of[opening]] = True
+        q, later = index.cell_pairs(cells[used],
+                                    (np.cumsum(used) - 1)[of[opening]],
+                                    (codes[order], order))
         src = opening[q]
         keep = later > src
         q, src, later = q[keep], src[keep], later[keep]

@@ -196,3 +196,71 @@ def test_run_once_keeps_the_result_and_runner_lines(tmp_path):
                         "change")
     assert info == {"rev": "HEAD", "commit": "c0ffee",
                     "source_sha256": "f00"}
+
+
+def test_extra_runs_from_the_tree_root_and_keeps_its_last_line(tmp_path):
+    (tmp_path / "marker").write_text("7")
+    cmd = ("python -c \"import json; print('noise'); print(json.dumps("
+           "{'marker': int(open('marker').read()), 'new_s': 1.5}))\"")
+    rec = ab.run_extra(str(tmp_path), cmd)
+    assert rec["exit"] == 0 and rec["correct"] is True
+    assert rec["metrics"] == {"marker": 7, "new_s": 1.5}
+    # a last line that is not a JSON object of numbers is no result
+    for bad in ("print('done')", "print('{\\\"a\\\": \\\"x\\\"}')",
+                "print('[1, 2]')", "import sys; sys.exit(3)"):
+        rec = ab.run_extra(str(tmp_path), f"python -c \"{bad}\"")
+        assert rec["correct"] is False and rec["metrics"] == {}
+
+
+def test_extra_summary_is_report_only():
+    parent = [{"new_s": 9.0 + 0.1 * i, "coreset": 7711} for i in range(5)]
+    change = [{"new_s": 6.0 + 0.1 * i, "coreset": 7711} for i in range(4)] \
+        + [{"new_s": 9.9, "coreset": 7711}]
+    run = _fake_run({"parent": parent, "change": change})
+    runs = ab.collect(run, ["scale_10m"], 5)
+    assert run.calls[:4] == ["parent", "change", "change", "parent"]
+    summary = ab.summarize_extra(runs)["scale_10m"]
+    assert summary["new_s"] == {
+        "parent_median": pytest.approx(9.2),
+        "change_median": pytest.approx(6.2),
+        "parent_q1": pytest.approx(9.1), "parent_q3": pytest.approx(9.3),
+        "change_lower": 4, "pairs": 5, "ties": 0}
+    assert summary["coreset"]["ties"] == 5
+    assert summary["coreset"]["change_lower"] == 0
+    assert all("verdict" not in row and "bound" not in row
+               for row in summary.values())
+
+
+def test_main_alternates_an_extra_between_the_trees(tmp_path, monkeypatch):
+    # only the extra runs when no workload is named; the parent tree is
+    # left empty, so a marker file tells the change's root from it
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "ab-marker").write_text("")
+    (change / "BENCHMARK.json").write_text(json.dumps(BENCH))
+    monkeypatch.setattr(ab, "ROOT", str(change))
+    monkeypatch.setattr(ab, "export", lambda rev, dest: "c0ffee")
+    monkeypatch.setattr(ab, "_git", lambda *args: "f00")
+    cmd = ("python -c \"import json, os; print(json.dumps("
+           "{'change': int(os.path.exists('ab-marker'))}))\"")
+    out = tmp_path / "ab.json"
+    assert ab.main(["--pairs", "2", "--extra", f"probe={cmd}",
+                    "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["extras"] == {"probe": cmd}
+    assert [(r["workload"], r["side"], r["metrics"]["change"])
+            for r in doc["runs"]] == [
+        ("probe", "parent", 0), ("probe", "change", 1),
+        ("probe", "change", 1), ("probe", "parent", 0)]
+    row = doc["summary"]["probe"]["change"]
+    assert (row["parent_median"], row["change_median"]) == (0.0, 1.0)
+    assert set(doc["summary"]) == {"probe"}
+
+
+@pytest.mark.parametrize("specs", [["noequals"], ["=true"], ["name="],
+                                   ["stream-ingest=true"],
+                                   ["a=true", "a=false"]])
+def test_malformed_extras_are_usage_errors(specs):
+    with pytest.raises(SystemExit) as exc:
+        ab.main([arg for spec in specs for arg in ("--extra", spec)])
+    assert exc.value.code == 2

@@ -207,6 +207,26 @@ class TestExtendMatchesInsert:
             ref.insert(p)
         _assert_same(st_, ref)
 
+    def test_chunks_build_no_cell_index(self, index_always, monkeypatch):
+        # the chunk's own sort serves the openers' lookup: the only
+        # CellIndex built is the one over P*, once per radius
+        built = []
+
+        class Counted(CellIndex):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(io, "CellIndex", Counted)
+        pts = _stream("clusters", 6000, 2, 11)
+        got = _structure("euclidean", 2, 400)
+        got.extend(pts)
+        assert 0 < len(built) <= got.doublings + 1
+        ref = _structure("euclidean", 2, 400)
+        for p in pts:
+            ref.insert(p)
+        _assert_same(got, ref)
+
     def test_guard_refusal_uses_dense_path(self, index_always):
         # representatives near 1e12 with a cutoff around 0.1 quantize
         # beyond the 2^30 guard until the side floor catches up
@@ -322,6 +342,22 @@ class TestAbsorbCSR:
         np.testing.assert_array_equal(as_a, as_b)
 
 
+def _assert_two_searches(idx, qcodes):
+    """``idx.pairs(qcodes)`` equals a left and a right search per
+    neighbour cell of every query, order included; returns the pairs."""
+    with np.errstate(over="ignore"):
+        targets = (qcodes[:, None] + idx._deltas[None, :]).ravel()
+    lo = np.searchsorted(idx._codes, targets, side="left")
+    hi = np.searchsorted(idx._codes, targets, side="right")
+    want_q = np.repeat(np.arange(len(targets)) // len(idx._deltas), hi - lo)
+    want_ids = idx._ids[np.concatenate(
+        [np.arange(a, b) for a, b in zip(lo, hi)] + [[]]).astype(int)]
+    q, ids = idx.pairs(qcodes)
+    np.testing.assert_array_equal(q, want_q)
+    np.testing.assert_array_equal(ids, want_ids)
+    return q, ids
+
+
 class TestCellIndex:
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(1, 4), seed=st.integers(0, 2**16),
@@ -367,18 +403,64 @@ class TestCellIndex:
         idx.add(codes[half:], np.arange(half, members))
         queries = np.concatenate([pts[:5], rng.uniform(-spread, spread,
                                                        (20, d))])
-        qcodes = idx.encode(queries)
-        with np.errstate(over="ignore"):
-            targets = (qcodes[:, None] + idx._deltas[None, :]).ravel()
-        lo = np.searchsorted(idx._codes, targets, side="left")
-        hi = np.searchsorted(idx._codes, targets, side="right")
-        want_q = np.repeat(np.arange(len(targets)) // len(idx._deltas),
-                           hi - lo)
-        want_ids = idx._ids[np.concatenate(
-            [np.arange(a, b) for a, b in zip(lo, hi)] + [[]]).astype(int)]
-        q, ids = idx.pairs(qcodes)
-        np.testing.assert_array_equal(q, want_q)
-        np.testing.assert_array_equal(ids, want_ids)
+        _assert_two_searches(idx, idx.encode(queries))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_row_across_int64_max(self, d):
+        # hand-built codes: the centre row of a query at or just below
+        # int64 max runs past it and wraps to int64 min, so its run is
+        # split into the members >= its first code, then those <= its last
+        top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+        idx = CellIndex(1.0, d, 1.0)  # side == reach: ring 2
+        members = np.array([top - 1, bottom, top, bottom + 1, 0, top - 5,
+                            bottom + 3, top, bottom + 1], dtype=np.int64)
+        idx.add(members[:4], np.arange(4))
+        idx.add(members[4:], np.arange(4, len(members)))
+        queries = np.array([top, top - 1, bottom, top, 0, bottom + 1],
+                           dtype=np.int64)
+        q, ids = _assert_two_searches(idx, queries)
+        assert ids[q == 0].tolist() == [0, 2, 7, 1, 3, 8]
+        assert ids[q == 1].tolist() == [0, 2, 7, 1]
+        assert q.tolist() == sorted(q.tolist())
+
+    def test_one_dimension(self):
+        rng = np.random.default_rng(1)
+        idx = CellIndex(0.5, 1, 0.5)
+        pts = rng.uniform(-20, 20, (300, 1))
+        idx.add(idx.encode(pts), np.arange(300))
+        assert len(idx._row_first) == 1
+        _assert_two_searches(idx, idx.encode(rng.uniform(-22, 22, (60, 1))))
+
+    def test_ring_two(self):
+        # side < reach: five cells a row, five rows
+        rng = np.random.default_rng(2)
+        idx = CellIndex(0.6, 2, 1.0)
+        assert len(idx._deltas) == 25 and len(idx._row_first) == 5
+        pts = rng.uniform(-6, 6, (400, 2))
+        idx.add(idx.encode(pts), np.arange(400))
+        _assert_two_searches(idx, idx.encode(rng.uniform(-7, 7, (80, 2))))
+
+    def test_repeated_query_codes(self):
+        rng = np.random.default_rng(3)
+        idx = CellIndex(1.0, 2, 1.0)
+        pts = rng.uniform(-5, 5, (200, 2))
+        idx.add(idx.encode(pts), np.arange(200))
+        qcodes = idx.encode(rng.uniform(-5, 5, (6, 2)))[
+            rng.integers(0, 6, 50)]
+        q, ids = _assert_two_searches(idx, qcodes)
+        # queries in one cell get the same candidates
+        for a in range(50):
+            first = int(np.flatnonzero(qcodes == qcodes[a])[0])
+            assert ids[q == a].tolist() == ids[q == first].tolist()
+
+    def test_empty_index_and_no_queries(self):
+        idx = CellIndex(1.0, 3, 1.0)
+        q, ids = _assert_two_searches(idx, idx.encode(np.ones((4, 3))))
+        assert len(q) == len(ids) == 0
+        assert q.dtype == ids.dtype == np.int64
+        idx.add(idx.encode(np.ones((4, 3))), np.arange(4))
+        q, ids = _assert_two_searches(idx, np.zeros(0, dtype=np.int64))
+        assert len(q) == len(ids) == 0
 
     def test_encode_refuses_untrusted_coordinates(self):
         idx = CellIndex(0.1, 2, 0.1)

@@ -108,7 +108,6 @@ class TestMatrix:
             [c.scenario for c in first.cells]
 
     def test_transient_failures_are_not_cached(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_OFFLINE", "1")
         monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path / "data"))
         result = run_matrix(["real-iris"], ["offline"], quick=True,
                             cache_root=str(tmp_path))

@@ -148,17 +148,17 @@ class TestBuiltinInstances:
 
 
 class TestDatasets:
-    def test_offline_without_files_is_unavailable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_OFFLINE", "1")
-        with pytest.raises(DatasetUnavailableError):
+    def test_offline_without_files_is_unavailable(self, tmp_path):
+        # nothing is fetched: the error names the csv to drop
+        with pytest.raises(DatasetUnavailableError, match=r"iris\.csv"):
             load_dataset("iris", data_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_dataset(self, tmp_path):
         with pytest.raises(DatasetUnavailableError):
             load_dataset("no-such-dataset", data_dir=str(tmp_path))
 
-    def test_user_dropped_csv_is_parsed_and_cached(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_OFFLINE", "1")
+    def test_user_dropped_csv_is_parsed_and_cached(self, tmp_path):
         rows = ["5.1,3.5,1.4,0.2,Iris-setosa",
                 "4.9,3.0,1.4,0.2,Iris-setosa",
                 "6.3,3.3,6.0,2.5,Iris-virginica",
@@ -176,7 +176,6 @@ class TestDatasets:
         assert np.array_equal(pts, again)
 
     def test_real_scenario_reports_unavailable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_OFFLINE", "1")
         monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
         from repro.scenarios import run_cell
 
