@@ -12,11 +12,12 @@ pairs run the parent first, even pairs the change.  Each run keeps the
 result line perfbench prints last and its ``runner`` line.
 
 The record written to ``--out`` holds both sides' rev, commit and
-``source_sha256``, every run, and ``summary[workload][metric]`` for each
-end-to-end metric: medians, the parent's quartiles, wins, the
-``repro.verify`` sign test and paired bootstrap of change − parent, the
-metric's ``BENCHMARK.json`` bound and a verdict (layout in
-``docs/benchmarks.md``):
+``source_sha256`` (from the runs' ``runner`` lines, or else hashed from
+the tree by its own ``perfbench/run.py`` recipe), every run, and
+``summary[workload][metric]`` for each end-to-end metric: medians, the
+parent's quartiles, wins, the ``repro.verify`` sign test and paired
+bootstrap of change − parent, the metric's ``BENCHMARK.json`` bound and
+a verdict (layout in ``docs/benchmarks.md``):
 
 * ``better``: of at least ten pairs, the change wins >= 9/10 of the
   untied ones, and its median beats the parent's by more than the
@@ -44,6 +45,7 @@ verdict.  With extras and no workloads named, only the extras run.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -253,13 +255,28 @@ def summarize_extra(runs) -> dict:
     return summary
 
 
-def side_info(rev: str, commit: "str | None", runs, side: str) -> dict:
-    """Rev, commit and the ``source_sha256`` every run of ``side`` reported
-    (null unless they all agree)."""
+def source_sha256(tree: str) -> "str | None":
+    """The ``source_sha256`` of ``tree``'s ``src/``, by the fingerprint of
+    the tree's own ``perfbench/run.py`` (the one its runner lines print);
+    ``None`` when the tree has no such file."""
+    path = os.path.join(tree, "perfbench", "run.py")
+    if not os.path.isfile(path):
+        return None
+    spec = importlib.util.spec_from_file_location("_perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.fingerprint({})["source_sha256"]
+
+
+def side_info(rev: str, commit: "str | None", runs, side: str,
+              tree_sha256: "str | None" = None) -> dict:
+    """Rev, commit and the ``source_sha256`` every run of ``side``
+    reported (null unless they all agree), or ``tree_sha256`` when no run
+    reported one (extras print no runner line)."""
     shas = {r["runner"]["source_sha256"] for r in runs
             if r["side"] == side and r.get("runner")}
-    return {"rev": rev, "commit": commit,
-            "source_sha256": shas.pop() if len(shas) == 1 else None}
+    sha = (shas.pop() if len(shas) == 1 else None) if shas else tree_sha256
+    return {"rev": rev, "commit": commit, "source_sha256": sha}
 
 
 def main(argv=None) -> int:
@@ -302,6 +319,7 @@ def main(argv=None) -> int:
             workloads, args.pairs)
         extra_runs = collect(lambda side, name: run_extra(
             trees[side], extras[name]), extras, args.pairs)
+        hashes = {side: source_sha256(tree) for side, tree in trees.items()}
     summary = {**summarize(runs, bench), **summarize_extra(extra_runs)}
     runs += extra_runs
     doc = {
@@ -309,9 +327,10 @@ def main(argv=None) -> int:
                    f"{args.seed} --seconds {args.seconds:g} --trace 0",
         "extras": extras,
         "pairs": args.pairs,
-        "parent": side_info(args.parent, commit, runs, "parent"),
+        "parent": side_info(args.parent, commit, runs, "parent",
+                            hashes["parent"]),
         "change": side_info("working tree", _git("rev-parse", "HEAD"),
-                            runs, "change"),
+                            runs, "change", hashes["change"]),
         "runs": runs,
         "summary": summary,
     }

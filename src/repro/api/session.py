@@ -302,8 +302,9 @@ class KCenterSession:
             if greedy_path is not None:
                 stats["greedy_path"] = greedy_path
             if greedy_stats:
-                # grid_builds / decisions breakdown of the
-                # grid-pruned radius search (JSON-safe ints)
+                # the radius search's decisions on every path, plus the
+                # grid path's list decisions and grid builds (JSON-safe
+                # ints)
                 stats["greedy_stats"] = dict(greedy_stats)
             return Solution(
                 centers=centers,

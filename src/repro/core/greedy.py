@@ -11,82 +11,42 @@ Two classic algorithms the paper builds on:
   every MBC construction starts by calling it to obtain a radius
   ``r in [opt_{k,z}(P), 3 * opt_{k,z}(P)]``.
 
-The decision procedure (``_greedy_disks``) follows Charikar et al.:
-for a radius guess ``g``, repeatedly pick the point whose ball ``B(v, g)``
-covers the maximum uncovered weight, then mark everything in the expanded
-ball ``B(v, 3g)`` covered.  If after ``k`` picks the uncovered weight is at
+The decision procedure follows Charikar et al.: for a radius guess
+``g``, repeatedly pick the point whose ball ``B(v, g)`` covers the
+maximum uncovered weight, then mark everything in the expanded ball
+``B(v, 3g)`` covered.  If after ``k`` picks the uncovered weight is at
 most ``z``, the guess is feasible; Charikar et al. prove feasibility for
 every ``g >= opt_{k,z}(P)``.  The returned radius is ``3 * g*`` for the
 smallest feasible guess ``g*``, hence at most ``3 * opt`` (exact-candidate
 mode) or ``3 (1+tol) * opt`` (geometric mode for large inputs).  Nothing
-before that final weight test looks at ``z``: the decision procedures
-return ``(centers, uncovered)`` and the search applies
-:func:`_weight_feasible`, so one :func:`charikar_greedy` call serves a
-whole ascending vector of budgets (Algorithm 2's round 1) and decides
-each guess once.
+before that final weight test looks at ``z``, so one
+:func:`charikar_greedy` call serves a whole ascending vector of budgets
+(Algorithm 2's round 1) and decides each guess once.
 
-Performance (the kernels refactor): both decision procedures maintain the
-candidate gains *incrementally* — one ball-membership matvec when a guess
-starts, then per pick only the weight of the newly covered points is
-subtracted from the gains of the candidates whose ``g``-ball contains
-them.  Because all library weights are integers (exactly representable in
-float64), the incremental sums equal the recomputed sums bit for bit, so
-results are identical to the pre-refactor code
-(``tests/_greedy_reference.py``; proven by
-``tests/test_greedy_parity.py``) at a fraction of the work: ``O(n^2)``
-per guess instead of ``O(k n^2)``.  Distance blocks come from the
-exact float64 kernels of :mod:`repro.kernels` via
-:meth:`Metric.pairwise`.
+**One pick loop over four gain sources.**  :func:`_pick_centers` is the
+decision, written once: the argmax of the gains, the ``3g`` coverage
+(``source.cover``), the subtraction of the newly covered weight
+(``source.subtract``).  A source seeds ``gain[v]``, the uncovered weight
+inside ``B(v, g)``, and keeps it current per pick: ``O(n^2)`` distance
+work per guess, not the ``O(k n^2)`` of recomputing it.  Library weights
+are integers, so every incremental sum equals the recomputed one bit for
+bit, and results equal the frozen ``tests/_greedy_reference.py``.  Each
+of the three decision entry points builds a source:
 
-Grid pruning (the sub-quadratic refactor): for the built-in norms in low
-dimension with integer weights, each geometric radius-guess decision
-prunes its candidate scans through a
-:class:`~repro.geometry.PointGrid`, so both the gain seeding and the
-per-pick bookkeeping only evaluate distances between points in
-Chebyshev-adjacent cells — ``O(n * (2R+1)^d)`` pairs per guess when the
-guess is near the optimum instead of ``O(n^2)``.  Candidate supersets
-come from the grid; the surviving pairs are re-evaluated in float64 with
-:func:`repro.kernels.pair_distances`, which is bit-identical to the
-cdist entries the dense float64 path compares, and all accumulated sums
-are exact integers — so the pruned decisions pick the same centers, bit
-for bit, as the dense float64 reference (``tests/test_greedy_pruned.py``).
-High dimension, arbitrary / precomputed metrics and fractional weights
-fall back to the dense path automatically (:attr:`GreedyResult.path`
-records which path served the call).
+* :func:`_greedy_disks` (``n <= PAIRWISE_LIMIT``): :class:`_BallMatrix`
+  over the search's one distance matrix.
+* :func:`_geometric_decision`: :class:`_DenseChunks`, for high
+  dimension, arbitrary metrics and fractional weights.
+* :func:`_grid_decision`: for the built-in norms in dimension <= 4 with
+  integer weights, a per-guess :class:`~repro.geometry.PointGrid` prunes
+  every scan to nearby cells — :class:`_NeighbourLists` on sparse grids
+  whose pairs fit :data:`_LIST_MAX_PAIRS`, :class:`_GridCells`
+  otherwise.  They compare exactly the pairs the dense path compares,
+  in float64, so the choice never moves a bit
+  (``tests/test_greedy_pruned.py``, ``tests/test_greedy_lists.py``).
 
-A grid decision keeps its gains one of two ways, chosen per guess by
-the grid's density (:func:`_grid_decision`), both serial:
-
-* **Sparse grids** — at most :data:`_LIST_PAIRS_PER_CELL` candidate
-  pairs per cell, as at small guesses where most points sit alone in
-  their cell — expand their pairs in blocks of whole cells
-  (:meth:`PointGrid.candidate_pairs`, filtered by
-  :func:`_within_cutoff`).  When the pairs fit :data:`_LIST_MAX_PAIRS`
-  they are kept as neighbour lists (:func:`neighbour_lists`, shared with
-  the MBC absorb loop): one ``bincount`` seeds the gains and each pick
-  subtracts one ``bincount`` over the newly covered points' lists.  When
-  they do not fit, each streamed block seeds its own points' gains (one
-  distance pass and one ``bincount``) and is dropped, and the picks
-  scan cells as below.
-* **Dense grids** seed cell by cell: one distance block per source cell
-  amortizes its dispatch over many pairs.  When every cell's candidate
-  rows together fit :data:`_LIST_MAX_PAIRS` (:func:`_kept_seed`), the
-  seed keeps each cell's rows and contribution, and the picks spend
-  them (:func:`_subtract_kept`): a cell whose last uncovered members a
-  pick covers subtracts what is left of its contribution without a
-  distance, and only the other cells a pick touches scan their newly
-  covered members against their kept rows.  Over that budget (e.g. the
-  n = 10^6 search) the seed keeps nothing and every pick rescans its
-  newly covered points cell by cell (:func:`_accumulate_cells`); a
-  pick's sources lie within the 3-ring of its cell, so such a scan
-  touches at most ``7^d`` cells.
-
-Both compare the same pairs in float64, so the choice never moves a
-bit.  Each guess buckets the points into its own grid
-(:func:`_grid_for_guess`, cell side just above the cutoff), and
-:func:`repro.core.mbc._greedy_absorb` builds its own at the absorption
-radius.  :attr:`GreedyResult.stats` counts the ``grid_builds``,
-``decisions`` and ``list_decisions``.
+:attr:`GreedyResult.path` records which entry points served a call and
+:attr:`GreedyResult.stats` counts its decisions.
 """
 
 from __future__ import annotations
@@ -166,12 +126,14 @@ class GreedyResult:
         or ``"mixed"`` (some guesses gridded, some fell back).
         Provenance only — never affects results.
     stats:
-        Provenance counters for the grid-pruned geometric search (zeroed
-        when it did not run), counted over the whole call — every result
-        of a multi-budget call shares them: ``grid_builds`` (per-guess
-        grids built), ``decisions`` (grid decisions run, one per distinct
-        guess), ``list_decisions`` (those of them served by neighbour
-        lists).  JSON-safe ints only; never affects results.
+        Provenance counters of :func:`charikar_greedy`, counted over the
+        whole call — every result of a multi-budget call shares them:
+        ``decisions`` (decisions run on any path, one per distinct
+        guess), ``list_decisions`` (grid decisions served by neighbour
+        lists) and ``grid_builds`` (per-guess grids built); the last two
+        stay 0 off the grid path.  Empty for :func:`gonzalez` and for
+        trivial calls that decide nothing.  JSON-safe ints only; never
+        affects results.
     """
 
     centers_idx: np.ndarray
@@ -195,12 +157,16 @@ def gonzalez(
     """Gonzalez's farthest-point 2-approximation (no outliers).
 
     Runs in ``O(nk)`` distance evaluations.  ``first`` selects the initial
-    center (the approximation guarantee holds for any choice).
+    center (the approximation guarantee holds for any choice).  A
+    non-empty input needs ``k >= 1``: :class:`ValueError` otherwise, as in
+    :func:`charikar_greedy`.
     """
     metric = get_metric(metric)
     n = len(wps)
     if n == 0:
         return GreedyResult(np.zeros(0, dtype=int), 0.0, 0.0, np.zeros(0, dtype=bool))
+    if k <= 0:
+        raise ValueError("k must be positive")
     k = min(k, n)
     centers = [int(first)]
     dmin = metric.to_set(wps.points[first], wps.points)
@@ -208,7 +174,7 @@ def gonzalez(
         nxt = int(np.argmax(dmin))
         centers.append(nxt)
         dmin = np.minimum(dmin, metric.to_set(wps.points[nxt], wps.points))
-    radius = float(dmin.max()) if n else 0.0
+    radius = float(dmin.max())
     return GreedyResult(
         np.asarray(centers, dtype=int), radius, radius, np.zeros(n, dtype=bool)
     )
@@ -245,14 +211,78 @@ def _weight_feasible(rem: float, z: float) -> bool:
     return rem <= z + 1e-9 * max(1.0, float(z))
 
 
-def _disk_buffers(
-    D: np.ndarray, weights: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Scratch for :func:`_greedy_disks`: the boolean ball-membership mask
-    and its copy in the gain dtype, so the matvec hits BLAS without a
-    hidden bool->float promotion copy per pick."""
-    return (np.empty(D.shape, dtype=bool),
-            np.empty(D.shape, dtype=_gain_dtype(weights)))
+def _cutoffs(guess: float) -> "tuple[float, float]":
+    """The ``g``-ball and ``3g``-ball cutoffs of the decision at
+    ``guess``, each padded by the same small relative tolerance."""
+    tol = 1e-9 * max(1.0, guess)
+    return guess + tol, 3.0 * guess + tol
+
+
+def _pick_centers(source, k: int,
+                  stats: "dict | None") -> "tuple[list[int], np.ndarray]":
+    """The Charikar pick loop, over any gain source.
+
+    ``source.gain[v]`` is the uncovered weight within the guess of
+    ``v``.  Each pick takes its argmax ``v``, covers
+    ``source.cover(v, uncovered)`` (the still uncovered points within
+    ``3g`` of ``v``, ascending) and lets ``source.subtract(idx,
+    uncovered)`` take their weight out of the gains, ``uncovered``
+    already updated.  It stops after ``k`` picks or once nothing is
+    left uncovered, and counts one decision into ``stats``.
+
+    Returns ``(centers, uncovered_mask)``.  Nothing here depends on the
+    outlier budget ``z``: the caller tests the uncovered weight against
+    each budget (:func:`_weight_feasible`).
+    """
+    n = len(source.gain)
+    uncovered = np.ones(n, dtype=bool)
+    centers: list[int] = []
+    for _ in range(min(k, n)):
+        if not uncovered.any():
+            break
+        v = int(np.argmax(source.gain))
+        centers.append(v)
+        idx = source.cover(v, uncovered)
+        if idx.size:
+            uncovered[idx] = False
+            source.subtract(idx, uncovered)
+    if stats is not None:
+        stats["decisions"] += 1
+    return centers, uncovered
+
+
+class _BallMatrix:
+    """Pairwise gain source over a precomputed distance matrix ``D``.
+
+    ``Wg`` is the ball membership ``D <= cutoff`` stored in the gain
+    dtype (:func:`_gain_dtype`), so the matvecs hit BLAS without a
+    bool->float promotion per pick; comparisons stay in ``D``'s own
+    dtype.  It is allocated once and refilled by :meth:`seed` for each
+    guess, so a radius search reuses it.  One matvec seeds the gains and
+    a pick subtracts its newly covered columns.
+    """
+
+    def __init__(self, D: np.ndarray, weights: np.ndarray):
+        self.D = D
+        self.Wg = np.empty(D.shape, dtype=_gain_dtype(weights))
+        self.w = weights.astype(self.Wg.dtype)
+
+    def seed(self, guess: float) -> "_BallMatrix":
+        cutoff, self.limit3 = _cutoffs(guess)
+        np.less_equal(self.D, cutoff, out=self.Wg)
+        self.gain = self.Wg @ self.w
+        return self
+
+    def cover(self, v: int, uncovered: np.ndarray) -> np.ndarray:
+        return np.flatnonzero(uncovered & (self.D[v] <= self.limit3))
+
+    def subtract(self, idx: np.ndarray, uncovered: np.ndarray) -> None:
+        if 2 * idx.size > len(uncovered):
+            # a full matvec beats copying most of Wg's columns; the
+            # recomputed integer sum equals the incremental one exactly
+            self.gain = self.Wg @ (self.w * uncovered)
+        else:
+            self.gain -= self.Wg[:, idx] @ self.w[idx]
 
 
 def _greedy_disks(
@@ -260,53 +290,47 @@ def _greedy_disks(
     weights: np.ndarray,
     k: int,
     guess: float,
-    buffers: "tuple[np.ndarray, np.ndarray] | None" = None,
+    balls: "_BallMatrix | None" = None,
+    stats: "dict | None" = None,
 ) -> "tuple[list[int], np.ndarray]":
-    """Charikar decision procedure for radius ``guess`` on a precomputed
-    distance matrix ``D``, with incrementally maintained gains.
-    ``buffers`` (from :func:`_disk_buffers`) lets a radius search reuse
-    its ball-membership matrices across guesses.
+    """Charikar decision for radius ``guess`` on a precomputed distance
+    matrix ``D``: :func:`_pick_centers` over ``balls``, the
+    :class:`_BallMatrix` of ``D`` and ``weights`` (a radius search
+    passes one to reuse across guesses), seeded at ``guess``."""
+    if balls is None:
+        balls = _BallMatrix(D, weights)
+    return _pick_centers(balls.seed(guess), k, stats)
 
-    ``gain[v]`` is the uncovered weight inside ``B(v, guess)``.  It is
-    seeded with one matvec and then *updated* per pick — the weight of the
-    newly covered points is subtracted from every candidate whose ball
-    contains them — instead of the pre-refactor fresh ``O(n^2)`` matvec
-    per pick.  Integer weights make the incremental sums exact, so picks
-    (and therefore results) are bit-identical to the reference.
 
-    Returns ``(centers, uncovered_mask)`` where *uncovered* means not
-    within ``3 * guess`` of any chosen center.  Nothing here depends on
-    the outlier budget ``z``: the caller tests the uncovered weight
-    against each budget (:func:`_weight_feasible`).
-    """
-    n = len(weights)
-    tol = 1e-9 * max(1.0, guess)
-    uncovered = np.ones(n, dtype=bool)
-    centers: list[int] = []
-    limit3 = 3.0 * guess + tol
-    mask, Wg = buffers if buffers is not None else _disk_buffers(D, weights)
-    # comparisons against D stay in D's own dtype; only the gain
-    # accumulators may drop to float32 (see _gain_dtype)
-    w = weights.astype(Wg.dtype)
-    np.less_equal(D, guess + tol, out=mask)
-    np.copyto(Wg, mask, casting="unsafe")
-    gain = Wg @ w
-    for _ in range(min(k, n)):
-        if not uncovered.any():
-            break
-        v = int(np.argmax(gain))
-        centers.append(v)
-        newly = uncovered & (D[v] <= limit3)
-        idx = np.flatnonzero(newly)
-        if idx.size:
-            uncovered[idx] = False
-            if 2 * idx.size > n:
-                # a full matvec beats copying most of Wg's columns; the
-                # recomputed integer sum equals the incremental one exactly
-                gain = Wg @ (w * uncovered)
-            else:
-                gain -= Wg[:, idx] @ w[idx]
-    return centers, uncovered
+class _DenseChunks:
+    """Dense gain source without a full distance matrix: ball membership
+    is recomputed in chunks of :func:`auto_chunk` rows, against every
+    point to seed and against the newly covered points per pick —
+    ``O(n^2)`` distance evaluations per guess in all."""
+
+    def __init__(self, wps: WeightedPointSet, metric: Metric, guess: float):
+        self.pts, self.metric = wps.points, metric
+        self.w = wps.weights.astype(_gain_dtype(wps.weights))
+        self.cutoff, self.limit3 = _cutoffs(guess)
+        self.chunk = auto_chunk(len(self.pts))
+        self.gain = self._ball_weight(self.pts, self.w)
+
+    def _ball_weight(self, sub: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``(dist(p, sub) <= cutoff) @ w`` for every point ``p``."""
+        pts, chunk = self.pts, self.chunk
+        out = np.empty(len(pts), dtype=w.dtype)
+        for i0 in range(0, len(pts), chunk):
+            block = self.metric.pairwise(pts[i0 : i0 + chunk], sub)
+            out[i0 : i0 + len(block)] = \
+                (block <= self.cutoff).astype(w.dtype) @ w
+        return out
+
+    def cover(self, v: int, uncovered: np.ndarray) -> np.ndarray:
+        dv = self.metric.to_set(self.pts[v], self.pts)
+        return np.flatnonzero(uncovered & (dv <= self.limit3))
+
+    def subtract(self, idx: np.ndarray, uncovered: np.ndarray) -> None:
+        self.gain -= self._ball_weight(self.pts[idx], self.w[idx])
 
 
 def _geometric_decision(
@@ -314,44 +338,13 @@ def _geometric_decision(
     metric: Metric,
     k: int,
     guess: float,
+    stats: "dict | None" = None,
 ) -> "tuple[list[int], np.ndarray]":
-    """Charikar decision without a full distance matrix (chunked).
-
-    One chunked ball-membership pass seeds the gains; each pick then
-    subtracts the newly covered weight via an ``n x |newly|`` distance
-    block — ``O(n^2)`` distance evaluations per guess in total, versus the
-    pre-refactor ``O(k n^2)`` (a fresh full pass per pick).  Used when
+    """Charikar decision without a full distance matrix:
+    :func:`_pick_centers` over :class:`_DenseChunks`.  Used when
     ``n > PAIRWISE_LIMIT`` and the grid pruning of :func:`_grid_decision`
-    does not apply.
-    """
-    pts = wps.points
-    n = len(pts)
-    gdt = _gain_dtype(wps.weights)
-    w = wps.weights.astype(gdt)
-    tol = 1e-9 * max(1.0, guess)
-    chunk = auto_chunk(n)
-    uncovered = np.ones(n, dtype=bool)
-    centers: list[int] = []
-    gain = np.empty(n, dtype=gdt)
-    for i0 in range(0, n, chunk):
-        block = metric.pairwise(pts[i0 : i0 + chunk], pts)
-        gain[i0 : i0 + len(block)] = (block <= guess + tol).astype(gdt) @ w
-    limit3 = 3.0 * guess + tol
-    for _ in range(min(k, n)):
-        if not uncovered.any():
-            break
-        v = int(np.argmax(gain))
-        centers.append(v)
-        dv = metric.to_set(pts[v], pts)
-        idx = np.flatnonzero(uncovered & (dv <= limit3))
-        if idx.size:
-            uncovered[idx] = False
-            sub = pts[idx]
-            wi = w[idx]
-            for i0 in range(0, n, chunk):
-                block = metric.pairwise(pts[i0 : i0 + chunk], sub)
-                gain[i0 : i0 + len(block)] -= (block <= guess + tol).astype(gdt) @ wi
-    return centers, uncovered
+    does not apply."""
+    return _pick_centers(_DenseChunks(wps, metric, guess), k, stats)
 
 
 def _grid_for_guess(pts: np.ndarray, cutoff: float) -> "PointGrid | None":
@@ -367,149 +360,6 @@ def _grid_for_guess(pts: np.ndarray, cutoff: float) -> "PointGrid | None":
     return PointGrid.build(pts, cutoff_side(cutoff, pts), max_ring=3)
 
 
-def _cell_contribution(
-    pts: np.ndarray,
-    metric: Metric,
-    w64: np.ndarray,
-    cutoff: float,
-    rows: np.ndarray,
-    mem: np.ndarray,
-) -> np.ndarray:
-    """``(dist(rows, mem) <= cutoff) @ w64[mem]``: the weight of the
-    source points ``mem`` within ``cutoff`` of each candidate row.  One
-    rows x sources distance block, row-chunked so a giant cell (clustered
-    data) never materializes an unbounded block."""
-    rows_per = max(1, _GRID_PAIR_CHUNK // len(mem))
-    src, wm = pts[mem], w64[mem]
-    parts = [(metric.pairwise(pts[rows[r0 : r0 + rows_per]], src) <= cutoff)
-             @ wm for r0 in range(0, len(rows), rows_per)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _accumulate_cells(
-    grid: PointGrid,
-    pts: np.ndarray,
-    metric: Metric,
-    w64: np.ndarray,
-    cutoff: float,
-    gain: np.ndarray,
-    sign: float,
-    src_cells: np.ndarray,
-    src_starts: np.ndarray,
-    src_counts: np.ndarray,
-    src_members: np.ndarray,
-    ring: int,
-) -> None:
-    """Blocked per-cell scan: accumulate ``gain[i] += sign * w64[j]``
-    over every pair with ``j`` a *source* point, ``i`` any point in a
-    cell within Chebyshev ring ``ring`` of ``j``'s cell, and
-    ``dist(i, j) <= cutoff``.
-
-    Sources are given as cells (indices into ``grid.cell_codes``) with
-    their member point indices in ``src_members[src_starts[s] :
-    src_starts[s] + src_counts[s]]``.  The seed of a dense grid over the
-    row budget of :func:`_kept_seed` passes the grid's own cells; each
-    pick of such a grid, or of a streamed seed, passes its newly covered
-    points grouped by cell (:func:`_group_by_cell`).  One
-    :func:`_cell_contribution` block per source cell; neighbour cells
-    are matched a slice of sources at a time
-    (:meth:`PointGrid.neighborhoods`).
-    """
-    for lo, bounds, nbr in grid.neighborhoods(src_cells, ring):
-        for s in range(len(bounds) - 1):
-            rows = grid.points_in_cells(nbr[bounds[s] : bounds[s + 1]])
-            start = src_starts[lo + s]
-            mem = src_members[start : start + src_counts[lo + s]]
-            contrib = _cell_contribution(pts, metric, w64, cutoff, rows, mem)
-            if sign > 0:
-                gain[rows] += contrib
-            else:
-                gain[rows] -= contrib
-
-
-def _kept_seed(
-    grid: PointGrid,
-    pts: np.ndarray,
-    metric: Metric,
-    w64: np.ndarray,
-    cutoff: float,
-    ring: int,
-) -> "tuple[np.ndarray, tuple[np.ndarray, ...]] | None":
-    """Blocked seed of a dense grid that keeps what each cell computed:
-    ``(gain, kept)``.  Returns ``None``, before computing any distance,
-    when the cells' candidate rows total more than
-    :data:`_LIST_MAX_PAIRS`; the caller then seeds with
-    :func:`_accumulate_cells`.
-
-    ``kept = (ptr, rows, rem, left)``: cell ``c``'s candidate rows (the
-    points of its ring-``ring`` cells, as :func:`_accumulate_cells`
-    scans them) are ``rows[ptr[c]:ptr[c + 1]]`` and ``rem`` holds its
-    contribution ``(dist(rows, members) <= cutoff) @ w64[members]``
-    alongside; ``left[c]`` counts its members still uncovered.
-    :func:`_subtract_kept` spends both as the picks cover the cells.
-    """
-    matched, sizes, total = [], [], 0
-    for _, bounds, nbr in grid.neighborhoods(np.arange(grid.num_cells),
-                                             ring):
-        sizes.append(np.add.reduceat(grid.cell_counts[nbr], bounds[:-1]))
-        total += int(sizes[-1].sum())
-        if total > _LIST_MAX_PAIRS:
-            return None
-        matched.append(nbr)
-    ptr = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-    # a slice's neighbour cells, in source order, are its cells' rows
-    rows = np.concatenate([grid.points_in_cells(nbr) for nbr in matched])
-    rem = np.empty(total, dtype=np.float64)
-    for c in range(grid.num_cells):
-        a, b = ptr[c], ptr[c + 1]
-        start = grid.cell_starts[c]
-        rem[a:b] = _cell_contribution(
-            pts, metric, w64, cutoff, rows[a:b],
-            grid.order[start : start + grid.cell_counts[c]])
-    gain = np.bincount(rows, weights=rem, minlength=grid.n)
-    return gain, (ptr, rows, rem, grid.cell_counts.copy())
-
-
-def _subtract_kept(
-    grid: PointGrid,
-    pts: np.ndarray,
-    metric: Metric,
-    w64: np.ndarray,
-    cutoff: float,
-    gain: np.ndarray,
-    kept: "tuple[np.ndarray, ...]",
-    idx: np.ndarray,
-) -> None:
-    """One pick's update from :func:`_kept_seed`'s cells: subtract the
-    weight of the newly covered points ``idx`` from the gains.
-
-    A cell whose last uncovered members are covered (all of them at
-    once, or the rest after earlier picks) subtracts what is left of its
-    seed contribution, with no distance computed; all such cells go in
-    one ``bincount``.  Any other cell scans only its newly covered
-    members against its kept rows, with no neighbour lookup, and spends
-    the result from what it has left.  Integer weights make every kept,
-    spent and remaining contribution an exact float64 integer, so the
-    gains equal the rescans' bit for bit.
-    """
-    ptr, rows, rem, left = kept
-    cells, starts, counts, members = _group_by_cell(grid, idx)
-    left[cells] -= counts
-    done = left[cells] == 0
-    if done.any():
-        lo = ptr[cells[done]]
-        flat = _ranges(lo, ptr[cells[done] + 1] - lo)
-        gain -= np.bincount(rows[flat], weights=rem[flat],
-                            minlength=len(gain))
-    for s in np.flatnonzero(~done):
-        a, b = ptr[cells[s]], ptr[cells[s] + 1]
-        mem = members[starts[s] : starts[s] + counts[s]]
-        contrib = _cell_contribution(pts, metric, w64, cutoff, rows[a:b],
-                                     mem)
-        gain[rows[a:b]] -= contrib
-        rem[a:b] -= contrib
-
-
 def _ranges(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     """The concatenated index ranges ``lo[t] : lo[t] + cnt[t]``."""
     return np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) \
@@ -520,7 +370,7 @@ def _group_by_cell(
     grid: PointGrid, idx: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """Group point indices by their grid cell: ``(cells, starts, counts,
-    members)`` in the source format :func:`_accumulate_cells` takes."""
+    members)`` in the source format :meth:`_GridCells._scan` takes."""
     cells_of = grid.point_cell[idx]
     by_cell = np.argsort(cells_of, kind="stable")
     members = idx[by_cell]
@@ -532,6 +382,190 @@ def _group_by_cell(
     cells = sorted_cells[starts]
     counts = np.diff(np.append(starts, len(idx)))
     return cells, starts, counts, members
+
+
+class _GridSource:
+    """What the gain sources of one grid decision share: its grid,
+    points, metric, float64 weights and cutoffs, held once, and the
+    grid's ``3g`` coverage query."""
+
+    def __init__(self, grid: PointGrid, wps: WeightedPointSet,
+                 metric: Metric, guess: float):
+        self.grid, self.pts, self.metric = grid, wps.points, metric
+        self.w64 = wps.weights.astype(np.float64)
+        self.cutoff, self.limit3 = _cutoffs(guess)
+
+    def cover(self, v: int, uncovered: np.ndarray) -> np.ndarray:
+        cand = self.grid.query_point(v, self.limit3)
+        dv = self.metric.to_set(self.pts[v], self.pts[cand])
+        return np.sort(cand[uncovered[cand] & (dv <= self.limit3)])
+
+
+class _NeighbourLists(_GridSource):
+    """CSR gain source: every within-cutoff pair as the neighbour lists
+    ``(ptr, nbrs, row_of)`` of :func:`neighbour_lists`.  One
+    ``bincount`` lands each point's weight on every point of its list to
+    seed the gains, and a pick subtracts one ``bincount`` over its newly
+    covered points' lists.  That reads pick ``v``'s contribution to
+    candidate ``i`` off ``v``'s own list: the built-in norms are
+    bit-symmetric, so ``d(v, i) == d(i, v)``."""
+
+    def __init__(self, grid: PointGrid, wps: WeightedPointSet,
+                 metric: Metric, guess: float,
+                 lists: "tuple[np.ndarray, np.ndarray, np.ndarray]"):
+        super().__init__(grid, wps, metric, guess)
+        self.ptr, self.nbrs, self.row_of = lists
+        self.gain = np.bincount(
+            self.nbrs,
+            weights=np.repeat(self.w64[grid.order], np.diff(self.ptr)),
+            minlength=grid.n,
+        )
+
+    def subtract(self, idx: np.ndarray, uncovered: np.ndarray) -> None:
+        rows = self.row_of[idx]
+        lo = self.ptr[rows]
+        cnt = self.ptr[rows + 1] - lo
+        self.gain -= np.bincount(
+            self.nbrs[_ranges(lo, cnt)], weights=np.repeat(self.w64[idx], cnt),
+            minlength=len(self.gain),
+        )
+
+
+class _GridCells(_GridSource):
+    """Cell gain source: one rows x members distance block per source
+    cell (:meth:`_contribution`), its rows the points of the cells
+    within Chebyshev ring ``ring`` of it.
+
+    ``within`` (a sparse grid's streamed pair blocks from
+    :func:`_within_cutoff`) seeds the gains one ``bincount`` per block,
+    each block dropped before the next.  Without it the seed runs cell
+    by cell: it keeps each cell's rows and contribution when the rows
+    total at most :data:`_LIST_MAX_PAIRS` (:meth:`_keep_cells`), and the
+    picks spend those (:meth:`_subtract_kept`).  Otherwise it keeps
+    nothing and every pick rescans its newly covered points cell by cell
+    (:meth:`_scan`).
+    """
+
+    def __init__(self, grid: PointGrid, wps: WeightedPointSet,
+                 metric: Metric, guess: float, within=None):
+        super().__init__(grid, wps, metric, guess)
+        self.ring = grid.ring(self.cutoff)
+        self.kept = None
+        if within is not None:
+            self.gain = np.empty(grid.n, dtype=np.float64)
+            for p0, p1, at, j in within:
+                self.gain[grid.order[p0:p1]] = np.bincount(
+                    at, weights=self.w64[j], minlength=p1 - p0
+                )
+        elif not self._keep_cells():
+            self.gain = np.zeros(grid.n, dtype=np.float64)
+            self._scan(1.0, np.arange(grid.num_cells), grid.cell_starts,
+                       grid.cell_counts, grid.order)
+
+    def subtract(self, idx: np.ndarray, uncovered: np.ndarray) -> None:
+        if self.kept is not None:
+            self._subtract_kept(idx)
+        else:
+            self._scan(-1.0, *_group_by_cell(self.grid, idx))
+
+    def _contribution(self, rows: np.ndarray, mem: np.ndarray) -> np.ndarray:
+        """``(dist(rows, mem) <= cutoff) @ w64[mem]``: the weight of the
+        source points ``mem`` within the cutoff of each candidate row.
+        Row-chunked to :data:`_GRID_PAIR_CHUNK` pairs, so a giant cell
+        (clustered data) never materializes an unbounded block."""
+        rows_per = max(1, _GRID_PAIR_CHUNK // len(mem))
+        pts = self.pts
+        src, wm = pts[mem], self.w64[mem]
+        parts = [(self.metric.pairwise(pts[rows[r0 : r0 + rows_per]], src)
+                  <= self.cutoff) @ wm
+                 for r0 in range(0, len(rows), rows_per)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _scan(self, sign: float, src_cells: np.ndarray,
+              src_starts: np.ndarray, src_counts: np.ndarray,
+              src_members: np.ndarray) -> None:
+        """Blocked per-cell scan: ``gain[i] += sign * w64[j]`` over every
+        pair with ``j`` a source point, ``i`` any point of a cell within
+        the ring of ``j``'s cell, and ``dist(i, j) <= cutoff``.
+
+        Sources are cells (indices into ``grid.cell_codes``) with their
+        members ``src_members[src_starts[s] : src_starts[s] +
+        src_counts[s]]``: the grid's own cells for a seed, a pick's newly
+        covered points grouped by cell (:func:`_group_by_cell`) for a
+        rescan.  Neighbour cells are matched a slice of sources at a
+        time (:meth:`PointGrid.neighborhoods`)."""
+        grid, gain = self.grid, self.gain
+        for lo, bounds, nbr in grid.neighborhoods(src_cells, self.ring):
+            for s in range(len(bounds) - 1):
+                rows = grid.points_in_cells(nbr[bounds[s] : bounds[s + 1]])
+                start = src_starts[lo + s]
+                mem = src_members[start : start + src_counts[lo + s]]
+                contrib = self._contribution(rows, mem)
+                if sign > 0:
+                    gain[rows] += contrib
+                else:
+                    gain[rows] -= contrib
+
+    def _keep_cells(self) -> bool:
+        """Seed cell by cell and keep what each cell computed, or return
+        ``False``, before computing any distance, when the cells'
+        candidate rows total more than :data:`_LIST_MAX_PAIRS`.
+
+        ``kept = (ptr, rows, rem, left)``: cell ``c``'s candidate rows
+        (what :meth:`_scan` would scan for it) are ``rows[ptr[c]:ptr[c +
+        1]]``, ``rem`` holds its contribution alongside, and ``left[c]``
+        counts its members still uncovered."""
+        grid = self.grid
+        matched, sizes, total = [], [], 0
+        for _, bounds, nbr in grid.neighborhoods(np.arange(grid.num_cells),
+                                                 self.ring):
+            sizes.append(np.add.reduceat(grid.cell_counts[nbr], bounds[:-1]))
+            total += int(sizes[-1].sum())
+            if total > _LIST_MAX_PAIRS:
+                return False
+            matched.append(nbr)
+        ptr = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+        # a slice's neighbour cells, in source order, are its cells' rows
+        rows = np.concatenate([grid.points_in_cells(nbr) for nbr in matched])
+        rem = np.empty(total, dtype=np.float64)
+        for c in range(grid.num_cells):
+            a, b = ptr[c], ptr[c + 1]
+            start = grid.cell_starts[c]
+            rem[a:b] = self._contribution(
+                rows[a:b], grid.order[start : start + grid.cell_counts[c]])
+        self.gain = np.bincount(rows, weights=rem, minlength=grid.n)
+        self.kept = (ptr, rows, rem, grid.cell_counts.copy())
+        return True
+
+    def _subtract_kept(self, idx: np.ndarray) -> None:
+        """One pick's update from the kept cells: subtract the weight of
+        the newly covered points ``idx`` from the gains.
+
+        A cell whose last uncovered members are covered (all of them at
+        once, or the rest after earlier picks) subtracts what is left of
+        its seed contribution, with no distance computed; all such cells
+        go in one ``bincount``.  Any other cell scans only its newly
+        covered members against its kept rows, with no neighbour lookup,
+        and spends the result from what it has left.  Integer weights
+        make every kept, spent and remaining contribution an exact
+        float64 integer, so the gains equal the rescans' bit for bit.
+        """
+        ptr, rows, rem, left = self.kept
+        gain = self.gain
+        cells, starts, counts, members = _group_by_cell(self.grid, idx)
+        left[cells] -= counts
+        done = left[cells] == 0
+        if done.any():
+            lo = ptr[cells[done]]
+            flat = _ranges(lo, ptr[cells[done] + 1] - lo)
+            gain -= np.bincount(rows[flat], weights=rem[flat],
+                                minlength=len(gain))
+        for s in np.flatnonzero(~done):
+            a, b = ptr[cells[s]], ptr[cells[s] + 1]
+            mem = members[starts[s] : starts[s] + counts[s]]
+            contrib = self._contribution(rows[a:b], mem)
+            gain[rows[a:b]] -= contrib
+            rem[a:b] -= contrib
 
 
 def _within_cutoff(blocks, pts: np.ndarray, kind: str, cutoff: float):
@@ -605,107 +639,40 @@ def _grid_decision(
     weights, at ``O(pairs-in-nearby-cells)`` distance evaluations per
     guess instead of ``O(n^2)``.
 
-    The grid's density picks how the gains are kept (same pairs compared
-    either way).  A *sparse* grid — at most :data:`_LIST_PAIRS_PER_CELL`
-    candidate pairs per cell — expands its pairs through
-    :meth:`PointGrid.candidate_pairs`: if they fit
-    :data:`_LIST_MAX_PAIRS` they become neighbour lists (one ``bincount``
-    seeds the gains, each pick subtracts one ``bincount`` over the newly
-    covered points' lists); otherwise the streamed blocks seed the gains
-    (one :func:`pair_distances` pass and one ``bincount`` per block) and
-    the picks scan cells.  A *dense* grid seeds one distance block per
-    cell.  If the cells' candidate rows fit :data:`_LIST_MAX_PAIRS`, the
-    seed keeps them with each cell's contribution (:func:`_kept_seed`)
-    and the picks subtract from those (:func:`_subtract_kept`): cells a
-    pick covers to the last member cost no distance, and the others scan
-    only their newly covered members against their kept rows.  Over the
-    budget the seed keeps nothing and the picks rescan their newly
-    covered points cell by cell (:func:`_accumulate_cells`).
+    The grid's density picks the gain source for :func:`_pick_centers`.
+    A *sparse* grid — at most :data:`_LIST_PAIRS_PER_CELL` candidate
+    pairs per cell — expands its pairs through
+    :meth:`PointGrid.candidate_pairs`: into :class:`_NeighbourLists` if
+    they fit :data:`_LIST_MAX_PAIRS` (counted in
+    ``stats["list_decisions"]``), else as the streamed seed of
+    :class:`_GridCells`.  A *dense* grid seeds :class:`_GridCells` cell
+    by cell.
 
-    Exactness: candidate supersets from the grid are sound at whatever
-    cell side it has (:meth:`PointGrid.ring` picks the ring the cutoff
-    needs), every surviving pair is re-evaluated with float64 distances
-    bit-identical to the dense path's cdist entries, and
-    integer weights make every accumulated gain an exact float64 integer
-    in any summation order — so each argmax pick matches the dense pick,
-    including tie-breaks.  The same holds for the kept contributions: a
-    cell's kept rows are exactly the ones its rescan would scan, and what
-    it has left is an exact integer too.  The list path reads pick
-    ``v``'s contribution to candidate ``i`` off ``v``'s own list: the
-    built-in norms are bit-symmetric, so ``d(v, i) == d(i, v)``.
+    Exactness: the grid's candidate supersets are sound at any cell side
+    (:meth:`PointGrid.ring` picks the ring the cutoff needs), every
+    surviving pair is re-evaluated with float64 distances bit-identical
+    to the dense path's cdist entries, and integer weights make every
+    gain, kept or spent contribution an exact float64 integer in any
+    summation order — so each pick matches the dense pick, tie-breaks
+    included.
     """
-    pts = wps.points
-    n = len(pts)
-    w64 = wps.weights.astype(np.float64)
-    tol = 1e-9 * max(1.0, guess)
-    cutoff = guess + tol
-    limit3 = 3.0 * guess + tol
-    ring = grid.ring(cutoff)
+    cutoff = _cutoffs(guess)[0]
     pairs = grid.candidate_pairs(
         cutoff, _LIST_PAIRS_PER_CELL * grid.num_cells, _LIST_BLOCK_PAIRS
     )
-    lists = kept = None
     if pairs is None:
-        seeded = _kept_seed(grid, pts, metric, w64, cutoff, ring)
-        if seeded is not None:
-            gain, kept = seeded
-        else:
-            gain = np.zeros(n, dtype=np.float64)
-            _accumulate_cells(
-                grid, pts, metric, w64, cutoff, gain, 1.0,
-                np.arange(grid.num_cells), grid.cell_starts,
-                grid.cell_counts, grid.order, ring,
-            )
+        source = _GridCells(grid, wps, metric, guess)
     else:
         total, blocks = pairs
-        within = _within_cutoff(blocks, pts, metric.name, cutoff)
+        within = _within_cutoff(blocks, wps.points, metric.name, cutoff)
         if total <= _LIST_MAX_PAIRS:
-            ptr, nbrs, row_of = lists = _lists_of(grid, within)
-            # each point's weight lands on every point of its list
-            gain = np.bincount(
-                nbrs, weights=np.repeat(w64[grid.order], np.diff(ptr)),
-                minlength=n,
-            )
+            source = _NeighbourLists(grid, wps, metric, guess,
+                                     _lists_of(grid, within))
+            if stats is not None:
+                stats["list_decisions"] += 1
         else:
-            gain = np.empty(n, dtype=np.float64)
-            for p0, p1, at, j in within:
-                gain[grid.order[p0:p1]] = np.bincount(
-                    at, weights=w64[j], minlength=p1 - p0
-                )
-    if stats is not None:
-        stats["decisions"] += 1
-        if lists is not None:
-            stats["list_decisions"] += 1
-    uncovered = np.ones(n, dtype=bool)
-    centers: list[int] = []
-    for _ in range(min(k, n)):
-        if not uncovered.any():
-            break
-        v = int(np.argmax(gain))
-        centers.append(v)
-        cand = grid.query_point(v, limit3)
-        dv = metric.to_set(pts[v], pts[cand])
-        idx = np.sort(cand[uncovered[cand] & (dv <= limit3)])
-        if idx.size:
-            uncovered[idx] = False
-            if lists is not None:
-                # the newly covered points' lists, concatenated
-                rows = row_of[idx]
-                lo = ptr[rows]
-                cnt = ptr[rows + 1] - lo
-                gain -= np.bincount(
-                    nbrs[_ranges(lo, cnt)], weights=np.repeat(w64[idx], cnt),
-                    minlength=n,
-                )
-            elif kept is not None:
-                _subtract_kept(grid, pts, metric, w64, cutoff, gain, kept,
-                               idx)
-            else:
-                _accumulate_cells(
-                    grid, pts, metric, w64, cutoff, gain, -1.0,
-                    *_group_by_cell(grid, idx), ring,
-                )
-    return centers, uncovered
+            source = _GridCells(grid, wps, metric, guess, within)
+    return _pick_centers(source, k, stats)
 
 
 def charikar_greedy(
@@ -750,16 +717,11 @@ def charikar_greedy(
     budgets and unsorted sequences raise :class:`ValueError`, as does a
     ``tol`` that is not finite and positive.
 
-    Every distance is exact float64 (:mod:`repro.kernels`).  The
-    pairwise search computes its distance matrix once per call and
-    reuses it, with its ball-membership buffers, across every guess.
-
-    The geometric search prunes its candidate scans with a grid whenever
-    that is exact — a built-in norm in dimension <= 4 with integer
-    weights totalling under ``2**53`` — and runs the dense chunked path
-    otherwise.  Pruned decisions evaluate exactly the distances the dense
-    path compares, so pruned results are bit-identical to it.
-    :attr:`GreedyResult.path` records what ran.
+    The pairwise search computes its distance matrix once per call.  The
+    geometric search prunes its scans with a grid whenever that is exact
+    — a built-in norm in dimension <= 4 with integer weights totalling
+    under ``2**53`` — and runs the dense chunked path otherwise, with
+    bit-identical results.  :attr:`GreedyResult.path` records what ran.
 
     Degenerate cases: if the total weight is at most ``z`` (everything can
     be an outlier) or ``k >= n``, the radius is ``0``.
@@ -808,24 +770,23 @@ def charikar_greedy(
     if n <= pairwise_limit:
         paths_used.add("pairwise")
         # ONE distance matrix for the whole call; every guess below reuses
-        # it (plus the mask/membership buffers).
+        # it and its ball-membership matrix
         D = metric.pairwise(wps.points, wps.points)
-        buffers = _disk_buffers(D, wps.weights)
+        balls = _BallMatrix(D, wps.weights)
 
         def decide(g):
-            return _greedy_disks(D, wps.weights, k, g, buffers)
+            return _greedy_disks(D, wps.weights, k, g, balls, stats)
     else:
 
         def decide(g):
             if grid_ok:
-                grid = _grid_for_guess(wps.points, g + 1e-9 * max(1.0, g))
+                grid = _grid_for_guess(wps.points, _cutoffs(g)[0])
                 if grid is not None:
                     stats["grid_builds"] += 1
                     paths_used.add("grid")
-                    return _grid_decision(wps, metric, k, g, grid,
-                                          stats=stats)
+                    return _grid_decision(wps, metric, k, g, grid, stats)
             paths_used.add("dense")
-            return _geometric_decision(wps, metric, k, g)
+            return _geometric_decision(wps, metric, k, g, stats)
 
     # every positive guess's decision, shared by all budgets: the picks
     # and the uncovered weight they leave (one float, not an n-byte mask)

@@ -491,9 +491,8 @@ class ReproServer:
             ("backend",), buckets=DEFAULT_BUCKETS)
         self.counter_grid_levels = reg.counter(
             "repro_serve_greedy_grid_levels_total",
-            "Per-guess grids built by pruned radius searches (kind is "
-            "always direct).",
-            ("backend", "kind"))
+            "Per-guess grids built by pruned radius searches.",
+            ("backend",))
         self.gauge_up = reg.gauge(
             "repro_serve_ready",
             "1 when the server is accepting traffic, else 0.")
@@ -522,8 +521,7 @@ class ReproServer:
         """Record a pruned radius search's per-guess grid builds."""
         v = int(greedy_stats.get("grid_builds", 0) or 0)
         if v:
-            self.counter_grid_levels.labels(
-                backend=backend, kind="direct").inc(v)
+            self.counter_grid_levels.labels(backend=backend).inc(v)
 
     def render_metrics(self) -> str:
         """The current scrape body."""

@@ -337,7 +337,7 @@ def solution_to_wire(sol) -> dict:
     if "greedy_path" in sol.stats:
         out["greedy_path"] = sol.stats["greedy_path"]
     if "greedy_stats" in sol.stats:
-        # grid_builds / decisions breakdown of the grid-pruned radius
-        # search (already JSON-safe ints)
+        # the radius search's decision counts and grid builds (already
+        # JSON-safe ints)
         out["greedy_stats"] = dict(sol.stats["greedy_stats"])
     return out

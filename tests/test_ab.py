@@ -232,14 +232,27 @@ def test_extra_summary_is_report_only():
 
 
 def test_main_alternates_an_extra_between_the_trees(tmp_path, monkeypatch):
-    # only the extra runs when no workload is named; the parent tree is
-    # left empty, so a marker file tells the change's root from it
+    # only the extra runs when no workload is named; the parent tree
+    # holds only perfbench's runner, so a marker file tells the change's
+    # root from it, and its empty src/ hashes apart from the change's
+    with open(os.path.join(_ROOT, "perfbench", "run.py")) as fh:
+        runner = fh.read()
+
+    def export(rev, dest):
+        os.makedirs(os.path.join(dest, "perfbench"))
+        with open(os.path.join(dest, "perfbench", "run.py"), "w") as fh:
+            fh.write(runner)
+        return "c0ffee"
+
     change = tmp_path / "change"
     change.mkdir()
     (change / "ab-marker").write_text("")
     (change / "BENCHMARK.json").write_text(json.dumps(BENCH))
+    export("HEAD", str(change))
+    (change / "src" / "repro").mkdir(parents=True)
+    (change / "src" / "repro" / "__init__.py").write_text("")
     monkeypatch.setattr(ab, "ROOT", str(change))
-    monkeypatch.setattr(ab, "export", lambda rev, dest: "c0ffee")
+    monkeypatch.setattr(ab, "export", export)
     monkeypatch.setattr(ab, "_git", lambda *args: "f00")
     cmd = ("python -c \"import json, os; print(json.dumps("
            "{'change': int(os.path.exists('ab-marker'))}))\"")
@@ -255,6 +268,10 @@ def test_main_alternates_an_extra_between_the_trees(tmp_path, monkeypatch):
     row = doc["summary"]["probe"]["change"]
     assert (row["parent_median"], row["change_median"]) == (0.0, 1.0)
     assert set(doc["summary"]) == {"probe"}
+    # no runner line: each side's hash comes from its own tree
+    shas = [doc[side]["source_sha256"] for side in ("parent", "change")]
+    assert None not in shas and shas[0] != shas[1]
+    assert shas[1] == ab.source_sha256(str(change))
 
 
 @pytest.mark.parametrize("specs", [["noequals"], ["=true"], ["name="],

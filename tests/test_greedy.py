@@ -32,6 +32,14 @@ class TestGonzalez:
         res = gonzalez(WeightedPointSet.empty(2), 3)
         assert res.radius == 0.0 and len(res.centers_idx) == 0
 
+    def test_nonpositive_k_rejected(self):
+        # a non-empty input has no k <= 0 answer: raise, as
+        # charikar_greedy does, instead of returning one center
+        P = WeightedPointSet.from_points(np.arange(10.0).reshape(-1, 1))
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="k must be positive"):
+                gonzalez(P, k)
+
     def test_deterministic_given_first(self, small_set):
         a = gonzalez(small_set, 3, first=0)
         b = gonzalez(small_set, 3, first=0)

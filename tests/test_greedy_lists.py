@@ -18,6 +18,7 @@ to force each side.
 
 import tracemalloc
 from collections import Counter
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -40,12 +41,13 @@ from repro.core.greedy import (
     _geometric_decision,
     _grid_decision,
     _grid_for_guess,
-    _subtract_kept,
     neighbour_lists,
 )
 from repro.core.metrics import get_metric
 from repro.kernels import pairwise_kernel
 from test_greedy_pruned import _assert_same_result
+
+_subtract_kept = greedy_mod._GridCells._subtract_kept
 
 METRICS = ("euclidean", "chebyshev", "manhattan")
 #: per-cell crossovers that force the blocked path (0), the list path
@@ -254,7 +256,8 @@ def _kept_rows(grid, g):
 
 
 class _PickSpy:
-    """Wraps :func:`_subtract_kept` and sorts each pick's source cells:
+    """Wraps :meth:`_GridCells._subtract_kept` (patched onto the class,
+    so it binds like the method) and sorts each pick's source cells:
     ``whole`` (every member covered by this pick), ``completing`` (the
     last uncovered members, after earlier picks) or ``partial``.
 
@@ -266,7 +269,11 @@ class _PickSpy:
         self.kinds = Counter()
         self._kept = None
 
-    def __call__(self, grid, pts, metric, w64, cutoff, gain, kept, idx):
+    def __get__(self, source, owner=None):
+        return self if source is None else partial(self, source)
+
+    def __call__(self, source, idx):
+        grid, pts, kept = source.grid, source.pts, source.kept
         left = kept[3]
         cells, counts = np.unique(grid.point_cell[idx], return_counts=True)
         size = grid.cell_counts[cells]
@@ -277,9 +284,11 @@ class _PickSpy:
         if kept is not self._kept:  # a new decision
             self._kept, self._uncovered = kept, np.ones(len(pts), dtype=bool)
         self._uncovered[idx] = False
-        _subtract_kept(grid, pts, metric, w64, cutoff, gain, kept, idx)
-        within = pairwise_kernel(metric.name, pts, pts) <= cutoff
-        np.testing.assert_array_equal(gain, within @ (w64 * self._uncovered))
+        _subtract_kept(source, idx)
+        within = pairwise_kernel(source.metric.name, pts, pts) \
+            <= source.cutoff
+        np.testing.assert_array_equal(
+            source.gain, within @ (source.w64 * self._uncovered))
 
 
 def _layout(kind, rng, n, d):
@@ -325,7 +334,8 @@ def test_kept_seed_search_matches_reference_and_rescans(kind, seed, n, d, z,
     k = {"clusters": max(2, n // 40), "uniform": 12, "spread": 2}[kind]
     spy = _PickSpy()
     with mock.patch.multiple(greedy_mod, _LIST_PAIRS_PER_CELL=FORCE_BLOCKED,
-                             _GRID_PAIR_CHUNK=64, _subtract_kept=spy):
+                             _GRID_PAIR_CHUNK=64), \
+            mock.patch.object(greedy_mod._GridCells, "_subtract_kept", spy):
         kept = charikar_greedy(P, k, z, metric, pairwise_limit=8)
         with mock.patch.object(greedy_mod, "_LIST_MAX_PAIRS", 0):
             rescanned = charikar_greedy(P, k, z, metric, pairwise_limit=8)
@@ -346,7 +356,7 @@ class TestKeptSeed:
         met = get_metric(metric)
         g = 0.5
         spy = _PickSpy()
-        with mock.patch.object(greedy_mod, "_subtract_kept", spy):
+        with mock.patch.object(greedy_mod._GridCells, "_subtract_kept", spy):
             kept, _ = _decide(P, met, 30, g, FORCE_BLOCKED)
         assert spy.kinds["whole"] > 0
         assert spy.kinds["completing"] > 0
@@ -376,7 +386,8 @@ class TestKeptSeed:
 
         spy = _PickSpy()
         with mock.patch.object(metrics_mod, "pairwise_kernel", counted), \
-                mock.patch.object(greedy_mod, "_subtract_kept", spy):
+                mock.patch.object(greedy_mod._GridCells, "_subtract_kept",
+                                  spy):
             centers, uncovered = _decide(P, met, 6, g, FORCE_BLOCKED)[0]
         assert len(centers) == 6 and not uncovered.any()
         assert spy.kinds["whole"] == grid.num_cells
@@ -397,8 +408,9 @@ class TestKeptSeed:
         out = {}
         for budget in (rows, rows - 1):
             spy = _PickSpy()
-            with mock.patch.multiple(greedy_mod, _LIST_MAX_PAIRS=budget,
-                                     _subtract_kept=spy):
+            with mock.patch.object(greedy_mod, "_LIST_MAX_PAIRS", budget), \
+                    mock.patch.object(greedy_mod._GridCells,
+                                      "_subtract_kept", spy):
                 out[budget] = _decide(P, met, 12, g, FORCE_BLOCKED)[0]
             assert (sum(spy.kinds.values()) > 0) == (budget == rows)
         _assert_same_decision(out[rows], out[rows - 1])

@@ -9,6 +9,7 @@ and to the frozen :func:`charikar_greedy_reference`, that no guess is
 decided twice, and that bad budgets fail closed.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,8 @@ from test_greedy_lists import _stratified
 METRICS = ("euclidean", "chebyshev", "manhattan")
 #: the Algorithm 2 round-1 budgets 2^j - 1 of an mpc-two-round machine
 MPC_BUDGETS = [0, 1, 3, 7, 15, 31]
+#: the decision entry points perfbench's tracer times as one span each
+ENTRIES = ("_greedy_disks", "_geometric_decision", "_grid_decision")
 
 
 def _assert_same(a, b):
@@ -46,6 +49,34 @@ class _FractionalPoints:
 
     def __len__(self):
         return len(self.points)
+
+
+@contextmanager
+def _recorded_entries():
+    """Patch every decision entry point to record the guess (its fourth
+    positional argument) of each call: ``{name: [guess, ...]}``."""
+    calls = {name: [] for name in ENTRIES}
+
+    def recorder(name):
+        real = getattr(greedy_mod, name)
+
+        def record(*args, **kwargs):
+            calls[name].append(args[3])
+            return real(*args, **kwargs)
+        return record
+
+    with mock.patch.multiple(greedy_mod,
+                             **{name: recorder(name) for name in ENTRIES}):
+        yield calls
+
+
+def _assert_one_entry_per_decision(calls, res, name):
+    """Every decision entered ``name``, once per distinct guess, and no
+    entry point ran nested inside another."""
+    probed = calls[name]
+    assert len(probed) == len(set(probed))
+    assert res.stats["decisions"] == len(probed) \
+        == sum(len(c) for c in calls.values())
 
 
 def _mpc_machine() -> WeightedPointSet:
@@ -147,9 +178,11 @@ class TestSharedDecisions:
         with mock.patch.object(greedy_mod, "_grid_decision", record):
             per_z = [charikar_greedy(P, 8, z) for z in MPC_BUDGETS]
         made, distinct = len(probed), len(set(probed))
-        vec = charikar_greedy(P, 8, MPC_BUDGETS)
+        with _recorded_entries() as calls:
+            vec = charikar_greedy(P, 8, MPC_BUDGETS)
         assert vec[0].path == "grid"
         assert vec[0].stats["decisions"] == distinct == 13
+        _assert_one_entry_per_decision(calls, vec[0], "_grid_decision")
         assert made > 3 * distinct
         for a, b in zip(vec, per_z):
             _assert_same(a, b)
@@ -167,19 +200,23 @@ class TestSharedDecisions:
     def test_pairwise_budgets_share_the_candidate_decisions(self, rng):
         P = WeightedPointSet(rng.uniform(0, 10, size=(300, 2)),
                              rng.integers(1, 4, 300))
-        calls = []
-        real = greedy_mod._greedy_disks
-
-        def record(D, weights, k, guess, *args):
-            calls.append(guess)
-            return real(D, weights, k, guess, *args)
-
-        with mock.patch.object(greedy_mod, "_greedy_disks", record):
+        with _recorded_entries() as calls:
             vec = charikar_greedy(P, 4, MPC_BUDGETS)
         assert vec[0].path == "pairwise"
-        assert len(calls) == len(set(calls))
+        _assert_one_entry_per_decision(calls, vec[0], "_greedy_disks")
         for z, res in zip(MPC_BUDGETS, vec):
             _assert_same(res, charikar_greedy(P, 4, z))
+
+    def test_dense_budgets_share_the_ladder_decisions(self, rng):
+        # d = 6 is past the grid's dimension gate: the chunked dense path
+        P = WeightedPointSet(rng.uniform(0, 10, size=(300, 6)),
+                             rng.integers(1, 4, 300))
+        with _recorded_entries() as calls:
+            vec = charikar_greedy(P, 4, MPC_BUDGETS, pairwise_limit=8)
+        assert vec[0].path == "dense"
+        _assert_one_entry_per_decision(calls, vec[0], "_geometric_decision")
+        for z, res in zip(MPC_BUDGETS, vec):
+            _assert_same(res, charikar_greedy(P, 4, z, pairwise_limit=8))
 
 
 # ---------------------------------------------------------------------------

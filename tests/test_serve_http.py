@@ -290,6 +290,28 @@ class TestMetricsEndpoint:
                  and s[1]["backend"] == "insertion-only"]
         assert khist and float(khist[0][2]) == 1
 
+    def test_grid_builds_counter_follows_greedy_stats(self, server, client):
+        # over 2048 coreset points a greedy3 solve takes the grid-pruned
+        # search: the counter rises by the grids that solve built, under
+        # its backend label alone
+        _create(client, "big")
+        pts = np.random.default_rng(0).uniform(0, 100, (3000, 2))
+        _req(client, "POST", "/sessions/big/extend", {"points": pts.tolist()})
+        status, doc, _ = _req(client, "GET",
+                              "/sessions/big/solve?method=greedy3")
+        assert status == 200 and doc["coreset_size"] > 2048
+        assert doc["greedy_path"] == "grid"
+        builds = doc["greedy_stats"]["grid_builds"]
+        assert builds > 0
+        assert server.counter_grid_levels.value(
+            backend="insertion-only") == builds
+        _, body, _ = _req(client, "GET", "/metrics")
+        fam = parse_prometheus(body.decode())[
+            "repro_serve_greedy_grid_levels_total"]
+        assert fam["samples"] == [("repro_serve_greedy_grid_levels_total",
+                                   {"backend": "insertion-only"},
+                                   str(builds))]
+
     def test_session_gauges_are_removed_on_drop(self, server, client):
         _create(client, "a")
         _req(client, "POST", "/sessions/a/extend",
