@@ -5,6 +5,7 @@ Algorithm 3's extend takes, in one process.
     PYTHONPATH=src python benchmarks/first_fit_inputs.py drifting
     PYTHONPATH=src python benchmarks/first_fit_inputs.py density
     PYTHONPATH=src python benchmarks/first_fit_inputs.py index-threshold
+    PYTHONPATH=src python benchmarks/first_fit_inputs.py dense-openers
 
 Prints one JSON line.
 
@@ -30,7 +31,22 @@ Prints one JSON line.
   index is already built; ``same`` says whether both paths left the
   same representatives and weights.
 
-``line`` and ``drifting`` use public entry points only, so the same
+* ``dense-openers``: Algorithm 3 chunks that take the dense block and
+  open representatives: ``serve32`` extends 8,192 points of
+  :func:`cluster_stream` 32 rows at a time (``eps=1``,
+  ``size_cap=256``, as a serve tenant does), ``rows1`` the first 2,048
+  of them one row at a time, and ``d5`` 16,384 points of 8 clusters in
+  ``R^5`` in one extend, so every chunk is 256 rows against ``P*``
+  (``eps=0.5``, ``size_cap=1024``).  ``calls_3000``, ``calls_256`` and
+  ``calls_32`` count the distance evaluations of a
+  :class:`~repro.core.metrics.CallableMetric` over 3,000 points of the
+  2-D stream (``size_cap=64``) extended that many rows at a time.  The
+  line is a flat JSON object of numbers (``benchmarks/ab.py --extra``
+  reads it): each timed case's per-repetition seconds ``<case>_s<i>``
+  and their minimum, and every case's output digest as an integer.
+
+``line``, ``drifting`` and ``dense-openers`` use public entry points
+only, so the same
 script times any tree given by ``PYTHONPATH``.  Each reports every
 repetition's seconds and the output that must not change.
 """
@@ -206,9 +222,58 @@ def index_threshold() -> dict:
             "repeats": THRESHOLD_REPEATS, "rows": rows}
 
 
+def dense_openers() -> dict:
+    from repro.core.metrics import CallableMetric
+    from repro.streaming import InsertionOnlyCoreset
+
+    rng = np.random.default_rng(0)
+    centers = rng.uniform(-30, 30, (8, 5))
+    pts5 = centers[rng.integers(0, 8, 1 << 14)] \
+        + rng.normal(0, 0.8, (1 << 14, 5))
+    pts2 = cluster_stream(8192)
+    cases = {
+        "serve32": (lambda: InsertionOnlyCoreset(8, 64, 1.0, 2, size_cap=256),
+                    pts2, 32),
+        "rows1": (lambda: InsertionOnlyCoreset(8, 64, 1.0, 2, size_cap=256),
+                  pts2[:2048], 1),
+        "d5": (lambda: InsertionOnlyCoreset(8, 64, 0.5, 5, size_cap=1024),
+               pts5, len(pts5)),
+    }
+    out = {}
+    for name, (make, pts, step) in cases.items():
+        def ingest():
+            s = make()
+            for i in range(0, len(pts), step):
+                s.extend(pts[i: i + step])
+            return s
+
+        times, s = _timed(ingest)
+        out.update({f"{name}_s{i}": t for i, t in enumerate(times)})
+        out[f"{name}_min_s"] = min(times)
+        cs = s.coreset()
+        out[f"{name}_digest"] = int(_digest(cs.points, cs.weights)[:12], 16)
+    for step in (3000, 256, 32):
+        calls = [0]
+
+        def dist(a, b):
+            calls[0] += 1
+            return float(np.sqrt(((a - b) ** 2).sum()))
+
+        s = InsertionOnlyCoreset(2, 8, 1.0, 2, metric=CallableMetric(dist),
+                                 size_cap=64)
+        for i in range(0, 3000, step):
+            s.extend(pts2[i: i + step])
+        cs = s.coreset()
+        out[f"calls_{step}"] = calls[0]
+        out[f"callable_{step}_digest"] = int(
+            _digest(cs.points, cs.weights)[:12], 16)
+    return out
+
+
 def main(argv: "list[str]") -> int:
     modes = {"line": line, "drifting": drifting, "density": density,
-             "index-threshold": index_threshold}
+             "index-threshold": index_threshold,
+             "dense-openers": dense_openers}
     if len(argv) != 1 or argv[0] not in modes:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print(f"usage: first_fit_inputs.py {{{','.join(modes)}}}",

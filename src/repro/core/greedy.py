@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry.grid import PointGrid, cutoff_side
+from ..geometry.grid import PointGrid, cutoff_side, distinct_cells
 from ..kernels import DEFAULT_BLOCK_BYTES, auto_chunk, pair_distances
 from .metrics import Metric, _KernelMetric, get_metric
 from .points import WeightedPointSet
@@ -371,17 +371,9 @@ def _group_by_cell(
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """Group point indices by their grid cell: ``(cells, starts, counts,
     members)`` in the source format :meth:`_GridCells._scan` takes."""
-    cells_of = grid.point_cell[idx]
-    by_cell = np.argsort(cells_of, kind="stable")
-    members = idx[by_cell]
-    sorted_cells = cells_of[by_cell]
-    is_start = np.empty(len(idx), dtype=bool)
-    is_start[0] = True
-    np.not_equal(sorted_cells[1:], sorted_cells[:-1], out=is_start[1:])
-    starts = np.flatnonzero(is_start)
-    cells = sorted_cells[starts]
-    counts = np.diff(np.append(starts, len(idx)))
-    return cells, starts, counts, members
+    by_cell, cells, of = distinct_cells(grid.point_cell[idx])
+    counts = np.bincount(of)
+    return cells, np.cumsum(counts) - counts, counts, idx[by_cell]
 
 
 class _GridSource:

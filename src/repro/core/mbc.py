@@ -190,13 +190,15 @@ def _greedy_absorb(
     line 4 allows any order; tests use this to check order-independence of
     the guarantees).  Returns the representative set and the assignment.
 
-    Bit-identical to the pre-refactor scalar loop; only the candidate set
-    each representative's distances are evaluated against shrinks — to the
-    nearby grid cells when the metric/dimension admit the grid (all
-    evaluated up front while they fit :data:`_ABSORB_MAX_PAIRS`), or to
-    the still-unabsorbed points otherwise.  Neighbour lists of mean
-    length at most :data:`_ROUNDS_MAX_MEAN_LIST` skip the walk: the
-    picks are their :func:`first_fit` set (:func:`_absorb_rounds`).
+    Bit-identical to the pre-refactor scalar loop
+    (``greedy_absorb_reference``).  The walk in ``order`` is written
+    once; only where each pick's within-``delta`` points come from
+    differs: the precomputed neighbour lists while their pair count fits
+    :data:`_ABSORB_MAX_PAIRS`, a grid query per pick when the grid
+    applies but the lists do not fit, else a scan of the still-remaining
+    points.  Lists of mean length at most :data:`_ROUNDS_MAX_MEAN_LIST`
+    skip the walk: the picks are their :func:`first_fit` set
+    (:func:`_absorb_rounds`).
     """
     n = len(wps)
     if n == 0:
@@ -232,45 +234,30 @@ def _greedy_absorb(
                                 _ABSORB_MAX_PAIRS)
     if lists is not None and len(lists[1]) <= _ROUNDS_MAX_MEAN_LIST * n:
         return _absorb_rounds(wps, grid.order, *lists, order)
+    # one walk; near(idx) is every point within the cutoff of idx (the
+    # lists and grid queries may include absorbed ones, filtered below)
     if lists is not None:
-        # the greedy below is the same sequential loop over precomputed
-        # neighbor lists (a point's list includes itself)
-        ptr, nbrs, row_of = lists
-        weights = wps.weights
-        for idx in order:
-            if not remaining[idx]:
-                continue
-            row = row_of[idx]
-            cand = nbrs[ptr[row]:ptr[row + 1]]
-            sel = cand[remaining[cand]]
-            assignment[sel] = len(rep_rows)
-            rep_rows.append(int(idx))
-            rep_weights.append(int(weights[sel].sum()))
-            remaining[sel] = False
+        ptr, nbrs, row_of = lists  # a point's list includes itself
+
+        def near(idx):
+            return nbrs[ptr[row_of[idx]]:ptr[row_of[idx] + 1]]
     elif grid is not None:
-        for idx in order:
-            if not remaining[idx]:
-                continue
+        def near(idx):
             cand = grid.query_point(int(idx), cutoff)
-            d = metric.to_set(pts[idx], pts[cand])
-            sel = cand[remaining[cand] & (d <= cutoff)]
-            assignment[sel] = len(rep_rows)
-            rep_rows.append(int(idx))
-            rep_weights.append(int(wps.weights[sel].sum()))
-            remaining[sel] = False
+            return cand[metric.to_set(pts[idx], pts[cand]) <= cutoff]
     else:
-        rem = np.arange(n)
-        for idx in order:
-            if not remaining[idx]:
-                continue
-            d = metric.to_set(pts[idx], pts[rem])
-            absorbed = d <= cutoff
-            sel = rem[absorbed]
-            assignment[sel] = len(rep_rows)
-            rep_rows.append(int(idx))
-            rep_weights.append(int(wps.weights[sel].sum()))
-            remaining[sel] = False
-            rem = rem[~absorbed]
+        def near(idx):
+            rem = np.flatnonzero(remaining)
+            return rem[metric.to_set(pts[idx], pts[rem]) <= cutoff]
+    for idx in order:
+        if not remaining[idx]:
+            continue
+        cand = near(idx)
+        sel = cand[remaining[cand]]
+        assignment[sel] = len(rep_rows)
+        rep_rows.append(int(idx))
+        rep_weights.append(int(wps.weights[sel].sum()))
+        remaining[sel] = False
     coreset = WeightedPointSet(
         pts[rep_rows], np.asarray(rep_weights, dtype=np.int64)
     )

@@ -319,17 +319,10 @@ class PointGrid:
         for a in range(d - 2, -1, -1):
             radix[a] = radix[a + 1] * padded[a + 1]
         codes = ((qi - qmin) * radix).sum(axis=1)
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        is_start = np.empty(n, dtype=bool)
-        is_start[0] = True
-        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=is_start[1:])
-        starts = np.flatnonzero(is_start)
-        cell_codes = sorted_codes[starts]
-        counts = np.diff(np.append(starts, n))
-        point_cell = np.searchsorted(cell_codes, codes)
-        return cls(codes, order, cell_codes, starts.astype(np.int64),
-                   counts.astype(np.int64), point_cell, radix, side, max_ring)
+        order, cell_codes, point_cell = distinct_cells(codes)
+        counts = np.bincount(point_cell)
+        return cls(codes, order, cell_codes, np.cumsum(counts) - counts,
+                   counts, point_cell, radix, side, max_ring)
 
     def ring(self, dist: float) -> int:
         """Chebyshev cell-ring radius guaranteed to contain every point

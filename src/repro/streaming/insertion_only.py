@@ -20,16 +20,18 @@ Omega(k/eps^d + z) lower bound of §4.1-4.2.
 
 Implementation notes: representatives live in a pre-allocated, doubling
 NumPy buffer (the guides' "no per-point Python objects" rule), and
-:meth:`InsertionOnlyCoreset.extend` ingests in chunks.  Each chunk finds
-every row's nearest representative at once; absorptions become one
-weight update per chunk.  A row opens a representative iff no
-representative is within the cutoff when it arrives, so the chunk's
-openers are the *first-fit* set of the rows ``P*`` leaves unabsorbed
-(:func:`~repro.core.mbc.first_fit`, computed in vectorized rounds), and
-every other row then takes its nearest representative among ``P*`` and
-the earlier openers with one lexsort.
+:meth:`InsertionOnlyCoreset.extend` ingests in chunks, all decided one
+way.  Each chunk finds every row's nearest representative at once;
+absorptions become one weight update per chunk.  A row opens a
+representative iff no representative is within the cutoff when it
+arrives, so the chunk's openers are the *first-fit* set of the rows
+``P*`` leaves unabsorbed (:func:`~repro.core.mbc.first_fit`, computed in
+vectorized rounds); the chunk ends at the opener after which ``r``
+changes, and every other row then takes its nearest representative
+among ``P*`` and the earlier openers with one lexsort.
 
-Once ``r > 0`` the nearest-representative query goes through a
+Only where the candidate pairs come from differs.  Once ``r > 0`` the
+nearest-representative query goes through a
 :class:`~repro.geometry.CellIndex` over ``P*`` whose cells are just wider
 than the absorb cutoff ``(eps/2) r``.  Any representative within the
 cutoff lies in the ``3^d`` cells around an arrival, so only those are
@@ -40,11 +42,11 @@ rebuilt when ``r`` changes (initialization, doubling) and grows with the
 representatives in between.  Each chunk sorts its cell codes once: the
 distinct cells are the index's queries, so rows sharing a cell share its
 searches, and the sorted rows are the members the openers' within-cutoff
-pairs are searched in, so no second index is built.  The dense
-``chunk x P*`` block stays for ``r == 0``, metrics without coordinates,
-``d > 4``, coordinates the grid cannot quantize, and small blocks where
-it is cheaper; it walks its possible openers in order, each updating the
-later rows it can reach.  Both paths are bit-identical to the per-point
+pairs are searched in, so no second index is built.  For ``r == 0``,
+metrics without coordinates, ``d > 4``, coordinates the grid cannot
+quantize, and small blocks where it is cheaper, two dense blocks serve
+instead: ``chunk x P*``, and the rows from the first possible opener on
+against the possible openers.  Both are bit-identical to the per-point
 :meth:`~InsertionOnlyCoreset.insert` loop (parity-tested).
 
 The paper threshold is astronomical for small ``eps`` and moderate
@@ -368,20 +370,41 @@ class InsertionOnlyCoreset:
         """Vectorized insertion of ``chunk`` rows in order.
 
         Returns the number of rows consumed — fewer than ``len(chunk)``
-        when ``r`` changed mid-chunk (the caller restarts from the next
-        row).  Chunks the cell index serves go to :meth:`_extend_indexed`;
-        the others take one dense block against ``P*`` and walk their
-        possible openers in order, each opener updating the later rows.
+        when ``r`` changes mid-chunk (the caller restarts from the next
+        row).  A row opens a representative iff no representative is
+        within the cutoff when it arrives: none of ``P*`` and none of the
+        rows of this chunk opened before it.  So the openers are the
+        :func:`~repro.core.mbc.first_fit` set of the rows ``P*`` does not
+        absorb, joined when within the cutoff.  Only the candidate pairs
+        depend on the path: through the cell index, ``P*``'s come from
+        its query and the chunk's own are searched among its rows sorted
+        by cell; otherwise two dense blocks serve, the chunk against
+        ``P*`` and its rows from the first possible opener on against
+        the possible openers.  The chunk ends at the opener after which
+        ``r`` may change (``|P*|`` reaching ``k + z + 1`` while
+        ``r == 0``, the threshold after).  Each consumed row then takes
+        its nearest representative among ``P*`` and the earlier openers,
+        ties to the lowest index (``P*`` first, then the openers in
+        order) like ``np.argmin`` in :meth:`insert`: one lexsort over the
+        openers' within-cutoff pairs.
         """
         self._ensure_capacity(chunk.shape[1])
         found = self._cell_index(chunk)
-        if found is not None:
-            return self._extend_indexed(chunk, *found)
-        cutoff = self._cutoff()
-        chunk = chunk[:_DENSE_CHUNK_ROWS]
+        if found is None:
+            chunk = chunk[:_DENSE_CHUNK_ROWS]
         m = len(chunk)
-        if self._size:
-            # ONE block against P*; np.argmin keeps the earliest index
+        cutoff = self._cutoff()
+        if found is not None:
+            index, codes = found
+            # one sort: the query cells of the P* lookup, and the chunk's
+            # rows as sorted members for the openers' lookup
+            order, cells, of = distinct_cells(codes)
+            q, ids = index.cell_pairs(cells, of)
+            cur_min, cur_arg = _nearest(
+                q, ids, pair_distances(self._kind, chunk, q, ids,
+                                       other=self._buf), m)
+        elif self._size:
+            # np.argmin keeps the earliest index
             D = self.metric.pairwise(chunk, self._buf[: self._size])
             cur_arg = np.argmin(D, axis=1)
             cur_min = D[np.arange(m), cur_arg]
@@ -392,80 +415,36 @@ class InsertionOnlyCoreset:
         if absorbed.all():
             self._credit(cur_arg)
             return m
-        for j in np.flatnonzero(~absorbed).tolist():
-            if absorbed[j]:
-                continue  # an earlier row of this chunk opened its ball
-            ridx = self._size
-            self._open(chunk[j: j + 1])
-            if j + 1 < m:
-                t = np.arange(j + 1, m)
-                dt = self.metric.pairwise(chunk[j + 1:], chunk[j][None, :])[:, 0]
-                # strict < keeps the earliest-index tie-break (the new
-                # representative has the highest index)
-                upd = dt < cur_min[t]
-                t, dt = t[upd], dt[upd]
-                cur_min[t] = dt
-                cur_arg[t] = ridx
-                absorbed[t] = dt <= cutoff
-            r0 = self.r
-            self._init_radius()
-            if self.r != r0 or (self.r > 0.0 and self._size >= self.threshold):
-                # the distances above are stale once r moves: credit the
-                # rows so far, recompress if due, hand the rest back
-                self._credit(cur_arg[: j + 1], absorbed[: j + 1])
-                self._double_while_full()
-                return j + 1
-        self._credit(cur_arg, absorbed)
-        return m
-
-    def _extend_indexed(self, chunk: np.ndarray, index: CellIndex,
-                        codes: np.ndarray) -> int:
-        """:meth:`_extend_chunk` through the cell index (``r > 0``).
-
-        A row opens a representative iff no representative is within the
-        cutoff when it arrives: none of ``P*`` (the index query) and none
-        of the rows of this chunk opened before it.  So the openers are
-        the :func:`~repro.core.mbc.first_fit` set of the rows ``P*`` does
-        not absorb, joined when within the cutoff (pairs searched among
-        the chunk's rows sorted by cell).  The chunk ends at the opener
-        that fills the threshold, since the recompression that follows
-        changes ``r``.  Each consumed row then takes its nearest
-        representative among ``P*`` and the earlier openers, ties to the
-        lowest index (``P*`` first, then the openers in order) like
-        ``np.argmin`` in :meth:`insert`: one lexsort over the openers'
-        within-cutoff pairs.
-        """
-        m = len(chunk)
-        cutoff = self._cutoff()
-        # one sort: the query cells of the P* lookup, and the chunk's
-        # rows as sorted members for the openers' lookup
-        order, cells, of = distinct_cells(codes)
-        q, ids = index.cell_pairs(cells, of)
-        cur_min, cur_arg = _nearest(
-            q, ids, pair_distances(self._kind, chunk, q, ids,
-                                   other=self._buf), m)
-        absorbed = cur_min <= cutoff
-        if absorbed.all():
-            self._credit(cur_arg)
-            return m
         opening = np.flatnonzero(~absorbed)
-        # (earlier candidate, later row) pairs within the cutoff
-        used = np.zeros(len(cells), dtype=bool)
-        used[of[opening]] = True
-        q, later = index.cell_pairs(cells[used],
-                                    (np.cumsum(used) - 1)[of[opening]],
-                                    (codes[order], order))
+        # (earlier candidate q, later row) pairs within the cutoff, q
+        # indexing ``opening``
+        if found is not None:
+            used = np.zeros(len(cells), dtype=bool)
+            used[of[opening]] = True
+            q, later = index.cell_pairs(cells[used],
+                                        (np.cumsum(used) - 1)[of[opening]],
+                                        (codes[order], order))
+            keep = later > opening[q]
+            q, later = q[keep], later[keep]
+            d = pair_distances(self._kind, chunk, opening[q], later)
+            near = d <= cutoff
+            q, later, d = q[near], later[near], d[near]
+        else:
+            # the arriving row first, the representative second, as in
+            # insert; rows before the first candidate meet no opener
+            s = int(opening[0]) + 1
+            D = self.metric.pairwise(chunk[s:], chunk[opening])
+            later, q = np.nonzero((D <= cutoff)
+                                  & (np.arange(s, m)[:, None] > opening))
+            d = D[later, q]
+            later += s
         src = opening[q]
-        keep = later > src
-        q, src, later = q[keep], src[keep], later[keep]
-        d = pair_distances(self._kind, chunk, src, later)
-        near = d <= cutoff
-        q, src, later, d = q[near], src[near], later[near], d[near]
         both = ~absorbed[later]
         opens = opening[first_fit(len(opening),
                                   np.searchsorted(opening, later[both]),
                                   q[both])]
-        room = max(self.threshold - self._size, 1)
+        full_at = self.threshold if self.r > 0.0 else self.k + self.z + 1
+        room = max(full_at - self._size, 1)
         full = len(opens) >= room
         if full:
             opens = opens[:room]
@@ -487,8 +466,8 @@ class InsertionOnlyCoreset:
         absorbed = rep_id[:end] < 0
         self._open(chunk[opens])
         self._credit(cur_arg[:end], absorbed)
-        if full:
-            self._double_while_full()
+        self._init_radius()
+        self._double_while_full()
         return end
 
     def _credit(self, arg: np.ndarray,

@@ -24,7 +24,7 @@ import repro.streaming.insertion_only as io
 from repro.core import WeightedPointSet
 from _greedy_reference import greedy_absorb_reference
 from repro.core.mbc import _ABSORB_MAX_PAIRS, _greedy_absorb
-from repro.core.metrics import get_metric
+from repro.core.metrics import CallableMetric, PrecomputedMetric, get_metric
 from repro.geometry import CellIndex, PointGrid
 from repro.kernels import pair_distances
 from repro.streaming import InsertionOnlyCoreset
@@ -145,7 +145,8 @@ class TestExtendMatchesInsert:
 
     def test_r_changes_mid_chunk(self, index_always, monkeypatch):
         # both r events cut a chunk short: initialization (dense path) and
-        # a doubling (index path); each restart must resume bit-identically
+        # a doubling (the index path at d=2, the dense block at d=5, where
+        # the grid never applies); each restart resumes bit-identically
         events = []
         chunk_fn = InsertionOnlyCoreset._extend_chunk
 
@@ -157,21 +158,23 @@ class TestExtendMatchesInsert:
             return used
 
         monkeypatch.setattr(InsertionOnlyCoreset, "_extend_chunk", recording)
-        pts = _stream("clusters", 2000, 2, 13)
-        got = _structure("euclidean", 2, 30)
-        got.extend(pts)
-        assert ("init", False) in events and ("double", True) in events
-        ref = _structure("euclidean", 2, 30)
-        for p in pts:
-            ref.insert(p)
-        _assert_same(got, ref)
+        for d, indexed in ((2, True), (5, False)):
+            events.clear()
+            pts = _stream("clusters", 2000, d, 13)
+            got = _structure("euclidean", d, 30)
+            got.extend(pts)
+            assert ("init", False) in events and ("double", indexed) in events
+            ref = _structure("euclidean", d, 30)
+            for p in pts:
+                ref.insert(p)
+            _assert_same(got, ref)
 
     def test_drifting_stream_walks_and_cuts(self, index_always, monkeypatch):
         # arrivals in spatial order: some chunk's openers form a chain the
         # first-fit rounds hand to the in-order walk, and some chunk is cut
         # at the opener that fills the threshold; both stay bit-identical
         seen = {"walked": 0, "cut": 0}
-        first_fit, indexed = io.first_fit, InsertionOnlyCoreset._extend_indexed
+        first_fit, chunk_fn = io.first_fit, InsertionOnlyCoreset._extend_chunk
 
         def walked(n, later, earlier, stats=None):
             stats = {}
@@ -179,13 +182,16 @@ class TestExtendMatchesInsert:
             seen["walked"] += stats["walked"] > 0
             return picked
 
-        def cut(self, chunk, index, codes):
-            used = indexed(self, chunk, index, codes)
-            seen["cut"] += used < len(chunk)
+        def cut(self, chunk):
+            # r > 0 before the chunk: a cut is the threshold's, not r's
+            # initialization
+            r0 = self.r
+            used = chunk_fn(self, chunk)
+            seen["cut"] += r0 > 0.0 and used < len(chunk)
             return used
 
         monkeypatch.setattr(io, "first_fit", walked)
-        monkeypatch.setattr(InsertionOnlyCoreset, "_extend_indexed", cut)
+        monkeypatch.setattr(InsertionOnlyCoreset, "_extend_chunk", cut)
         for seed in range(4):
             pts = _stream("drifting", 600, 1, seed)
             ref = _structure("euclidean", 1, 40)
@@ -238,6 +244,36 @@ class TestExtendMatchesInsert:
             ref.insert(p)
         got = _structure("euclidean", 2, 40)
         got.extend(pts)
+        _assert_same(got, ref)
+
+
+class TestGeneralMetrics:
+    """``extend`` == the ``insert`` loop under metrics without coordinates,
+    where every chunk takes the dense block: random split points over
+    streams that cross r's initialization and doublings."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["clusters", "lattice", "mirrored"])
+    @pytest.mark.parametrize("metric", ["precomputed", "callable"])
+    def test_parity(self, metric, kind, seed):
+        rng = np.random.default_rng(seed)
+        pool = _stream(kind, 120, 2, seed)
+        picks = rng.integers(0, len(pool), 400)
+        if metric == "precomputed":
+            met = PrecomputedMetric(cdist(pool, pool))
+            pts = picks[:, None].astype(float)
+        else:
+            met = CallableMetric(
+                lambda a, b: float(np.sqrt(((a - b) ** 2).sum())))
+            pts = pool[picks]
+        ref = _structure(met, 2, 20)
+        for p in pts:
+            ref.insert(p)
+        assert ref.r > 0.0 and ref.doublings > 0
+        bounds = sorted({0, len(pts), *rng.integers(0, len(pts), 5).tolist()})
+        got = _structure(met, 2, 20)
+        for lo, hi in zip(bounds, bounds[1:]):
+            got.extend(pts[lo:hi])
         _assert_same(got, ref)
 
 
