@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry.grid import PointGrid, cutoff_side, distinct_cells
+from ..geometry.grid import PointGrid, cutoff_side, distinct_cells, ranges
 from ..kernels import DEFAULT_BLOCK_BYTES, auto_chunk, pair_distances
 from .metrics import Metric, _KernelMetric, get_metric
 from .points import WeightedPointSet
@@ -360,12 +360,6 @@ def _grid_for_guess(pts: np.ndarray, cutoff: float) -> "PointGrid | None":
     return PointGrid.build(pts, cutoff_side(cutoff, pts), max_ring=3)
 
 
-def _ranges(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
-    """The concatenated index ranges ``lo[t] : lo[t] + cnt[t]``."""
-    return np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) \
-        + np.arange(int(cnt.sum()))
-
-
 def _group_by_cell(
     grid: PointGrid, idx: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
@@ -418,7 +412,7 @@ class _NeighbourLists(_GridSource):
         lo = self.ptr[rows]
         cnt = self.ptr[rows + 1] - lo
         self.gain -= np.bincount(
-            self.nbrs[_ranges(lo, cnt)], weights=np.repeat(self.w64[idx], cnt),
+            self.nbrs[ranges(lo, cnt)], weights=np.repeat(self.w64[idx], cnt),
             minlength=len(self.gain),
         )
 
@@ -484,14 +478,14 @@ class _GridCells(_GridSource):
         members ``src_members[src_starts[s] : src_starts[s] +
         src_counts[s]]``: the grid's own cells for a seed, a pick's newly
         covered points grouped by cell (:func:`_group_by_cell`) for a
-        rescan.  Neighbour cells are matched a slice of sources at a
-        time (:meth:`PointGrid.neighborhoods`)."""
+        rescan.  Their neighbourhoods come as member runs a slice of
+        sources at a time (:meth:`PointGrid.runs`)."""
         grid, gain = self.grid, self.gain
-        for lo, bounds, nbr in grid.neighborhoods(src_cells, self.ring):
-            for s in range(len(bounds) - 1):
-                rows = grid.points_in_cells(nbr[bounds[s] : bounds[s + 1]])
-                start = src_starts[lo + s]
-                mem = src_members[start : start + src_counts[lo + s]]
+        for i0, lo, cnt in grid.runs(src_cells, self.ring):
+            for s in range(len(cnt)):
+                rows = grid.order[ranges(lo[s], cnt[s])]
+                start = src_starts[i0 + s]
+                mem = src_members[start : start + src_counts[i0 + s]]
                 contrib = self._contribution(rows, mem)
                 if sign > 0:
                     gain[rows] += contrib
@@ -508,17 +502,16 @@ class _GridCells(_GridSource):
         1]]``, ``rem`` holds its contribution alongside, and ``left[c]``
         counts its members still uncovered."""
         grid = self.grid
-        matched, sizes, total = [], [], 0
-        for _, bounds, nbr in grid.neighborhoods(np.arange(grid.num_cells),
-                                                 self.ring):
-            sizes.append(np.add.reduceat(grid.cell_counts[nbr], bounds[:-1]))
-            total += int(sizes[-1].sum())
+        sizes, rows, total = [], [], 0
+        for _, lo, cnt in grid.runs(np.arange(grid.num_cells), self.ring):
+            total += int(cnt.sum())
             if total > _LIST_MAX_PAIRS:
                 return False
-            matched.append(nbr)
+            sizes.append(cnt.sum(axis=1))
+            # a slice's runs, in source order, are its cells' rows
+            rows.append(grid.order[ranges(lo, cnt)])
         ptr = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-        # a slice's neighbour cells, in source order, are its cells' rows
-        rows = np.concatenate([grid.points_in_cells(nbr) for nbr in matched])
+        rows = np.concatenate(rows)
         rem = np.empty(total, dtype=np.float64)
         for c in range(grid.num_cells):
             a, b = ptr[c], ptr[c + 1]
@@ -549,7 +542,7 @@ class _GridCells(_GridSource):
         done = left[cells] == 0
         if done.any():
             lo = ptr[cells[done]]
-            flat = _ranges(lo, ptr[cells[done] + 1] - lo)
+            flat = ranges(lo, ptr[cells[done] + 1] - lo)
             gain -= np.bincount(rows[flat], weights=rem[flat],
                                 minlength=len(gain))
         for s in np.flatnonzero(~done):

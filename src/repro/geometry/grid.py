@@ -14,13 +14,18 @@ internally they are shifted to 0-based so cell indices are simple shifts.
 (:mod:`repro.core.greedy`, :mod:`repro.core.mbc`): it buckets float
 coordinates into cells of a caller-chosen side and answers "all points
 within distance ``D`` of here" with a superset drawn from the
-``(2R+1)^d`` surrounding cells, entirely through sorted int64 cell codes
-(no Python dicts in the per-cell loops).
+``(2R+1)^d`` surrounding cells.  :class:`CellIndex` is its growable
+counterpart for a point set that gains members over time (Algorithm 3's
+representatives between radius doublings): the same quantization, with
+absolute cell codes, so points outside the index can be queried and new
+members appended.
 
-:class:`CellIndex` is its growable counterpart for a point set that gains
-members over time (Algorithm 3's representatives between radius
-doublings): the same quantization, with absolute cell codes, so points
-outside the index can be queried and new members appended.
+Both answer with one search, :func:`ring_runs`.  Each codes a cell as a
+mixed-radix int64 whose last axis has radix 1, and keeps its members
+sorted by code, so each of the ``(2R+1)^(d-1)`` rows of a neighbourhood
+is a range of ``2R+1`` consecutive codes and its members are one run of
+the sorted codes: a left and a right ``searchsorted`` per row, and
+:func:`ranges` expands the runs into member positions.
 
 Each radius guess of a search, and each absorption pass, builds its own
 :class:`PointGrid` at the side its cutoff needs (:func:`cutoff_side`);
@@ -47,9 +52,8 @@ __all__ = [
 #: product in int64
 _MAX_CELL_INDEX = 2.0**30
 
-#: neighbour-cell targets one match of :meth:`PointGrid.neighborhoods`
-#: or :meth:`PointGrid.candidate_pairs` holds (``cells x (2R+1)^d``;
-#: ~2 MB per int64 temporary)
+#: neighbour cells one slice of :meth:`PointGrid.runs` covers (``cells x
+#: (2R+1)^d``; its runs take ~2 MB / (2R+1) per int64 temporary)
 _MATCH_TARGETS = 1 << 18
 
 
@@ -248,11 +252,13 @@ class PointGrid:
     """A uniform bucket grid over float coordinates.
 
     Points are quantized to cells ``floor(p / side)`` per axis; each
-    non-empty cell gets one int64 *code* (a mixed-radix encoding over the
-    occupied extent, padded so a Chebyshev neighbor offset is a single
-    scalar delta added to the code).  Cell codes are kept sorted, so
-    neighbor lookup is a vectorized ``searchsorted`` — no per-cell Python
-    dictionaries.
+    non-empty cell gets one int64 *code*, a mixed-radix encoding over the
+    occupied extent whose radix is padded by ``2 * max_ring`` per axis.
+    Up to that ring a row of a neighbourhood, ``2R+1`` consecutive codes,
+    holds exactly the cells of that row, so :func:`ring_runs` over the
+    sorted codes finds each neighbourhood (:meth:`runs`,
+    :meth:`query_point`, :meth:`candidate_pairs`); codes are one-to-one
+    while the padded extents fit int64, which :meth:`build` checks.
 
     Soundness (the contract the greedy/absorption loops rely on): for the
     built-in norms, ``dist(u, v) <= D`` implies per-coordinate
@@ -276,6 +282,7 @@ class PointGrid:
         self.dim = len(radix)
         self.side = float(side)
         self.max_ring = int(max_ring)
+        #: the cell code of each point in ``order`` (ascending)
         self.codes = codes
         #: point indices sorted by cell; ``order[starts[c]:starts[c]+counts[c]]``
         #: are the members of cell ``c``
@@ -286,7 +293,6 @@ class PointGrid:
         #: index into ``cell_codes`` of each point's cell
         self.point_cell = point_cell
         self._radix = radix
-        self._deltas: "dict[int, np.ndarray]" = {}
 
     @property
     def num_cells(self) -> int:
@@ -321,7 +327,7 @@ class PointGrid:
         codes = ((qi - qmin) * radix).sum(axis=1)
         order, cell_codes, point_cell = distinct_cells(codes)
         counts = np.bincount(point_cell)
-        return cls(codes, order, cell_codes, np.cumsum(counts) - counts,
+        return cls(codes[order], order, cell_codes, np.cumsum(counts) - counts,
                    counts, point_cell, radix, side, max_ring)
 
     def ring(self, dist: float) -> int:
@@ -335,77 +341,29 @@ class PointGrid:
             )
         return r
 
-    def neighbor_deltas(self, R: int) -> np.ndarray:
-        """Delta codes of all ``(2R+1)^d`` Chebyshev offsets (cached)."""
-        deltas = self._deltas.get(R)
-        if deltas is None:
-            axes = np.meshgrid(*([np.arange(-R, R + 1)] * self.dim),
-                               indexing="ij")
-            offsets = np.stack(axes, axis=-1).reshape(-1, self.dim)
-            deltas = (offsets * self._radix).sum(axis=1)
-            self._deltas[R] = deltas
-        return deltas
+    def runs(self, cells: np.ndarray, R: int
+             ) -> "Iterator[tuple[int, np.ndarray, np.ndarray]]":
+        """The ring-``R`` neighbourhoods of ``cells`` (ascending indices
+        into :attr:`cell_codes`) as runs of :attr:`codes`
+        (:func:`ring_runs`), a slice of ``cells`` at a time so the
+        temporaries stay bounded however many cells there are.
 
-    def neighbors_of_cells(
-        self, cells: np.ndarray, R: int
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Match the ring-``R`` neighborhoods of the given cells.
-
-        Returns ``(src, nbr)`` — parallel arrays meaning "non-empty cell
-        ``nbr`` (an index into ``cell_codes``) lies within Chebyshev ring
-        ``R`` of ``cells[src]``", with ``src`` ascending (every cell
-        neighbors at least itself).
+        Yields ``(i0, lo, cnt)`` per slice: the neighbourhood of
+        ``cells[i0 + s]`` holds the points ``order[ranges(lo[s],
+        cnt[s])]``, by code, then point index.
         """
-        deltas = self.neighbor_deltas(R)
-        targets = self.cell_codes[cells][:, None] + deltas[None, :]
-        pos = np.searchsorted(self.cell_codes, targets)
-        pos_c = np.minimum(pos, self.num_cells - 1)
-        valid = self.cell_codes[pos_c] == targets
-        src_local, _ = np.nonzero(valid)
-        return src_local, pos_c[valid]
-
-    def _match_cells(self, R: int) -> int:
-        """Cells one neighbour match may take at ring ``R``."""
-        return max(1, _MATCH_TARGETS // len(self.neighbor_deltas(R)))
-
-    def neighborhoods(
-        self, cells: np.ndarray, R: int
-    ) -> "Iterator[tuple[int, np.ndarray, np.ndarray]]":
-        """:meth:`neighbors_of_cells` a slice of ``cells`` at a time, so
-        the match temporaries stay bounded however many cells there are.
-
-        Yields ``(lo, bounds, nbr)`` per slice: the ring-``R`` neighbours
-        of ``cells[lo + s]`` are ``nbr[bounds[s]:bounds[s + 1]]``.
-        """
-        step = self._match_cells(R)
-        for lo in range(0, len(cells), step):
-            part = cells[lo : lo + step]
-            src, nbr = self.neighbors_of_cells(part, R)
-            yield lo, np.searchsorted(src, np.arange(len(part) + 1)), nbr
-
-    def points_in_cells(self, cells: np.ndarray) -> np.ndarray:
-        """Concatenated member point indices of the given cells (a fully
-        vectorized ragged gather; duplicated cells yield duplicates)."""
-        cnt = self.cell_counts[cells]
-        total = int(cnt.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.int64)
-        out_offsets = np.concatenate(([0], np.cumsum(cnt)))[:-1]
-        flat = (np.repeat(self.cell_starts[cells], cnt)
-                + np.arange(total) - np.repeat(out_offsets, cnt))
-        return self.order[flat]
+        step = max(1, _MATCH_TARGETS // (2 * R + 1) ** self.dim)
+        for i0 in range(0, len(cells), step):
+            yield (i0, *ring_runs(self.codes,
+                                  self.cell_codes[cells[i0 : i0 + step]],
+                                  self._radix, R))
 
     def query_point(self, i: int, dist: float) -> np.ndarray:
         """Candidate superset of points within ``dist`` of point ``i``."""
-        _, nbr = self.neighbors_of_cells(
-            np.asarray([self.point_cell[i]]), self.ring(dist))
-        return self.points_in_cells(nbr)
-
-    def query_cells_union(self, cells: np.ndarray, dist: float) -> np.ndarray:
-        """Candidate superset of points within ``dist`` of any point in any
-        of the given cells (each candidate exactly once)."""
-        _, nbr = self.neighbors_of_cells(np.unique(cells), self.ring(dist))
-        return self.points_in_cells(np.unique(nbr))
+        lo, cnt = ring_runs(self.codes,
+                            self.cell_codes[self.point_cell[i : i + 1]],
+                            self._radix, self.ring(dist))
+        return self.order[ranges(lo, cnt)]
 
     def candidate_pairs(
         self, dist: float, max_pairs: int, block_pairs: "int | None" = None
@@ -422,30 +380,22 @@ class PointGrid:
         pairs come grouped by point in cell order).  A superset of all
         pairs within ``dist``, each point paired with itself too.  A
         block holds at most ``block_pairs`` pairs unless one cell alone
-        has more (``None``: no pair limit).  Returns ``None`` without
-        expanding when the pair count or the neighbor-cell lookup would
-        exceed ``max_pairs``.
-
-        Neighbor cells are matched :data:`_MATCH_TARGETS` targets at a
-        time: a grid too large for one match counts its pairs slice by
-        slice and matches each block (capped to one match) on its own.
+        has more (``None``: no pair limit), and at most one slice of
+        :meth:`runs`.  Returns ``None`` without expanding when the pair
+        count or the neighbour cells looked up would exceed
+        ``max_pairs``.
         """
         R = self.ring(dist)
-        if self.num_cells * len(self.neighbor_deltas(R)) > max_pairs:
+        if self.num_cells * (2 * R + 1) ** self.dim > max_pairs:
             return None
         # members of each cell's neighborhood, per cell
         reach = np.empty(self.num_cells, dtype=np.int64)
-        for lo, bounds, nbr in self.neighborhoods(np.arange(self.num_cells),
-                                                  R):
-            reach[lo : lo + len(bounds) - 1] = np.add.reduceat(
-                self.cell_counts[nbr], bounds[:-1])
+        for i0, _, cnt in self.runs(np.arange(self.num_cells), R):
+            reach[i0 : i0 + len(cnt)] = cnt.sum(axis=1)
         pairs = reach * self.cell_counts
         total = int(pairs.sum())
         if total > max_pairs:
             return None
-        step = self._match_cells(R)
-        # one match covered the grid: keep it and slice it per block
-        whole = (bounds, nbr) if step >= self.num_cells else None
         limit = total if block_pairs is None else block_pairs
         cum = np.cumsum(pairs)
         cuts = [0]
@@ -453,36 +403,25 @@ class PointGrid:
             c0 = cuts[-1]
             base = int(cum[c0 - 1]) if c0 else 0
             c1 = int(np.searchsorted(cum, base + limit, side="right"))
-            cuts.append(min(max(c1, c0 + 1), c0 + step))
+            cuts.append(max(c1, c0 + 1))
 
         def blocks():
             for c0, c1 in zip(cuts, cuts[1:]):
-                if whole is None:
-                    nbr = self.neighbors_of_cells(np.arange(c0, c1), R)[1]
-                else:
-                    nbr = whole[1][whole[0][c0] : whole[0][c1]]
-                yield self._expand(nbr, reach, c0, c1)
+                for i0, lo, cnt in self.runs(np.arange(c0, c1), R):
+                    c = c0 + i0
+                    # each point's pairs are its cell's members, one run
+                    # of the cells' concatenated neighbourhoods
+                    members = self.order[ranges(lo, cnt)]
+                    reach = cnt.sum(axis=1)
+                    cell_of = np.repeat(np.arange(len(cnt)),
+                                        self.cell_counts[c : c + len(cnt)])
+                    run = reach[cell_of]
+                    p0 = int(self.cell_starts[c])
+                    pos = np.repeat(np.arange(p0, p0 + len(cell_of)), run)
+                    yield pos, self.order[pos], members[
+                        ranges((np.cumsum(reach) - reach)[cell_of], run)]
 
         return total, blocks()
-
-    def _expand(self, nbr: np.ndarray, reach: np.ndarray, c0: int,
-                c1: int) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """The candidate pairs of cells ``c0:c1`` (see
-        :meth:`candidate_pairs`), given their neighbor cells ``nbr``."""
-        counts = self.cell_counts[c0:c1]
-        reach = reach[c0:c1]
-        # members of each cell's neighborhood, concatenated cell by cell
-        members = self.points_in_cells(nbr)
-        first = np.concatenate(([0], np.cumsum(reach)))[:-1]
-        # one candidate run per point, points in cell order
-        cell_of = np.repeat(np.arange(c1 - c0), counts)
-        run = reach[cell_of]
-        total = int(run.sum())
-        p0 = int(self.cell_starts[c0])
-        pos = np.repeat(np.arange(p0, p0 + len(cell_of)), run)
-        offsets = np.concatenate(([0], np.cumsum(run)))[:-1]
-        flat = np.arange(total) - np.repeat(offsets - first[cell_of], run)
-        return pos, self.order[pos], members[flat]
 
 
 class CellIndex:
@@ -503,11 +442,9 @@ class CellIndex:
 
     Members are kept sorted by code (ties in insertion order) in two
     parallel int64 arrays; :meth:`add` merges a batch with one
-    ``searchsorted`` + ``insert``.  The last axis has radix 1, so the
-    ``2R+1`` cells of one row of a neighbourhood have consecutive codes
-    and their members are one run of the sorted codes: :meth:`pairs`
-    finds it with a left search at the row's first code and a right
-    search at its last, once per distinct query cell.
+    ``searchsorted`` + ``insert``, and :meth:`cell_pairs` finds
+    neighbourhoods with :func:`ring_runs`, as :class:`PointGrid` does,
+    once per distinct query cell.
     """
 
     def __init__(self, side: float, dim: int, reach: float):
@@ -515,17 +452,9 @@ class CellIndex:
         self.dim = int(dim)
         #: the query distance every candidate set covers
         self.reach = float(reach)
-        ring = cell_ring(reach, side)
+        self._ring = cell_ring(reach, side)
         radix = np.int64(1) << np.int64(62 // self.dim)
         self._radix = radix ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
-        axes = np.meshgrid(*([np.arange(-ring, ring + 1)] * self.dim),
-                           indexing="ij")
-        offsets = np.stack(axes, axis=-1).reshape(-1, self.dim)
-        #: the neighbourhood's code offsets, one row of ``2R+1``
-        #: consecutive codes after another
-        self._deltas = offsets @ self._radix
-        self._row_first = self._deltas[:: 2 * ring + 1]
-        self._row_last = self._row_first + 2 * ring
         self._codes = np.zeros(0, dtype=np.int64)
         self._ids = np.zeros(0, dtype=np.int64)
 
@@ -550,20 +479,15 @@ class CellIndex:
         self._ids = np.insert(self._ids, pos,
                               np.asarray(ids, dtype=np.int64)[o])
 
-    def pairs(self, codes: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """Candidates for query points with cell ``codes``: ``(q, ids)``
-        pairs, grouped by query index ``q`` ascending.  Every member
-        within :attr:`reach` of query ``q`` appears paired with it."""
-        _, cells, of = distinct_cells(codes)
-        return self.cell_pairs(cells, of)
-
     def cell_pairs(self, cells: np.ndarray, of: np.ndarray,
                    members: "tuple[np.ndarray, np.ndarray] | None" = None
                    ) -> "tuple[np.ndarray, np.ndarray]":
-        """:meth:`pairs` for queries whose cell codes are ``cells[of]``,
-        with ``cells`` distinct (from :func:`distinct_cells`): two searches
-        per row of cells for each of ``cells``, however many queries share
-        it.
+        """Candidates for queries whose cell codes are ``cells[of]``, with
+        ``cells`` distinct and ascending (from :func:`distinct_cells`):
+        ``(q, ids)`` pairs, grouped by query index ``q`` ascending.  Every
+        member within :attr:`reach` of query ``q`` appears paired with
+        it.  Two searches per row of cells for each of ``cells``
+        (:func:`ring_runs`), however many queries share it.
 
         ``members`` is ``(codes, ids)`` with ``codes`` ascending (ties in
         any order the caller wants kept) to search instead of this index's
@@ -572,32 +496,51 @@ class CellIndex:
         order: the order of a search per neighbour cell.
         """
         codes, ids = (self._codes, self._ids) if members is None else members
-        n = len(codes)
-        if not n or not len(of):
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        with np.errstate(over="ignore"):
-            # (row, cell): each row's needles ascend, which the searches
-            # exploit
-            first = np.add.outer(self._row_first, cells)
-            last = np.add.outer(self._row_last, cells)
-        lo = np.searchsorted(codes, first, side="left").T
-        hi = np.searchsorted(codes, last, side="right").T
-        wrap = (first > last).T
-        if wrap.any():
-            # a row crossing int64 max holds the codes >= first, then
-            # those <= last: split it into those two runs
-            lo, hi = (np.stack([lo, np.where(wrap, 0, hi)], axis=-1),
-                      np.stack([np.where(wrap, n, hi), hi], axis=-1))
-            lo, hi = (a.reshape(len(cells), -1) for a in (lo, hi))
-        lo = lo[of]
-        cnt = (hi[of] - lo).ravel()
-        lo = lo.ravel()
-        total = int(cnt.sum())
-        per_query = cnt.reshape(len(of), -1).sum(axis=1)
-        src = np.repeat(np.arange(len(of)), per_query)
-        starts = np.cumsum(cnt) - cnt
-        flat = np.repeat(lo - starts, cnt) + np.arange(total)
-        return src, ids[flat]
+        lo, cnt = ring_runs(codes, cells, self._radix, self._ring)
+        lo, cnt = lo[of], cnt[of]
+        return np.repeat(np.arange(len(of)), cnt.sum(axis=1)), \
+            ids[ranges(lo, cnt)]
+
+
+def ring_runs(codes: np.ndarray, cells: np.ndarray, radix: np.ndarray,
+              R: int) -> "tuple[np.ndarray, np.ndarray]":
+    """The members of the Chebyshev ring-``R`` neighbourhoods of the
+    cells coded ``cells`` (ascending), as runs of the ascending member
+    ``codes``: ``(lo, cnt)``, each of shape ``(len(cells), rows)``, with
+    run ``codes[lo[c, t] : lo[c, t] + cnt[c, t]]`` the members in row
+    ``t`` of the neighbourhood of ``cells[c]``.
+
+    ``radix`` is the code's per-axis radix, the last one 1, so the
+    ``2R+1`` cells of a row along the last axis have consecutive codes:
+    a left search at the row's first code and a right search at its last
+    find its run.  Rows come in offset order, axis 0 slowest, and the
+    arithmetic wraps: a row that runs past int64 max (only
+    :class:`CellIndex` codes can) is split into two runs, the codes at or
+    above its first, then those at or below its last.
+    """
+    first = np.full(1, -R, dtype=np.int64)
+    for r in radix[:-1]:
+        first = np.add.outer(first, np.arange(-R, R + 1) * r).ravel()
+    # (row, cell): each row's needles ascend, which the searches exploit
+    first = np.add.outer(first, cells)
+    last = first + 2 * R
+    lo = np.searchsorted(codes, first, side="left").T
+    hi = np.searchsorted(codes, last, side="right").T
+    wrap = first > last
+    if wrap.any():
+        wrap = wrap.T
+        lo, hi = (np.stack([lo, np.where(wrap, 0, hi)], axis=-1),
+                  np.stack([np.where(wrap, len(codes), hi), hi], axis=-1))
+        lo, hi = (a.reshape(len(cells), -1) for a in (lo, hi))
+    return lo, hi - lo
+
+
+def ranges(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """The concatenated index ranges ``lo[t] : lo[t] + cnt[t]``, over
+    the flattened ``lo`` and ``cnt``."""
+    lo, cnt = np.ravel(lo), np.ravel(cnt)
+    return np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) \
+        + np.arange(int(cnt.sum()))
 
 
 def distinct_cells(codes: np.ndarray

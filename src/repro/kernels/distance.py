@@ -16,7 +16,6 @@ stays inside a fixed working-set budget.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "DEFAULT_BLOCK_BYTES",
@@ -70,6 +69,10 @@ def pairwise_kernel(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _as_points(b)
     if a.size == 0 or b.size == 0:
         return np.zeros((len(a), len(b)))
+    # imported here: scipy.spatial costs ~0.3 s to import, which every
+    # process that never computes a dense block would pay
+    from scipy.spatial.distance import cdist
+
     return cdist(a, b, metric=_CDIST_NAMES[kind])
 
 

@@ -201,7 +201,7 @@ def test_streamed_seed_search_matches_reference(metric, d, seed, n, k, z,
                                                 match_targets):
     # every grid counts as sparse, and a list budget of 0 or n pairs
     # sends every guess, or all but the tiniest, to the streamed seed;
-    # tiny blocks and neighbour matches cut the streams and scans into
+    # tiny blocks and run slices cut the streams and scans into
     # many pieces
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, d)) * 5.0
@@ -218,11 +218,18 @@ def test_streamed_seed_search_matches_reference(metric, d, seed, n, k, z,
         res, charikar_greedy_reference(P, k, z, metric, pairwise_limit=8))
 
 
+def _load_cdist():
+    """Import ``cdist`` before a traced region: :func:`pairwise_kernel`
+    imports it on its first call, and tracemalloc would count the
+    import's ~11 MB as the traced code's."""
+    pairwise_kernel("euclidean", np.zeros((1, 1)), np.zeros((1, 1)))
+
+
 def test_streamed_seed_memory_is_bounded_on_a_sparse_d4_grid():
     # 3*10^4 points in [0, 10]^4 at guess 0.5: ~one point per cell,
-    # 3*10^4 cells x 81 neighbour offsets.  Matching every cell at once
-    # holds ~80 MB of targets; the seed matches a slice of cells and
-    # expands one block of pairs at a time
+    # 3*10^4 cells x 27 rows of 3 neighbour cells.  Searching every
+    # cell's rows at once holds ~30 MB; the seed searches a slice of
+    # cells and expands one block of pairs at a time
     rng = np.random.default_rng(0)
     P = WeightedPointSet(rng.uniform(0, 10, (30_000, 4)),
                          np.ones(30_000, dtype=np.int64))
@@ -230,6 +237,7 @@ def test_streamed_seed_memory_is_bounded_on_a_sparse_d4_grid():
     grid = _grid_for_guess(P.points, g + 1e-9)
     assert grid.num_cells > 25_000
     stats = _new_stats()
+    _load_cdist()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -247,12 +255,14 @@ def test_streamed_seed_memory_is_bounded_on_a_sparse_d4_grid():
 # ---------------------------------------------------------------------------
 
 
-def _kept_rows(grid, g):
+def _kept_rows(grid, pts, g):
     """The candidate rows a dense-grid seed keeps at guess ``g``: the
-    members of every cell's ring neighbourhood, summed over cells."""
+    members of every cell's ring neighbourhood, summed over cells,
+    counted by brute force over the quantized cell indices."""
     ring = grid.ring(g + 1e-9 * max(1.0, g))
-    _, nbr = grid.neighbors_of_cells(np.arange(grid.num_cells), ring)
-    return int(grid.cell_counts[nbr].sum())
+    q = grid_mod.quantize(pts, grid.side)
+    return sum(int(np.sum(np.abs(q - cell).max(axis=1) <= ring))
+               for cell in np.unique(q, axis=0))
 
 
 class _PickSpy:
@@ -404,7 +414,7 @@ class TestKeptSeed:
                              rng.integers(1, 10, 1500))
         met = get_metric(None)
         g = 0.8
-        rows = _kept_rows(_grid_for_guess(P.points, g + 1e-9), g)
+        rows = _kept_rows(_grid_for_guess(P.points, g + 1e-9), P.points, g)
         out = {}
         for budget in (rows, rows - 1):
             spy = _PickSpy()
@@ -426,9 +436,10 @@ class TestKeptSeed:
         met = get_metric(None)
         g = 3.0
         grid = _grid_for_guess(pts, g + 1e-9 * g)
-        rows = _kept_rows(grid, g)
+        rows = _kept_rows(grid, pts, g)
         assert rows <= 9 * len(P)
         peak, out = {}, {}
+        _load_cdist()
         for budget in (rows, rows - 1):
             stats = _new_stats()
             tracemalloc.start()

@@ -9,12 +9,16 @@ reproduces the corresponding ``cdist`` entries bit for bit, so every
 argmax pick of the pruned decision procedure must equal the dense one.
 """
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.greedy as greedy_mod
+import repro.geometry.grid as grid_mod
 from repro.core import WeightedPointSet, charikar_greedy
 from _greedy_reference import charikar_greedy_reference
 from repro.core.greedy import _grid_decision, _grid_for_guess
@@ -75,30 +79,44 @@ class TestPointGrid:
         assert PointGrid.build(pts, float("nan")) is None
         assert PointGrid.build(np.array([[np.inf, 0.0]]), 1.0) is None
 
-    def test_points_in_cells_matches_loop(self, rng):
-        pts = rng.uniform(0, 4, size=(80, 2))
-        grid = PointGrid.build(pts, 0.5)
-        cells = np.array([0, grid.num_cells - 1, 0])  # duplicates allowed
-        got = grid.points_in_cells(cells)
-        want = np.concatenate([
-            grid.order[grid.cell_starts[c] : grid.cell_starts[c]
-                       + grid.cell_counts[c]]
-            for c in cells
-        ])
-        assert np.array_equal(got, want)
+    @pytest.mark.parametrize("targets", [1, 50, grid_mod._MATCH_TARGETS])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_runs_match_brute_force(self, rng, d, targets):
+        # every slicing of the cells, down to one cell a slice
+        pts = rng.uniform(-3, 3, size=(150, d))
+        grid = PointGrid.build(pts, 0.7, max_ring=3)
+        with mock.patch.object(grid_mod, "_MATCH_TARGETS", targets):
+            _assert_runs(grid, pts)
 
-    def test_query_cells_union_unique_superset(self, rng):
-        pts = rng.uniform(0, 4, size=(120, 2))
-        dist = 0.6
-        grid = PointGrid.build(pts, dist * (1 + 1e-6), max_ring=1)
-        cells = grid.point_cell[np.array([3, 57, 3])]
-        got = grid.query_cells_union(cells, dist)
-        assert len(np.unique(got)) == len(got)
-        for i in (3, 57):
-            true = np.nonzero(
-                np.linalg.norm(pts - pts[i], axis=1) <= dist
-            )[0]
-            assert set(true.tolist()) <= set(got.tolist())
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_runs_borrow_into_the_padding(self, d):
+        # points on the extent's first and last cells of every axis: their
+        # rows start below the first code or end past the extent, in the
+        # padding between the occupied rows
+        corners = np.array(list(itertools.product([0.1, 4.9], repeat=d)))
+        pts = np.concatenate([corners, np.full((1, d), 2.5), corners[:2]])
+        grid = PointGrid.build(pts, 1.0, max_ring=3)
+        assert grid.num_cells == 2**d + 1
+        _assert_runs(grid, pts)
+
+
+def _assert_runs(grid, pts):
+    """For every cell and ring 1..3, the members of :meth:`PointGrid.runs`
+    are the points whose quantized indices differ from the cell's by at
+    most the ring on every axis, by cell index (axis 0 slowest), then
+    point index: the ascending code order."""
+    q = grid_mod.quantize(pts, grid.side)
+    by_code = np.lexsort((np.arange(len(pts)),) + tuple(q.T[::-1]))
+    cells = np.arange(grid.num_cells)
+    for R in (1, 2, 3):
+        got = [grid.order[grid_mod.ranges(lo[s], cnt[s])]
+               for _, lo, cnt in grid.runs(cells, R)
+               for s in range(len(lo))]
+        assert len(got) == grid.num_cells
+        for c in cells:
+            cell = q[grid.order[grid.cell_starts[c]]]
+            near = np.abs(q[by_code] - cell).max(axis=1) <= R
+            assert got[c].tolist() == by_code[near].tolist()
 
 
 def _true_ball(pts, i, dist):

@@ -26,6 +26,7 @@ from _greedy_reference import greedy_absorb_reference
 from repro.core.mbc import _ABSORB_MAX_PAIRS, _greedy_absorb
 from repro.core.metrics import CallableMetric, PrecomputedMetric, get_metric
 from repro.geometry import CellIndex, PointGrid
+from repro.geometry.grid import cell_ring, distinct_cells, ring_runs
 from repro.kernels import pair_distances
 from repro.streaming import InsertionOnlyCoreset
 
@@ -378,17 +379,40 @@ class TestAbsorbCSR:
         np.testing.assert_array_equal(as_a, as_b)
 
 
+def _deltas(idx):
+    """The code offsets of every cell of ``idx``'s query neighbourhood,
+    in offset order (axis 0 slowest)."""
+    ring = cell_ring(idx.reach, idx.side)
+    axes = np.meshgrid(*([np.arange(-ring, ring + 1)] * idx.dim),
+                       indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, idx.dim) @ idx._radix
+
+
+def _pairs(idx, qcodes):
+    """``idx.cell_pairs`` over the distinct cells of ``qcodes``."""
+    _, cells, of = distinct_cells(qcodes)
+    return idx.cell_pairs(cells, of)
+
+
+def _rows(idx):
+    """The row runs :meth:`CellIndex.cell_pairs` searches per cell."""
+    return ring_runs(idx._codes, np.zeros(1, dtype=np.int64), idx._radix,
+                     cell_ring(idx.reach, idx.side))[0].shape[1]
+
+
 def _assert_two_searches(idx, qcodes):
-    """``idx.pairs(qcodes)`` equals a left and a right search per
-    neighbour cell of every query, order included; returns the pairs."""
+    """``idx.cell_pairs`` over the distinct cells of ``qcodes`` equals a
+    left and a right search per neighbour cell of every query, order
+    included; returns the pairs."""
+    deltas = _deltas(idx)
     with np.errstate(over="ignore"):
-        targets = (qcodes[:, None] + idx._deltas[None, :]).ravel()
+        targets = (qcodes[:, None] + deltas[None, :]).ravel()
     lo = np.searchsorted(idx._codes, targets, side="left")
     hi = np.searchsorted(idx._codes, targets, side="right")
-    want_q = np.repeat(np.arange(len(targets)) // len(idx._deltas), hi - lo)
+    want_q = np.repeat(np.arange(len(targets)) // len(deltas), hi - lo)
     want_ids = idx._ids[np.concatenate(
         [np.arange(a, b) for a, b in zip(lo, hi)] + [[]]).astype(int)]
-    q, ids = idx.pairs(qcodes)
+    q, ids = _pairs(idx, qcodes)
     np.testing.assert_array_equal(q, want_q)
     np.testing.assert_array_equal(ids, want_ids)
     return q, ids
@@ -414,7 +438,7 @@ class TestCellIndex:
         qcodes = idx.encode(queries)
         if qcodes is None:
             return
-        q, ids = idx.pairs(qcodes)
+        q, ids = _pairs(idx, qcodes)
         assert np.all(np.diff(q) >= 0)
         got = set(zip(q.tolist(), ids.tolist()))
         # L2 and L1 dominate Linf, so the Linf ball is the widest
@@ -464,14 +488,14 @@ class TestCellIndex:
         idx = CellIndex(0.5, 1, 0.5)
         pts = rng.uniform(-20, 20, (300, 1))
         idx.add(idx.encode(pts), np.arange(300))
-        assert len(idx._row_first) == 1
+        assert _rows(idx) == 1
         _assert_two_searches(idx, idx.encode(rng.uniform(-22, 22, (60, 1))))
 
     def test_ring_two(self):
         # side < reach: five cells a row, five rows
         rng = np.random.default_rng(2)
         idx = CellIndex(0.6, 2, 1.0)
-        assert len(idx._deltas) == 25 and len(idx._row_first) == 5
+        assert len(_deltas(idx)) == 25 and _rows(idx) == 5
         pts = rng.uniform(-6, 6, (400, 2))
         idx.add(idx.encode(pts), np.arange(400))
         _assert_two_searches(idx, idx.encode(rng.uniform(-7, 7, (80, 2))))

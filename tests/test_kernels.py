@@ -5,6 +5,11 @@ chunk autotuning, and the :class:`repro.api.ProblemSpec` knobs (the
 kernel precision knob is retired: every distance is exact float64).
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -16,6 +21,21 @@ from repro.kernels import auto_chunk, pairwise_kernel
 METRICS = ("euclidean", "chebyshev", "manhattan")
 _CDIST = {"euclidean": "euclidean", "chebyshev": "chebyshev",
           "manhattan": "cityblock"}
+
+
+def test_importing_the_api_leaves_scipy_spatial_unloaded():
+    # pairwise_kernel imports cdist on its first call, so a process that
+    # imports the library (a server, a pool worker) skips the ~0.3 s
+    # scipy.spatial import until it computes a dense block
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, repro.api, repro.store; "
+            "print('scipy.spatial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-B", "-c", code],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False"]
 
 
 class TestAutoChunk:
