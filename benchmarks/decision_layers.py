@@ -1,0 +1,178 @@
+"""Time the layers of grid-pruned Charikar decisions, in one process.
+
+    PYTHONPATH=src python benchmarks/decision_layers.py
+
+Prints one flat JSON object of numbers on its last line, so
+``benchmarks/ab.py --extra`` can alternate it between two trees.  Every
+time is the minimum over its repetitions.
+
+* ``offline_seed_us_per_cell`` and ``offline_decision_ms``: the blocked
+  seed of one dense-grid decision (``core.greedy._GridCells``, which
+  seeds on construction), per cell, and the whole ``_grid_decision``,
+  on offline-search's 20,000 stratified points (k = 64) at its guess
+  3.2726 (961 cells).
+* ``stream_seed_us_per_cell`` and ``stream_decision_ms``: the same on
+  the stream-ingest coreset (the 4,239 weighted representatives its
+  Algorithm 3 ingest leaves, k = 8) at its guess 1.2959 (269 cells).
+* ``pair_ns``: ``kernels.pair_distances`` per pair, 5·10^5 Euclidean
+  pairs among 20,000 2-D points, rows sorted and columns random.
+* ``xover_<case>_lists_ms``, ``xover_<case>_cells_ms`` and
+  ``xover_<case>_pairs_per_cell``: one decision forced onto neighbour
+  lists and onto cell blocks (by patching
+  ``core.greedy._LIST_PAIRS_PER_CELL``), with the grid's candidate pairs
+  per cell, the figure that constant gates on.  Cases: 4,000 uniform
+  points in [0, 100]^2 with weights 1..3 at about 125, 250, 500, 1,000,
+  2,000 and 4,000 pairs per cell, for k = 8 and k = 64
+  (``u<pairs>_k<k>``), and the stream-ingest coreset at its guess 0.8771
+  (``stream0877``).
+
+The inputs come from the measured tree's own ``perfbench/workload.py``
+(found next to the imported ``repro`` package) and the names used exist
+in trees since the blocked decisions kept their seed, so the same
+script times any tree given by ``PYTHONPATH``.  Takes ~5 s.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import tempfile
+import time
+from unittest import mock
+
+import numpy as np
+
+REPEATS = 15
+XOVER_REPEATS = 3
+
+#: offline-search's and the stream-ingest coreset's guesses, exactly as
+#: their radius searches decide them
+OFFLINE_GUESS = 3.2725527814004765
+STREAM_GUESS = 1.295863093409801
+STREAM_LIST_GUESS = 0.8770911494200104
+
+
+def _min_time(fn, repeats: int = REPEATS) -> float:
+    best = np.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _workload():
+    """The measured tree's ``perfbench/workload.py`` (it puts that tree's
+    ``src`` first on ``sys.path``, the tree already imported)."""
+    import repro
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__))))
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    import workload
+
+    return workload
+
+
+def _inputs():
+    """``(offline, stream)`` weighted point sets."""
+    from repro.api import KCenterSession, ProblemSpec
+    from repro.core import WeightedPointSet
+
+    w = _workload()
+    pts = w._stratified_square((160, 125), 0)
+    offline = WeightedPointSet(pts, np.ones(len(pts), dtype=np.int64))
+    spec = ProblemSpec(k=w.STREAM_K, z=w.STREAM_Z, eps=0.5, dim=2,
+                       seed=w.SPEC_SEED)
+    with tempfile.TemporaryDirectory() as tmp:
+        source = w._write_stream_store(os.path.join(tmp, "store"), 0)
+        sess = KCenterSession(spec, backend="insertion-only")
+        sess.extend(source)
+        stream = sess.coreset()
+    return offline, stream
+
+
+def _grid(P, guess):
+    import repro.core.greedy as greedy
+
+    return greedy._grid_for_guess(P.points, greedy._cutoffs(guess)[0])
+
+
+def _decide(P, k, guess, grid, per_cell=None):
+    import repro.core.greedy as greedy
+    from repro.core.metrics import get_metric
+
+    stats = {"decisions": 0, "list_decisions": 0}
+    met = get_metric(None)
+    if per_cell is None:
+        return greedy._grid_decision(P, met, k, guess, grid, stats)
+    with mock.patch.object(greedy, "_LIST_PAIRS_PER_CELL", per_cell):
+        return greedy._grid_decision(P, met, k, guess, grid, stats)
+
+
+def seed_and_decision(name: str, P, k: int, guess: float) -> dict:
+    import repro.core.greedy as greedy
+    from repro.core.metrics import get_metric
+
+    grid = _grid(P, guess)
+    met = get_metric(None)
+    _decide(P, k, guess, grid)  # warm
+    seed = _min_time(lambda: greedy._GridCells(grid, P, met, guess))
+    decision = _min_time(lambda: _decide(P, k, guess, grid))
+    return {f"{name}_cells": grid.num_cells,
+            f"{name}_seed_us_per_cell": 1e6 * seed / grid.num_cells,
+            f"{name}_decision_ms": 1e3 * decision}
+
+
+def pair_ns() -> dict:
+    from repro.kernels import pair_distances
+
+    rng = np.random.default_rng(0)
+    n, m = 20_000, 500_000
+    pts = rng.random((n, 2))
+    rows = np.sort(rng.integers(0, n, m))
+    cols = rng.integers(0, n, m)
+    t = _min_time(lambda: pair_distances("euclidean", pts, rows, cols))
+    return {"pair_ns": 1e9 * t / m}
+
+
+def crossover(name: str, P, k: int, guess: float) -> dict:
+    import repro.core.greedy as greedy
+
+    grid = _grid(P, guess)
+    total = grid.candidate_pairs(greedy._cutoffs(guess)[0], 1 << 62)[0]
+    out = {f"xover_{name}_pairs_per_cell": total / grid.num_cells}
+    results = []
+    for path, per_cell in (("lists", 1 << 62), ("cells", 0)):
+        results.append(_decide(P, k, guess, grid, per_cell))
+        out[f"xover_{name}_{path}_ms"] = 1e3 * _min_time(
+            lambda: _decide(P, k, guess, grid, per_cell), XOVER_REPEATS)
+    assert results[0][0] == results[1][0], "lists and cells disagree"
+    return out
+
+
+def main() -> int:
+    from repro.core import WeightedPointSet
+
+    offline, stream = _inputs()
+    out = {}
+    out.update(seed_and_decision("offline", offline, 64, OFFLINE_GUESS))
+    out.update(seed_and_decision("stream", stream, 8, STREAM_GUESS))
+    out.update(pair_ns())
+    rng = np.random.default_rng(0)
+    n = 4000
+    uniform = WeightedPointSet(rng.uniform(0, 100, (n, 2)),
+                               rng.integers(1, 4, n))
+    for pairs in (125, 250, 500, 1000, 2000, 4000):
+        # ~9 m^2 candidate pairs per cell of m points, m = n (g/100)^2
+        guess = 100.0 * np.sqrt(np.sqrt(pairs / 9.0) / n)
+        for k in (8, 64):
+            out.update(crossover(f"u{pairs}_k{k}", uniform, k, guess))
+    out.update(crossover("stream0877", stream, 8, STREAM_LIST_GUESS))
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -56,7 +56,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry.grid import PointGrid, cutoff_side, distinct_cells, ranges
+from ..geometry.grid import (
+    PointGrid,
+    batch_cuts,
+    cutoff_side,
+    distinct_cells,
+    ranges,
+)
 from ..kernels import DEFAULT_BLOCK_BYTES, auto_chunk, pair_distances
 from .metrics import Metric, _KernelMetric, get_metric
 from .points import WeightedPointSet
@@ -76,6 +82,10 @@ _GRID_MAX_DIM = 4
 #: block of a giant cell: its candidate rows are chunked to fit)
 _GRID_PAIR_CHUNK = 4_000_000
 
+#: candidate rows one batch of blocked-scan cells gathers at once (a
+#: cell with more rows is a batch of its own)
+_GRID_BATCH_ROWS = 8192
+
 #: candidate pairs one neighbour-list build (:func:`neighbour_lists`) may
 #: enumerate, ~1.4M: the one gate of the list decisions and
 #: :func:`repro.core.mbc._greedy_absorb`.  Expanding a candidate pair
@@ -91,13 +101,15 @@ _LIST_BLOCK_PAIRS = 1 << 18
 
 #: a decision walks neighbour lists instead of per-cell blocked scans
 #: while its grid averages at most this many candidate pairs per cell.
-#: A blocked scan pays a distance-kernel dispatch per source cell, for
-#: the seed and again per pick (~90-160 µs per cell per decision); a
-#: listed pair costs ~65 ns to expand, compare and scatter.  Measured
-#: crossover on a 2-core Xeon VM (uniform points, d = 1..3, n = 2,100 to
-#: 4,000, k = 8 and 64): 1,500-3,700 pairs per cell; at 600 pairs per
-#: cell the lists already win 2-3x
-_LIST_PAIRS_PER_CELL = 2048
+#: A blocked scan pays a distance-kernel call per source cell for the
+#: seed, and again per partly covered cell of a pick (~14-25 µs per
+#: cell per decision at k = 8); a listed candidate pair costs ~30-45 ns
+#: to expand, compare and scatter.  Measured crossover on a 2-core Xeon
+#: VM (``benchmarks/decision_layers.py``, ``AB_PR31_layers.json``: 4,000
+#: uniform 2-D points, k = 8 and 64): between 236 and 457 pairs per
+#: cell; at ~900 pairs per cell the blocked scans take 0.6-0.7x the
+#: lists' time
+_LIST_PAIRS_PER_CELL = 512
 
 
 @dataclass(frozen=True)
@@ -364,7 +376,8 @@ def _group_by_cell(
     grid: PointGrid, idx: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """Group point indices by their grid cell: ``(cells, starts, counts,
-    members)`` in the source format :meth:`_GridCells._scan` takes."""
+    members)``, cell ``cells[s]`` holding ``members[starts[s] :
+    starts[s] + counts[s]]``, cells ascending."""
     by_cell, cells, of = distinct_cells(grid.point_cell[idx])
     counts = np.bincount(of)
     return cells, np.cumsum(counts) - counts, counts, idx[by_cell]
@@ -383,7 +396,7 @@ class _GridSource:
 
     def cover(self, v: int, uncovered: np.ndarray) -> np.ndarray:
         cand = self.grid.query_point(v, self.limit3)
-        dv = self.metric.to_set(self.pts[v], self.pts[cand])
+        dv = self.metric.to_set(self.pts[v], self.pts.take(cand, axis=0))
         return np.sort(cand[uncovered[cand] & (dv <= self.limit3)])
 
 
@@ -419,17 +432,23 @@ class _NeighbourLists(_GridSource):
 
 class _GridCells(_GridSource):
     """Cell gain source: one rows x members distance block per source
-    cell (:meth:`_contribution`), its rows the points of the cells
+    cell (:meth:`_contributions`), its rows the points of the cells
     within Chebyshev ring ``ring`` of it.
 
     ``within`` (a sparse grid's streamed pair blocks from
     :func:`_within_cutoff`) seeds the gains one ``bincount`` per block,
     each block dropped before the next.  Without it the seed runs cell
-    by cell: it keeps each cell's rows and contribution when the rows
-    total at most :data:`_LIST_MAX_PAIRS` (:meth:`_keep_cells`), and the
-    picks spend those (:meth:`_subtract_kept`).  Otherwise it keeps
-    nothing and every pick rescans its newly covered points cell by cell
-    (:meth:`_scan`).
+    by cell over the points and weights copied into cell order
+    (:attr:`PointGrid.order`), so each cell's members are a slice
+    (:meth:`_seed`).  It keeps each cell's rows and contribution when
+    the rows total at most :data:`_LIST_MAX_PAIRS`, and the picks spend
+    those (:meth:`_subtract_kept`); otherwise it keeps nothing and every
+    pick rescans its newly covered points cell by cell (:meth:`_scan`).
+
+    Every block batch gathers its candidate rows at once, at most
+    :data:`_GRID_BATCH_ROWS` of them (:meth:`_blocks`), and a pick
+    gathers its newly covered points once, grouped by cell, so each
+    cell's members are a slice of them too.
     """
 
     def __init__(self, grid: PointGrid, wps: WeightedPointSet,
@@ -443,84 +462,113 @@ class _GridCells(_GridSource):
                 self.gain[grid.order[p0:p1]] = np.bincount(
                     at, weights=self.w64[j], minlength=p1 - p0
                 )
-        elif not self._keep_cells():
-            self.gain = np.zeros(grid.n, dtype=np.float64)
-            self._scan(1.0, np.arange(grid.num_cells), grid.cell_starts,
-                       grid.cell_counts, grid.order)
+        else:
+            self._seed()
 
     def subtract(self, idx: np.ndarray, uncovered: np.ndarray) -> None:
         if self.kept is not None:
             self._subtract_kept(idx)
         else:
-            self._scan(-1.0, *_group_by_cell(self.grid, idx))
+            self._scan(idx)
 
-    def _contribution(self, rows: np.ndarray, mem: np.ndarray) -> np.ndarray:
-        """``(dist(rows, mem) <= cutoff) @ w64[mem]``: the weight of the
-        source points ``mem`` within the cutoff of each candidate row.
-        Row-chunked to :data:`_GRID_PAIR_CHUNK` pairs, so a giant cell
-        (clustered data) never materializes an unbounded block."""
-        rows_per = max(1, _GRID_PAIR_CHUNK // len(mem))
-        pts = self.pts
-        src, wm = pts[mem], self.w64[mem]
-        parts = [(self.metric.pairwise(pts[rows[r0 : r0 + rows_per]], src)
-                  <= self.cutoff) @ wm
-                 for r0 in range(0, len(rows), rows_per)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    def _contributions(self, rows: np.ndarray, sizes: "list[int]",
+                       starts: "list[int]", counts: "list[int]",
+                       mem: np.ndarray, wm: np.ndarray) -> np.ndarray:
+        """The contributions of one batch of sources: source ``t`` owns
+        the next ``sizes[t]`` of the gathered candidate ``rows`` and the
+        members ``mem[starts[t] : starts[t] + counts[t]]`` (weights
+        alongside in ``wm``), and each of its rows gets ``(dist(row,
+        members) <= cutoff) @ weights``.
 
-    def _scan(self, sign: float, src_cells: np.ndarray,
-              src_starts: np.ndarray, src_counts: np.ndarray,
-              src_members: np.ndarray) -> None:
-        """Blocked per-cell scan: ``gain[i] += sign * w64[j]`` over every
-        pair with ``j`` a source point, ``i`` any point of a cell within
-        the ring of ``j``'s cell, and ``dist(i, j) <= cutoff``.
+        One distance block per source, row-chunked to
+        :data:`_GRID_PAIR_CHUNK` pairs so a giant cell (clustered data)
+        never materializes an unbounded block.  Each block is dropped as
+        soon as it is compared, before the next is allocated: a block
+        held across the next chunk's allocation makes every chunk fault
+        in fresh pages."""
+        out = np.empty(len(rows), dtype=np.float64)
+        a = 0
+        for size, m0, m in zip(sizes, starts, counts):
+            src, w = mem[m0 : m0 + m], wm[m0 : m0 + m]
+            step = max(1, _GRID_PAIR_CHUNK // m)
+            for r0 in range(a, a + size, step):
+                r1 = min(r0 + step, a + size)
+                np.dot(self.metric.pairwise(rows[r0:r1], src) <= self.cutoff,
+                       w, out=out[r0:r1])
+            a += size
+        return out
 
-        Sources are cells (indices into ``grid.cell_codes``) with their
-        members ``src_members[src_starts[s] : src_starts[s] +
-        src_counts[s]]``: the grid's own cells for a seed, a pick's newly
-        covered points grouped by cell (:func:`_group_by_cell`) for a
-        rescan.  Their neighbourhoods come as member runs a slice of
-        sources at a time (:meth:`PointGrid.runs`)."""
-        grid, gain = self.grid, self.gain
-        for i0, lo, cnt in grid.runs(src_cells, self.ring):
-            for s in range(len(cnt)):
-                rows = grid.order[ranges(lo[s], cnt[s])]
-                start = src_starts[i0 + s]
-                mem = src_members[start : start + src_counts[i0 + s]]
-                contrib = self._contribution(rows, mem)
-                if sign > 0:
-                    gain[rows] += contrib
-                else:
-                    gain[rows] -= contrib
+    def _blocks(self, cells: np.ndarray, mem: np.ndarray, wm: np.ndarray,
+                starts: np.ndarray, counts: np.ndarray):
+        """Blocked per-cell scan: for every source ``s``, the weight of
+        its members ``mem[starts[s] : starts[s] + counts[s]]`` (weights
+        alongside in ``wm``) within the cutoff of each point of the
+        cells within the ring of ``cells[s]`` (indices into
+        ``grid.cell_codes``, ascending).
 
-    def _keep_cells(self) -> bool:
-        """Seed cell by cell and keep what each cell computed, or return
-        ``False``, before computing any distance, when the cells'
-        candidate rows total more than :data:`_LIST_MAX_PAIRS`.
+        Yields ``(ids, contrib)`` per batch of consecutive sources: the
+        batch's candidate rows (point indices, source by source, each
+        source's by code) and their contributions.  Neighbourhoods come
+        as member runs a slice of sources at a time
+        (:meth:`PointGrid.runs`), and a batch gathers at most
+        :data:`_GRID_BATCH_ROWS` rows unless one source alone has more.
+        """
+        grid, pts = self.grid, self.pts
+        starts, counts = starts.tolist(), counts.tolist()
+        for i0, lo, cnt in grid.runs(cells, self.ring):
+            sizes = cnt.sum(axis=1)
+            cuts = batch_cuts(sizes, _GRID_BATCH_ROWS)
+            sizes = sizes.tolist()
+            for s0, s1 in zip(cuts, cuts[1:]):
+                ids = grid.order[ranges(lo[s0:s1], cnt[s0:s1])]
+                yield ids, self._contributions(
+                    pts.take(ids, axis=0), sizes[s0:s1],
+                    starts[i0 + s0 : i0 + s1], counts[i0 + s0 : i0 + s1],
+                    mem, wm)
+
+    def _seed(self) -> None:
+        """Seed the gains cell by cell, every cell's members a slice of
+        the cell-ordered copies.  Keeps what each cell computed when the
+        cells' candidate rows total at most :data:`_LIST_MAX_PAIRS`,
+        decided before any distance is computed.
 
         ``kept = (ptr, rows, rem, left)``: cell ``c``'s candidate rows
-        (what :meth:`_scan` would scan for it) are ``rows[ptr[c]:ptr[c +
+        (what :meth:`_blocks` scans for it) are ``rows[ptr[c]:ptr[c +
         1]]``, ``rem`` holds its contribution alongside, and ``left[c]``
         counts its members still uncovered."""
         grid = self.grid
-        sizes, rows, total = [], [], 0
-        for _, lo, cnt in grid.runs(np.arange(grid.num_cells), self.ring):
-            total += int(cnt.sum())
-            if total > _LIST_MAX_PAIRS:
-                return False
-            sizes.append(cnt.sum(axis=1))
-            # a slice's runs, in source order, are its cells' rows
-            rows.append(grid.order[ranges(lo, cnt)])
-        ptr = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-        rows = np.concatenate(rows)
+        cells = np.arange(grid.num_cells)
+        sizes = np.concatenate([cnt.sum(axis=1) for _, _, cnt
+                                in grid.runs(cells, self.ring)])
+        total = int(sizes.sum())
+        blocks = self._blocks(cells, self.pts.take(grid.order, axis=0),
+                              self.w64[grid.order], grid.cell_starts,
+                              grid.cell_counts)
+        if total > _LIST_MAX_PAIRS:
+            self.gain = np.zeros(grid.n, dtype=np.float64)
+            for ids, contrib in blocks:
+                np.add.at(self.gain, ids, contrib)
+            return
+        rows = np.empty(total, dtype=np.int64)
         rem = np.empty(total, dtype=np.float64)
-        for c in range(grid.num_cells):
-            a, b = ptr[c], ptr[c + 1]
-            start = grid.cell_starts[c]
-            rem[a:b] = self._contribution(
-                rows[a:b], grid.order[start : start + grid.cell_counts[c]])
+        a = 0
+        for ids, contrib in blocks:
+            rows[a : a + len(ids)] = ids
+            rem[a : a + len(ids)] = contrib
+            a += len(ids)
         self.gain = np.bincount(rows, weights=rem, minlength=grid.n)
+        ptr = np.concatenate(([0], np.cumsum(sizes)))
         self.kept = (ptr, rows, rem, grid.cell_counts.copy())
-        return True
+
+    def _scan(self, idx: np.ndarray) -> None:
+        """One pick's update without kept cells: rescan the newly covered
+        points ``idx``, grouped by cell, against their cells'
+        neighbourhoods and subtract their weight from the gains."""
+        cells, starts, counts, members = _group_by_cell(self.grid, idx)
+        for ids, contrib in self._blocks(
+                cells, self.pts.take(members, axis=0),
+                self.w64[members], starts, counts):
+            np.subtract.at(self.gain, ids, contrib)
 
     def _subtract_kept(self, idx: np.ndarray) -> None:
         """One pick's update from the kept cells: subtract the weight of
@@ -531,9 +579,11 @@ class _GridCells(_GridSource):
         its seed contribution, with no distance computed; all such cells
         go in one ``bincount``.  Any other cell scans only its newly
         covered members against its kept rows, with no neighbour lookup,
-        and spends the result from what it has left.  Integer weights
-        make every kept, spent and remaining contribution an exact
-        float64 integer, so the gains equal the rescans' bit for bit.
+        and spends the result from what it has left; those cells' rows
+        are gathered :data:`_GRID_BATCH_ROWS` at a time.  Integer
+        weights make every kept, spent and remaining contribution an
+        exact float64 integer, so the gains equal the rescans' bit for
+        bit.
         """
         ptr, rows, rem, left = self.kept
         gain = self.gain
@@ -545,12 +595,24 @@ class _GridCells(_GridSource):
             flat = ranges(lo, ptr[cells[done] + 1] - lo)
             gain -= np.bincount(rows[flat], weights=rem[flat],
                                 minlength=len(gain))
-        for s in np.flatnonzero(~done):
-            a, b = ptr[cells[s]], ptr[cells[s] + 1]
-            mem = members[starts[s] : starts[s] + counts[s]]
-            contrib = self._contribution(rows[a:b], mem)
-            gain[rows[a:b]] -= contrib
-            rem[a:b] -= contrib
+        part = np.flatnonzero(~done)
+        if not part.size:
+            return
+        mem = self.pts.take(members, axis=0)
+        wm = self.w64[members]
+        lo = ptr[cells[part]]
+        sizes = ptr[cells[part] + 1] - lo
+        cuts = batch_cuts(sizes, _GRID_BATCH_ROWS)
+        n_rows = sizes.tolist()
+        starts, counts = starts[part].tolist(), counts[part].tolist()
+        for s0, s1 in zip(cuts, cuts[1:]):
+            flat = ranges(lo[s0:s1], sizes[s0:s1])
+            ids = rows[flat]
+            contrib = self._contributions(
+                self.pts.take(ids, axis=0), n_rows[s0:s1],
+                starts[s0:s1], counts[s0:s1], mem, wm)
+            np.subtract.at(gain, ids, contrib)
+            rem[flat] -= contrib
 
 
 def _within_cutoff(blocks, pts: np.ndarray, kind: str, cutoff: float):

@@ -9,12 +9,17 @@ experiment runner) fan work out through:
 * :class:`Executor` — the minimal protocol: an order-preserving ``map``.
 * :class:`SerialExecutor` — the reference semantics (a list comprehension).
 * :class:`ThreadExecutor` — ``concurrent.futures.ThreadPoolExecutor``;
-  the heavy kernels (pairwise distances, greedy passes) release the GIL
-  inside BLAS/C, so threads give real speedup with zero serialization
-  cost.
+  no serialization cost, but only the time spent inside C kernels
+  (SciPy distance blocks, BLAS) releases the GIL.
 * :class:`ProcessExecutor` — ``concurrent.futures.ProcessPoolExecutor``;
-  true multi-core for CPU-bound pure-Python work, at the price of
-  pickling tasks and results (task callables must be module-level).
+  separate interpreters, at the price of pickling tasks and results
+  (task callables must be module-level).
+
+Neither pool is a measured speedup.  The one recorded comparison, the
+n=50,000 two-round instance of ``benchmarks/bench_engine_scaling.py``
+on a 2-core VM (one run each), took 14.9 s serial, 19.9 s on
+``thread:2`` and 20.9 s on ``process:2``; no run on more cores has
+been recorded.
 
 Determinism is a hard requirement: parallel runs must be *bit-identical*
 to serial ones.  Three mechanisms guarantee it:

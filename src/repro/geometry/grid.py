@@ -396,14 +396,7 @@ class PointGrid:
         total = int(pairs.sum())
         if total > max_pairs:
             return None
-        limit = total if block_pairs is None else block_pairs
-        cum = np.cumsum(pairs)
-        cuts = [0]
-        while cuts[-1] < self.num_cells:
-            c0 = cuts[-1]
-            base = int(cum[c0 - 1]) if c0 else 0
-            c1 = int(np.searchsorted(cum, base + limit, side="right"))
-            cuts.append(max(c1, c0 + 1))
+        cuts = batch_cuts(pairs, total if block_pairs is None else block_pairs)
 
         def blocks():
             for c0, c1 in zip(cuts, cuts[1:]):
@@ -541,6 +534,20 @@ def ranges(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     lo, cnt = np.ravel(lo), np.ravel(cnt)
     return np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) \
         + np.arange(int(cnt.sum()))
+
+
+def batch_cuts(sizes: np.ndarray, limit: int) -> "list[int]":
+    """Cut points ``[0, ..., len(sizes)]`` that split consecutive items
+    of ``sizes`` into batches whose sizes total at most ``limit``; an
+    item larger than ``limit`` is a batch of its own."""
+    cum = np.cumsum(sizes)
+    cuts = [0]
+    while cuts[-1] < len(sizes):
+        c0 = cuts[-1]
+        base = int(cum[c0 - 1]) if c0 else 0
+        c1 = int(np.searchsorted(cum, base + limit, side="right"))
+        cuts.append(max(c1, c0 + 1))
+    return cuts
 
 
 def distinct_cells(codes: np.ndarray

@@ -37,6 +37,12 @@ _CDIST_NAMES = {
 }
 
 
+#: SciPy's ``cdist``, imported on the first dense block: scipy.spatial
+#: costs ~0.3 s to import, which every process that never computes one
+#: would pay (and an import statement per block costs ~1 µs)
+_cdist = None
+
+
 def auto_chunk(n_cols: int) -> int:
     """Rows per float64 distance block so ``rows x n_cols`` stays inside
     :data:`DEFAULT_BLOCK_BYTES`.  Clamped to ``[64, 8192]`` so tiny
@@ -54,7 +60,9 @@ def _check_kind(kind: str) -> None:
 
 
 def _as_points(x: np.ndarray) -> np.ndarray:
-    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    # a 2-D block is the common case: skip atleast_2d's call overhead
+    return x if x.ndim >= 2 else np.atleast_2d(x)
 
 
 def pairwise_kernel(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,11 +77,10 @@ def pairwise_kernel(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _as_points(b)
     if a.size == 0 or b.size == 0:
         return np.zeros((len(a), len(b)))
-    # imported here: scipy.spatial costs ~0.3 s to import, which every
-    # process that never computes a dense block would pay
-    from scipy.spatial.distance import cdist
-
-    return cdist(a, b, metric=_CDIST_NAMES[kind])
+    global _cdist
+    if _cdist is None:
+        from scipy.spatial.distance import cdist as _cdist
+    return _cdist(a, b, metric=_CDIST_NAMES[kind])
 
 
 def pair_distances(
@@ -91,31 +98,38 @@ def pair_distances(
     pairs a spatial index produced.  Bit-identical to the corresponding
     ``cdist`` entries: the accumulation runs per coordinate in index
     order with every intermediate rounded, exactly like cdist's inner
-    loop (pinned by ``tests/test_greedy_pruned.py``).
+    loop (pinned by ``tests/test_greedy_pruned.py`` for every layout its
+    callers pass: row slices of larger buffers, Fortran-ordered or
+    strided points, int32 or int64 indices in any order).
+
+    Each coordinate is gathered from its own 1-D column view
+    (``pts[:, c].take(rows)``) and combined in place: a 2-D fancy gather
+    ``pts[rows, c]`` costs about twice as much per pair.
     """
     _check_kind(kind)
     pts = _as_points(pts)
     rows = np.asarray(rows)
     cols = np.asarray(cols)
-    if other is None:
-        other = pts
-    else:
-        other = _as_points(other)
-    d = pts.shape[1]
+    other = pts if other is None else _as_points(other)
+
+    def diff(c: int) -> np.ndarray:
+        out = pts[:, c].take(rows)
+        out -= other[:, c].take(cols)
+        return out
+
+    out = diff(0)
     if kind == "euclidean":
-        diff = pts[rows, 0] - other[cols, 0]
-        out = diff * diff
-        for c in range(1, d):
-            diff = pts[rows, c] - other[cols, c]
-            out += diff * diff
+        out *= out
+        for c in range(1, pts.shape[1]):
+            dc = diff(c)
+            dc *= dc
+            out += dc
         np.sqrt(out, out=out)
         return out
-    reduce_max = kind == "chebyshev"
-    out = np.abs(pts[rows, 0] - other[cols, 0])
-    for c in range(1, d):
-        diff = np.abs(pts[rows, c] - other[cols, c])
-        if reduce_max:
-            np.maximum(out, diff, out=out)
-        else:
-            out += diff
+    np.abs(out, out=out)
+    combine = np.maximum if kind == "chebyshev" else np.add
+    for c in range(1, pts.shape[1]):
+        dc = diff(c)
+        np.abs(dc, out=dc)
+        combine(out, dc, out=out)
     return out

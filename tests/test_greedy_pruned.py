@@ -213,6 +213,43 @@ class TestPairDistances:
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, D[rows, cols])
 
+    @pytest.mark.parametrize("kind", METRICS)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("layout", ["other_rows", "fortran", "strided"])
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_bit_matches_cdist_on_every_caller_layout(self, rng, kind, d,
+                                                      layout, index_dtype):
+        # the layouts callers pass: Algorithm 3's ``other=`` is a row
+        # slice of its larger representative buffer; points may arrive
+        # Fortran-ordered or as a strided view; the grid paths index
+        # with int64 and may pass int32; rows come unsorted and repeated
+        scale = rng.choice([1e-3, 1.0, 1e6])
+        pts = rng.normal(size=(50, d)) * scale
+        other = None
+        if layout == "other_rows":
+            buf = rng.normal(size=(90, d)) * scale
+            other = buf[7:77]
+        elif layout == "fortran":
+            pts = np.asfortranarray(pts)
+        else:
+            wide = rng.normal(size=(100, 2 * d)) * scale
+            pts = wide[::2, ::2]
+            assert not pts.flags.c_contiguous
+        m = len(pts if other is None else other)
+        rows = rng.integers(0, len(pts), size=400).astype(index_dtype)
+        rows[:40] = rows[0]  # a repeated row
+        cols = rng.integers(0, m, size=400).astype(index_dtype)
+        cols[40:80] = cols[40]
+        D = pairwise_kernel(kind, pts, pts if other is None else other)
+        got = pair_distances(kind, pts, rows, cols, other=other)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, D[rows, cols])
+        # the grid paths' order: rows sorted, each with a run of columns
+        order = np.argsort(rows, kind="stable")
+        np.testing.assert_array_equal(
+            pair_distances(kind, pts, rows[order], cols[order], other=other),
+            D[rows[order], cols[order]])
+
     def test_empty_pairs(self):
         pts = np.zeros((3, 2))
         out = pair_distances(
