@@ -1,4 +1,5 @@
-"""Time the layers of grid-pruned Charikar decisions, in one process.
+"""Time the layers of grid-pruned Charikar decisions and whole radius
+searches, in one process.
 
     PYTHONPATH=src python benchmarks/decision_layers.py
 
@@ -25,11 +26,23 @@ time is the minimum over its repetitions.
   2,000 and 4,000 pairs per cell, for k = 8 and k = 64
   (``u<pairs>_k<k>``), and the stream-ingest coreset at its guess 0.8771
   (``stream0877``).
+* ``search_<case>_ms``, ``search_<case>_decisions`` and
+  ``search_<case>_skipped``: one whole ``charikar_greedy`` call, its
+  time, its decisions and the guesses its certified floor settled
+  without one (``GreedyResult.stats``; 0 in trees without the floor).
+  Cases: offline-search's 20,000 points (k = 64, z = 200, ``offline``),
+  the stream-ingest coreset (k = 8, z = 64, ``stream``), one
+  mpc-two-round machine (its 2,100 checkerboard points, k = 8, budgets
+  0, 1, 3, ..., 31 in one call, ``mpc``) and two searches whose budget
+  is too large for the floor's traversal to pay: 20,000 and 5,000
+  uniform points in [0, 100]^2 with weights 1..2 (k = 8, z = 2,000,
+  ``z2000``; k = 4, z = 1,000, ``z1000``).  :func:`large_budget_searches`
+  times those two alone, at any number of repetitions.
 
 The inputs come from the measured tree's own ``perfbench/workload.py``
 (found next to the imported ``repro`` package) and the names used exist
 in trees since the blocked decisions kept their seed, so the same
-script times any tree given by ``PYTHONPATH``.  Takes ~5 s.
+script times any tree given by ``PYTHONPATH``.  Takes ~13 s.
 """
 
 from __future__ import annotations
@@ -45,6 +58,7 @@ import numpy as np
 
 REPEATS = 15
 XOVER_REPEATS = 3
+SEARCH_REPEATS = 7
 
 #: offline-search's and the stream-ingest coreset's guesses, exactly as
 #: their radius searches decide them
@@ -152,6 +166,42 @@ def crossover(name: str, P, k: int, guess: float) -> dict:
     return out
 
 
+def _mpc_machine(w):
+    """mpc-two-round's first machine: the stratified points whose
+    ``MPC_GRID`` cell has an even coordinate sum."""
+    from repro.core import WeightedPointSet
+
+    pts = w._stratified_square(w.MPC_GRID, 0)
+    cells = np.floor(pts * np.array(w.MPC_GRID) / 100.0).astype(np.int64)
+    part = pts[(cells[:, 0] + cells[:, 1]) % 2 == 0]
+    return WeightedPointSet(part, np.ones(len(part), dtype=np.int64))
+
+
+def search(name: str, P, k: int, z, repeats: int = SEARCH_REPEATS) -> dict:
+    from repro.core import charikar_greedy
+
+    res = charikar_greedy(P, k, z)  # warm
+    stats = (res[0] if isinstance(res, list) else res).stats
+    t = _min_time(lambda: charikar_greedy(P, k, z), repeats)
+    return {f"search_{name}_ms": 1e3 * t,
+            f"search_{name}_decisions": stats["decisions"],
+            f"search_{name}_skipped": stats.get("skipped", 0)}
+
+
+def large_budget_searches(repeats: int = SEARCH_REPEATS) -> dict:
+    """The ``z2000`` and ``z1000`` searches, whose budgets are too large
+    for the certified floor's traversal to pay."""
+    from repro.core import WeightedPointSet
+
+    out = {}
+    for n, k, z in ((20_000, 8, 2_000), (5_000, 4, 1_000)):
+        rng = np.random.default_rng(0)
+        P = WeightedPointSet(rng.uniform(0, 100, (n, 2)),
+                             rng.integers(1, 3, n))
+        out.update(search(f"z{z}", P, k, z, repeats))
+    return out
+
+
 def main() -> int:
     from repro.core import WeightedPointSet
 
@@ -170,6 +220,11 @@ def main() -> int:
         for k in (8, 64):
             out.update(crossover(f"u{pairs}_k{k}", uniform, k, guess))
     out.update(crossover("stream0877", stream, 8, STREAM_LIST_GUESS))
+    out.update(search("offline", offline, 64, 200))
+    out.update(search("stream", stream, 8, 64))
+    out.update(search("mpc", _mpc_machine(_workload()), 8,
+                      [0, 1, 3, 7, 15, 31]))
+    out.update(large_budget_searches())
     print(json.dumps(out))
     return 0
 

@@ -191,6 +191,11 @@ def bench_serve_replay(quick: bool) -> dict:
     }
 
 
+#: points of the ``--quick`` per-decision comparison in
+#: :func:`bench_charikar_scale_100k` (a prefix of its instance)
+QUICK_DECISION_N = 12_500
+
+
 def bench_charikar_scale_100k(quick: bool) -> dict:
     """Grid-pruned Greedy(P, k, z) at coreset-construction scale.
 
@@ -199,7 +204,10 @@ def bench_charikar_scale_100k(quick: bool) -> dict:
     dense-vs-pruned ratio is measured honestly on ONE decision at the
     winning guess — the guess the search actually pays for — with the
     two decision procedures asserted bit-identical first.  ``speedup``
-    reports that per-decision ratio.
+    reports that per-decision ratio.  ``--quick`` runs that comparison on
+    the instance's first :data:`QUICK_DECISION_N` points (a dense
+    decision over all 50,000 costs ~18 s), still at the whole search's
+    ``decision_guess``.
     """
     from repro.core.greedy import (
         _geometric_decision,
@@ -215,10 +223,11 @@ def bench_charikar_scale_100k(quick: bool) -> dict:
     met = get_metric(None)
     new_s, res = _timed(lambda: charikar_greedy(P, k, z, met))
     g = float(res.guess)
-    grid = _grid_for_guess(P.points, g + 1e-9 * max(1.0, g))
+    Q = P.subset(np.arange(QUICK_DECISION_N)) if quick else P
+    grid = _grid_for_guess(Q.points, g + 1e-9 * max(1.0, g))
     assert grid is not None, "grid must apply at benchmark sizes"
-    pruned_s, pruned = _timed(lambda: _grid_decision(P, met, k, g, grid))
-    dense_s, dense = _timed(lambda: _geometric_decision(P, met, k, g))
+    pruned_s, pruned = _timed(lambda: _grid_decision(Q, met, k, g, grid))
+    dense_s, dense = _timed(lambda: _geometric_decision(Q, met, k, g))
     assert pruned[0] == dense[0], "pruned/dense decision parity violated"
     assert np.array_equal(pruned[1], dense[1])
     return {

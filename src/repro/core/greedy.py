@@ -3,8 +3,8 @@
 Two classic algorithms the paper builds on:
 
 * :func:`gonzalez` — Gonzalez's farthest-point traversal, a 2-approximation
-  for k-center *without* outliers.  Used as a cheap certified upper bound
-  on ``opt_{k,0} >= opt_{k,z}`` when seeding radius searches.
+  for k-center *without* outliers.  Its radius is a cheap certified upper
+  bound on ``opt_{k,0} >= opt_{k,z}`` when seeding radius searches.
 * :func:`charikar_greedy` — the 3-approximation of Charikar, Khuller, Mount
   and Narasimhan (SODA 2001) for k-center *with* outliers, in the weighted
   setting.  This is the ``Greedy(P, k, z)`` subroutine of the paper:
@@ -22,6 +22,15 @@ mode) or ``3 (1+tol) * opt`` (geometric mode for large inputs).  Nothing
 before that final weight test looks at ``z``, so one
 :func:`charikar_greedy` call serves a whole ascending vector of budgets
 (Algorithm 2's round 1) and decides each guess once.
+
+**A certified floor.**  Each search runs one farthest-first traversal
+(:func:`_farthest_first`, Gonzalez's, bit for bit).  Its first ``k``
+picks give the ladder's upper bound; the picks past ``k`` give each
+budget a floor below which no guess can be feasible (:func:`_bounds`,
+a packing argument that needs the triangle inequality, so built-in
+norms only).  The binary searches probe the same guesses as without
+it, but settle the ones below the floor without deciding them
+(:func:`_below_floor`): the low rungs a ladder search starts with.
 
 **One pick loop over four gain sources.**  :func:`_pick_centers` is the
 decision, written once: the argmax of the gains, the ``3g`` coverage
@@ -46,13 +55,16 @@ of the three decision entry points builds a source:
   (``tests/test_greedy_pruned.py``, ``tests/test_greedy_lists.py``).
 
 :attr:`GreedyResult.path` records which entry points served a call and
-:attr:`GreedyResult.stats` counts its decisions.
+:attr:`GreedyResult.stats` counts its decisions and the guesses its floor
+settled.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -141,11 +153,12 @@ class GreedyResult:
         Provenance counters of :func:`charikar_greedy`, counted over the
         whole call — every result of a multi-budget call shares them:
         ``decisions`` (decisions run on any path, one per distinct
-        guess), ``list_decisions`` (grid decisions served by neighbour
-        lists) and ``grid_builds`` (per-guess grids built); the last two
-        stay 0 off the grid path.  Empty for :func:`gonzalez` and for
-        trivial calls that decide nothing.  JSON-safe ints only; never
-        affects results.
+        guess), ``skipped`` (distinct guesses settled below a budget's
+        certified floor and never decided), ``list_decisions`` (grid
+        decisions served by neighbour lists) and ``grid_builds``
+        (per-guess grids built); the last two stay 0 off the grid path.
+        Empty for :func:`gonzalez` and for trivial calls that decide
+        nothing.  JSON-safe ints only; never affects results.
     """
 
     centers_idx: np.ndarray
@@ -169,9 +182,9 @@ def gonzalez(
     """Gonzalez's farthest-point 2-approximation (no outliers).
 
     Runs in ``O(nk)`` distance evaluations.  ``first`` selects the initial
-    center (the approximation guarantee holds for any choice).  A
-    non-empty input needs ``k >= 1``: :class:`ValueError` otherwise, as in
-    :func:`charikar_greedy`.
+    center (the approximation guarantee holds for any choice); it must be
+    an integer in ``[0, n)``.  A non-empty input needs ``k >= 1``.  Both
+    raise :class:`ValueError` otherwise, as in :func:`charikar_greedy`.
     """
     metric = get_metric(metric)
     n = len(wps)
@@ -179,17 +192,108 @@ def gonzalez(
         return GreedyResult(np.zeros(0, dtype=int), 0.0, 0.0, np.zeros(0, dtype=bool))
     if k <= 0:
         raise ValueError("k must be positive")
+    if not (isinstance(first, (int, np.integer)) and not isinstance(first, bool)
+            and 0 <= first < n):
+        raise ValueError(f"first must be an integer in [0, {n}), got {first!r}")
     k = min(k, n)
-    centers = [int(first)]
-    dmin = metric.to_set(wps.points[first], wps.points)
-    while len(centers) < k:
-        nxt = int(np.argmax(dmin))
-        centers.append(nxt)
-        dmin = np.minimum(dmin, metric.to_set(wps.points[nxt], wps.points))
-    radius = float(dmin.max())
+    walk = _farthest_first(_metric_rows(wps, metric), int(first))
+    head = list(islice(walk, k + 1))
+    radius = head[k][1]
     return GreedyResult(
-        np.asarray(centers, dtype=int), radius, radius, np.zeros(n, dtype=bool)
+        np.asarray([v for v, _ in head[:k]], dtype=int), radius, radius,
+        np.zeros(n, dtype=bool),
     )
+
+
+def _metric_rows(wps: WeightedPointSet, metric: Metric):
+    """``row(v)``: the distances from point ``v`` to every point."""
+    pts = wps.points
+    return lambda v: metric.to_set(pts[v], pts)
+
+
+def _farthest_first(row, first: int = 0):
+    """Gonzalez's farthest-first traversal over distance rows ``row(v)``.
+
+    Yields ``(pick, insertion distance)``: ``(first, inf)``, then the
+    point farthest from every earlier pick (first such index on ties) and
+    that distance, which never grows.  A pick's row is evaluated only
+    when the next pick is asked for, so the ``m``-th insertion distance
+    costs ``m - 1`` rows.  Past the last distinct point every pick has
+    distance ``0``."""
+    dmin = np.array(row(first), dtype=np.float64)
+    yield first, np.inf
+    while True:
+        v = int(np.argmax(dmin))
+        yield v, float(dmin[v])
+        np.minimum(dmin, row(v), out=dmin)
+
+
+#: relative rounding margin of the certified floor (:func:`_bounds`,
+#: :func:`_below_floor`): far above float64 distance and weight-sum
+#: rounding, far below any gap between ladder guesses
+_FLOOR_MARGIN = 1e-9
+
+#: farthest-first picks past ``k`` a ladder search may spend on its
+#: certified floors.  A grid decision at a guess below a floor (the
+#: ones the floor skips) costs as much as 166-209 traversal picks over
+#: the same points, grid build included (k = 8, n = 5,000-100,000, one
+#: core of a 2-core Xeon VM; more at larger k), and a positive floor
+#: skips at least the radius-0 test and the ladder's lowest rung: two
+#: decisions' worth
+_FLOOR_PICKS = 340
+
+
+def _bounds(walk, k: int, weights: np.ndarray, budgets,
+            max_picks: int) -> "tuple[float, list[float]]":
+    """Both radius bounds a search reads off one farthest-first traversal
+    ``walk`` (:func:`_farthest_first`): ``(radius, floors)``.
+
+    ``radius`` is Gonzalez's for ``k`` centers, the ``(k + 1)``-th
+    insertion distance, which bounds ``opt_{k,z}`` from above for every
+    ``z``.  ``floors`` bound it from below, one per ascending budget.
+    The first ``m`` picks lie pairwise at least their ``m``-th insertion
+    distance ``delta_m`` apart, so a ball of radius below ``delta_m / 2``
+    holds at most one of them (triangle inequality), and ``k`` such balls
+    leave at least ``m - k`` picks uncovered, the ``m - k`` lightest of
+    which weigh ``light_m``.  Once ``light_m`` exceeds a budget ``z``,
+    ``opt_{k,z} >= delta_m / 2``: the budget's floor is ``delta_m`` at
+    the first such ``m`` (``m <= k + z + 1`` with weights >= 1).
+
+    The walk stops once every budget has its floor, at a zero distance
+    (every point is a pick's duplicate) or past ``max_picks`` picks; the
+    budgets it did not reach keep floor ``0.0``, no bound.  The ``m``-th
+    pick costs ``m - 1`` rows.
+    """
+    floors = [0.0] * len(budgets)
+    heavy: "list[float]" = []
+    radius, light, j = 0.0, 0.0, 0
+    for m, (v, delta) in enumerate(walk, 1):
+        if m == k + 1:
+            radius = delta
+        # the first pick has distance inf; ``not 0 < delta`` also stops
+        # at NaN
+        if m > max_picks or (m > 1 and not 0.0 < delta < np.inf):
+            break
+        w = float(weights[v])
+        if len(heavy) < k:
+            heapq.heappush(heavy, w)
+            continue
+        # ``heavy`` keeps the k heaviest weights, ``light`` sums the rest
+        light += heapq.heappushpop(heavy, w)
+        while j < len(budgets) and not _weight_feasible(
+                light * (1.0 - _FLOOR_MARGIN), budgets[j]):
+            floors[j] = delta
+            j += 1
+        if j == len(budgets):
+            break
+    return radius, floors
+
+
+def _below_floor(guess: float, floor: float) -> bool:
+    """Whether a decision at ``guess`` certainly leaves too much
+    uncovered: its ``3g`` cutoff is below half the budget's floor
+    (:func:`_bounds`), less the rounding margin."""
+    return _cutoffs(guess)[1] < 0.5 * floor * (1.0 - _FLOOR_MARGIN)
 
 
 def _gain_dtype(weights: np.ndarray) -> type:
@@ -754,8 +858,9 @@ def charikar_greedy(
     ladder are chosen without it, and only the final uncovered-weight
     test compares against ``z`` — so one call decides each guess at most
     once, whatever the number of budgets: the distance matrix and sorted
-    candidate radii (pairwise search), the Gonzalez bound and the guess
-    ladder (geometric search), and every decision, memoized by guess.
+    candidate radii (pairwise search), the farthest-first traversal and
+    the guess ladder (geometric search), and every decision, memoized by
+    guess.
     Each budget still runs its own binary search over those shared
     decisions, with no bracket narrowing from the previous budget
     (feasibility is only monotone for guesses ``>= opt``), so every
@@ -763,6 +868,22 @@ def charikar_greedy(
     one-budget call is simply the one-element case.  Negative or NaN
     budgets and unsorted sequences raise :class:`ValueError`, as does a
     ``tol`` that is not finite and positive.
+
+    **Guesses settled without a decision.**  The traversal's first ``m``
+    picks lie pairwise at least ``delta_m`` apart; once the ``m - k``
+    lightest of them outweigh ``z``, no ``k`` balls of radius below
+    ``delta_m / 2`` leave at most ``z`` uncovered, so ``opt_{k,z} >=
+    delta_m / 2`` (``m <= k + z + 1`` with weights >= 1).  A guess whose
+    padded ``3g`` cutoff is below that, less a relative rounding margin,
+    cannot be feasible: the radius-0 test and each budget's binary
+    search settle it as infeasible undecided, so they probe the same
+    guesses and return the same results as without the floor.  For the
+    built-in norms only: :class:`~repro.core.metrics.CallableMetric` and
+    :class:`~repro.core.metrics.PrecomputedMetric` searches settle
+    nothing.  The pairwise search walks up to ``n`` picks over its
+    distance matrix's rows; a ladder search walks past Gonzalez's ``k``
+    only when the smallest budget's ``k + z + 1`` picks fit within
+    :data:`_FLOOR_PICKS` more, what two skipped decisions cost.
 
     The pairwise search computes its distance matrix once per call.  The
     geometric search prunes its scans with a grid whenever that is exact
@@ -812,18 +933,21 @@ def charikar_greedy(
         and np.issubdtype(wps.weights.dtype, np.integer)
         and float(wps.weights.sum()) < 2.0**53
     )
-    stats = {"decisions": 0, "list_decisions": 0, "grid_builds": 0}
+    stats = {"decisions": 0, "skipped": 0, "list_decisions": 0,
+             "grid_builds": 0}
     paths_used = set()
     if n <= pairwise_limit:
         paths_used.add("pairwise")
         # ONE distance matrix for the whole call; every guess below reuses
-        # it and its ball-membership matrix
+        # it and its ball-membership matrix, and the traversal its rows
         D = metric.pairwise(wps.points, wps.points)
         balls = _BallMatrix(D, wps.weights)
+        row = D.__getitem__
 
         def decide(g):
             return _greedy_disks(D, wps.weights, k, g, balls, stats)
     else:
+        row = _metric_rows(wps, metric)
 
         def decide(g):
             if grid_ok:
@@ -835,9 +959,27 @@ def charikar_greedy(
             paths_used.add("dense")
             return _geometric_decision(wps, metric, k, g, stats)
 
+    # one farthest-first traversal: its first k picks are Gonzalez's (the
+    # ladder's upper bound), and the picks past k certify each budget's
+    # floor.  The floor rests on the triangle inequality, which only the
+    # built-in norms promise.  Budget z needs at most k + z + 1 picks
+    # (weights >= 1): a ladder search walks past k only when the smallest
+    # budget's fit within _FLOOR_PICKS more, and stops there
+    kernel = isinstance(metric, _KernelMetric)
+    if n <= pairwise_limit:
+        max_picks = n if kernel else 0
+    elif kernel and live[0] < _FLOOR_PICKS:
+        max_picks = k + min(_FLOOR_PICKS, live[-1] + 1)
+    else:
+        max_picks = k
+    radius, floors = _bounds(_farthest_first(row), k, wps.weights, live,
+                             max_picks)
+
     # every positive guess's decision, shared by all budgets: the picks
     # and the uncovered weight they leave (one float, not an n-byte mask)
     memo: "dict[float, tuple[list[int], float]]" = {}
+    # guesses some budget's floor settled; those never decided count
+    skipped: "set[float]" = set()
 
     def decided(g: float) -> "tuple[list[int], float]":
         if g not in memo:
@@ -845,20 +987,36 @@ def charikar_greedy(
             memo[g] = (centers, _uncovered_weight(wps.weights, uncovered))
         return memo[g]
 
+    def prober(floor: float):
+        """One budget's view of the decisions: a guess below its floor
+        reads as uncovered weight ``inf``, undecided."""
+        def probe(g: float) -> "tuple[list[int] | None, float]":
+            if g not in memo and _below_floor(g, floor):
+                skipped.add(g)
+                return None, np.inf
+            return decided(g)
+        return probe
+
     # radius 0 can be optimal (duplicates, or light far points absorbed
-    # by the outlier budget); test it outright before the positive guesses
-    centers0, uncovered0 = decide(0.0)
-    rem0 = _uncovered_weight(wps.weights, uncovered0)
+    # by the outlier budget); test it outright before the positive
+    # guesses, unless even the largest budget's (lowest) floor rules it out
+    if _below_floor(0.0, floors[-1]):
+        skipped.add(0.0)
+        rem0 = np.inf
+    else:
+        centers0, uncovered0 = decide(0.0)
+        rem0 = _uncovered_weight(wps.weights, uncovered0)
     # the smallest budget needs the most: if it fits at guess 0, all do
     if not _weight_feasible(rem0, live[0]):
-        search = (_pairwise_search(D, metric, decided)
+        search = (_pairwise_search(D, metric)
                   if n <= pairwise_limit else
-                  _ladder_search(wps, k, metric, tol, decided))
+                  _ladder_search(n, radius, tol, decided))
     picks = [
         (0.0, centers0, uncovered0) if _weight_feasible(rem0, zj)
-        else search(zj)
-        for zj in live
+        else search(zj, prober(floor))
+        for zj, floor in zip(live, floors)
     ]
+    stats["skipped"] = len(skipped - memo.keys())
 
     path = paths_used.pop() if len(paths_used) == 1 else "mixed"
     out = [
@@ -869,16 +1027,17 @@ def charikar_greedy(
     return out[0] if single else out
 
 
-def _smallest_feasible(guess_at, lo: int, hi: int, z, decided):
+def _smallest_feasible(guess_at, lo: int, hi: int, z, probe):
     """Binary search ``guess_at(lo..hi)`` for the smallest guess whose
-    (memoized) decision leaves uncovered weight at most ``z``:
-    ``(guess, centers)``, or ``None`` when no probed guess is feasible.
-    Feasibility is monotone for guesses >= opt (Charikar et al.)."""
+    decision leaves uncovered weight at most ``z`` (``probe(g) ->
+    (centers, uncovered weight)``, memoized): ``(guess, centers)``, or
+    ``None`` when no probed guess is feasible.  Feasibility is monotone
+    for guesses >= opt (Charikar et al.)."""
     best = None
     while lo <= hi:
         mid = (lo + hi) // 2
         g = guess_at(mid)
-        centers, rem = decided(g)
+        centers, rem = probe(g)
         if _weight_feasible(rem, z):
             best = (g, centers)
             hi = mid - 1
@@ -887,9 +1046,9 @@ def _smallest_feasible(guess_at, lo: int, hi: int, z, decided):
     return best
 
 
-def _pairwise_search(D: np.ndarray, metric: Metric, decided):
+def _pairwise_search(D: np.ndarray, metric: Metric):
     """Per-budget search over the exact candidate radii, the distinct
-    positive entries of ``D``: ``search(z) -> (guess, centers,
+    positive entries of ``D``: ``search(z, probe) -> (guess, centers,
     uncovered)``, where ``uncovered`` is ``None`` unless the search
     settled it itself."""
     n = len(D)
@@ -903,40 +1062,39 @@ def _pairwise_search(D: np.ndarray, metric: Metric, decided):
         cand = np.unique(D)
     cand = cand[cand > 0]
 
-    def search(z):
+    def search(z, probe):
         if len(cand) == 0:  # all points coincide
             return 0.0, [0], np.zeros(n, dtype=bool)
-        if not _weight_feasible(decided(float(cand[-1]))[1], z):
-            # cannot happen for guess >= diameter; guard anyway
+        best = _smallest_feasible(lambda i: float(cand[i]), 0,
+                                  len(cand) - 1, z, probe)
+        if best is None:
+            # every probe failed, so the last one decided the largest
+            # candidate radius, the diameter: cannot happen, guard anyway
             raise RuntimeError(
                 "greedy decision failed at maximum candidate radius"
             )
-        best = _smallest_feasible(lambda i: float(cand[i]), 0,
-                                  len(cand) - 1, z, decided)
         return best + (None,)
 
     return search
 
 
-def _ladder_search(wps: WeightedPointSet, k: int, metric: Metric,
-                   tol: float, decided):
+def _ladder_search(n: int, radius: float, tol: float, decided):
     """Per-budget geometric search between a positive lower bound and the
-    Gonzalez (k-center, no outliers) radius, which upper-bounds
-    ``opt_{k,z}`` for every ``z``: ``search(z) -> (guess, centers,
+    Gonzalez (k-center, no outliers) ``radius``, which upper-bounds
+    ``opt_{k,z}`` for every ``z``: ``search(z, probe) -> (guess, centers,
     None)``."""
-    gz = gonzalez(wps, k, metric)
-    hi_r = max(gz.radius, 1e-300)
-    lo_r = hi_r / max(4.0 * len(wps), 4.0)
+    hi_r = max(radius, 1e-300)
+    lo_r = hi_r / max(4.0 * n, 4.0)
     # grid of guesses lo_r * (1+tol)^i up to hi_r
     ratio = 1.0 + tol
     m = int(np.ceil(np.log(hi_r / lo_r) / np.log(ratio))) + 1
 
-    def search(z):
-        centers, rem = decided(lo_r)
+    def search(z, probe):
+        centers, rem = probe(lo_r)
         if _weight_feasible(rem, z):
             return lo_r, centers, None
         best = _smallest_feasible(lambda i: min(lo_r * ratio**i, hi_r), 0,
-                                  m, z, decided)
+                                  m, z, probe)
         if best is None:
             # hi_r is always feasible: Gonzalez covers everything
             best = (hi_r, decided(hi_r)[0])

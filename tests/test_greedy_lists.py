@@ -463,12 +463,14 @@ class TestKeptSeed:
 
 class TestSearches:
     def test_mpc_shaped_search_uses_lists(self):
-        # one machine of a two-machine stratified split: the tiny guesses
-        # put every point in its own cell, so they run on neighbour lists
+        # one machine of a two-machine stratified split: the guesses
+        # below the certified floor are skipped, and with 15 or more
+        # outliers the floor is low enough that a probe at ~3.4 points
+        # per cell is decided, on neighbour lists
         pts = _stratified((70, 30), 3)
         P = WeightedPointSet(pts, np.ones(len(pts), dtype=np.int64))
         assert len(P) == 2100
-        for z in (0, 15):
+        for z in (15, 31):
             res = charikar_greedy(P, 8, z)
             assert res.path == "grid"
             assert res.stats["list_decisions"] > 0
@@ -492,7 +494,9 @@ class TestSearches:
             _assert_same_decision(out, _geometric_decision(P, met, 5, g))
 
     @pytest.mark.parametrize("metric", METRICS)
-    @pytest.mark.parametrize("per_cell", [FORCE_BLOCKED, 32, FORCE_LISTS])
+    # 320 candidate pairs per cell splits every metric's decided guesses
+    # between the two sources
+    @pytest.mark.parametrize("per_cell", [FORCE_BLOCKED, 320, FORCE_LISTS])
     def test_search_parity_on_both_sides(self, rng, metric, per_cell):
         pts = rng.uniform(0, 20, size=(500, 3))
         pts[:60] = pts[60:120]
@@ -503,6 +507,8 @@ class TestSearches:
             assert res.stats["list_decisions"] == 0
         else:
             assert res.stats["list_decisions"] > 0
+        if per_cell == 320:
+            assert res.stats["list_decisions"] < res.stats["decisions"]
         _assert_same_result(
             res, charikar_greedy_reference(P, 4, 12, metric, pairwise_limit=8))
 

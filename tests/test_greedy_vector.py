@@ -181,7 +181,9 @@ class TestSharedDecisions:
         with _recorded_entries() as calls:
             vec = charikar_greedy(P, 8, MPC_BUDGETS)
         assert vec[0].path == "grid"
-        assert vec[0].stats["decisions"] == distinct == 13
+        # 13 guesses probed, 3 of them below every probing budget's floor
+        assert vec[0].stats["decisions"] == distinct == 10
+        assert vec[0].stats["skipped"] == 3
         _assert_one_entry_per_decision(calls, vec[0], "_grid_decision")
         assert made > 3 * distinct
         for a, b in zip(vec, per_z):
@@ -190,10 +192,10 @@ class TestSharedDecisions:
     def test_radius_vector_task_is_one_search(self):
         P = _mpc_machine()
         with mock.patch.object(
-            greedy_mod, "gonzalez", wraps=greedy_mod.gonzalez
-        ) as gz:
+            greedy_mod, "_farthest_first", wraps=greedy_mod._farthest_first
+        ) as walk:
             v = radius_vector_task((P, 8, len(MPC_BUDGETS), None))
-        assert gz.call_count == 1
+        assert walk.call_count == 1
         expected = [charikar_greedy(P, 8, z).radius for z in MPC_BUDGETS]
         assert v.tolist() == expected
 
