@@ -38,11 +38,18 @@ time is the minimum over its repetitions.
   uniform points in [0, 100]^2 with weights 1..2 (k = 8, z = 2,000,
   ``z2000``; k = 4, z = 1,000, ``z1000``).  :func:`large_budget_searches`
   times those two alone, at any number of repetitions.
+* ``search_pw<n>_ms`` and ``search_pw<n>_decisions``: two searches on
+  the exact-candidate (pairwise) path, ``n <= PAIRWISE_LIMIT``: the
+  228-point coreset mpc-two-round's solves search (k = 8, z = 16,
+  ``pw228``) and ``benchmarks/run_all.py``'s ``charikar_greedy``
+  instance, 2,048 uniform points in [0, 10]^2 with weights 1..4
+  (k = 16, z = 64, ``pw2048``).  :func:`pairwise_searches` times those
+  two alone, at any number of repetitions.
 
 The inputs come from the measured tree's own ``perfbench/workload.py``
 (found next to the imported ``repro`` package) and the names used exist
 in trees since the blocked decisions kept their seed, so the same
-script times any tree given by ``PYTHONPATH``.  Takes ~13 s.
+script times any tree given by ``PYTHONPATH``.  Takes ~16 s.
 """
 
 from __future__ import annotations
@@ -202,6 +209,39 @@ def large_budget_searches(repeats: int = SEARCH_REPEATS) -> dict:
     return out
 
 
+def _mpc_coreset(w):
+    """The coreset mpc-two-round's solves search: Algorithm 2 over its
+    two machines, run in this process."""
+    from repro.api import KCenterSession, ProblemSpec
+
+    spec = ProblemSpec(k=w.MPC_K, z=w.MPC_Z, eps=0.5, dim=2,
+                       seed=w.SPEC_SEED)
+    sess = KCenterSession(spec, backend="mpc-two-round",
+                          num_machines=w.MPC_MACHINES)
+    sess.extend(w._machine_blocks(w._stratified_square(w.MPC_GRID, 0)))
+    return sess.coreset()
+
+
+def pairwise_searches(repeats: int = SEARCH_REPEATS) -> dict:
+    """The ``pw228`` and ``pw2048`` searches, both on the pairwise path
+    (``search_<case>_skipped`` left out: the pairwise floor settles
+    only the radius-0 test there)."""
+    from repro.core import WeightedPointSet
+
+    w = _workload()
+    rng = np.random.default_rng(0)
+    n = 2048
+    uniform = WeightedPointSet(rng.random((n, 2)) * 10.0,
+                               rng.integers(1, 5, n))
+    out = {}
+    for name, P, k, z in (("pw228", _mpc_coreset(w), w.MPC_K, w.MPC_Z),
+                          ("pw2048", uniform, 16, 64)):
+        got = search(name, P, k, z, repeats)
+        out.update({key: got[key] for key in
+                    (f"search_{name}_ms", f"search_{name}_decisions")})
+    return out
+
+
 def main() -> int:
     from repro.core import WeightedPointSet
 
@@ -225,6 +265,7 @@ def main() -> int:
     out.update(search("mpc", _mpc_machine(_workload()), 8,
                       [0, 1, 3, 7, 15, 31]))
     out.update(large_budget_searches())
+    out.update(pairwise_searches())
     print(json.dumps(out))
     return 0
 

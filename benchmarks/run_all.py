@@ -14,19 +14,20 @@ Each entry records ``{id, params, new_s, old_s, speedup}`` (``old_s`` /
 ``speedup`` are null for the MPC end-to-end run: the pre-refactor driver
 is minutes-slow at benchmark sizes, so only the current timing is
 tracked).  The float64 outputs of old and new paths are asserted
-bit-identical before any timing is reported.  At full size the two
-reference comparisons also assert their speedup bars: ``charikar_greedy``
-(n=2048) >= 3x and ``mbc_construction`` (n=50k) >= 2x; ``--quick``
-only reports them.  Each entry runs in its own freshly spawned process,
-so its timings and peak RSS are its own; an entry that fails fails the
-run.
+bit-identical before any timing is reported.  The two reference
+comparisons also assert their speedup bars: ``charikar_greedy`` runs at
+its full size (n=2048) under ``--quick`` too and asserts >= 3x on every
+run; ``mbc_construction`` asserts >= 2x at its full size (n=50k) only,
+``--quick`` reporting its reduced-size ratio.  Each entry runs in its
+own freshly spawned process, so its timings and peak RSS are its own; an
+entry that fails fails the run.
 
 The ``*_scale_*`` entries form the scaling curve for the grid-pruned
 candidate scans (n=10^5 and n=10^6);
 ``--quick`` keeps every entry id (so CI can diff the schema) at reduced
-sizes, and ``--assert-pruned`` fails the run unless the 10^5-scale
-greedy actually took the pruned path and beat the dense decision
-procedure by >= 2x.  ``mbc_scale_10m`` ingests the out-of-core
+sizes (``charikar_greedy`` excepted), and ``--assert-pruned`` fails the
+run unless the 10^5-scale greedy actually took the pruned path and beat
+the dense decision procedure by >= 2x.  ``mbc_scale_10m`` ingests the out-of-core
 ``ooc-clustered-10m`` store (n=10^7 at full size) through the
 insertion-only session chunk by chunk and records throughput plus its
 peak RSS;
@@ -78,23 +79,26 @@ def _timed(fn) -> "tuple[float, object]":
 
 
 def bench_charikar(quick: bool) -> dict:
-    """Greedy(P, k, z) on the exact-candidate (pairwise) path."""
+    """Greedy(P, k, z) on the exact-candidate (pairwise) path, at
+    n=2048 with or without ``quick``: the search takes ~0.2 s and the
+    reference ~2 s."""
     from repro.core.greedy import charikar_greedy
 
-    n = 512 if quick else 2048
+    n = 2048
     k, z = 16, 64
     P = _instance(n)
     ref = _reference()
-    # the reference runs first: the first n=2048 search in a process is
-    # ~0.5 s slower than later ones, whichever path it is, and the 3x
-    # bar was set with the reference running first
+    # the reference runs first, as when the 3x bar was set.  The first
+    # search in a process is not measurably slower than a second one
+    # (AB_PR33_layers.json, ``first_vs_warm``: 0.185-0.211 s against
+    # 0.173-0.217 s over ten fresh processes)
     old_s, old_res = _timed(lambda: ref.charikar_greedy_reference(P, k, z))
     new_s, new_res = _timed(lambda: charikar_greedy(P, k, z))
     assert new_res.radius == old_res.radius, "charikar parity violated"
     assert new_res.guess == old_res.guess
     assert np.array_equal(new_res.centers_idx, old_res.centers_idx)
     assert np.array_equal(new_res.uncovered, old_res.uncovered)
-    assert quick or old_s / new_s >= 3.0, (
+    assert old_s / new_s >= 3.0, (
         f"expected >= 3x on charikar_greedy at n=2048, got {old_s / new_s:.2f}x"
     )
     return {

@@ -277,6 +277,8 @@ class _BufferedBackendBase(_BackendBase):
                 f"buffered snapshot arrays inconsistent: points {pts.shape}, "
                 f"weights {w.shape}"
             )
+        if not np.isfinite(pts).all():
+            raise SnapshotError("buffered snapshot holds a non-finite point")
         self._chunks = [pts] if len(pts) else []
         self._weights = [w] if len(pts) else []
         self._invalidate()

@@ -43,7 +43,9 @@ bit, and results equal the frozen ``tests/_greedy_reference.py``.  Each
 of the three decision entry points builds a source:
 
 * :func:`_greedy_disks` (``n <= PAIRWISE_LIMIT``): :class:`_BallMatrix`
-  over the search's one distance matrix.
+  over the search's one distance matrix.  For the built-in norms, whose
+  matrices are bit-symmetric, a pick reads its newly covered points'
+  weight off contiguous rows of the ball matrix, not strided columns.
 * :func:`_geometric_decision`: :class:`_DenseChunks`, for high
   dimension, arbitrary metrics and fractional weights.
 * :func:`_grid_decision`: for the built-in norms in dimension <= 4 with
@@ -78,7 +80,7 @@ from ..geometry.grid import (
 from ..kernels import DEFAULT_BLOCK_BYTES, auto_chunk, pair_distances
 from .metrics import Metric, _KernelMetric, get_metric
 from .points import WeightedPointSet
-from .radius import coverage_radius, nearest_center_distances
+from .radius import coverage_radius_of, nearest_center_distances
 
 __all__ = ["GreedyResult", "gonzalez", "charikar_greedy"]
 
@@ -346,21 +348,28 @@ def _pick_centers(source, k: int,
     already updated.  It stops after ``k`` picks or once nothing is
     left uncovered, and counts one decision into ``stats``.
 
+    Every source's ``cover`` returns distinct indices of still uncovered
+    points (a mask's nonzeros, or a grid query's disjoint cell runs
+    filtered by the mask), so ``left`` counts the uncovered points
+    exactly without a scan of the mask per pick.
+
     Returns ``(centers, uncovered_mask)``.  Nothing here depends on the
     outlier budget ``z``: the caller tests the uncovered weight against
     each budget (:func:`_weight_feasible`).
     """
     n = len(source.gain)
     uncovered = np.ones(n, dtype=bool)
+    left = n
     centers: list[int] = []
     for _ in range(min(k, n)):
-        if not uncovered.any():
+        if not left:
             break
-        v = int(np.argmax(source.gain))
+        v = int(source.gain.argmax())
         centers.append(v)
         idx = source.cover(v, uncovered)
         if idx.size:
             uncovered[idx] = False
+            left -= idx.size
             source.subtract(idx, uncovered)
     if stats is not None:
         stats["decisions"] += 1
@@ -375,13 +384,26 @@ class _BallMatrix:
     bool->float promotion per pick; comparisons stay in ``D``'s own
     dtype.  It is allocated once and refilled by :meth:`seed` for each
     guess, so a radius search reuses it.  One matvec seeds the gains and
-    a pick subtracts its newly covered columns.
+    a pick subtracts the weight of its newly covered points.
+
+    A pick's newly covered points ``idx`` take ``Wg[:, idx] @ w[idx]``
+    out of the gains: a strided gather of columns.  When ``D`` is
+    ``symmetric`` bit for bit (the built-in norms) ``Wg[idx]`` holds the
+    same entries as contiguous rows, and ``w[idx] @ Wg[idx]`` reads them
+    at a fraction of the cost.  The two products sum in different
+    orders, so the rows serve only integer weights totalling under
+    ``2^53``, whose gains are exact integer sums in either gain dtype;
+    fractional weights keep the column gather.
     """
 
-    def __init__(self, D: np.ndarray, weights: np.ndarray):
+    def __init__(self, D: np.ndarray, weights: np.ndarray,
+                 symmetric: bool = False):
         self.D = D
         self.Wg = np.empty(D.shape, dtype=_gain_dtype(weights))
         self.w = weights.astype(self.Wg.dtype)
+        self.rows = (symmetric
+                     and np.issubdtype(weights.dtype, np.integer)
+                     and float(weights.sum()) < 2.0**53)
 
     def seed(self, guess: float) -> "_BallMatrix":
         cutoff, self.limit3 = _cutoffs(guess)
@@ -390,13 +412,17 @@ class _BallMatrix:
         return self
 
     def cover(self, v: int, uncovered: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(uncovered & (self.D[v] <= self.limit3))
+        new = self.D[v] <= self.limit3
+        new &= uncovered
+        return new.nonzero()[0]
 
     def subtract(self, idx: np.ndarray, uncovered: np.ndarray) -> None:
         if 2 * idx.size > len(uncovered):
-            # a full matvec beats copying most of Wg's columns; the
-            # recomputed integer sum equals the incremental one exactly
+            # a full matvec beats copying most of Wg; the recomputed
+            # integer sum equals the incremental one exactly
             self.gain = self.Wg @ (self.w * uncovered)
+        elif self.rows:
+            self.gain -= self.w[idx] @ self.Wg[idx]
         else:
             self.gain -= self.Wg[:, idx] @ self.w[idx]
 
@@ -921,13 +947,17 @@ def charikar_greedy(
         return trivial() if single else [trivial() for _ in zs]
     if k <= 0:
         raise ValueError("k must be positive")
+    # the built-in norms: bit-symmetric distances (each entry is computed
+    # from coordinate differences whose sign cannot matter) that obey the
+    # triangle inequality
+    kernel = isinstance(metric, _KernelMetric)
     # the pruning gate: exactly when pruned scans are provably
     # bit-identical to the dense float64 path — a built-in norm on real
     # coordinates in low dimension (sound (2R+1)^d cell neighborhoods)
     # and integer weights small enough that every partial sum is an exact
     # float64 integer in any order
     grid_ok = (
-        isinstance(metric, _KernelMetric)
+        kernel
         and wps.points.ndim == 2
         and wps.points.shape[1] <= _GRID_MAX_DIM
         and np.issubdtype(wps.weights.dtype, np.integer)
@@ -941,7 +971,7 @@ def charikar_greedy(
         # ONE distance matrix for the whole call; every guess below reuses
         # it and its ball-membership matrix, and the traversal its rows
         D = metric.pairwise(wps.points, wps.points)
-        balls = _BallMatrix(D, wps.weights)
+        balls = _BallMatrix(D, wps.weights, symmetric=kernel)
         row = D.__getitem__
 
         def decide(g):
@@ -965,7 +995,6 @@ def charikar_greedy(
     # built-in norms promise.  Budget z needs at most k + z + 1 picks
     # (weights >= 1): a ladder search walks past k only when the smallest
     # budget's fit within _FLOOR_PICKS more, and stops there
-    kernel = isinstance(metric, _KernelMetric)
     if n <= pairwise_limit:
         max_picks = n if kernel else 0
     elif kernel and live[0] < _FLOOR_PICKS:
@@ -1008,7 +1037,7 @@ def charikar_greedy(
         rem0 = _uncovered_weight(wps.weights, uncovered0)
     # the smallest budget needs the most: if it fits at guess 0, all do
     if not _weight_feasible(rem0, live[0]):
-        search = (_pairwise_search(D, metric)
+        search = (_pairwise_search(D, kernel)
                   if n <= pairwise_limit else
                   _ladder_search(n, radius, tol, decided))
     picks = [
@@ -1046,21 +1075,36 @@ def _smallest_feasible(guess_at, lo: int, hi: int, z, probe):
     return best
 
 
-def _pairwise_search(D: np.ndarray, metric: Metric):
+def _candidate_radii(D: np.ndarray, symmetric: bool) -> np.ndarray:
+    """The distinct positive entries of ``D``, ascending (NaN dropped).
+
+    A bit-symmetric ``D`` carries every value in its strict upper
+    triangle: half the entries to sort, picked by a boolean mask, sorted
+    in place and deduplicated against their neighbours.  Any other ``D``
+    goes through :func:`np.unique` whole."""
+    if not symmetric:
+        cand = np.unique(D)
+        return cand[cand > 0]
+    n = len(D)
+    upper = np.arange(n) > np.arange(n)[:, None]
+    cand = D[upper]
+    # ``> 0`` also drops NaN
+    cand = cand[cand > 0]
+    cand.sort()
+    distinct = np.empty(len(cand), dtype=bool)
+    distinct[:1] = True
+    np.not_equal(cand[1:], cand[:-1], out=distinct[1:])
+    return cand[distinct]
+
+
+def _pairwise_search(D: np.ndarray, symmetric: bool):
     """Per-budget search over the exact candidate radii, the distinct
-    positive entries of ``D``: ``search(z, probe) -> (guess, centers,
+    positive entries of ``D`` (:func:`_candidate_radii`; ``symmetric``
+    when ``D`` is bit-symmetric): ``search(z, probe) -> (guess, centers,
     uncovered)``, where ``uncovered`` is ``None`` unless the search
     settled it itself."""
     n = len(D)
-    if isinstance(metric, _KernelMetric):
-        # the built-in norms are bit-symmetric (each entry is computed
-        # from coordinate differences whose sign cannot matter), so the
-        # strict upper triangle carries every distinct positive value —
-        # half the sort the candidate extraction pays
-        cand = np.unique(D[np.triu_indices(n, 1)])
-    else:
-        cand = np.unique(D)
-    cand = cand[cand > 0]
+    cand = _candidate_radii(D, symmetric)
 
     def search(z, probe):
         if len(cand) == 0:  # all points coincide
@@ -1113,8 +1157,8 @@ def _certified(wps, metric, z, guess, centers, uncovered, path, stats):
     centers_idx = np.asarray(centers, dtype=int)
     if uncovered is not None:
         return GreedyResult(centers_idx, guess, guess, uncovered, path, stats)
-    achieved = coverage_radius(wps, wps.points[centers_idx], z, metric)
-    radius = float(min(3.0 * guess, achieved))
     d = nearest_center_distances(wps, wps.points[centers_idx], metric)
+    achieved = coverage_radius_of(d, wps.weights, z)
+    radius = float(min(3.0 * guess, achieved))
     uncovered = d > radius + 1e-9 * max(1.0, radius)
     return GreedyResult(centers_idx, radius, float(guess), uncovered, path, stats)

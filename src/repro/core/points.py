@@ -26,7 +26,8 @@ class WeightedPointSet:
     Parameters
     ----------
     points:
-        Array of shape ``(n, d)``.
+        Array of shape ``(n, d)`` with finite coordinates; NaN or
+        infinite ones raise :class:`ValueError`.
     weights:
         Integer array of shape ``(n,)`` with strictly positive entries.
         Integral floats (``2.0``) coerce; fractional or non-finite ones
@@ -42,6 +43,10 @@ class WeightedPointSet:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2:
             raise ValueError(f"points must be 2-d, got shape {pts.shape}")
+        # a NaN compares false with every radius, an inf is covered by
+        # none: either would corrupt every distance-based decision
+        if not np.isfinite(pts).all():
+            raise ValueError("points must have finite coordinates")
         object.__setattr__(self, "points", pts)
         if self.weights is None:
             w = np.ones(len(pts), dtype=np.int64)

@@ -17,6 +17,7 @@ from .points import WeightedPointSet
 __all__ = [
     "nearest_center_distances",
     "coverage_radius",
+    "coverage_radius_of",
     "uncovered_weight",
     "min_pairwise_distance",
 ]
@@ -59,13 +60,20 @@ def coverage_radius(
     weight is at most ``z`` (everything may be declared an outlier) and
     ``inf`` when there are no centers but uncovered weight exceeds ``z``.
     """
-    if wps.total_weight <= z:
+    return coverage_radius_of(
+        nearest_center_distances(wps, centers, metric), wps.weights, z)
+
+
+def coverage_radius_of(d: np.ndarray, weights: np.ndarray, z) -> float:
+    """:func:`coverage_radius` from the nearest-center distances ``d``
+    (:func:`nearest_center_distances`) of points weighing ``weights``,
+    for callers that need the distances too."""
+    if weights.sum() <= z:
         return 0.0
-    d = nearest_center_distances(wps, centers, metric)
     if np.isinf(d).any():
         return float("inf")
     order = np.argsort(d)[::-1]  # farthest first
-    cum = np.cumsum(wps.weights[order])
+    cum = np.cumsum(weights[order])
     # The farthest points of total weight <= z may be dropped; the radius is
     # the distance of the first point whose cumulative weight exceeds z.
     idx = int(np.searchsorted(cum, z, side="right"))

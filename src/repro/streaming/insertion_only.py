@@ -260,6 +260,8 @@ class InsertionOnlyCoreset:
         w = np.asarray(state["weights"], dtype=np.int64)
         if len(pts) != len(w):
             raise SnapshotError("representative/weight length mismatch")
+        if not np.isfinite(pts).all():
+            raise SnapshotError("snapshot holds a non-finite representative")
         self.r = float(state["r"])
         self.doublings = int(state["doublings"])
         self._n = int(state["n"])

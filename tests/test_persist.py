@@ -566,6 +566,32 @@ class TestStateTreeFormat:
         with pytest.raises(SnapshotError, match="kind"):
             KCenterSession.from_snapshot({"kind": "other"}, {})
 
+    @pytest.mark.parametrize(
+        "backend", [b for b in ALL_BACKENDS if b not in INTEGER_BACKENDS])
+    def test_non_finite_points_raise_snapshot_error(self, tmp_path, backend):
+        # the point set type rejects NaN coordinates itself; a restore
+        # must still report them as a bad snapshot
+        path = str(tmp_path / "s.ckpt")
+        sess = _make(backend)
+        sess.extend(_stream(backend, 0, n=60))
+        sess.save(path)
+        manifest, state = read_snapshot(path)
+
+        def poison(tree):
+            hits = 0
+            for key, value in tree.items():
+                if isinstance(value, dict):
+                    hits += poison(value)
+                elif key == "points" and np.size(value):
+                    tree[key] = np.array(value, dtype=float)
+                    tree[key].flat[0] = np.nan
+                    hits += 1
+            return hits
+
+        assert poison(state)
+        with pytest.raises(SnapshotError, match="non-finite"):
+            KCenterSession.from_snapshot(manifest, state)
+
 
 class TestNetworkHardening:
     """Snapshots received over the wire (`repro.serve`) must not be able
