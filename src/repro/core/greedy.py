@@ -80,7 +80,7 @@ from ..geometry.grid import (
 from ..kernels import DEFAULT_BLOCK_BYTES, auto_chunk, pair_distances
 from .metrics import Metric, _KernelMetric, get_metric
 from .points import WeightedPointSet
-from .radius import coverage_radius_of, nearest_center_distances
+from .radius import _coverage_radius_of, nearest_center_distances
 
 __all__ = ["GreedyResult", "gonzalez", "charikar_greedy"]
 
@@ -392,8 +392,12 @@ class _BallMatrix:
     same entries as contiguous rows, and ``w[idx] @ Wg[idx]`` reads them
     at a fraction of the cost.  The two products sum in different
     orders, so the rows serve only integer weights totalling under
-    ``2^53``, whose gains are exact integer sums in either gain dtype;
-    fractional weights keep the column gather.
+    ``2^53``, whose gains are exact integer sums in either gain dtype.
+    ``charikar_greedy`` always passes integer weights, but fractional
+    ones are a supported input of direct :func:`_greedy_disks` calls
+    (their picks are regression-tested against the frozen reference):
+    they keep the column gather and its rounding, as does any ``D`` not
+    known to be symmetric.
     """
 
     def __init__(self, D: np.ndarray, weights: np.ndarray,
@@ -1079,16 +1083,13 @@ def _candidate_radii(D: np.ndarray, symmetric: bool) -> np.ndarray:
     """The distinct positive entries of ``D``, ascending (NaN dropped).
 
     A bit-symmetric ``D`` carries every value in its strict upper
-    triangle: half the entries to sort, picked by a boolean mask, sorted
-    in place and deduplicated against their neighbours.  Any other ``D``
-    goes through :func:`np.unique` whole."""
-    if not symmetric:
-        cand = np.unique(D)
-        return cand[cand > 0]
-    n = len(D)
-    upper = np.arange(n) > np.arange(n)[:, None]
-    cand = D[upper]
-    # ``> 0`` also drops NaN
+    triangle, half the entries to sort; any other ``D`` is read whole."""
+    if symmetric:
+        n = len(D)
+        cand = D[np.arange(n) > np.arange(n)[:, None]]
+    else:
+        cand = D.ravel()
+    # ``> 0`` also drops NaN; the filter copies, so the sort leaves D intact
     cand = cand[cand > 0]
     cand.sort()
     distinct = np.empty(len(cand), dtype=bool)
@@ -1158,7 +1159,7 @@ def _certified(wps, metric, z, guess, centers, uncovered, path, stats):
     if uncovered is not None:
         return GreedyResult(centers_idx, guess, guess, uncovered, path, stats)
     d = nearest_center_distances(wps, wps.points[centers_idx], metric)
-    achieved = coverage_radius_of(d, wps.weights, z)
+    achieved = _coverage_radius_of(d, wps.weights, z)
     radius = float(min(3.0 * guess, achieved))
     uncovered = d > radius + 1e-9 * max(1.0, radius)
     return GreedyResult(centers_idx, radius, float(guess), uncovered, path, stats)

@@ -17,7 +17,6 @@ from .points import WeightedPointSet
 __all__ = [
     "nearest_center_distances",
     "coverage_radius",
-    "coverage_radius_of",
     "uncovered_weight",
     "min_pairwise_distance",
 ]
@@ -60,11 +59,13 @@ def coverage_radius(
     weight is at most ``z`` (everything may be declared an outlier) and
     ``inf`` when there are no centers but uncovered weight exceeds ``z``.
     """
-    return coverage_radius_of(
+    if wps.total_weight <= z:
+        return 0.0
+    return _coverage_radius_of(
         nearest_center_distances(wps, centers, metric), wps.weights, z)
 
 
-def coverage_radius_of(d: np.ndarray, weights: np.ndarray, z) -> float:
+def _coverage_radius_of(d: np.ndarray, weights: np.ndarray, z) -> float:
     """:func:`coverage_radius` from the nearest-center distances ``d``
     (:func:`nearest_center_distances`) of points weighing ``weights``,
     for callers that need the distances too."""

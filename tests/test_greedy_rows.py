@@ -8,8 +8,8 @@ columns, and the candidate radii come from the strict upper triangle.
 Integer weights make every gain an exact integer sum, so the rows must
 give the same picks as the columns and as the frozen reference, tie
 breaks included.  Fractional weights, :class:`CallableMetric` and
-asymmetric :class:`PrecomputedMetric` searches keep the column gather and
-``np.unique(D)``.
+asymmetric :class:`PrecomputedMetric` searches keep the column gather,
+and the latter two take their candidate radii from the whole of ``D``.
 """
 
 from contextlib import contextmanager
@@ -163,7 +163,7 @@ class TestColumnPathKept:
         w = np.full(4, 1 << 52, dtype=np.int64)
         assert not _BallMatrix(D, w, symmetric=True).rows
 
-    def test_callable_metric_keeps_columns_and_unique(self):
+    def test_callable_metric_keeps_columns_and_whole_matrix(self):
         rng = np.random.default_rng(6)
         P = WeightedPointSet(rng.normal(size=(40, 2)), rng.integers(1, 4, 40))
         met = CallableMetric(lambda p, q: float(np.abs(p - q).sum()))
@@ -173,7 +173,7 @@ class TestColumnPathKept:
         assert not any(b.rows for b in seen["balls"])
         _assert_same(res, charikar_greedy_reference(P, 3, 4, met))
 
-    def test_asymmetric_precomputed_keeps_columns_and_unique(self):
+    def test_asymmetric_precomputed_keeps_columns_and_whole_matrix(self):
         rng = np.random.default_rng(7)
         n = 30
         D = rng.integers(1, 20, (n, n)).astype(float)

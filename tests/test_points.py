@@ -44,16 +44,11 @@ class TestConstruction:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_coordinates(self, bad):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [bad, 0.0]])
+        # once accepted, the NaN point made charikar_greedy(P, 2, 0) raise
+        # a bare RuntimeError and charikar_greedy(P, 2, 1) call it covered
+        pts = np.array([[0, 0], [1, 0], [bad, 0], [5, 5], [6, 5]])
         with pytest.raises(ValueError, match="finite"):
             WeightedPointSet(pts)
-
-    def test_nan_point_cannot_reach_the_radius_search(self):
-        # once accepted, a NaN point made charikar_greedy(P, 2, 0) raise
-        # a bare RuntimeError and charikar_greedy(P, 2, 1) call it covered
-        pts = [[0, 0], [1, 0], [np.nan, 0], [5, 5], [6, 5]]
-        with pytest.raises(ValueError, match="finite"):
-            WeightedPointSet(np.array(pts, dtype=float), [1, 1, 1, 1, 1])
 
     def test_integral_float_weights_coerce(self):
         P = WeightedPointSet(np.zeros((2, 1)), np.array([2.0, 3.0]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    CallableMetric,
     WeightedPointSet,
     coverage_radius,
     min_pairwise_distance,
@@ -45,6 +46,13 @@ class TestCoverageRadius:
     def test_total_weight_below_z(self):
         P = WeightedPointSet(np.array([[0.0], [10.0]]))
         assert coverage_radius(P, np.zeros((0, 1)), 5) == 0.0
+
+    def test_total_weight_below_z_measures_no_distance(self):
+        def never(p, q):
+            raise AssertionError("no distance is needed when all may drop")
+
+        P = WeightedPointSet(np.array([[0.0], [10.0]]), [2, 3])
+        assert coverage_radius(P, np.array([[0.0]]), 5, CallableMetric(never)) == 0.0
 
     def test_no_centers_infeasible(self, line_set):
         assert coverage_radius(line_set, np.zeros((0, 1)), 2) == float("inf")
