@@ -50,43 +50,20 @@ Workloads / experiments (``repro.workloads``, ``repro.experiments``)
     Synthetic data generators and the drivers that regenerate Table 1.
 """
 
-from . import api, core, engine, kernels, persist
-from .api import (
-    KCenterSession,
-    ProblemSpec,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from .core import (
-    WeightedPointSet,
-    charikar_greedy,
-    gonzalez,
-    mbc_construction,
-    solve_kcenter_outliers,
-    solve_via_coreset,
-    update_coreset,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.10.0"
 
-__all__ = [
-    "KCenterSession",
-    "ProblemSpec",
-    "WeightedPointSet",
-    "api",
-    "available_backends",
-    "charikar_greedy",
-    "core",
-    "engine",
-    "get_backend",
-    "gonzalez",
-    "kernels",
-    "mbc_construction",
-    "persist",
-    "register_backend",
-    "solve_kcenter_outliers",
-    "solve_via_coreset",
-    "update_coreset",
-    "__version__",
-]
+# ``import repro`` loads nothing else: each name below imports its
+# subpackage on first access (see ``repro._lazy``)
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "api": ("api", "KCenterSession", "ProblemSpec", "available_backends",
+            "get_backend", "register_backend"),
+    "core": ("core", "WeightedPointSet", "charikar_greedy", "gonzalez",
+             "mbc_construction", "solve_kcenter_outliers",
+             "solve_via_coreset", "update_coreset"),
+    "engine": ("engine",),
+    "kernels": ("kernels",),
+    "persist": ("persist",),
+})
+__all__ += ["__version__"]

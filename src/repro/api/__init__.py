@@ -13,6 +13,16 @@ One problem, five computational models, one API:
   ``save()``/``load()`` durable checkpoints (:mod:`repro.persist`)
   whose restore-then-continue is bit-identical to an uninterrupted run.
 
+Import contract: ``import repro.api`` loads the facade (spec, registry
+with every backend's metadata, session, adapters) and what every
+session's solve uses (``repro.core``'s points, metrics, radius, greedy
+and MBC modules, ``repro.kernels``, ``repro.geometry.grid``).  A backend
+family loads when its first session is built: ``repro.streaming.*``
+(with ``repro.sketches`` for the dynamic backends), or ``repro.mpc.*``
+with ``repro.engine``; the snapshot container format
+(:mod:`repro.persist.format`) loads at the first ``save`` or ``load``.
+``tests/test_lazy_imports.py`` holds it to that.
+
 Quickstart::
 
     from repro.api import ProblemSpec, KCenterSession

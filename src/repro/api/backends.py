@@ -27,38 +27,29 @@ one delegating base; buffered (offline and MPC) adapters derive from
 another.  Operations a backend lacks are absent rather than stubbed:
 the session probes with ``getattr``, and a backend is checkpointable
 exactly when ``snapshot`` and ``restore`` are both callable.
+
+Import cost: this module registers every backend's metadata but imports
+no algorithm beyond the offline one.  Each adapter imports its own
+family (``repro.streaming.*``, with ``repro.sketches`` for the dynamic
+ones; ``repro.mpc.*`` with ``repro.engine``) when it is built, so
+``import repro.api`` does not pay for the models a process never uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
 from ..core.mbc import MiniBallCovering, compose_errors, mbc_construction
 from ..core.points import WeightedPointSet
-from ..engine import get_executor
-from ..mpc.baselines import (
-    ceccarello_one_round_deterministic,
-    ceccarello_one_round_randomized,
-)
-from ..mpc.multi_round import multi_round_coreset
-from ..mpc.one_round import one_round_coreset
-from ..mpc.partition import (
-    partition_contiguous,
-    partition_random,
-    recommended_num_machines,
-)
-from ..mpc.result import MPCCoresetResult
-from ..mpc.two_round import two_round_coreset
-from ..streaming.baseline_ceccarello import CeccarelloStreamingCoreset
-from ..streaming.dynamic import DynamicCoreset
-from ..streaming.dynamic_deterministic import DeterministicDynamicCoreset
-from ..streaming.insertion_only import InsertionOnlyCoreset
-from ..streaming.sliding_window import SlidingWindowCoreset
 from .registry import register_backend
 from .spec import ProblemSpec, _as_int
+
+if TYPE_CHECKING:
+    from ..mpc.result import MPCCoresetResult
+    from ..streaming.insertion_only import InsertionOnlyCoreset
 
 __all__ = [
     "Guarantee",
@@ -368,6 +359,8 @@ class InsertionOnlyBackend(_StreamingBackendBase):
     """The paper's space-optimal insertion-only streaming coreset."""
 
     def __init__(self, spec: ProblemSpec, size_cap: "int | None" = None):
+        from ..streaming.insertion_only import InsertionOnlyCoreset
+
         super().__init__(spec)
         self.algo = InsertionOnlyCoreset(
             spec.k, spec.z, spec.eps, spec.require_dim(),
@@ -394,6 +387,8 @@ class CeccarelloStreamBackend(_StreamingBackendBase):
     """Prior-work baseline whose storage pays 1/eps^d on the z term."""
 
     def __init__(self, spec: ProblemSpec):
+        from ..streaming.baseline_ceccarello import CeccarelloStreamingCoreset
+
         super().__init__(spec)
         self.algo = CeccarelloStreamingCoreset(
             spec.k, spec.z, spec.eps, spec.require_dim(),
@@ -442,6 +437,8 @@ class DynamicBackend(_DynamicAlgoBackend):
         use_f0: bool = True,
         s_override: "int | None" = None,
     ):
+        from ..streaming.dynamic import DynamicCoreset
+
         super().__init__(spec)
         if delta_universe is None:
             raise ValueError(
@@ -495,6 +492,10 @@ class DeterministicDynamicBackend(_DynamicAlgoBackend):
         check: int = 4,
         s_override: "int | None" = None,
     ):
+        from ..streaming.dynamic_deterministic import (
+            DeterministicDynamicCoreset,
+        )
+
         super().__init__(spec)
         if delta_universe is None:
             raise ValueError(
@@ -557,6 +558,8 @@ class SlidingWindowBackend(_AlgoBackend):
         ladder_ratio: float = 2.0,
         capacity: "int | None" = None,
     ):
+        from ..streaming.sliding_window import SlidingWindowCoreset
+
         super().__init__(spec)
         if window is None or r_min is None or r_max is None:
             raise ValueError(
@@ -631,6 +634,8 @@ class MPCBackend(_BufferedBackendBase):
         executor=None,
         jobs: "int | None" = None,
     ):
+        from ..engine import get_executor
+
         super().__init__(spec)
         if num_machines is not None:
             num_machines = _as_int("num_machines", num_machines, 1)
@@ -646,11 +651,26 @@ class MPCBackend(_BufferedBackendBase):
             executor = "thread"
         self.executor = get_executor(executor, jobs)
         self.last_result: "MPCCoresetResult | None" = None
+        #: keyword options the subclass forwards to its protocol
+        self._options: dict = {}
+        self._protocol()  # the MPC family loads with its first session
+
+    @staticmethod
+    def _protocol():
+        """The round protocol, imported when called: ``(parts, k, z,
+        eps, metric=, executor=, **options) -> MPCCoresetResult``."""
+        raise NotImplementedError
 
     def _invalidate(self) -> None:
         self.last_result = None
 
     def _partition(self, P: WeightedPointSet) -> "list[WeightedPointSet]":
+        from ..mpc.partition import (
+            partition_contiguous,
+            partition_random,
+            recommended_num_machines,
+        )
+
         if callable(self.partition):
             return self.partition(P)
         m = self.num_machines
@@ -663,9 +683,6 @@ class MPCBackend(_BufferedBackendBase):
             return partition_contiguous(P, m)
         return partition_random(P, m, self.spec.rng(salt=1))
 
-    def _run(self, parts: "list[WeightedPointSet]") -> MPCCoresetResult:
-        raise NotImplementedError
-
     def coreset(self) -> WeightedPointSet:
         """Partition the buffer and run the round protocol (cached)."""
         if self.last_result is not None:  # buffer unchanged since last query
@@ -673,7 +690,11 @@ class MPCBackend(_BufferedBackendBase):
         P = self.point_set()
         if len(P) == 0:
             return P
-        self.last_result = self._run(self._partition(P))
+        self.last_result = self._protocol()(
+            self._partition(P), self.spec.k, self.spec.z, self.spec.eps,
+            metric=self.spec.resolved_metric, executor=self.executor,
+            **self._options,
+        )
         return self.last_result.coreset
 
     def stats(self) -> dict:
@@ -705,19 +726,17 @@ class TwoRoundMPCBackend(MPCBackend):
                  executor=None, jobs: "int | None" = None):
         super().__init__(spec, num_machines, partition, executor, jobs)
         self.final_compress = bool(final_compress)
+        self._options = {"final_compress": self.final_compress}
         # unset keeps two_round_coreset's own default (guessing on), so
         # the budget rule has one default, not a copy here
-        self._guessing = ({} if outlier_guessing is None
-                          else {"outlier_guessing": bool(outlier_guessing)})
+        if outlier_guessing is not None:
+            self._options["outlier_guessing"] = bool(outlier_guessing)
 
-    def _run(self, parts):
-        return two_round_coreset(
-            parts, self.spec.k, self.spec.z, self.spec.eps,
-            metric=self.spec.resolved_metric,
-            final_compress=self.final_compress,
-            executor=self.executor,
-            **self._guessing,
-        )
+    @staticmethod
+    def _protocol():
+        from ..mpc.two_round import two_round_coreset
+
+        return two_round_coreset
 
     def guarantee(self) -> Guarantee:
         """Theorem 10: deterministic 2-round ``(3eps,k,z)``-coreset."""
@@ -747,14 +766,13 @@ class OneRoundMPCBackend(MPCBackend):
                  jobs: "int | None" = None):
         super().__init__(spec, num_machines, partition, executor, jobs)
         self.final_compress = bool(final_compress)
+        self._options = {"final_compress": self.final_compress}
 
-    def _run(self, parts):
-        return one_round_coreset(
-            parts, self.spec.k, self.spec.z, self.spec.eps,
-            metric=self.spec.resolved_metric,
-            final_compress=self.final_compress,
-            executor=self.executor,
-        )
+    @staticmethod
+    def _protocol():
+        from ..mpc.one_round import one_round_coreset
+
+        return one_round_coreset
 
     def guarantee(self) -> Guarantee:
         """Theorem 33: 1-round whp coreset under random distribution."""
@@ -780,13 +798,13 @@ class MultiRoundMPCBackend(MPCBackend):
                  rounds: int = 2, executor=None, jobs: "int | None" = None):
         super().__init__(spec, num_machines, partition, executor, jobs)
         self.rounds = _as_int("rounds", rounds, 1)
+        self._options = {"rounds": self.rounds}
 
-    def _run(self, parts):
-        return multi_round_coreset(
-            parts, self.spec.k, self.spec.z, self.spec.eps,
-            rounds=self.rounds, metric=self.spec.resolved_metric,
-            executor=self.executor,
-        )
+    @staticmethod
+    def _protocol():
+        from ..mpc.multi_round import multi_round_coreset
+
+        return multi_round_coreset
 
     def guarantee(self) -> Guarantee:
         """Theorem 35: ``((1+eps)^R - 1)`` error in ``R`` rounds."""
@@ -807,11 +825,11 @@ class MultiRoundMPCBackend(MPCBackend):
 class CPPDeterministicMPCBackend(MPCBackend):
     """Prior-work deterministic baseline (no outlier guessing)."""
 
-    def _run(self, parts):
-        return ceccarello_one_round_deterministic(
-            parts, self.spec.k, self.spec.z, self.spec.eps,
-            metric=self.spec.resolved_metric, executor=self.executor,
-        )
+    @staticmethod
+    def _protocol():
+        from ..mpc.baselines import ceccarello_one_round_deterministic
+
+        return ceccarello_one_round_deterministic
 
     def guarantee(self) -> Guarantee:
         """CPP19 deterministic baseline guarantee."""
@@ -835,11 +853,11 @@ class CPPRandomizedMPCBackend(MPCBackend):
 
     default_partition = "random"
 
-    def _run(self, parts):
-        return ceccarello_one_round_randomized(
-            parts, self.spec.k, self.spec.z, self.spec.eps,
-            metric=self.spec.resolved_metric, executor=self.executor,
-        )
+    @staticmethod
+    def _protocol():
+        from ..mpc.baselines import ceccarello_one_round_randomized
+
+        return ceccarello_one_round_randomized
 
     def guarantee(self) -> Guarantee:
         """CPP19 randomized baseline guarantee (whp)."""

@@ -52,7 +52,7 @@ from ..core.greedy import charikar_greedy
 from ..core.metrics import get_metric
 from ..core.points import WeightedPointSet
 from ..core.solver import solve_kcenter_outliers
-from ..persist import SnapshotError, read_snapshot, write_snapshot
+from ..persist import SnapshotError
 from ..store import iter_point_chunks
 from .backends import CoresetBackend, Guarantee, UnsupportedOperationError
 from .registry import BackendInfo, get_backend
@@ -374,6 +374,7 @@ class KCenterSession:
                 ) from None
             options[key] = value
         from .. import __version__
+        from ..persist.format import write_snapshot
 
         with self._lock:
             manifest = {
@@ -437,6 +438,8 @@ class KCenterSession:
             Unreadable file, unknown format version, kind/backend/spec
             mismatch, or state that fails the backend's validation.
         """
+        from ..persist.format import read_snapshot
+
         manifest, state = read_snapshot(path, mmap_dir=mmap_dir,
                                         mmap_mode="c")
         if manifest.get("kind") != _SNAPSHOT_KIND:

@@ -37,6 +37,9 @@ __all__ = [
     "opt_bounds",
 ]
 
+#: ``charikar_greedy``'s ladder tolerance in :func:`opt_bounds` (its default)
+_GREEDY_TOL = 0.05
+
 
 @dataclass(frozen=True)
 class CoresetCheck:
@@ -115,14 +118,18 @@ def opt_bounds(
     """Certified interval ``[lo, hi]`` containing ``opt_{k,z}(wps)``.
 
     Exact (``lo == hi``) via brute force when the instance is small;
-    otherwise the Charikar certificate ``[r/3, r]``.
+    otherwise the Charikar certificate ``[r/3, r]`` when the search
+    took the exact pairwise path, and ``[r/(3(1+tol)), r]`` when it took
+    the geometric ladder, whose radius is only within ``3(1+tol)`` of
+    opt.
     """
     metric = get_metric(metric)
     if len(wps) <= exact_limit:
         r = brute_force_opt(wps, k, z, metric, max_points=exact_limit).radius
         return r, r
-    res = charikar_greedy(wps, k, z, metric)
-    return res.radius / 3.0, res.radius
+    res = charikar_greedy(wps, k, z, metric, tol=_GREEDY_TOL)
+    slack = 1.0 if res.path == "pairwise" else 1.0 + _GREEDY_TOL
+    return res.radius / (3.0 * slack), res.radius
 
 
 def verify_sandwich(
@@ -223,12 +230,18 @@ def verify_mbc(
     exact_limit: int = 14,
 ) -> CoresetCheck:
     """Full Definition 2 + Lemma 3 verification of a mini-ball covering:
-    weight preservation, covering distance at most ``eps * opt`` (certified
-    via an upper bound on opt), and the Definition 1 sandwich."""
+    weight preservation, covering distance at most ``eps * opt``, and the
+    Definition 1 sandwich.
+
+    The covering check allows ``eps * lo`` with ``lo`` the certified
+    lower bound of :func:`opt_bounds` (opt itself on small instances), so
+    a pass proves the covering is within ``eps * opt``; a covering that
+    only meets ``eps * hi`` may be up to 3x too coarse and fails.
+    """
     metric = get_metric(metric)
     checks = [verify_weight_property(original, mbc.coreset)]
-    _, hi = opt_bounds(original, k, z, metric, exact_limit)
-    checks.append(verify_covering_property(original, mbc, eps * hi, metric))
+    lo, _ = opt_bounds(original, k, z, metric, exact_limit)
+    checks.append(verify_covering_property(original, mbc, eps * lo, metric))
     checks.append(
         verify_sandwich(original, mbc.coreset, k, z, eps, metric, exact_limit)
     )

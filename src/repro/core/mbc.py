@@ -320,8 +320,12 @@ def mbc_construction(
         first (the guarantee holds for any order).
 
     Returns an ``(eps', k, z)``-mini-ball covering with
-    ``eps' = eps * (r / (3 opt)) <= eps`` — i.e. at least as good as
-    requested (Lemma 7).
+    ``eps' = eps * (r / (3 opt))`` (Lemma 7).  That is ``<= eps`` when
+    ``r`` comes from :func:`charikar_greedy`'s exact pairwise path
+    (``r <= 3 opt``, at most ``pairwise_limit`` points), but only
+    ``<= eps * (1 + tol)`` when it comes from the geometric ladder of
+    larger inputs (``r <= 3 (1 + tol) opt``), and it is whatever a
+    caller-supplied ``radius`` makes it.
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")

@@ -1,40 +1,22 @@
 """Massively Parallel Computing algorithms (§3, §7) on a simulated
-synchronous cluster with storage and communication accounting."""
+synchronous cluster with storage and communication accounting.
 
-from .baselines import (
-    ceccarello_one_round_deterministic,
-    ceccarello_one_round_randomized,
-    cpp_local_coreset,
-)
-from .cluster import MPCStats, SimulatedMPC
-from .machine import Machine
-from .multi_round import multi_round_coreset
-from .one_round import one_round_coreset, random_outlier_budget
-from .partition import (
-    partition_adversarial_outliers,
-    partition_contiguous,
-    partition_random,
-    recommended_num_machines,
-)
-from .result import MPCCoresetResult
-from .two_round import compute_rhat, outlier_vector_length, two_round_coreset
+Each name imports its defining module on first access (see
+``repro._lazy``).
+"""
 
-__all__ = [
-    "MPCCoresetResult",
-    "MPCStats",
-    "Machine",
-    "SimulatedMPC",
-    "ceccarello_one_round_deterministic",
-    "ceccarello_one_round_randomized",
-    "compute_rhat",
-    "cpp_local_coreset",
-    "multi_round_coreset",
-    "one_round_coreset",
-    "outlier_vector_length",
-    "partition_adversarial_outliers",
-    "partition_contiguous",
-    "partition_random",
-    "random_outlier_budget",
-    "recommended_num_machines",
-    "two_round_coreset",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "baselines": ("ceccarello_one_round_deterministic",
+                  "ceccarello_one_round_randomized", "cpp_local_coreset"),
+    "cluster": ("MPCStats", "SimulatedMPC"),
+    "machine": ("Machine",),
+    "multi_round": ("multi_round_coreset",),
+    "one_round": ("one_round_coreset", "random_outlier_budget"),
+    "partition": ("partition_adversarial_outliers", "partition_contiguous",
+                  "partition_random", "recommended_num_machines"),
+    "result": ("MPCCoresetResult",),
+    "two_round": ("compute_rhat", "outlier_vector_length",
+                  "two_round_coreset"),
+})

@@ -13,7 +13,9 @@ than at whole-cell granularity.  This package provides the two halves:
 * the **container format** (:mod:`repro.persist.format`) — a versioned
   single-file zip holding a human-readable ``manifest.json`` (spec,
   backend name, format version, update count) plus a ``payload.npz``
-  of the array state.
+  of the array state.  Its names load on first access, so a process
+  that only raises or catches :class:`SnapshotError` (defined in
+  :mod:`repro.persist.errors`) never imports it.
 
 The user-facing surface is :meth:`repro.api.KCenterSession.save` /
 :meth:`~repro.api.KCenterSession.load`; the scenario matrix builds its
@@ -25,31 +27,16 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-from .format import (
-    DEFAULT_MAX_DECOMPRESSED_BYTES,
-    DEFAULT_MMAP_THRESHOLD,
-    MANIFEST_MEMBER,
-    PAYLOAD_MEMBER,
-    SNAPSHOT_FORMAT_VERSION,
-    SnapshotError,
-    read_manifest,
-    read_snapshot,
-    write_snapshot,
-)
+from .._lazy import lazy_exports
+from .errors import SnapshotError
 
-__all__ = [
-    "SNAPSHOT_FORMAT_VERSION",
-    "DEFAULT_MAX_DECOMPRESSED_BYTES",
-    "DEFAULT_MMAP_THRESHOLD",
-    "MANIFEST_MEMBER",
-    "PAYLOAD_MEMBER",
-    "SnapshotError",
-    "Snapshottable",
-    "read_manifest",
-    "read_snapshot",
-    "write_snapshot",
-    "supports_snapshot",
-]
+# the container format (zipfile, the npz payload) loads on first use
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "format": ("SNAPSHOT_FORMAT_VERSION", "DEFAULT_MAX_DECOMPRESSED_BYTES",
+               "DEFAULT_MMAP_THRESHOLD", "MANIFEST_MEMBER", "PAYLOAD_MEMBER",
+               "read_manifest", "read_snapshot", "write_snapshot"),
+})
+__all__ += ["SnapshotError", "Snapshottable", "supports_snapshot"]
 
 
 @runtime_checkable

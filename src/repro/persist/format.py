@@ -44,6 +44,8 @@ import zipfile
 
 import numpy as np
 
+from .errors import SnapshotError
+
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "DEFAULT_MAX_DECOMPRESSED_BYTES",
@@ -77,15 +79,6 @@ DEFAULT_MMAP_THRESHOLD = 1 << 20
 _MAX_BYTES_ENV = "REPRO_SNAPSHOT_MAX_BYTES"
 
 _SEP = "/"
-
-
-class SnapshotError(RuntimeError):
-    """A snapshot cannot be written, read, or applied.
-
-    Raised for unreadable/corrupted files, unknown format versions,
-    backend/spec mismatches at load time, and state trees that do not
-    fit the container (non-string keys, unserializable leaves).
-    """
 
 
 def _split_state(state: dict, prefix: str, json_tree: dict, arrays: dict) -> None:

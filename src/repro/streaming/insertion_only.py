@@ -331,9 +331,14 @@ class InsertionOnlyCoreset:
         processed in chunks (see the module docstring).  A change of
         ``r`` (initialization, or a doubling, which rebuilds ``P*``)
         invalidates the chunk's distances, so the loop restarts from the
-        next unprocessed row.
+        next unprocessed row.  A one-row batch goes through
+        :meth:`insert`, which answers it without the chunk's first-fit
+        and lexsort steps.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if len(pts) == 1:
+            self.insert(pts[0])
+            return
         i = 0
         while i < len(pts):
             i += self._extend_chunk(pts[i: i + _CHUNK_ROWS])

@@ -5,10 +5,12 @@ import pytest
 
 from repro.core import (
     WeightedPointSet,
+    charikar_greedy,
     mbc_construction,
     opt_bounds,
     verify_covering_property,
     verify_expansion_property,
+    verify_mbc,
     verify_sandwich,
     verify_weight_property,
 )
@@ -39,6 +41,48 @@ class TestOptBounds:
         from repro.core import brute_force_opt
         opt = brute_force_opt(P, 2, 2).radius
         assert lo - 1e-9 <= opt <= hi + 1e-9
+
+
+    def test_ladder_bound_pays_the_tolerance(self, rng):
+        # past pairwise_limit the search only promises r <= 3(1+tol) opt
+        P = WeightedPointSet.from_points(rng.uniform(0, 50, (2100, 2)))
+        res = charikar_greedy(P, 3, 5)
+        assert res.path != "pairwise"
+        assert opt_bounds(P, 3, 5) == (res.radius / (3 * 1.05), res.radius)
+
+    def test_pairwise_bound_is_a_third(self, small_set):
+        res = charikar_greedy(small_set, 2, 4)
+        assert res.path == "pairwise"
+        assert opt_bounds(small_set, 2, 4) == (res.radius / 3, res.radius)
+
+
+def _eight_clusters():
+    """300 points in 8 Gaussian clusters (k=8, z=20): an exact MILP over
+    the pairwise distances puts opt_{8,20} at 3.9783, where the greedy
+    radius is 4.7882."""
+    rng = np.random.default_rng(0)
+    centers = rng.uniform(-20, 20, (8, 2))
+    pts = centers[rng.integers(0, 8, 300)] + rng.normal(0, 2.0, (300, 2))
+    return WeightedPointSet.from_points(pts)
+
+
+class TestVerifyMBC:
+    def test_coarse_mbc_fails(self):
+        # an MBC built at 3x the greedy radius covers within eps * r =
+        # 2.39 (worst 2.380), above eps * opt = 1.989: not an MBC.  The
+        # covering check against eps * hi let it pass
+        P, (k, z, eps) = _eight_clusters(), (8, 20, 0.5)
+        r = charikar_greedy(P, k, z).radius
+        coarse = mbc_construction(P, k, z, eps, radius=3 * r)
+        assert verify_covering_property(P, coarse, eps * r).ok
+        chk = verify_mbc(P, coarse, k, z, eps)
+        assert not chk.ok
+        assert "covering: worst=2.38" in chk.details
+
+    def test_library_mbc_passes(self):
+        P, (k, z, eps) = _eight_clusters(), (8, 20, 0.5)
+        chk = verify_mbc(P, mbc_construction(P, k, z, eps), k, z, eps)
+        assert chk.ok, chk.details
 
 
 class TestSandwich:

@@ -132,6 +132,26 @@ class TestExtendMatchesInsert:
         _assert_same(got, ref)
 
     @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_one_row_batches_take_insert(self, metric, d, monkeypatch):
+        # a one-row extend is answered by the scalar reference, never by
+        # the chunk machinery, and a stream of them equals the insert loop
+        pts = _stream("clusters", 600, d, seed=d)
+        ref = _structure(metric, d, 40)
+        for p in pts:
+            ref.insert(p)
+
+        def no_chunk(self, chunk):
+            raise AssertionError("one-row extend ran _extend_chunk")
+
+        monkeypatch.setattr(InsertionOnlyCoreset, "_extend_chunk", no_chunk)
+        got = _structure(metric, d, 40)
+        for p in pts:
+            got.extend(p[None, :])
+        assert ref.doublings > 0
+        _assert_same(got, ref)
+
+    @pytest.mark.parametrize("metric", METRICS)
     def test_index_path_taken_and_identical(self, metric, index_always):
         # sanity that the forced configuration actually indexes: a
         # 2-D stream past r-initialization builds the index
@@ -295,7 +315,7 @@ class TestSnapshotCompat:
         _assert_same(resumed, whole)
 
     def test_no_scalar_fallback(self, monkeypatch):
-        # extend never routes through insert any more
+        # a batch of more than one row never routes through insert
         calls = []
         monkeypatch.setattr(InsertionOnlyCoreset, "insert",
                             lambda self, p: calls.append(p))
